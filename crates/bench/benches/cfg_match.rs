@@ -26,14 +26,14 @@
 //! anchor) and, for the forked corpus,
 //! `checkpoint(); ... commit(e);` (with an edit on the commit anchor).
 
+use cocci_bench::run_set;
 use cocci_bench::timing::{Harness, Throughput};
-use cocci_core::{apply_batch_opts, CompiledPatch, ExecOptions};
+use cocci_core::{CompiledPatch, CompiledRuleSet, CorpusOptions};
 use cocci_smpl::parse_semantic_patch;
 use cocci_workloads::gen::{
     branchy_codebase, forked_commit_codebase, linear_probe_codebase, report_scan_codebase,
     CodebaseSpec,
 };
-use std::sync::Arc;
 use std::time::Instant;
 
 const PROBE_PATCH: &str =
@@ -46,7 +46,12 @@ const SCAN_PATCH: &str =
     "@scan@\nexpression r;\nposition p;\n@@\nacquire(r)@p;\n...\nrelease(r);\n";
 
 fn total_matches(outcomes: &[cocci_core::FileOutcome]) -> usize {
-    outcomes.iter().map(|o| o.matches).sum()
+    outcomes.iter().map(|o| o.report.matches).sum()
+}
+
+fn compile(patch: &str) -> CompiledRuleSet {
+    let patch = parse_semantic_patch(patch).expect("patch parses");
+    CompiledRuleSet::from_patch(CompiledPatch::compile(&patch).expect("compile"), 0)
 }
 
 fn main() {
@@ -64,17 +69,15 @@ fn main() {
         .map(|f| (f.name, f.text))
         .collect();
 
-    let patch = parse_semantic_patch(PROBE_PATCH).expect("probe patch");
-    let compiled = Arc::new(CompiledPatch::compile(&patch).expect("compile"));
-    let tree = ExecOptions {
+    let compiled = compile(PROBE_PATCH);
+    let flow = CorpusOptions {
         threads: 1,
-        flow: false,
+        no_prefilter: true,
         ..Default::default()
     };
-    let flow = ExecOptions {
-        threads: 1,
-        flow: true,
-        ..Default::default()
+    let tree = CorpusOptions {
+        no_flow: true,
+        ..flow.clone()
     };
 
     let mut h = Harness::new("cfg_match").sample_size(10);
@@ -82,8 +85,8 @@ fn main() {
     // Semantic comparison on the branch-heavy corpus: the tree engine
     // over-matches (it absorbs early returns into the dots); the CFG
     // engine refuses those and additionally matches cross-branch pairs.
-    let tree_out = apply_batch_opts(&compiled, &branchy, &tree);
-    let flow_out = apply_batch_opts(&compiled, &branchy, &flow);
+    let tree_out = run_set(&compiled, &branchy, &tree);
+    let flow_out = run_set(&compiled, &branchy, &flow);
     h.metric("matches", "tree", total_matches(&tree_out) as f64);
     h.metric("matches", "flow", total_matches(&flow_out) as f64);
 
@@ -91,11 +94,11 @@ fn main() {
     // agree: median-of-N wall-clock ratio.
     let bytes: usize = linear.iter().map(|(_, t)| t.len()).sum();
     let samples = 9;
-    let time = |opts: &ExecOptions| -> f64 {
+    let time = |opts: &CorpusOptions| -> f64 {
         let mut ts: Vec<f64> = (0..samples)
             .map(|_| {
                 let t0 = Instant::now();
-                std::hint::black_box(apply_batch_opts(&compiled, &linear, opts));
+                std::hint::black_box(run_set(&compiled, &linear, opts));
                 t0.elapsed().as_secs_f64()
             })
             .collect();
@@ -106,34 +109,34 @@ fn main() {
     let flow_median = time(&flow);
     h.metric("cfg_overhead", "linear", flow_median / tree_median);
 
-    let agree = total_matches(&apply_batch_opts(&compiled, &linear, &tree))
-        == total_matches(&apply_batch_opts(&compiled, &linear, &flow));
+    let agree = total_matches(&run_set(&compiled, &linear, &tree))
+        == total_matches(&run_set(&compiled, &linear, &flow));
     h.metric("agreement", "linear", if agree { 1.0 } else { 0.0 });
 
     h.bench(
         "tree_dots",
         "linear",
         Throughput::Bytes(bytes as u64),
-        || apply_batch_opts(&compiled, &linear, &tree),
+        || run_set(&compiled, &linear, &tree),
     );
     h.bench(
         "flow_dots",
         "linear",
         Throughput::Bytes(bytes as u64),
-        || apply_batch_opts(&compiled, &linear, &flow),
+        || run_set(&compiled, &linear, &flow),
     );
     let bbytes: usize = branchy.iter().map(|(_, t)| t.len()).sum();
     h.bench(
         "tree_dots",
         "branchy",
         Throughput::Bytes(bbytes as u64),
-        || apply_batch_opts(&compiled, &branchy, &tree),
+        || run_set(&compiled, &branchy, &tree),
     );
     h.bench(
         "flow_dots",
         "branchy",
         Throughput::Bytes(bbytes as u64),
-        || apply_batch_opts(&compiled, &branchy, &flow),
+        || run_set(&compiled, &branchy, &flow),
     );
 
     // Witness forking: a corpus whose every branch binds the commit
@@ -144,10 +147,9 @@ fn main() {
         .into_iter()
         .map(|f| (f.name, f.text))
         .collect();
-    let fork_patch = parse_semantic_patch(FORK_PATCH).expect("fork patch");
-    let fork_compiled = Arc::new(CompiledPatch::compile(&fork_patch).expect("compile"));
-    let fork_out = apply_batch_opts(&fork_compiled, &forked, &flow);
-    let witnesses: usize = fork_out.iter().map(|o| o.witnesses).sum();
+    let fork_compiled = compile(FORK_PATCH);
+    let fork_out = run_set(&fork_compiled, &forked, &flow);
+    let witnesses: usize = fork_out.iter().map(|o| o.report.witnesses).sum();
     h.metric("witnesses", "forked", witnesses as f64);
     h.metric("matches", "forked", total_matches(&fork_out) as f64);
     let fbytes: usize = forked.iter().map(|(_, t)| t.len()).sum();
@@ -155,7 +157,7 @@ fn main() {
         "flow_dots",
         "forked",
         Throughput::Bytes(fbytes as u64),
-        || apply_batch_opts(&fork_compiled, &forked, &flow),
+        || run_set(&fork_compiled, &forked, &flow),
     );
 
     // Report route: a reporting-only (pure-context) rule over the
@@ -166,17 +168,16 @@ fn main() {
         .into_iter()
         .map(|f| (f.name, f.text))
         .collect();
-    let scan_patch = parse_semantic_patch(SCAN_PATCH).expect("scan patch");
-    let scan_compiled = Arc::new(CompiledPatch::compile(&scan_patch).expect("compile"));
-    let scan_out = apply_batch_opts(&scan_compiled, &scan, &flow);
-    let findings: usize = scan_out.iter().map(|o| o.findings.len()).sum();
+    let scan_compiled = compile(SCAN_PATCH);
+    let scan_out = run_set(&scan_compiled, &scan, &flow);
+    let findings: usize = scan_out.iter().map(|o| o.report.findings.len()).sum();
     h.metric("findings", "report_scan", findings as f64);
     let sbytes: usize = scan.iter().map(|(_, t)| t.len()).sum();
     h.bench(
         "report_scan",
         "flow",
         Throughput::Bytes(sbytes as u64),
-        || apply_batch_opts(&scan_compiled, &scan, &flow),
+        || run_set(&scan_compiled, &scan, &flow),
     );
 
     h.finish().expect("write BENCH_cfg_match.json");

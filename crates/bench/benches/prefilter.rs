@@ -7,16 +7,16 @@
 //! prefilter sources: UC1 prunes on directive atoms (`<omp.h>`,
 //! `pragma omp`), UC2 and UC11 prune on literal factors extracted from
 //! their `=~` regex constraints (`kernel`, `rsb__BCSR_spmv_…`). For each
-//! patch the bench times the batch driver with the literal-atom
+//! patch the bench times the corpus driver with the literal-atom
 //! prefilter on and off, and records the **hit rate** (fraction of files
 //! pruned before lexing/parsing) as a metric in `BENCH_prefilter.json`.
 
+use cocci_bench::run_set;
 use cocci_bench::timing::{Harness, Throughput};
-use cocci_core::{apply_batch, CompiledPatch};
+use cocci_core::{CompiledPatch, CompiledRuleSet, CorpusOptions, FileStatus};
 use cocci_smpl::parse_semantic_patch;
 use cocci_workloads::corpus::{corpus_tree, is_walkable, CorpusTreeSpec};
 use cocci_workloads::patches::{UC11_PRAGMA_INJECT, UC1_LIKWID, UC2_VARIANT};
-use std::sync::Arc;
 
 fn main() {
     let spec = CorpusTreeSpec {
@@ -32,6 +32,14 @@ fn main() {
         .collect();
     let bytes: usize = inputs.iter().map(|(_, t)| t.len()).sum();
 
+    let on = CorpusOptions {
+        threads: 1,
+        ..Default::default()
+    };
+    let off = CorpusOptions {
+        no_prefilter: true,
+        ..on.clone()
+    };
     let mut h = Harness::new("prefilter").sample_size(10);
     for (uc, patch_text) in [
         ("UC1", UC1_LIKWID),
@@ -39,11 +47,14 @@ fn main() {
         ("UC11", UC11_PRAGMA_INJECT),
     ] {
         let patch = parse_semantic_patch(patch_text).expect(uc);
-        let compiled = Arc::new(CompiledPatch::compile(&patch).expect(uc));
+        let set = CompiledRuleSet::from_patch(CompiledPatch::compile(&patch).expect(uc), 0);
 
-        let outcomes = apply_batch(&compiled, &inputs, 1, true);
-        let pruned = outcomes.iter().filter(|o| o.pruned).count();
-        let errors = outcomes.iter().filter(|o| o.error.is_some()).count();
+        let outcomes = run_set(&set, &inputs, &on);
+        let pruned = outcomes
+            .iter()
+            .filter(|o| o.report.status == FileStatus::Pruned)
+            .count();
+        let errors = outcomes.iter().filter(|o| o.report.error.is_some()).count();
         h.metric(
             "prefilter_hit_rate",
             uc,
@@ -52,10 +63,10 @@ fn main() {
         h.metric("prefilter_errors", uc, errors as f64);
 
         h.bench("prefilter_on", uc, Throughput::Bytes(bytes as u64), || {
-            apply_batch(&compiled, &inputs, 1, true)
+            run_set(&set, &inputs, &on)
         });
         h.bench("prefilter_off", uc, Throughput::Bytes(bytes as u64), || {
-            apply_batch(&compiled, &inputs, 1, false)
+            run_set(&set, &inputs, &off)
         });
     }
     h.metric("corpus", "files", inputs.len() as f64);

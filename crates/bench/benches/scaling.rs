@@ -8,9 +8,10 @@
 //! * `threads` — multi-file driver over a fixed corpus with 1..=8
 //!   workers, expecting near-linear speedup until core count;
 //! * `corpus` — the generated mixed corpus tree through the streaming
-//!   work-stealing corpus driver at 1/2/4/all threads, with derived
-//!   `speedup_*` metrics (trend-gated: CI fails when the max-thread
-//!   speedup decays below 70% of the previous run's ratio).
+//!   work-stealing corpus driver at 1/2/4/all threads. The tree is about
+//!   a millisecond of work, too small to measure parallel speedup (the
+//!   `perfbench/` throughput benchmark does that at real size), so the
+//!   sweep records timings only.
 //!
 //! The binary also installs a counting allocator and records allocator
 //! traffic per parsed corpus file — the number string interning is
@@ -20,7 +21,7 @@
 use cocci_bench::alloc::CountingAlloc;
 use cocci_bench::timing::{Harness, Throughput};
 use cocci_cast::parser::{parse_translation_unit, NoMeta, ParseOptions};
-use cocci_core::{apply_to_corpus, apply_to_files, CorpusOptions, MemorySource};
+use cocci_core::{apply_to_corpus_resumed, apply_to_files, CorpusOptions, MemorySource};
 use cocci_smpl::parse_semantic_patch;
 use cocci_workloads::corpus::{corpus_tree, CorpusTreeSpec};
 use cocci_workloads::gen::sized_codebase;
@@ -98,28 +99,20 @@ fn corpus_sweep(h: &mut Harness) {
             Throughput::Bytes(bytes as u64),
             || {
                 let mut src = MemorySource::new(inputs.clone());
-                apply_to_corpus(
+                apply_to_corpus_resumed(
                     &patch,
                     &mut src,
                     &CorpusOptions {
                         threads: t,
                         ..Default::default()
                     },
+                    None,
                     |_, _, _| {},
                 )
                 .unwrap()
             },
         );
     }
-    let base = h.median_s("scaling_corpus", "1").expect("1-thread record");
-    for &t in &counts[1..] {
-        let m = h.median_s("scaling_corpus", &t.to_string()).unwrap();
-        h.metric("scaling_corpus", &format!("speedup_{t}"), base / m);
-    }
-    let max_t = *counts.last().unwrap();
-    let m = h.median_s("scaling_corpus", &max_t.to_string()).unwrap();
-    h.metric("scaling_corpus", "speedup_max", base / m);
-    h.metric("scaling_corpus", "threads_max", max_t as f64);
 }
 
 /// Telemetry probe: what the instrumentation costs, plus the pool's
@@ -157,13 +150,14 @@ fn telemetry_probe(h: &mut Harness) {
         .unwrap_or(1);
     let mut run = || {
         let mut src = MemorySource::new(inputs.clone());
-        apply_to_corpus(
+        apply_to_corpus_resumed(
             &patch,
             &mut src,
             &CorpusOptions {
                 threads,
                 ..Default::default()
             },
+            None,
             |_, _, _| {},
         )
         .unwrap()

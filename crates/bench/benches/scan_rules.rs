@@ -6,7 +6,7 @@
 //! the text. This bench measures both claims on the `rule_matrix`
 //! workload at 1, 10, and 50 rules over the same mixed corpus:
 //!
-//! * `scan_batch` wall clock per rule count — with the paper-style
+//! * `scan_corpus` wall clock per rule count — with the paper-style
 //!   expectation that 50 rules cost well under 50× one rule (the CI
 //!   budget is 10×), recorded as the `scan_per_rule_ratio` metric;
 //! * `sieve_survivors` vs `may_match_survivors` — (file, rule) pairs
@@ -18,8 +18,9 @@
 //! hit wakes several rules of which at most one matches — the
 //! adversarial case for merged prefiltering.
 
+use cocci_bench::run_set;
 use cocci_bench::timing::{Harness, Throughput};
-use cocci_core::{scan_batch, CompiledRuleSet, ExecOptions};
+use cocci_core::{CompiledRuleSet, CorpusOptions};
 use cocci_workloads::rule_matrix::{rule_matrix_codebase, rule_matrix_rules, RuleMatrixSpec};
 
 fn build_set(spec: &RuleMatrixSpec, rules: usize) -> CompiledRuleSet {
@@ -63,10 +64,9 @@ fn main() {
         .map(|f| (f.name, f.text))
         .collect();
     let bytes: usize = inputs.iter().map(|(_, t)| t.len()).sum();
-    let opts = ExecOptions {
+    let opts = CorpusOptions {
         threads: 1,
-        prefilter: true,
-        ..ExecOptions::default()
+        ..Default::default()
     };
 
     let mut h = Harness::new("scan_rules").sample_size(10);
@@ -89,16 +89,16 @@ fn main() {
         h.metric("sieve_survivors", &label, sieve as f64);
         h.metric("may_match_survivors", &label, solo as f64);
 
-        let outcomes = scan_batch(&set, &inputs, &opts);
+        let outcomes = run_set(&set, &inputs, &opts);
         let parses: usize = outcomes.iter().map(|o| o.parses).sum();
-        let findings: usize = outcomes.iter().map(|o| o.findings.len()).sum();
+        let findings: usize = outcomes.iter().map(|o| o.report.findings.len()).sum();
         h.metric("parses", &label, parses as f64);
         h.metric("findings", &label, findings as f64);
 
         h.bench("scan", &label, Throughput::Bytes(bytes as u64), || {
-            scan_batch(&set, &inputs, &opts)
+            run_set(&set, &inputs, &opts)
         });
-        wall.push((n, median_seconds(|| scan_batch(&set, &inputs, &opts))));
+        wall.push((n, median_seconds(|| run_set(&set, &inputs, &opts))));
     }
 
     // Sub-linear scaling headline: wall-clock ratio 50 rules : 1 rule

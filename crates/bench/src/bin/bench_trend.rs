@@ -11,11 +11,6 @@
 //! unreadable (ci.sh reseeds), 4 = fresh artifact unreadable. `ci.sh`
 //! runs this after every bench smoke, keeping the last artifact as the
 //! rolling baseline.
-//!
-//! Besides wall-clock, a `speedup_max` metric (the scaling bench's
-//! max-thread parallel speedup) is gated in the opposite direction: the
-//! fresh ratio must keep at least 70% of the baseline ratio
-//! (`$BENCH_TREND_MIN_SPEEDUP_KEEP`, a fraction, overrides).
 
 use cocci_bench::trend;
 use std::process::ExitCode;
@@ -38,35 +33,20 @@ fn main() -> ExitCode {
         }
     };
 
-    let min_keep: f64 = match std::env::var("BENCH_TREND_MIN_SPEEDUP_KEEP") {
-        Err(_) => 0.70,
-        Ok(s) => match s.parse() {
-            Ok(k) => k,
-            Err(_) => {
-                eprintln!("bench_trend: bad $BENCH_TREND_MIN_SPEEDUP_KEEP {s:?}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-
-    type Artifact = (Vec<trend::TrendEntry>, Vec<trend::MetricEntry>);
-    let read = |path: &str| -> Result<Artifact, String> {
+    let read = |path: &str| -> Result<Vec<trend::TrendEntry>, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        Ok((
-            trend::read_timings(&text).map_err(|e| format!("{path}: {e}"))?,
-            trend::read_metrics(&text).map_err(|e| format!("{path}: {e}"))?,
-        ))
+        trend::read_timings(&text).map_err(|e| format!("{path}: {e}"))
     };
     // Distinct exit codes so callers can tell "bad baseline — reseed"
     // (3) from "bad fresh artifact or configuration — fail" (2/4).
-    let (baseline, base_metrics) = match read(baseline_path) {
+    let baseline = match read(baseline_path) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("bench_trend: {e}");
             return ExitCode::from(3);
         }
     };
-    let (current, cur_metrics) = match read(current_path) {
+    let current = match read(current_path) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("bench_trend: {e}");
@@ -75,8 +55,7 @@ fn main() -> ExitCode {
     };
 
     let regressions = trend::compare(&baseline, &current, max_pct / 100.0);
-    let drops = trend::compare_speedups(&base_metrics, &cur_metrics, min_keep);
-    if regressions.is_empty() && drops.is_empty() {
+    if regressions.is_empty() {
         eprintln!(
             "bench_trend: {} benchmark(s) within the {max_pct}% budget vs {baseline_path}",
             current.len()
@@ -91,17 +70,6 @@ fn main() -> ExitCode {
             r.baseline_s,
             r.current_s,
             r.slowdown_pct()
-        );
-    }
-    for d in &drops {
-        eprintln!(
-            "bench_trend: SPEEDUP DROP {}/{}: {:.2}x -> {:.2}x (kept {:.0}%, floor {:.0}%)",
-            d.group,
-            d.id,
-            d.baseline,
-            d.current,
-            d.kept_ratio() * 100.0,
-            min_keep * 100.0
         );
     }
     ExitCode::FAILURE

@@ -15,7 +15,21 @@ pub mod alloc;
 pub mod timing;
 pub mod trend;
 
+use cocci_core::{scan_corpus, CompiledRuleSet, CorpusOptions, FileOutcome, MemorySource};
 use cocci_workloads::gen::{self, CodebaseSpec, GeneratedFile};
+
+/// Run `set` over in-memory `files` through the corpus driver,
+/// collecting every outcome in input order.
+pub fn run_set(
+    set: &CompiledRuleSet,
+    files: &[(String, String)],
+    opts: &CorpusOptions,
+) -> Vec<FileOutcome> {
+    let mut outcomes = Vec::with_capacity(files.len());
+    let source = &mut MemorySource::new(files.iter().cloned());
+    scan_corpus(set, source, opts, None, |_, _, o| outcomes.push(o.clone())).expect("corpus run");
+    outcomes
+}
 
 /// The corpus each use case runs against in the E1 matrix.
 pub fn corpus_for(uc: &str) -> Vec<GeneratedFile> {
@@ -83,7 +97,8 @@ mod tests {
             let changed = outcomes.iter().filter(|o| o.output.is_some()).count();
             assert!(changed > 0, "{uc}: no file transformed");
             for o in &outcomes {
-                assert!(o.error.is_none(), "{uc}: {}: {:?}", o.name, o.error);
+                let r = &o.report;
+                assert!(r.error.is_none(), "{uc}: {}: {:?}", r.name, r.error);
             }
             let marker = expected_marker(uc);
             if !marker.is_empty() {

@@ -114,15 +114,6 @@ impl Harness {
         });
     }
 
-    /// Median seconds of an already-recorded benchmark, for deriving
-    /// metrics from timings (e.g. a thread-sweep's speedup ratios).
-    pub fn median_s(&self, group: &str, id: &str) -> Option<f64> {
-        self.records
-            .iter()
-            .find(|r| r.group == group && r.id == id)
-            .map(Record::median)
-    }
-
     /// Best-of-samples seconds of an already-recorded benchmark. Noise
     /// on a loaded builder is one-sided (interference only ever slows a
     /// sample down), so the minimum is the steadiest basis for tight

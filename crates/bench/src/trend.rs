@@ -50,99 +50,6 @@ impl Regression {
     }
 }
 
-/// A scalar metric record of a `BENCH_*.json` artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricEntry {
-    /// Metric group (e.g. `scaling_corpus`).
-    pub group: String,
-    /// Metric id (e.g. `speedup_max`).
-    pub id: String,
-    /// Recorded value.
-    pub value: f64,
-}
-
-/// A higher-is-better metric that decayed below the allowed fraction of
-/// its baseline (the parallel-scaling gate).
-#[derive(Debug, Clone)]
-pub struct SpeedupDrop {
-    /// Metric group.
-    pub group: String,
-    /// Metric id.
-    pub id: String,
-    /// Baseline speedup ratio.
-    pub baseline: f64,
-    /// Fresh speedup ratio.
-    pub current: f64,
-}
-
-impl SpeedupDrop {
-    /// Fraction of the baseline ratio retained (e.g. `0.62`).
-    pub fn kept_ratio(&self) -> f64 {
-        self.current / self.baseline
-    }
-}
-
-/// Parse the scalar metrics of a `BENCH_*.json` artifact. Artifacts
-/// without a `metrics` array yield an empty list.
-pub fn read_metrics(text: &str) -> Result<Vec<MetricEntry>, String> {
-    let v = json::parse(text)?;
-    let obj = v.as_object().ok_or("bench json: expected an object")?;
-    let mut out = Vec::new();
-    let Some(metrics) = obj.get("metrics").and_then(json::Value::as_array) else {
-        return Ok(out);
-    };
-    for m in metrics {
-        let mo = m.as_object().ok_or("bench json: metric not an object")?;
-        let get = |k: &str| mo.get(k).and_then(json::Value::as_str);
-        out.push(MetricEntry {
-            group: get("group")
-                .ok_or("bench json: metric missing \"group\"")?
-                .to_string(),
-            id: get("id")
-                .ok_or("bench json: metric missing \"id\"")?
-                .to_string(),
-            value: mo
-                .get("value")
-                .and_then(json::Value::as_f64)
-                .ok_or("bench json: metric missing \"value\"")?,
-        });
-    }
-    Ok(out)
-}
-
-/// Gate the parallel-scaling ratio: a `speedup_max` metric present in
-/// both artifacts regresses when the fresh ratio drops below
-/// `min_keep_ratio` (CI default 0.70 — keep at least 70%) of the
-/// baseline ratio. Other metrics, metrics on one side only, and
-/// degenerate non-positive baselines are skipped.
-pub fn compare_speedups(
-    baseline: &[MetricEntry],
-    current: &[MetricEntry],
-    min_keep_ratio: f64,
-) -> Vec<SpeedupDrop> {
-    let mut out = Vec::new();
-    for cur in current.iter().filter(|m| m.id == "speedup_max") {
-        let Some(base) = baseline
-            .iter()
-            .find(|b| b.group == cur.group && b.id == cur.id)
-        else {
-            continue;
-        };
-        if base.value <= 0.0 {
-            continue;
-        }
-        if cur.value < base.value * min_keep_ratio {
-            out.push(SpeedupDrop {
-                group: cur.group.clone(),
-                id: cur.id.clone(),
-                baseline: base.value,
-                current: cur.value,
-            });
-        }
-    }
-    out
-}
-
 /// Parse the timed records of a `BENCH_*.json` artifact.
 pub fn read_timings(text: &str) -> Result<Vec<TrendEntry>, String> {
     let v = json::parse(text)?;
@@ -302,52 +209,5 @@ mod tests {
         let base = read_timings(&bench_json(&[("g", "old", 1.0)])).unwrap();
         let cur = read_timings(&bench_json(&[("g", "new", 9.0)])).unwrap();
         assert!(compare(&base, &cur, 0.25).is_empty());
-    }
-
-    fn metrics_json(entries: &[(&str, &str, f64)]) -> String {
-        let mut out = String::from("{\"experiment\": \"t\", \"results\": [], \"metrics\": [");
-        for (i, (g, id, v)) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"group\": \"{g}\", \"id\": \"{id}\", \"value\": {v:e}}}"
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    #[test]
-    fn reads_metrics_and_tolerates_their_absence() {
-        let ms = read_metrics(&metrics_json(&[("sc", "speedup_max", 3.4)])).unwrap();
-        assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].group, "sc");
-        assert!((ms[0].value - 3.4).abs() < 1e-12);
-        // Pre-metrics artifacts parse to an empty list, not an error.
-        assert!(read_metrics(r#"{"results": []}"#).unwrap().is_empty());
-    }
-
-    #[test]
-    fn speedup_gate_fires_below_seventy_percent() {
-        let base = read_metrics(&metrics_json(&[
-            ("sc", "speedup_max", 4.0),
-            ("sc", "speedup_2", 1.9),
-        ]))
-        .unwrap();
-        // 4.0 → 3.0 keeps 75%: fine.
-        let ok = read_metrics(&metrics_json(&[("sc", "speedup_max", 3.0)])).unwrap();
-        assert!(compare_speedups(&base, &ok, 0.70).is_empty());
-        // 4.0 → 2.0 keeps 50%: regression.
-        let bad = read_metrics(&metrics_json(&[("sc", "speedup_max", 2.0)])).unwrap();
-        let drops = compare_speedups(&base, &bad, 0.70);
-        assert_eq!(drops.len(), 1);
-        assert!((drops[0].kept_ratio() - 0.5).abs() < 1e-9);
-        // Only speedup_max is a budget; other metrics are informational.
-        let other = read_metrics(&metrics_json(&[("sc", "speedup_2", 0.1)])).unwrap();
-        assert!(compare_speedups(&base, &other, 0.70).is_empty());
-        // A metric new to this run has no baseline to decay from.
-        let fresh = read_metrics(&metrics_json(&[("new", "speedup_max", 1.0)])).unwrap();
-        assert!(compare_speedups(&base, &fresh, 0.70).is_empty());
     }
 }

@@ -70,9 +70,10 @@
 mod diff;
 mod telemetry;
 
-use cocci_core::corpus::{apply_to_corpus_resumed, CorpusOptions, WalkSource};
-use cocci_core::scan::scan_corpus;
-use cocci_core::{ApplyReport, CompiledRuleSet, ExplainConfig, RunMetrics, SarifRule};
+use cocci_core::{
+    scan_corpus, ApplyError, ApplyReport, CompiledPatch, CompiledRuleSet, CorpusOptions,
+    ExplainConfig, FileOutcome, FileStatus, RunMetrics, WalkSource,
+};
 use cocci_lint::{
     has_deny, lint_duplicates, lint_patch, lint_ruleset, Lint, LintConfig, LintLevel,
 };
@@ -81,13 +82,15 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Run mode: rewrite matches or report them.
+/// Run mode: rewrite matches, report them, or scan a rules directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// Apply edits (the traditional spatch behaviour).
     Patch,
     /// Emit findings; never touch a file.
     Report,
+    /// `spatch scan`: a rules directory's findings, attributed per rule.
+    Scan,
 }
 
 /// Report-mode output format.
@@ -535,36 +538,205 @@ fn run_lint(args: &Args) -> ExitCode {
     }
 }
 
-/// `spatch scan --rules <dir>`: N rules, one parse per file.
-fn run_scan(args: &Args) -> ExitCode {
+/// A rule set ready to run, with everything the run reports about it.
+struct Loaded {
+    /// The rules. An `--sp-file` compile error is a run-level error,
+    /// reported once after the `--resume` report has been checked.
+    set: Result<CompiledRuleSet, ApplyError>,
+    /// `--resume` identity: the set hash, or the patch text's hash.
+    hash: u64,
+    /// The `--rules` directory or `--sp-file` path, as reports name it.
+    label: String,
+    /// Load-time lint diagnostics, embedded in the report.
+    lints: Vec<Lint>,
+    mode: Mode,
+}
+
+/// `spatch scan --rules <dir>`: compile the directory (N rules, one
+/// parse per file) and lint it before touching the corpus.
+fn load_scan(args: &Args) -> Result<Loaded, ExitCode> {
     let rules_dir = args.rules.as_ref().expect("validated in parse_args");
-    let set = match CompiledRuleSet::load_dir(rules_dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("spatch: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    // Lint the rules before touching the corpus: a rule that can never
-    // match (or never bind) should fail here, not hours into a walk.
+    let set = CompiledRuleSet::load_dir(rules_dir).map_err(|e| {
+        eprintln!("spatch: {e}");
+        ExitCode::from(2)
+    })?;
+    // A rule that can never match (or never bind) should fail here, not
+    // hours into a walk.
     let lints = if args.no_lint {
         Vec::new()
     } else {
-        let cfg = match lint_config(args) {
-            Ok(c) => c,
-            Err(code) => return code,
-        };
-        lint_ruleset(&set, &cfg)
+        lint_ruleset(&set, &lint_config(args)?)
     };
     if report_load_lints(&lints, args.quiet) {
         eprintln!(
             "spatch: {}: deny-level lint findings; fix the rules or pass --no-lint",
             rules_dir.display()
         );
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     }
+    Ok(Loaded {
+        hash: set.hash,
+        set: Ok(set),
+        label: rules_dir.display().to_string(),
+        lints,
+        mode: Mode::Scan,
+    })
+}
+
+/// `spatch --sp-file <patch>`: read, parse, lint, and compile the patch
+/// into a one-entry rule set, and settle patch vs report mode.
+fn load_patch(args: &Args) -> Result<Loaded, ExitCode> {
+    let sp_file = args.sp_file.as_ref().expect("validated in parse_args");
+    let fail = |msg: String| {
+        eprintln!("spatch: {msg}");
+        ExitCode::from(2)
+    };
+    let patch_text = std::fs::read_to_string(sp_file)
+        .map_err(|e| fail(format!("cannot read {}: {e}", sp_file.display())))?;
+    let patch = parse_semantic_patch(&patch_text)
+        .map_err(|e| fail(format!("{}: {e}", sp_file.display())))?;
+
+    // Lint at load, before anything else runs: deny-level diagnostics
+    // mean every match would fail (or never happen) — refuse up front.
+    let lints = if args.no_lint {
+        Vec::new()
+    } else {
+        let label = sp_file.display().to_string();
+        lint_patch(&patch, &label, Some(&patch_text), &lint_config(args)?)
+    };
+    if report_load_lints(&lints, args.quiet) {
+        return Err(fail(format!(
+            "{}: deny-level lint findings; fix the patch or pass --no-lint",
+            sp_file.display()
+        )));
+    }
+
+    // Report mode: explicit `--mode report`, or auto-detected from a
+    // transformation-free patch (pure-context bodies can only ever
+    // produce findings).
+    let mode = args.mode.unwrap_or(if patch.is_report_only() {
+        Mode::Report
+    } else {
+        Mode::Patch
+    });
+    if mode == Mode::Report && !patch.is_report_only() {
+        // A transforming patch rewrites the in-memory text between
+        // rules (sequential semantics), so findings of later rules
+        // would carry line/col of an intermediate text no file on disk
+        // ever has. Report mode therefore requires a
+        // transformation-free patch, as upstream Coccinelle does.
+        return Err(fail(
+            "report mode needs a transformation-free patch \
+             (this one has `-`/`+` lines; drop them or run in patch mode)"
+                .to_string(),
+        ));
+    }
+    if mode == Mode::Report && (args.in_place || args.output.is_some()) {
+        return Err(fail(
+            "report mode emits findings, never rewrites; \
+             --in-place / -o make no sense with it"
+                .to_string(),
+        ));
+    }
+    if args.format.is_some() && mode != Mode::Report {
+        return Err(fail(
+            "--format only applies to report mode (--mode report)".to_string(),
+        ));
+    }
+    // `-o` holds exactly one output file; a directory walk (or several
+    // targets) could produce several changed files that would silently
+    // overwrite each other in it.
+    if args.output.is_some() && (args.targets.len() > 1 || args.targets[0].is_dir()) {
+        return Err(fail(
+            "-o takes a single input file; use --in-place (or diff mode) for \
+             directories and multi-file runs"
+                .to_string(),
+        ));
+    }
+    let hash = cocci_core::content_hash(&patch_text);
+    Ok(Loaded {
+        set: CompiledPatch::compile(&patch).map(|c| CompiledRuleSet::from_patch(c, hash)),
+        hash,
+        label: sp_file.display().to_string(),
+        lints,
+        mode,
+    })
+}
+
+/// Print one processed file's per-file line and, in patch mode, land
+/// its rewrite: a diff on stdout, the file rewritten in place, or the
+/// `-o` file. Returns a write failure to record against the file.
+fn apply_file(
+    args: &Args,
+    mode: Mode,
+    name: &str,
+    original: &str,
+    outcome: &FileOutcome,
+) -> Result<bool, String> {
+    let r = &outcome.report;
+    let Some(new_text) = &outcome.output else {
+        if !args.quiet {
+            let what = if r.status == FileStatus::Pruned {
+                "no match (pruned)"
+            } else if !r.findings.is_empty() {
+                "matched, findings recorded"
+            } else if r.matches > 0 {
+                "matched, no edits"
+            } else {
+                "no match"
+            };
+            eprintln!("spatch: {name}: {what}");
+        }
+        return Ok(false);
+    };
+    if mode == Mode::Report {
+        // A mixed patch's transform rules may still produce edits in
+        // memory; report mode never surfaces them.
+        return Ok(false);
+    }
+    if args.in_place {
+        std::fs::write(name, new_text).map_err(|e| format!("cannot write: {e}"))?;
+        if !args.quiet {
+            // Flow-routed rules report per-path witnesses too: a
+            // cross-branch binding that forked shows up once per
+            // rewritten path.
+            if r.witnesses > 0 {
+                eprintln!(
+                    "spatch: {name}: rewritten ({} matches, {} witnesses)",
+                    r.matches, r.witnesses
+                );
+            } else {
+                eprintln!("spatch: {name}: rewritten ({} matches)", r.matches);
+            }
+        }
+    } else if let Some(out) = &args.output {
+        std::fs::write(out, new_text)
+            .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    } else {
+        print!("{}", diff::unified_diff(name, original, new_text, 3));
+    }
+    Ok(true)
+}
+
+/// Run a loaded rule set over the targets and report: the one path
+/// behind apply (patch and report mode) and scan.
+fn run(args: &Args, loaded: Loaded) -> ExitCode {
+    let Loaded {
+        set,
+        hash,
+        label,
+        lints,
+        mode,
+    } = loaded;
+    // Incremental re-runs: load the previous run's report up front so a
+    // bad path fails before any work happens.
+    let what = if mode == Mode::Scan {
+        "rule set"
+    } else {
+        "semantic patch"
+    };
     let previous = match &args.resume {
-        Some(path) => match load_resume(path, set.hash, "rule set") {
+        Some(path) => match load_resume(path, hash, what) {
             Ok(r) => Some(r),
             Err(code) => return code,
         },
@@ -584,17 +756,32 @@ fn run_scan(args: &Args) -> ExitCode {
         explain: explain_cfg.clone(),
         ..Default::default()
     };
+    let set = match set {
+        Ok(s) => s,
+        Err(e) => {
+            // Patch compile error: run-level, reported exactly once.
+            eprintln!("spatch: {label}: {e}");
+            return ExitCode::from(2);
+        }
+    };
+
+    // The sink runs while each batch's text is still in memory: print the
+    // diff / rewrite the file immediately, then let the text drop. Write
+    // failures are collected so the report can be corrected afterwards
+    // (the driver outcome says "changed", but the change never landed).
     let quiet = args.quiet;
-    let explain_cfg = &explain_cfg;
+    let mut changed = 0usize;
+    let mut write_errors: Vec<(String, String)> = Vec::new();
     let mut heartbeat = telemetry::Heartbeat::new(source.remaining(), quiet);
     let run = scan_corpus(
         &set,
         &mut source,
         &opts,
         previous.as_ref(),
-        |name, _original, outcome| {
-            heartbeat.tick(outcome.findings.len());
-            if let (Some(cfg), false) = (explain_cfg, quiet) {
+        |name, original, outcome| {
+            let r = &outcome.report;
+            heartbeat.tick(r.findings.len());
+            if let (Some(cfg), false) = (&explain_cfg, quiet) {
                 for a in outcome
                     .attempts
                     .iter()
@@ -603,19 +790,25 @@ fn run_scan(args: &Args) -> ExitCode {
                     eprintln!("spatch: explain: {name}: {}", attempt_line(a));
                 }
             }
-            if quiet || outcome.error.is_some() {
-                return; // errors are reported once, from the report below
+            if r.error.is_some() {
+                return; // reported once, from the report below
             }
-            let ran = outcome.rules.len();
-            let pruned = outcome.rules_pruned;
-            if outcome.findings.is_empty() && outcome.suppressed == 0 {
-                eprintln!("spatch: {name}: no findings ({ran} rule(s) ran, {pruned} pruned)");
-            } else {
-                eprintln!(
-                    "spatch: {name}: {} finding(s), {} suppressed ({ran} rule(s) ran, {pruned} pruned)",
-                    outcome.findings.len(),
-                    outcome.suppressed
-                );
+            if mode != Mode::Scan {
+                match apply_file(args, mode, name, original, outcome) {
+                    Ok(wrote) => changed += usize::from(wrote),
+                    Err(e) => write_errors.push((name.to_string(), e)),
+                }
+            } else if !quiet {
+                let (ran, pruned) = (r.rules.len(), r.rules_pruned);
+                if r.findings.is_empty() && r.suppressed == 0 {
+                    eprintln!("spatch: {name}: no findings ({ran} rule(s) ran, {pruned} pruned)");
+                } else {
+                    eprintln!(
+                        "spatch: {name}: {} finding(s), {} suppressed ({ran} rule(s) ran, {pruned} pruned)",
+                        r.findings.len(),
+                        r.suppressed
+                    );
+                }
             }
         },
     );
@@ -624,12 +817,12 @@ fn run_scan(args: &Args) -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             // Run-level refusal (e.g. --no-flow vs `when exists` rules).
-            eprintln!("spatch: {}: {e}", rules_dir.display());
+            eprintln!("spatch: {label}: {e}");
             return ExitCode::from(2);
         }
     };
-    report.patch = rules_dir.display().to_string();
-    report.lints = lints.iter().map(|l| l.finding.clone()).collect();
+    report.patch = label;
+    report.lints = lints.into_iter().map(|l| l.finding).collect();
     if let Some(path) = &args.trace_out {
         if let Err(e) = telemetry::write_trace(path) {
             eprintln!("spatch: cannot write trace {}: {e}", path.display());
@@ -641,26 +834,34 @@ fn run_scan(args: &Args) -> ExitCode {
         telemetry::print_stats(&report);
     }
 
+    // A file whose rewrite failed to land is an error, not a change —
+    // downgrade its report entry before anything consumes it.
+    for (name, msg) in write_errors {
+        if let Some(f) = report.files.iter_mut().find(|f| f.name == name) {
+            f.status = FileStatus::Error;
+            f.error = Some(msg);
+        }
+    }
+
+    // Every failed file — parse/rewrite/write errors and unreadable paths
+    // alike — is in the report exactly once; report them from there.
+    // Timeouts are warnings, not failures: the whole point of the budget
+    // is that one pathological file must not sink the corpus run.
     let mut failures = 0usize;
     for f in &report.files {
-        match f.status {
-            cocci_core::FileStatus::Error => {
-                eprintln!(
-                    "spatch: {}: {}",
-                    f.name,
-                    f.error.as_deref().unwrap_or("unknown error")
-                );
+        let fallback = match f.status {
+            FileStatus::Error => {
                 failures += 1;
+                "unknown error"
             }
-            cocci_core::FileStatus::Timeout => {
-                eprintln!(
-                    "spatch: {}: {}",
-                    f.name,
-                    f.error.as_deref().unwrap_or("timed out")
-                );
-            }
-            _ => {}
-        }
+            FileStatus::Timeout => "timed out",
+            _ => continue,
+        };
+        eprintln!(
+            "spatch: {}: {}",
+            f.name,
+            f.error.as_deref().unwrap_or(fallback)
+        );
     }
     if report.resumed > 0 && !quiet {
         eprintln!(
@@ -681,44 +882,49 @@ fn run_scan(args: &Args) -> ExitCode {
         }
     }
 
-    match args.format.unwrap_or(Format::Text) {
-        Format::Text => {
-            for f in &report.files {
-                for fd in &f.findings {
-                    println!("{}", fd.text_line());
+    // Findings are the product of scan and report mode. Text goes to
+    // stdout grep-style; `json` emits the whole report (findings
+    // embedded); `sarif` emits a SARIF 2.1.0 document for CI ingestion,
+    // listing every rule with an id — findingless rules keep the output
+    // shape stable run over run. Resumed files kept their findings in
+    // the report, so every format sees the full set on incremental runs.
+    if mode != Mode::Patch {
+        match args.format.unwrap_or(Format::Text) {
+            Format::Text => {
+                for f in &report.files {
+                    for fd in &f.findings {
+                        println!("{}", fd.text_line());
+                    }
                 }
             }
-        }
-        Format::Json => print!("{}", report.to_json()),
-        Format::Sarif => {
-            // Every loaded rule goes into the tool section, severities
-            // and message overrides included — findingless rules keep
-            // the output shape stable run over run.
-            let rules: Vec<SarifRule> = set
-                .rules
-                .iter()
-                .map(|r| SarifRule {
-                    id: r.meta.id.clone(),
-                    level: r.meta.severity.as_str(),
-                    description: r
-                        .meta
-                        .message
-                        .clone()
-                        .unwrap_or_else(|| format!("semantic-patch rule {}", r.meta.id)),
-                })
-                .collect();
-            print!("{}", cocci_core::to_sarif_with(&report, &rules));
+            Format::Json => print!("{}", report.to_json()),
+            Format::Sarif => print!("{}", cocci_core::to_sarif_with(&report, &set.sarif_rules())),
         }
     }
     if !quiet {
         let total_findings: usize = report.files.iter().map(|f| f.findings.len()).sum();
         let suppressed: usize = report.files.iter().map(|f| f.suppressed).sum();
-        eprintln!(
-            "spatch: {total_findings} finding(s), {suppressed} suppressed, across {} file(s) with {} rule(s), {failures} failure(s) ({})",
-            report.files.len(),
-            set.len(),
-            report.summary()
-        );
+        let files = report.files.len();
+        let summary = report.summary();
+        match mode {
+            Mode::Scan => eprintln!(
+                "spatch: {total_findings} finding(s), {suppressed} suppressed, across {files} file(s) with {} rule(s), {failures} failure(s) ({summary})",
+                set.len()
+            ),
+            Mode::Report => {
+                let suppressed_note = if suppressed > 0 {
+                    format!(" ({suppressed} suppressed)")
+                } else {
+                    String::new()
+                };
+                eprintln!(
+                    "spatch: {total_findings} finding(s){suppressed_note} across {files} file(s), {failures} failure(s) ({summary})"
+                );
+            }
+            Mode::Patch => eprintln!(
+                "spatch: {changed}/{files} file(s) transformed, {failures} failure(s) ({summary})"
+            ),
+        }
     }
     if failures > 0 {
         ExitCode::FAILURE
@@ -729,320 +935,16 @@ fn run_scan(args: &Args) -> ExitCode {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    if args.scan {
-        return run_scan(&args);
-    }
     if args.lint {
         return run_lint(&args);
     }
-    let sp_file = args.sp_file.as_ref().expect("validated in parse_args");
-    let patch_text = match std::fs::read_to_string(sp_file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("spatch: cannot read {}: {e}", sp_file.display());
-            return ExitCode::from(2);
-        }
-    };
-    let patch = match parse_semantic_patch(&patch_text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("spatch: {}: {e}", sp_file.display());
-            return ExitCode::from(2);
-        }
-    };
-    let patch_hash = cocci_core::content_hash(&patch_text);
-
-    // Lint at load, before anything else runs: deny-level diagnostics
-    // mean every match would fail (or never happen) — refuse up front.
-    let lints = if args.no_lint {
-        Vec::new()
+    let loaded = if args.scan {
+        load_scan(&args)
     } else {
-        let cfg = match lint_config(&args) {
-            Ok(c) => c,
-            Err(code) => return code,
-        };
-        lint_patch(
-            &patch,
-            &sp_file.display().to_string(),
-            Some(&patch_text),
-            &cfg,
-        )
+        load_patch(&args)
     };
-    if report_load_lints(&lints, args.quiet) {
-        eprintln!(
-            "spatch: {}: deny-level lint findings; fix the patch or pass --no-lint",
-            sp_file.display()
-        );
-        return ExitCode::from(2);
-    }
-
-    // Report mode: explicit `--mode report`, or auto-detected from a
-    // transformation-free patch (pure-context bodies can only ever
-    // produce findings).
-    let mode = args.mode.unwrap_or(if patch.is_report_only() {
-        Mode::Report
-    } else {
-        Mode::Patch
-    });
-    if mode == Mode::Report && !patch.is_report_only() {
-        // A transforming patch rewrites the in-memory text between
-        // rules (sequential semantics), so findings of later rules
-        // would carry line/col of an intermediate text no file on disk
-        // ever has. Report mode therefore requires a
-        // transformation-free patch, as upstream Coccinelle does.
-        eprintln!(
-            "spatch: report mode needs a transformation-free patch \
-             (this one has `-`/`+` lines; drop them or run in patch mode)"
-        );
-        return ExitCode::from(2);
-    }
-    if mode == Mode::Report && (args.in_place || args.output.is_some()) {
-        eprintln!(
-            "spatch: report mode emits findings, never rewrites; \
-             --in-place / -o make no sense with it"
-        );
-        return ExitCode::from(2);
-    }
-    if args.format.is_some() && mode != Mode::Report {
-        eprintln!("spatch: --format only applies to report mode (--mode report)");
-        return ExitCode::from(2);
-    }
-
-    // `-o` holds exactly one output file; a directory walk (or several
-    // targets) could produce several changed files that would silently
-    // overwrite each other in it.
-    if args.output.is_some() && (args.targets.len() > 1 || args.targets[0].is_dir()) {
-        eprintln!(
-            "spatch: -o takes a single input file; use --in-place (or diff mode) for \
-             directories and multi-file runs"
-        );
-        return ExitCode::from(2);
-    }
-
-    // Incremental re-apply: load the previous run's report up front so a
-    // bad path fails before any work happens.
-    let previous = match &args.resume {
-        Some(path) => match load_resume(path, patch_hash, "semantic patch") {
-            Ok(r) => Some(r),
-            Err(code) => return code,
-        },
-        None => None,
-    };
-
-    let explain_cfg = args
-        .explain
-        .as_deref()
-        .map(|spec| Arc::new(ExplainConfig::parse(spec)));
-    telemetry::init(args.trace_out.as_deref(), args.stats, explain_cfg.is_some());
-    let mut source = WalkSource::discover(&args.targets, &args.ignore);
-    let opts = CorpusOptions {
-        threads: args.threads,
-        no_prefilter: args.no_prefilter,
-        no_flow: args.no_flow,
-        timeout_ms: args.timeout_ms,
-        explain: explain_cfg.clone(),
-        ..Default::default()
-    };
-
-    // The sink runs while each batch's text is still in memory: print the
-    // diff / rewrite the file immediately, then let the text drop. Write
-    // failures are collected so the report can be corrected afterwards
-    // (the driver outcome says "changed", but the change never landed).
-    let mut changed = 0usize;
-    let mut write_errors: Vec<(String, String)> = Vec::new();
-    let explain_cfg = &explain_cfg;
-    let mut heartbeat = telemetry::Heartbeat::new(source.remaining(), args.quiet);
-    let run = apply_to_corpus_resumed(
-        &patch,
-        &mut source,
-        &opts,
-        previous.as_ref(),
-        |name, original, outcome| {
-            heartbeat.tick(outcome.findings.len());
-            if let (Some(cfg), false) = (explain_cfg, args.quiet) {
-                for a in outcome
-                    .attempts
-                    .iter()
-                    .filter(|a| cfg.matches(name, &a.rule))
-                {
-                    eprintln!("spatch: explain: {name}: {}", attempt_line(a));
-                }
-            }
-            if outcome.error.is_some() {
-                return; // reported once from the report below
-            }
-            let Some(new_text) = &outcome.output else {
-                if !args.quiet {
-                    let what = if outcome.pruned {
-                        "no match (pruned)"
-                    } else if !outcome.findings.is_empty() {
-                        "matched, findings recorded"
-                    } else if outcome.matches > 0 {
-                        "matched, no edits"
-                    } else {
-                        "no match"
-                    };
-                    eprintln!("spatch: {name}: {what}");
-                }
-                return;
-            };
-            if mode == Mode::Report {
-                // A mixed patch's transform rules may still produce
-                // edits in memory; report mode never surfaces them.
-                return;
-            }
-            changed += 1;
-            if args.in_place {
-                if let Err(e) = std::fs::write(name, new_text) {
-                    write_errors.push((name.to_string(), format!("cannot write: {e}")));
-                    changed -= 1;
-                } else if !args.quiet {
-                    // Flow-routed rules report per-path witnesses too: a
-                    // cross-branch binding that forked shows up once per
-                    // rewritten path.
-                    if outcome.witnesses > 0 {
-                        eprintln!(
-                            "spatch: {name}: rewritten ({} matches, {} witnesses)",
-                            outcome.matches, outcome.witnesses
-                        );
-                    } else {
-                        eprintln!("spatch: {name}: rewritten ({} matches)", outcome.matches);
-                    }
-                }
-            } else if let Some(out) = &args.output {
-                if let Err(e) = std::fs::write(out, new_text) {
-                    write_errors.push((
-                        name.to_string(),
-                        format!("cannot write {}: {e}", out.display()),
-                    ));
-                    changed -= 1;
-                }
-            } else {
-                print!("{}", diff::unified_diff(name, original, new_text, 3));
-            }
-        },
-    );
-
-    heartbeat.finish();
-    let mut report = match run {
-        Ok(r) => r,
-        Err(e) => {
-            // Patch compile error: run-level, reported exactly once.
-            eprintln!("spatch: {}: {e}", sp_file.display());
-            return ExitCode::from(2);
-        }
-    };
-    report.patch = sp_file.display().to_string();
-    report.patch_hash = patch_hash;
-    report.lints = lints.iter().map(|l| l.finding.clone()).collect();
-    if let Some(path) = &args.trace_out {
-        if let Err(e) = telemetry::write_trace(path) {
-            eprintln!("spatch: cannot write trace {}: {e}", path.display());
-        } else if !args.quiet {
-            eprintln!("spatch: trace written to {}", path.display());
-        }
-    }
-    if args.stats {
-        telemetry::print_stats(&report);
-    }
-
-    // A file whose rewrite failed to land is an error, not a change —
-    // downgrade its report entry before anything consumes it.
-    for (name, msg) in write_errors {
-        if let Some(f) = report.files.iter_mut().find(|f| f.name == name) {
-            f.status = cocci_core::FileStatus::Error;
-            f.error = Some(msg);
-        }
-    }
-
-    // Every failed file — parse/rewrite/write errors and unreadable paths
-    // alike — is in the report exactly once; report them from there.
-    // Timeouts are warnings, not failures: the whole point of the budget
-    // is that one pathological file must not sink the corpus run.
-    let mut failures = 0usize;
-    for f in &report.files {
-        match f.status {
-            cocci_core::FileStatus::Error => {
-                eprintln!(
-                    "spatch: {}: {}",
-                    f.name,
-                    f.error.as_deref().unwrap_or("unknown error")
-                );
-                failures += 1;
-            }
-            cocci_core::FileStatus::Timeout => {
-                eprintln!(
-                    "spatch: {}: {}",
-                    f.name,
-                    f.error.as_deref().unwrap_or("timed out")
-                );
-            }
-            _ => {}
-        }
-    }
-    if report.resumed > 0 && !args.quiet {
-        eprintln!(
-            "spatch: resumed: {} unchanged file(s) skipped via {}",
-            report.resumed,
-            args.resume
-                .as_deref()
-                .map(|p| p.display().to_string())
-                .unwrap_or_default()
-        );
-    }
-
-    if let Some(path) = &args.report {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("spatch: cannot write report {}: {e}", path.display());
-            failures += 1;
-        } else if !args.quiet {
-            eprintln!("spatch: report written to {}", path.display());
-        }
-    }
-
-    // Report mode: the findings are the product. Text goes to stdout
-    // grep-style; `json` emits the whole apply report (findings
-    // embedded); `sarif` emits a SARIF 2.1.0 document for CI ingestion.
-    // Resumed files kept their findings in the report, so every format
-    // sees the full set even on incremental runs.
-    let total_findings: usize = report.files.iter().map(|f| f.findings.len()).sum();
-    if mode == Mode::Report {
-        match args.format.unwrap_or(Format::Text) {
-            Format::Text => {
-                for f in &report.files {
-                    for fd in &f.findings {
-                        println!("{}", fd.text_line());
-                    }
-                }
-            }
-            Format::Json => print!("{}", report.to_json()),
-            Format::Sarif => print!("{}", cocci_core::to_sarif(&report)),
-        }
-    }
-    if !args.quiet {
-        if mode == Mode::Report {
-            let suppressed: usize = report.files.iter().map(|f| f.suppressed).sum();
-            let suppressed_note = if suppressed > 0 {
-                format!(" ({suppressed} suppressed)")
-            } else {
-                String::new()
-            };
-            eprintln!(
-                "spatch: {total_findings} finding(s){suppressed_note} across {} file(s), {failures} failure(s) ({})",
-                report.files.len(),
-                report.summary()
-            );
-        } else {
-            eprintln!(
-                "spatch: {changed}/{} file(s) transformed, {failures} failure(s) ({})",
-                report.files.len(),
-                report.summary()
-            );
-        }
-    }
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    match loaded {
+        Ok(loaded) => run(&args, loaded),
+        Err(code) => code,
     }
 }

@@ -604,6 +604,31 @@ fn resume_retries_previously_timed_out_files() {
 }
 
 #[test]
+fn deeply_nested_resume_report_is_refused_not_a_crash() {
+    // The JSON reader recurses per `[`/`{`: without a depth cap this
+    // file overflowed the main stack (exit 134, no report written).
+    let dir = tmpdir("resume-nested");
+    let patch = dir.join("p.cocci");
+    fs::write(&patch, RENAME_PATCH).unwrap();
+    let file = dir.join("t.c");
+    fs::write(&file, "void f(void) { old_api(1); }\n").unwrap();
+    let prior = dir.join("prior.json");
+    fs::write(&prior, "[".repeat(200_000)).unwrap();
+    let out = spatch()
+        .args(["--sp-file"])
+        .arg(&patch)
+        .args(["--resume"])
+        .arg(&prior)
+        .arg(&file)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("cannot parse resume report"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+}
+
+#[test]
 fn resume_refuses_report_from_different_patch() {
     let dir = tmpdir("resume-mismatch");
     let patch_a = dir.join("a.cocci");

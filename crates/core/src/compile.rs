@@ -193,8 +193,9 @@ pub struct CompiledPatch {
     /// would make prefiltered and unfiltered runs observably diverge.
     prunable: bool,
     /// Single-unit merged prefilter over this patch's rule atoms —
-    /// [`may_match`](CompiledPatch::may_match) is a thin wrapper over it.
-    sieve: AtomSieve,
+    /// [`may_match`](CompiledPatch::may_match) is a thin wrapper over it,
+    /// and a one-entry rule set reuses it as its merged sieve.
+    pub(crate) sieve: AtomSieve,
 }
 
 impl CompiledPatch {

@@ -51,6 +51,12 @@ impl FileContext {
     pub fn new(name: impl Into<String>, text: impl Into<Arc<str>>) -> FileContext {
         let text = text.into();
         let hash = content_hash(&text);
+        FileContext::with_hash(name, text, hash)
+    }
+
+    /// [`new`](FileContext::new) for a caller that already computed the
+    /// text's [`content_hash`] (the corpus driver hashes each file once).
+    pub fn with_hash(name: impl Into<String>, text: Arc<str>, hash: u64) -> FileContext {
         FileContext {
             name: name.into(),
             text,

@@ -1,34 +1,32 @@
 //! Corpus abstraction: streaming file sources for codebase-scale runs.
 //!
-//! The driver's original API took an explicit in-memory
-//! `&[(String, String)]`; a GADGET-scale tree does not fit that shape.
-//! [`FileSource`] streams files in **bounded-memory batches**: a source
-//! yields at most [`BatchOptions::max_files`] files / `max_bytes` bytes
-//! of text per call, the driver patches the batch in parallel, records
-//! outcomes into an [`ApplyReport`](crate::ApplyReport), and drops the
-//! text before pulling the next batch.
+//! A GADGET-scale tree does not fit in memory. [`FileSource`] streams
+//! files in **bounded-memory batches**: a source yields at most
+//! [`BatchOptions::max_files`] files / `max_bytes` bytes of text per
+//! call, the driver ([`scan_corpus`]) runs the batch in parallel,
+//! records outcomes into an [`ApplyReport`], and
+//! drops the text before pulling the next batch.
 //!
 //! Two sources are provided:
 //!
-//! * [`MemorySource`] — wraps an in-memory list (tests, benches, the
-//!   legacy API);
+//! * [`MemorySource`] — wraps an in-memory list (tests, benches,
+//!   [`apply_to_files`](crate::apply_to_files));
 //! * [`WalkSource`] — walks directories with `.gitignore`-style
 //!   filtering ([`IgnoreSet`]) and a C/C++/CUDA extension filter. Paths
 //!   are enumerated eagerly (cheap — a path is ~100 bytes), file *text*
 //!   is read lazily per batch, which is where the memory goes.
 
 use crate::compile::CompiledPatch;
-use crate::driver::{run_one, ExecOptions, FileOutcome};
-use crate::explain::{AttemptTrace, ExplainBlock, ExplainConfig};
-use crate::orchestrate::{ApplyError, Patcher};
-use crate::pool::{resolve_threads, ResultSlots, WorkQueue};
-use crate::report::{content_hash, ApplyReport, FileReport, FileStatus, RunMetrics};
+use crate::driver::FileOutcome;
+use crate::explain::ExplainConfig;
+use crate::orchestrate::ApplyError;
+use crate::report::ApplyReport;
+use crate::ruleset::CompiledRuleSet;
+use crate::scan::scan_corpus;
 use cocci_smpl::SemanticPatch;
-use cocci_trace::Phase;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Batch size limits for streaming sources.
 #[derive(Debug, Clone, Copy)]
@@ -345,8 +343,9 @@ pub struct CorpusOptions {
     /// Disable CFG path matching of statement dots (fall back to the
     /// legacy tree-sequence reading; `spatch --no-flow`).
     pub no_flow: bool,
-    /// Per-file wall-clock budget in milliseconds; over-budget files are
-    /// recorded with a `timeout` status instead of stalling the run.
+    /// Per-file wall-clock budget in milliseconds, checked at rule
+    /// boundaries; over-budget files are recorded with a `timeout`
+    /// status instead of stalling the run.
     pub timeout_ms: Option<u64>,
     /// `--explain` filter: collect full attempt traces (stage + detail)
     /// for matching (file, rule) attempts into the report's `explain`
@@ -356,255 +355,31 @@ pub struct CorpusOptions {
     pub batch: BatchOptions,
 }
 
-/// Apply `patch` to every file of `source`, streaming batches with
-/// bounded memory.
+/// Apply `patch` to every file of `source`: compile it into a one-entry
+/// [`CompiledRuleSet`] and run [`scan_corpus`]. `sink` sees each file's
+/// name, original text, and outcome (`output` holds the patched text);
+/// a compile error surfaces here once, before any file is touched.
 ///
-/// `sink` is invoked once per processed file with its name, original
-/// text, and outcome — this is where a CLI prints diffs or rewrites
-/// files while the text is still in memory. Returns the machine-readable
-/// report; a patch compile error surfaces here once, before any file is
-/// touched.
-pub fn apply_to_corpus(
-    patch: &SemanticPatch,
-    source: &mut dyn FileSource,
-    opts: &CorpusOptions,
-    sink: impl FnMut(&str, &str, &FileOutcome),
-) -> Result<ApplyReport, ApplyError> {
-    apply_to_corpus_resumed(patch, source, opts, None, sink)
-}
-
-/// [`apply_to_corpus`] with incremental re-apply: files whose content
-/// hash matches their entry in `previous` (a prior run's report) and
-/// whose previous status was a *completed* outcome
-/// ([`FileStatus::resumable`]) are skipped — the status is copied into
-/// the new report with zero seconds, they are not handed to the sink,
-/// and they are counted in [`ApplyReport::resumed`]. Files the previous
-/// report does not know (or knew under a different hash), and files
-/// whose previous attempt timed out or failed, run normally.
-///
-/// Skipping is only sound when `previous` was produced by the **same
-/// semantic patch**: the caller must check
-/// [`ApplyReport::patch_hash`] against the current patch text before
-/// resuming (as `spatch --resume` does — it refuses on mismatch).
+/// `previous` skips unchanged files as [`scan_corpus`] describes. The
+/// returned report's `patch_hash` is 0 (the patch text is unknown here):
+/// callers resuming from it must record and check the patch text's
+/// [`content_hash`](crate::content_hash) themselves, as `spatch --resume`
+/// does.
 pub fn apply_to_corpus_resumed(
     patch: &SemanticPatch,
     source: &mut dyn FileSource,
     opts: &CorpusOptions,
     previous: Option<&ApplyReport>,
-    mut sink: impl FnMut(&str, &str, &FileOutcome),
+    sink: impl FnMut(&str, &str, &FileOutcome),
 ) -> Result<ApplyReport, ApplyError> {
-    let compiled = Arc::new(CompiledPatch::compile(patch)?);
-    // `when exists`/`when strict` only exist on the CFG route — refuse
-    // once at run level rather than erroring identically on every file.
-    if opts.no_flow {
-        if let Some(rule) = compiled.requires_flow() {
-            return Err(ApplyError::new(format!(
-                "rule {rule}: `when exists` / `when strict` require CFG path matching, \
-                 which --no-flow disables"
-            )));
-        }
-    }
-    let exec = ExecOptions {
-        threads: opts.threads,
-        prefilter: !opts.no_prefilter,
-        flow: !opts.no_flow,
-        timeout_ms: opts.timeout_ms,
-        explain: opts.explain.clone(),
-    };
-    // Hash 0 means "unknown" (unreadable file, pre-hash report): never a
-    // skip candidate.
-    let prev_by_name: HashMap<&str, &FileReport> = previous
-        .map(|r| {
-            r.files
-                .iter()
-                .filter(|f| f.hash != 0)
-                .map(|f| (f.name.as_str(), f))
-                .collect()
-        })
-        .unwrap_or_default();
-    let t0 = Instant::now();
-    let mut files = Vec::new();
-    let mut resumed = 0usize;
-
-    // One persistent worker team for the whole run: the walker (this
-    // thread) streams file units into a work-stealing queue while the
-    // workers drain it, so there is no per-batch join barrier — a slow
-    // file in batch N overlaps with the parsing of batch N+1. Every file
-    // the producer encounters (run, resumed, or unreadable) reserves one
-    // ordered result slot, so the sink and the report observe exactly
-    // the walk order whatever the completion order was.
-    enum Done {
-        Ran(String, String, FileOutcome),
-        Skipped(FileReport),
-    }
-    struct Task {
-        slot: usize,
-        name: String,
-        text: String,
-    }
-    let threads = resolve_threads(opts.threads);
-    let queue: WorkQueue<Task> = WorkQueue::new(threads);
-    let slots: ResultSlots<Done> = ResultSlots::new();
-    // Under `--explain`, matching attempts accumulate into the report's
-    // explain block. Results arrive in walk order (the slots are
-    // ordered), and the block sorts on finish, so the embedded traces
-    // are byte-identical across thread counts.
-    let mut explain_block = opts.explain.as_ref().map(|_| ExplainBlock::default());
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (queue, slots, compiled, exec) = (&queue, &slots, &compiled, &exec);
-            let spawn = std::thread::Builder::new().name(format!("worker-{w}"));
-            let handle = spawn.spawn_scoped(scope, move || {
-                // One Patcher per worker over the shared compile:
-                // script-interpreter globals are per-application state
-                // and must not be shared, but the compiled patch is
-                // immutable.
-                let mut patcher = Patcher::from_compiled(Arc::clone(compiled));
-                patcher.flow_enabled = exec.flow;
-                patcher.time_budget = exec.timeout_ms.map(Duration::from_millis);
-                patcher.explain = exec.explain.clone();
-                while let Some(task) = queue.pop(w) {
-                    let outcome = run_one(&mut patcher, compiled, &task.name, &task.text, exec);
-                    slots.set(task.slot, Done::Ran(task.name, task.text, outcome));
-                }
-            });
-            handle.expect("spawn corpus worker");
-        }
-
-        let explain_cfg: Option<&ExplainConfig> = opts.explain.as_deref();
-        let explain_block = &mut explain_block;
-        let mut emit = |done: Vec<Done>, files: &mut Vec<FileReport>| {
-            for d in done {
-                let _report_span = cocci_trace::span(Phase::Report);
-                match d {
-                    Done::Ran(name, text, outcome) => {
-                        if let (Some(block), Some(cfg)) = (explain_block.as_mut(), explain_cfg) {
-                            block.extend(
-                                outcome
-                                    .attempts
-                                    .iter()
-                                    .filter(|a| cfg.matches(&name, &a.rule))
-                                    .map(|a| AttemptTrace {
-                                        file: name.clone(),
-                                        rule: a.rule.clone(),
-                                        stage: a.stage,
-                                        detail: a.detail.clone(),
-                                    }),
-                            );
-                        }
-                        sink(&name, &text, &outcome);
-                        files.push(FileReport::from_outcome(&outcome));
-                    }
-                    Done::Skipped(report) => files.push(report),
-                }
-            }
-        };
-
-        loop {
-            let batch = {
-                let _walk_span = cocci_trace::span(Phase::Walk);
-                source.next_batch(&opts.batch)
-            };
-            for (name, msg) in source.take_errors() {
-                let i = slots.reserve(1);
-                slots.set(
-                    i,
-                    Done::Skipped(FileReport {
-                        name,
-                        status: FileStatus::Error,
-                        matches: 0,
-                        witnesses: 0,
-                        seconds: 0.0,
-                        hash: 0,
-                        error: Some(msg),
-                        findings: Vec::new(),
-                        rules: Vec::new(),
-                        rules_pruned: 0,
-                        suppressed: 0,
-                        kill_stage: None,
-                    }),
-                );
-            }
-            if batch.is_empty() {
-                break;
-            }
-            let mut tasks = Vec::with_capacity(batch.len());
-            for (name, text) in batch {
-                let hash = content_hash(&text);
-                let i = slots.reserve(1);
-                match prev_by_name.get(name.as_str()) {
-                    // Only completed statuses are copied forward: a prior
-                    // `timeout`/`error` records a failed *attempt*, so the
-                    // file is re-attempted even though its text is
-                    // unchanged (see [`FileStatus::resumable`]).
-                    Some(prev) if prev.hash == hash && prev.status.resumable() => {
-                        resumed += 1;
-                        slots.set(
-                            i,
-                            Done::Skipped(FileReport {
-                                name,
-                                status: prev.status,
-                                matches: prev.matches,
-                                witnesses: prev.witnesses,
-                                seconds: 0.0,
-                                hash,
-                                error: prev.error.clone(),
-                                // A skipped file's *findings* carry
-                                // forward too — an unchanged file still
-                                // has the same diagnostics, and report
-                                // mode would otherwise silently drop them
-                                // from incremental runs.
-                                findings: prev.findings.clone(),
-                                rules: prev.rules.clone(),
-                                rules_pruned: prev.rules_pruned,
-                                suppressed: prev.suppressed,
-                                kill_stage: prev.kill_stage,
-                            }),
-                        );
-                    }
-                    _ => tasks.push(Task {
-                        slot: i,
-                        name,
-                        text,
-                    }),
-                }
-            }
-            queue.push_chunk(tasks);
-            // Stream out whatever has completed so far: the sink sees
-            // results (and text memory is released) while workers chew
-            // on the rest.
-            emit(slots.drain_ready(), &mut files);
-        }
-        queue.close();
-        emit(slots.drain_all(), &mut files);
-    });
-
-    // Workers are gone: every span for this run is recorded, so a traced
-    // run can embed an exact aggregate alongside the pool's counters.
-    let metrics = cocci_trace::is_enabled()
-        .then(|| RunMetrics::from_trace(&cocci_trace::collect(), Some(&queue.stats())));
-    if let Some(block) = explain_block.as_mut() {
-        block.finish();
-    }
-
-    Ok(ApplyReport {
-        patch: String::new(),
-        patch_hash: 0,
-        threads: opts.threads,
-        prefilter: !opts.no_prefilter,
-        resumed,
-        total_seconds: t0.elapsed().as_secs_f64(),
-        metrics,
-        lints: Vec::new(),
-        explain: explain_block,
-        files,
-    })
+    let set = CompiledRuleSet::from_patch(CompiledPatch::compile(patch)?, 0);
+    scan_corpus(&set, source, opts, previous, sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::FileStatus;
     use cocci_smpl::parse_semantic_patch;
 
     #[test]
@@ -675,7 +450,7 @@ mod tests {
         }
         let mut src = MemorySource::new(files);
         let mut seen = Vec::new();
-        let report = apply_to_corpus(
+        let report = apply_to_corpus_resumed(
             &patch,
             &mut src,
             &CorpusOptions {
@@ -686,6 +461,7 @@ mod tests {
                 },
                 ..Default::default()
             },
+            None,
             |name, _text, outcome| seen.push((name.to_string(), outcome.output.is_some())),
         )
         .unwrap();
@@ -710,10 +486,11 @@ mod tests {
             "miss.c".to_string(),
             "void f(void) { other(); }\n".to_string(),
         );
-        let first = apply_to_corpus(
+        let first = apply_to_corpus_resumed(
             &patch,
             &mut MemorySource::new(vec![hit.clone(), miss.clone()]),
             &CorpusOptions::default(),
+            None,
             |_, _, _| {},
         )
         .unwrap();
@@ -757,10 +534,11 @@ mod tests {
             "hit.c".to_string(),
             "void f(void) {\n    old_api(1);\n}\n".to_string(),
         );
-        let first = apply_to_corpus(
+        let first = apply_to_corpus_resumed(
             &patch,
             &mut MemorySource::new(vec![hit.clone()]),
             &CorpusOptions::default(),
+            None,
             |_, _, _| {},
         )
         .unwrap();
@@ -790,7 +568,7 @@ mod tests {
     fn no_flow_corpus_run_refuses_quantified_patch_at_run_level() {
         let patch =
             parse_semantic_patch("@@ @@\n- a();\n+ a2();\n... when exists\nb();\n").unwrap();
-        let err = apply_to_corpus(
+        let err = apply_to_corpus_resumed(
             &patch,
             &mut MemorySource::new(vec![(
                 "f.c".to_string(),
@@ -800,18 +578,20 @@ mod tests {
                 no_flow: true,
                 ..Default::default()
             },
+            None,
             |_, _, _| {},
         )
         .unwrap_err();
         assert!(err.message.contains("when exists"), "{err}");
         // With flow on, the same patch runs.
-        assert!(apply_to_corpus(
+        assert!(apply_to_corpus_resumed(
             &patch,
             &mut MemorySource::new(vec![(
                 "f.c".to_string(),
                 "void f(void) { a(); b(); }\n".into()
             )]),
             &CorpusOptions::default(),
+            None,
             |_, _, _| {},
         )
         .is_ok());
@@ -825,13 +605,14 @@ mod tests {
             "void f(void) { old_api(1); }\n".to_string(),
         );
         // First run under a zero budget: the file times out.
-        let first = apply_to_corpus(
+        let first = apply_to_corpus_resumed(
             &patch,
             &mut MemorySource::new(vec![hit.clone()]),
             &CorpusOptions {
                 timeout_ms: Some(0),
                 ..Default::default()
             },
+            None,
             |_, _, _| {},
         )
         .unwrap();
@@ -915,57 +696,82 @@ mod tests {
 
     /// The streaming pool must not leak scheduling into observable
     /// output: whatever the thread count, batch size, or steal pattern,
-    /// the sink stream and the report are byte-identical — and a thread
-    /// count larger than any single batch still engages every worker
-    /// (the old per-batch driver clamped threads to the batch size).
+    /// the sink stream and the report are byte-identical — for a
+    /// one-entry set (an `--sp-file` patch) and a three-rule set alike —
+    /// and a thread count larger than any single batch still engages
+    /// every worker.
     #[test]
     fn corpus_output_identical_across_threads_and_batch_sizes() {
         let patch = parse_semantic_patch("@@ @@\n- old_api(1);\n+ new_api(1);\n").unwrap();
+        let one = CompiledRuleSet::from_patch(CompiledPatch::compile(&patch).unwrap(), 0);
+        let rule = |id: &str, callee: &str| {
+            let text = format!("@scan@\nexpression e;\nposition p;\n@@\n{callee}(e)@p;\n");
+            (format!("{id}.cocci"), id.to_string(), text)
+        };
+        let three = CompiledRuleSet::from_sources(&[
+            rule("r-alpha", "alpha"),
+            rule("r-beta", "beta"),
+            rule("r-gamma", "gamma"),
+        ])
+        .unwrap();
         let files: Vec<(String, String)> = (0..12)
             .map(|i| {
-                let body = if i % 3 == 0 {
-                    "void f(void) { other(); }\n".to_string()
-                } else {
-                    format!("void f{i}(void) {{ old_api(1); }}\n")
+                let body = match i % 4 {
+                    0 => "void f(void) { other(); }\n".to_string(),
+                    1 => format!("void f{i}(void) {{ old_api(1); }}\n"),
+                    2 => "void f(void) {\n    alpha(1);\n    beta(2);\n}\n".to_string(),
+                    _ => format!("void f{i}(void) {{\n    gamma(3);\n    old_api(1);\n}}\n"),
                 };
                 (format!("f{i:02}.c"), body)
             })
             .collect();
-        let mut runs = Vec::new();
-        for threads in [1, 2, 4] {
-            for max_files in [1, 3, 100] {
-                let mut sunk = Vec::new();
-                let report = apply_to_corpus(
-                    &patch,
-                    &mut MemorySource::new(files.clone()),
-                    &CorpusOptions {
+        for set in [&one, &three] {
+            let mut runs = Vec::new();
+            for threads in [1, 2, 4] {
+                for max_files in [1, 3, 100] {
+                    let mut sunk = Vec::new();
+                    let opts = CorpusOptions {
                         threads,
                         batch: BatchOptions {
                             max_files,
                             max_bytes: usize::MAX,
                         },
                         ..Default::default()
-                    },
-                    |name, text, outcome| {
-                        sunk.push((name.to_string(), text.to_string(), outcome.output.clone()))
-                    },
-                )
-                .unwrap();
-                let digest: Vec<(String, String, usize)> = report
-                    .files
-                    .iter()
-                    .map(|f| (f.name.clone(), f.status.to_string(), f.matches))
-                    .collect();
-                runs.push((sunk, digest));
+                    };
+                    let source = &mut MemorySource::new(files.clone());
+                    let report = scan_corpus(set, source, &opts, None, |name, text, o| {
+                        let findings = o.report.findings.clone();
+                        sunk.push((
+                            name.to_string(),
+                            text.to_string(),
+                            o.output.clone(),
+                            findings,
+                        ))
+                    })
+                    .unwrap();
+                    let digest: Vec<(String, String, usize, usize)> = report
+                        .files
+                        .iter()
+                        .map(|f| {
+                            (
+                                f.name.clone(),
+                                f.status.to_string(),
+                                f.matches,
+                                f.rules.len(),
+                            )
+                        })
+                        .collect();
+                    runs.push((sunk, digest));
+                }
             }
+            for r in &runs[1..] {
+                assert_eq!(r.0, runs[0].0, "sink stream differs");
+                assert_eq!(r.1, runs[0].1, "report sequence differs");
+            }
+            // And the sink saw the files in walk order, not completion order.
+            let names: Vec<&str> = runs[0].0.iter().map(|s| s.0.as_str()).collect();
+            let expect: Vec<String> = (0..12).map(|i| format!("f{i:02}.c")).collect();
+            assert_eq!(names, expect);
         }
-        for r in &runs[1..] {
-            assert_eq!(r.0, runs[0].0, "sink stream differs");
-            assert_eq!(r.1, runs[0].1, "report sequence differs");
-        }
-        // And the sink saw the files in walk order, not completion order.
-        let names: Vec<&str> = runs[0].0.iter().map(|(n, _, _)| n.as_str()).collect();
-        let expect: Vec<String> = (0..12).map(|i| format!("f{i:02}.c")).collect();
-        assert_eq!(names, expect);
     }
 }

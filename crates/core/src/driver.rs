@@ -1,169 +1,78 @@
-//! Parallel multi-file driver.
+//! The per-file pipeline: every corpus run, apply or scan, is a run of
+//! a [`CompiledRuleSet`] over files, and `run_file` does all the work
+//! for one file.
 //!
-//! Applying one semantic patch to N files is embarrassingly parallel —
-//! the per-file pipeline shares nothing but the (read-only) compiled
-//! patch. The driver follows the hpc-parallel guide idioms: scoped
-//! threads pulling file indices from an atomic work counter, results
-//! collected under a mutex; no locks are held while patching.
+//! One pass of the set's merged prefilter decides which rules may match
+//! the text at all; the survivors share one [`FileContext`] (parse tree,
+//! CFG cache, line table, suppression index — built once) and each runs
+//! through [`Patcher::apply_ctx`] with matcher panics caught. Results
+//! are then attributed (a rules-directory rule relabels its findings and
+//! attempts to its id — before suppression filtering, since
+//! `// spatch-ignore <id>` matches on the label), suppressed findings are
+//! dropped, and every (file × rule) attempt records its kill stage. The
+//! context dies when the function returns, so a corpus run holds at most
+//! one parse tree per worker.
 //!
-//! The patch is compiled **once** per run ([`CompiledPatch`]) and shared
-//! immutably by every worker; each worker only builds a cheap
-//! [`Patcher`] wrapper for its mutable per-application state. A compile
-//! error therefore surfaces exactly once, as the run-level `Err` of
-//! [`apply_to_files`], instead of being repeated for every file. With
-//! `prefilter` enabled, [`apply_batch`] skips lexing/parsing entirely for
-//! files that fail the patch's literal-atom pre-scan.
+//! The streaming driver around it is [`scan_corpus`](crate::scan_corpus);
+//! [`apply_to_files`] is its in-memory shorthand for one patch.
 
 use crate::compile::CompiledPatch;
+use crate::context::FileContext;
+use crate::corpus::{CorpusOptions, MemorySource};
 use crate::explain::{self, ExplainConfig, KillStage, RuleAttempt};
+use crate::findings::Finding;
 use crate::orchestrate::{ApplyError, Patcher};
-use crate::pool::{resolve_threads, ResultSlots, WorkQueue};
-use crate::report::content_hash;
+use crate::report::{FileReport, FileStatus};
+use crate::ruleset::{CompiledRuleSet, ScanRule};
+use crate::scan::RuleOutcome;
 use cocci_smpl::{Rule, SemanticPatch};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Result of patching one file.
+/// Result of running a rule set over one file.
 #[derive(Debug, Clone)]
 pub struct FileOutcome {
-    /// File name as passed in.
-    pub name: String,
-    /// Patched text when the patch changed the file.
+    /// The file's report entry: status, counts, kept findings, per-rule
+    /// rows (rules with ids only), kill stage.
+    pub report: FileReport,
+    /// Patched text when an `--sp-file` patch changed the file. Rules
+    /// loaded with ids never write; a change shows as their `changed`
+    /// per-rule row.
     pub output: Option<String>,
-    /// Error message when the file failed (parse error, edit conflict).
-    pub error: Option<String>,
-    /// Matches found across rules.
-    pub matches: usize,
-    /// Per-path witnesses produced by CFG-routed (statement-dots)
-    /// rules; cross-branch bindings that fork count once per path.
-    pub witnesses: usize,
-    /// Findings from reporting-only rules and script `print_report`
-    /// calls — one per match witness.
-    pub findings: Vec<crate::findings::Finding>,
-    /// Findings dropped by `// spatch-ignore` suppression markers.
-    pub suppressed: usize,
-    /// The prefilter skipped this file before lexing/parsing.
-    pub pruned: bool,
-    /// The file exceeded the per-file time budget.
-    pub timed_out: bool,
-    /// FNV-1a hash of the *original* file text (resume bookkeeping).
-    pub hash: u64,
-    /// Wall-clock seconds this file took (prefilter scan included).
-    pub seconds: f64,
-    /// One record per (this file × rule) attempt with the stage that
-    /// ended it — the explain funnel's per-file half. Empty for error
-    /// outcomes (unattributable) and resumed files.
+    /// Every (file × rule) attempt with the stage that ended it: pruned
+    /// rules first, then the survivors', in rule order.
     pub attempts: Vec<RuleAttempt>,
-    /// File-level summary: the deepest stage any attempt reached
-    /// (`Completed` when any rule completed), `None` when nothing ran.
-    pub kill_stage: Option<KillStage>,
-}
-
-/// Per-run execution knobs shared by every worker.
-#[derive(Debug, Clone)]
-pub struct ExecOptions {
-    /// Worker threads (0 = number of available CPUs).
-    pub threads: usize,
-    /// Skip files failing the literal-atom pre-scan without parsing.
-    pub prefilter: bool,
-    /// Route flow-sensitive rules through the CFG path engine (all-paths
-    /// statement dots). Off = legacy tree-sequence dots.
-    pub flow: bool,
-    /// Per-file wall-clock budget in milliseconds, checked at rule
-    /// boundaries; over-budget files get a `timeout` outcome.
-    pub timeout_ms: Option<u64>,
-    /// `--explain` filter: attempts matching it carry human-readable
-    /// kill details (the stage itself is always recorded).
-    pub explain: Option<Arc<ExplainConfig>>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            threads: 0,
-            prefilter: false,
-            flow: true,
-            timeout_ms: None,
-            explain: None,
-        }
-    }
+    /// Times the file text was parsed — the "N rules, one parse"
+    /// guarantee says this stays ≤ 1 however many rules survived.
+    pub parses: usize,
+    /// Per-function CFGs built (shared across flow-sensitive rules).
+    pub cfg_builds: usize,
 }
 
 /// Apply `patch` to every `(name, text)` pair using `threads` worker
-/// threads (0 = number of available CPUs). Outcomes are returned in input
-/// order. A patch compile error is returned once, at run level.
+/// threads (0 = number of available CPUs), without the prefilter.
+/// Outcomes are returned in input order. A patch compile error is
+/// returned once, at run level.
 pub fn apply_to_files(
     patch: &SemanticPatch,
     files: &[(String, String)],
     threads: usize,
 ) -> Result<Vec<FileOutcome>, ApplyError> {
-    let compiled = Arc::new(CompiledPatch::compile(patch)?);
-    Ok(apply_batch(&compiled, files, threads, false))
-}
-
-/// Apply an already-compiled patch to one in-memory batch of files.
-///
-/// With `prefilter`, files that cannot match (per
-/// [`CompiledPatch::may_match`]) are marked pruned without being parsed.
-/// Shorthand for [`apply_batch_opts`] with default flow/timeout knobs.
-pub fn apply_batch(
-    compiled: &Arc<CompiledPatch>,
-    files: &[(String, String)],
-    threads: usize,
-    prefilter: bool,
-) -> Vec<FileOutcome> {
-    apply_batch_opts(
-        compiled,
-        files,
-        &ExecOptions {
-            threads,
-            prefilter,
-            ..Default::default()
-        },
-    )
-}
-
-/// Apply an already-compiled patch to one in-memory batch of files with
-/// full execution options (prefilter, CFG flow routing, per-file time
-/// budget).
-pub fn apply_batch_opts(
-    compiled: &Arc<CompiledPatch>,
-    files: &[(String, String)],
-    opts: &ExecOptions,
-) -> Vec<FileOutcome> {
-    // Workers are cheap (no stack pre-commit) and the queue parks the
-    // surplus, so the count is NOT clamped to `files.len()`: a caller
-    // that feeds small trailing batches through a shared `ExecOptions`
-    // gets the same team size every time. (The corpus drivers go
-    // further and keep one team alive across all batches — see
-    // [`crate::pool`].)
-    let threads = resolve_threads(opts.threads);
-    let queue: WorkQueue<usize> = WorkQueue::new(threads);
-    let slots: ResultSlots<FileOutcome> = ResultSlots::new();
-    slots.reserve(files.len());
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (queue, slots) = (&queue, &slots);
-            scope.spawn(move || {
-                // One Patcher per worker over the shared compile:
-                // script-interpreter globals are per-application state and
-                // must not be shared, but the compiled patch is immutable.
-                let mut patcher = Patcher::from_compiled(Arc::clone(compiled));
-                patcher.flow_enabled = opts.flow;
-                patcher.time_budget = opts.timeout_ms.map(Duration::from_millis);
-                patcher.explain = opts.explain.clone();
-                while let Some(i) = queue.pop(w) {
-                    let (name, text) = &files[i];
-                    slots.set(i, run_one(&mut patcher, compiled, name, text, opts));
-                }
-            });
-        }
-        queue.push_chunk(0..files.len());
-        queue.close();
-    });
-
-    slots.drain_ready()
+    let set = CompiledRuleSet::from_patch(CompiledPatch::compile(patch)?, 0);
+    let opts = CorpusOptions {
+        threads,
+        no_prefilter: true,
+        ..Default::default()
+    };
+    let mut outcomes = Vec::with_capacity(files.len());
+    crate::scan_corpus(
+        &set,
+        &mut MemorySource::new(files.iter().cloned()),
+        &opts,
+        None,
+        |_, _, o| outcomes.push(o.clone()),
+    )?;
+    Ok(outcomes)
 }
 
 thread_local! {
@@ -214,32 +123,41 @@ pub(crate) fn catch_matcher_panics<T>(
     }
 }
 
-/// One prefilter-killed attempt per transform rule of the patch, with
+/// The `Prefilter` attempts of a rule the sieve pruned: one under a
+/// rule's id, or one per transform rule of an `--sp-file` patch with
 /// the absent required atoms as the `--explain` detail.
 fn prefilter_attempts(
-    compiled: &CompiledPatch,
+    rule: &ScanRule,
     name: &str,
     text: &str,
     explain: Option<&ExplainConfig>,
 ) -> Vec<RuleAttempt> {
+    let wants = |label: &str| explain.is_some_and(|cfg| cfg.matches(name, label));
+    if rule.has_id {
+        let id = &rule.meta.id;
+        return vec![RuleAttempt {
+            rule: id.clone(),
+            stage: KillStage::Prefilter,
+            detail: wants(id)
+                .then(|| "merged prefilter: no required atom of this rule occurs".to_string()),
+        }];
+    }
+    let compiled = &rule.compiled;
     let mut attempts = Vec::new();
-    for (ri, rule) in compiled.patch.rules.iter().enumerate() {
-        let Rule::Transform(t) = rule else { continue };
+    for (ri, r) in compiled.patch.rules.iter().enumerate() {
+        let Rule::Transform(t) = r else { continue };
         let label = t.name.as_deref().unwrap_or("<anonymous>");
-        let detail =
-            explain
-                .filter(|cfg| cfg.matches(name, label))
-                .map(|_| match compiled.rule_atoms(ri) {
-                    Some(atoms) => {
-                        let absent: Vec<&str> = atoms
-                            .iter()
-                            .filter(|a| !text.contains(a.as_str()))
-                            .map(String::as_str)
-                            .collect();
-                        format!("missing required atom(s): {}", absent.join(", "))
-                    }
-                    None => "prefilter rejected the file".to_string(),
-                });
+        let detail = wants(label).then(|| match compiled.rule_atoms(ri) {
+            Some(atoms) => {
+                let absent: Vec<&str> = atoms
+                    .iter()
+                    .filter(|a| !text.contains(a.as_str()))
+                    .map(String::as_str)
+                    .collect();
+                format!("missing required atom(s): {}", absent.join(", "))
+            }
+            None => "prefilter rejected the file".to_string(),
+        });
         attempts.push(RuleAttempt {
             rule: label.to_string(),
             stage: KillStage::Prefilter,
@@ -249,13 +167,8 @@ fn prefilter_attempts(
     attempts
 }
 
-/// Fold per-rule attempts into the file-level summary stage.
-fn file_stage(attempts: &[RuleAttempt]) -> Option<KillStage> {
-    attempts.iter().map(|a| a.stage).max()
-}
-
-/// Store the funnel counters (and `--explain` instant events) for every
-/// attempt of one file — the single record point per attempt, so the
+/// Store the funnel counters (and `--explain` instant events) for
+/// attempts of one file — the single record point per attempt, so the
 /// `--stats` funnel, the report metrics, and the per-outcome stages
 /// reconcile exactly.
 fn record_attempts(name: &str, attempts: &[RuleAttempt]) {
@@ -264,124 +177,8 @@ fn record_attempts(name: &str, attempts: &[RuleAttempt]) {
     }
 }
 
-/// Run the per-file pipeline (prefilter scan, then full apply) once.
-pub(crate) fn run_one(
-    patcher: &mut Patcher,
-    compiled: &CompiledPatch,
-    name: &str,
-    text: &str,
-    opts: &ExecOptions,
-) -> FileOutcome {
-    let t0 = Instant::now();
-    let hash = content_hash(text);
-    let survives = !opts.prefilter || {
-        let _span = cocci_trace::span(cocci_trace::Phase::Prefilter);
-        compiled.may_match(text)
-    };
-    if !survives {
-        cocci_trace::count(cocci_trace::Counter::FilesPruned, 1);
-        let attempts = prefilter_attempts(compiled, name, text, opts.explain.as_deref());
-        record_attempts(name, &attempts);
-        let kill_stage = file_stage(&attempts);
-        return FileOutcome {
-            name: name.to_string(),
-            output: None,
-            error: None,
-            matches: 0,
-            witnesses: 0,
-            findings: Vec::new(),
-            suppressed: 0,
-            pruned: true,
-            timed_out: false,
-            hash,
-            seconds: t0.elapsed().as_secs_f64(),
-            attempts,
-            kill_stage,
-        };
-    }
-    // Attempt records survive in `last_stats` only when the application
-    // itself stored them (success, timeout, parse failure); clear the
-    // previous file's residue so unattributable errors stay empty.
-    patcher.last_stats.attempts.clear();
-    match catch_matcher_panics(name, || patcher.apply(name, text)) {
-        Ok(output) => {
-            let findings = std::mem::take(&mut patcher.last_stats.findings);
-            let mut attempts = std::mem::take(&mut patcher.last_stats.attempts);
-            // Pre-suppression finding counts per rule, to upgrade a
-            // completed attempt whose findings all vanish.
-            let pre: Vec<(String, usize)> = count_by_rule(&findings);
-            // `// spatch-ignore` markers drop findings here, at the
-            // outcome boundary — matching itself never sees them.
-            let (findings, suppressed) = if findings.is_empty() {
-                (findings, 0)
-            } else {
-                crate::suppress::SuppressionIndex::parse(text).filter(findings)
-            };
-            cocci_trace::count(cocci_trace::Counter::Suppressions, suppressed as u64);
-            if suppressed > 0 {
-                let post = count_by_rule(&findings);
-                let count = |list: &[(String, usize)], rule: &str| {
-                    list.iter()
-                        .find(|(r, _)| r == rule)
-                        .map(|(_, n)| *n)
-                        .unwrap_or(0)
-                };
-                for a in &mut attempts {
-                    let before = count(&pre, &a.rule);
-                    if a.stage == KillStage::Completed && before > 0 && count(&post, &a.rule) == 0 {
-                        a.stage = KillStage::Suppressed;
-                        if a.detail.is_some() || patcher.explain_wants(name, &a.rule) {
-                            a.detail = Some(format!("all {before} finding(s) suppressed inline"));
-                        }
-                    }
-                }
-            }
-            record_attempts(name, &attempts);
-            let kill_stage = file_stage(&attempts);
-            FileOutcome {
-                name: name.to_string(),
-                output,
-                error: None,
-                matches: patcher.last_stats.matches_per_rule.iter().sum(),
-                witnesses: patcher.last_stats.witnesses,
-                findings,
-                suppressed,
-                pruned: false,
-                timed_out: false,
-                hash,
-                seconds: t0.elapsed().as_secs_f64(),
-                attempts,
-                kill_stage,
-            }
-        }
-        Err(e) => {
-            // Timeout and parse failures stored their attempts before
-            // erroring; other errors left the vec empty (cleared above)
-            // and stay out of the funnel.
-            let attempts = std::mem::take(&mut patcher.last_stats.attempts);
-            record_attempts(name, &attempts);
-            let kill_stage = file_stage(&attempts);
-            FileOutcome {
-                name: name.to_string(),
-                output: None,
-                error: Some(e.to_string()),
-                matches: 0,
-                witnesses: 0,
-                findings: Vec::new(),
-                suppressed: 0,
-                pruned: false,
-                timed_out: e.timed_out,
-                hash,
-                seconds: t0.elapsed().as_secs_f64(),
-                attempts,
-                kill_stage,
-            }
-        }
-    }
-}
-
-/// Finding counts grouped by rule name (small lists; no hashing).
-fn count_by_rule(findings: &[crate::findings::Finding]) -> Vec<(String, usize)> {
+/// Finding counts grouped by rule label (small lists; no hashing).
+fn count_by_rule(findings: &[Finding]) -> Vec<(String, usize)> {
     let mut out: Vec<(String, usize)> = Vec::new();
     for f in findings {
         match out.iter_mut().find(|(r, _)| *r == f.rule) {
@@ -392,10 +189,189 @@ fn count_by_rule(findings: &[crate::findings::Finding]) -> Vec<(String, usize)> 
     out
 }
 
+/// Drop suppressed findings, and upgrade each completed attempt whose
+/// label's findings all vanished to `Suppressed`. Returns the kept
+/// findings and the suppressed count.
+fn suppress(
+    ctx: &mut FileContext,
+    patcher: &Patcher,
+    findings: Vec<Finding>,
+    attempts: &mut [RuleAttempt],
+) -> (Vec<Finding>, usize) {
+    if findings.is_empty() {
+        return (findings, 0);
+    }
+    let pre = count_by_rule(&findings);
+    let (kept, suppressed) = ctx.suppressions().filter(findings);
+    cocci_trace::count(cocci_trace::Counter::Suppressions, suppressed as u64);
+    if suppressed > 0 {
+        let post = count_by_rule(&kept);
+        let count = |list: &[(String, usize)], rule: &str| {
+            list.iter().find(|(r, _)| r == rule).map_or(0, |(_, n)| *n)
+        };
+        for a in attempts {
+            let before = count(&pre, &a.rule);
+            if a.stage == KillStage::Completed && before > 0 && count(&post, &a.rule) == 0 {
+                a.stage = KillStage::Suppressed;
+                if a.detail.is_some() || patcher.explain_wants(ctx.name(), &a.rule) {
+                    a.detail = Some(format!("all {before} finding(s) suppressed inline"));
+                }
+            }
+        }
+    }
+    (kept, suppressed)
+}
+
+/// Run every rule of `set` over one file (see the module docs). `hash`
+/// is the text's [`content_hash`](crate::content_hash), computed once by
+/// the caller.
+pub(crate) fn run_file(
+    set: &CompiledRuleSet,
+    name: String,
+    text: &Arc<str>,
+    hash: u64,
+    opts: &CorpusOptions,
+) -> FileOutcome {
+    let t0 = Instant::now();
+    let surviving: Vec<usize> = if opts.no_prefilter {
+        (0..set.len()).collect()
+    } else {
+        let _span = cocci_trace::span(cocci_trace::Phase::Prefilter);
+        set.surviving_rules(text)
+    };
+    let mut out = FileOutcome {
+        report: FileReport {
+            name,
+            status: FileStatus::Pruned,
+            matches: 0,
+            witnesses: 0,
+            seconds: 0.0,
+            hash,
+            error: None,
+            findings: Vec::new(),
+            rules: Vec::new(),
+            rules_pruned: 0,
+            suppressed: 0,
+            kill_stage: None,
+        },
+        output: None,
+        attempts: Vec::new(),
+        parses: 0,
+        cfg_builds: 0,
+    };
+    let explain = opts.explain.as_deref();
+    let mut alive = surviving.iter().copied().peekable();
+    for (ri, rule) in set.rules.iter().enumerate() {
+        if alive.next_if_eq(&ri).is_none() {
+            let pruned = prefilter_attempts(rule, &out.report.name, text, explain);
+            record_attempts(&out.report.name, &pruned);
+            out.attempts.extend(pruned);
+            out.report.rules_pruned += usize::from(rule.has_id);
+        }
+    }
+    if surviving.is_empty() {
+        cocci_trace::count(cocci_trace::Counter::FilesPruned, 1);
+    } else {
+        let mut ctx = FileContext::with_hash(out.report.name.clone(), Arc::clone(text), hash);
+        for &ri in &surviving {
+            run_rule(&set.rules[ri], &mut ctx, opts, &mut out);
+        }
+        out.parses = ctx.parses();
+        out.cfg_builds = ctx.cfg_builds();
+    }
+    out.report.kill_stage = out.attempts.iter().map(|a| a.stage).max();
+    out.report.seconds = t0.elapsed().as_secs_f64();
+    out
+}
+
+/// Run one surviving rule through the shared context and fold its
+/// attributed results into `out`.
+fn run_rule(rule: &ScanRule, ctx: &mut FileContext, opts: &CorpusOptions, out: &mut FileOutcome) {
+    let t0 = Instant::now();
+    let mut patcher = Patcher::from_compiled(Arc::clone(&rule.compiled));
+    patcher.flow_enabled = !opts.no_flow;
+    patcher.time_budget = opts.timeout_ms.map(Duration::from_millis);
+    patcher.explain = opts.explain.clone();
+    let res = catch_matcher_panics(&out.report.name, || patcher.apply_ctx(ctx));
+    // Timeout and parse failures store their attempts before erroring;
+    // other errors leave none and stay out of the funnel.
+    let mut attempts = std::mem::take(&mut patcher.last_stats.attempts);
+    let mut findings = std::mem::take(&mut patcher.last_stats.findings);
+    if rule.has_id {
+        // The id keys the merged report and the message override wins —
+        // relabelled before suppression, whose markers name ids.
+        for a in &mut attempts {
+            a.rule = rule.meta.id.clone();
+        }
+        for f in &mut findings {
+            f.rule = rule.meta.id.clone();
+            if let Some(m) = &rule.meta.message {
+                f.message = m.clone();
+            }
+        }
+    }
+    let (status, matches, kept, suppressed) = match res {
+        Ok(output) => {
+            let matches: usize = patcher.last_stats.matches_per_rule.iter().sum();
+            let (kept, suppressed) = suppress(ctx, &patcher, findings, &mut attempts);
+            out.report.witnesses += patcher.last_stats.witnesses;
+            let status = if output.is_some() {
+                FileStatus::Changed
+            } else if matches > 0 {
+                FileStatus::Matched
+            } else {
+                FileStatus::Unmatched
+            };
+            if !rule.has_id {
+                out.output = output;
+            }
+            (status, matches, kept, suppressed)
+        }
+        Err(e) => {
+            if out.report.error.is_none() {
+                out.report.error = Some(match rule.has_id {
+                    true => format!("rule {}: {e}", rule.meta.id),
+                    false => e.message,
+                });
+            }
+            let status = match e.timed_out {
+                true => FileStatus::Timeout,
+                false => FileStatus::Error,
+            };
+            (status, 0, Vec::new(), 0)
+        }
+    };
+    record_attempts(ctx.name(), &attempts);
+    if rule.has_id {
+        out.report.rules.push(RuleOutcome {
+            id: rule.meta.id.clone(),
+            status,
+            matches,
+            findings: kept.len(),
+            suppressed,
+            seconds: t0.elapsed().as_secs_f64(),
+            kill_stage: attempts.iter().map(|a| a.stage).max(),
+        });
+    }
+    out.report.status = out.report.status.max(status);
+    out.report.matches += matches;
+    out.report.suppressed += suppressed;
+    out.report.findings.extend(kept);
+    out.attempts.extend(attempts);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::content_hash;
     use cocci_smpl::parse_semantic_patch;
+
+    /// Run `patch` over `files` through the corpus driver.
+    fn run(patch: &str, files: &[(String, String)], opts: CorpusOptions) -> Vec<FileOutcome> {
+        let patch = parse_semantic_patch(patch).unwrap();
+        let set = CompiledRuleSet::from_patch(CompiledPatch::compile(&patch).unwrap(), 0);
+        crate::scan::tests::collect(&set, files, &opts)
+    }
 
     #[test]
     fn parallel_driver_patches_all_files() {
@@ -411,7 +387,7 @@ mod tests {
         let outcomes = apply_to_files(&patch, &files, 4).unwrap();
         assert_eq!(outcomes.len(), 32);
         for o in &outcomes {
-            assert!(o.error.is_none(), "{:?}", o.error);
+            assert!(o.report.error.is_none(), "{:?}", o.report.error);
             let out = o.output.as_ref().expect("patched");
             assert!(out.contains("new_api(42);"));
             assert!(!out.contains("old_api"));
@@ -426,7 +402,7 @@ mod tests {
             .collect();
         let outcomes = apply_to_files(&patch, &files, 3).unwrap();
         for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.name, format!("f{i}.c"));
+            assert_eq!(o.report.name, format!("f{i}.c"));
         }
     }
 
@@ -436,8 +412,8 @@ mod tests {
         let files = vec![("f.c".to_string(), "void g(void) { other(); }\n".to_string())];
         let outcomes = apply_to_files(&patch, &files, 1).unwrap();
         assert!(outcomes[0].output.is_none());
-        assert!(outcomes[0].error.is_none());
-        assert!(!outcomes[0].pruned);
+        assert!(outcomes[0].report.error.is_none());
+        assert_eq!(outcomes[0].report.status, FileStatus::Unmatched);
     }
 
     #[test]
@@ -454,8 +430,7 @@ mod tests {
 
     #[test]
     fn prefilter_prunes_without_parsing() {
-        let patch = parse_semantic_patch("@@ @@\n- old_api(1);\n+ new_api(1);\n").unwrap();
-        let compiled = Arc::new(CompiledPatch::compile(&patch).unwrap());
+        let patch = "@@ @@\n- old_api(1);\n+ new_api(1);\n";
         let files = vec![
             ("hit.c".to_string(), "void f(void) { old_api(1); }\n".into()),
             ("miss.c".to_string(), "void f(void) { other(); }\n".into()),
@@ -463,71 +438,66 @@ mod tests {
             // parser ever sees it.
             ("broken.c".to_string(), "void f( {".into()),
         ];
-        let outcomes = apply_batch(&compiled, &files, 2, true);
-        assert!(outcomes[0].output.is_some() && !outcomes[0].pruned);
-        assert!(outcomes[1].pruned && outcomes[1].error.is_none());
-        assert!(outcomes[2].pruned && outcomes[2].error.is_none());
+        let opts = |no_prefilter| CorpusOptions {
+            threads: 2,
+            no_prefilter,
+            ..Default::default()
+        };
+        let outcomes = run(patch, &files, opts(false));
+        assert!(outcomes[0].output.is_some());
+        assert_eq!(outcomes[0].report.status, FileStatus::Changed);
+        for o in &outcomes[1..] {
+            assert_eq!(o.report.status, FileStatus::Pruned);
+            assert!(o.report.error.is_none());
+            assert_eq!(o.parses, 0);
+        }
         // Same batch without the prefilter: the broken file errors.
-        let outcomes = apply_batch(&compiled, &files, 2, false);
-        assert!(!outcomes[1].pruned);
-        assert!(outcomes[2].error.is_some());
+        let outcomes = run(patch, &files, opts(true));
+        assert_eq!(outcomes[1].report.status, FileStatus::Unmatched);
+        assert!(outcomes[2].report.error.is_some());
     }
 
     #[test]
     fn zero_time_budget_times_every_file_out() {
-        let patch = parse_semantic_patch("@@ @@\n- a();\n+ b();\n").unwrap();
-        let compiled = Arc::new(CompiledPatch::compile(&patch).unwrap());
+        let patch = "@@ @@\n- a();\n+ b();\n";
         let files = vec![("f.c".to_string(), "void g(void) { a(); }\n".to_string())];
-        let outcomes = apply_batch_opts(
-            &compiled,
-            &files,
-            &ExecOptions {
-                threads: 1,
-                timeout_ms: Some(0),
-                ..Default::default()
-            },
-        );
-        assert!(outcomes[0].timed_out);
+        let opts = |timeout_ms| CorpusOptions {
+            threads: 1,
+            no_prefilter: true,
+            timeout_ms: Some(timeout_ms),
+            ..Default::default()
+        };
+        let outcomes = run(patch, &files, opts(0));
+        assert_eq!(outcomes[0].report.status, FileStatus::Timeout);
         assert!(outcomes[0].output.is_none());
-        assert!(outcomes[0].error.as_deref().unwrap().contains("budget"));
+        let err = outcomes[0].report.error.as_deref().unwrap();
+        assert!(err.contains("budget"), "{err}");
         // A generous budget does not trip.
-        let outcomes = apply_batch_opts(
-            &compiled,
-            &files,
-            &ExecOptions {
-                threads: 1,
-                timeout_ms: Some(60_000),
-                ..Default::default()
-            },
-        );
-        assert!(!outcomes[0].timed_out);
+        let outcomes = run(patch, &files, opts(60_000));
+        assert_eq!(outcomes[0].report.status, FileStatus::Changed);
         assert!(outcomes[0].output.is_some());
     }
 
     #[test]
     fn flow_toggle_changes_dots_semantics() {
         // Tree dots match across the early return; all-paths dots refuse.
-        let patch =
-            parse_semantic_patch("@@ @@\n- begin();\n+ begin2();\n...\nfinish();\n").unwrap();
-        let compiled = Arc::new(CompiledPatch::compile(&patch).unwrap());
+        let patch = "@@ @@\n- begin();\n+ begin2();\n...\nfinish();\n";
         let files = vec![(
             "f.c".to_string(),
             "void f(int x) { begin(); if (x) return; finish(); }\n".to_string(),
         )];
-        let flow_on = apply_batch_opts(&compiled, &files, &ExecOptions::default());
+        let opts = |no_flow| CorpusOptions {
+            no_prefilter: true,
+            no_flow,
+            ..Default::default()
+        };
+        let flow_on = run(patch, &files, opts(false));
         assert!(flow_on[0].output.is_none(), "all-paths semantics refuses");
-        let flow_off = apply_batch_opts(
-            &compiled,
-            &files,
-            &ExecOptions {
-                flow: false,
-                ..Default::default()
-            },
-        );
+        let flow_off = run(patch, &files, opts(true));
         assert!(
             flow_off[0].output.is_some(),
             "tree semantics over-matches: {:?}",
-            flow_off[0].error
+            flow_off[0].report.error
         );
     }
 
@@ -563,8 +533,15 @@ mod tests {
                 .to_string(),
         )];
         let outcomes = apply_to_files(&patch, &files, 1).unwrap();
-        assert!(outcomes[0].error.is_none(), "{:?}", outcomes[0].error);
-        assert_eq!(outcomes[0].witnesses, 2, "one witness per path binding");
+        assert!(
+            outcomes[0].report.error.is_none(),
+            "{:?}",
+            outcomes[0].report.error
+        );
+        assert_eq!(
+            outcomes[0].report.witnesses, 2,
+            "one witness per path binding"
+        );
         let out = outcomes[0].output.as_ref().expect("both arms rewritten");
         assert!(out.contains("c(1);"), "{out}");
         assert!(out.contains("c(2);"), "{out}");
@@ -581,18 +558,19 @@ mod tests {
                 .to_string(),
         )];
         let outcomes = apply_to_files(&patch, &files, 1).unwrap();
-        assert_eq!(outcomes[0].matches, 2, "matching still sees both sites");
-        assert_eq!(outcomes[0].findings.len(), 1);
-        assert_eq!(outcomes[0].findings[0].line, 4);
-        assert_eq!(outcomes[0].suppressed, 1);
+        let r = &outcomes[0].report;
+        assert_eq!(r.matches, 2, "matching still sees both sites");
+        assert_eq!(r.findings.len(), 1);
+        assert_eq!(r.findings[0].line, 4);
+        assert_eq!(r.suppressed, 1);
         // A marker naming a different rule suppresses nothing.
         let files = vec![(
             "s.c".to_string(),
             "void f(void) {\n    old_api(1); // spatch-ignore other-rule\n}\n".to_string(),
         )];
         let outcomes = apply_to_files(&patch, &files, 1).unwrap();
-        assert_eq!(outcomes[0].findings.len(), 1);
-        assert_eq!(outcomes[0].suppressed, 0);
+        assert_eq!(outcomes[0].report.findings.len(), 1);
+        assert_eq!(outcomes[0].report.suppressed, 0);
     }
 
     #[test]
@@ -604,9 +582,10 @@ mod tests {
             ("h.c".to_string(), "void h(void) { x(); }\n".to_string()),
         ];
         let outcomes = apply_to_files(&patch, &files, 1).unwrap();
-        assert_eq!(outcomes[0].hash, outcomes[1].hash, "same text, same hash");
-        assert_ne!(outcomes[0].hash, outcomes[2].hash);
-        assert_eq!(outcomes[0].hash, content_hash("void g(void) { a(); }\n"));
+        let hash = |i: usize| outcomes[i].report.hash;
+        assert_eq!(hash(0), hash(1), "same text, same hash");
+        assert_ne!(hash(0), hash(2));
+        assert_eq!(hash(0), content_hash("void g(void) { a(); }\n"));
     }
 
     #[test]
@@ -614,6 +593,6 @@ mod tests {
         let patch = parse_semantic_patch("@@ @@\n- a();\n+ b();\n").unwrap();
         let files = vec![("f.c".to_string(), "void g(void) { a(); }\n".to_string())];
         let outcomes = apply_to_files(&patch, &files, 1).unwrap();
-        assert!(outcomes[0].seconds > 0.0);
+        assert!(outcomes[0].report.seconds > 0.0);
     }
 }

@@ -138,8 +138,8 @@ pub fn record_attempt(stage: KillStage, file: &str, rule: &str, detail: Option<&
 
 /// One transform-rule attempt inside a single file application, before
 /// the driver knows the file name: the orchestrator records these into
-/// [`ApplyStats`](crate::orchestrate::ApplyStats) and the driver/scan
-/// layer turns them into counters ([`record_attempt`]) and — under
+/// [`ApplyStats`](crate::orchestrate::ApplyStats) and the per-file
+/// pipeline turns them into counters ([`record_attempt`]) and — under
 /// `--explain` — [`AttemptTrace`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleAttempt {

@@ -1,5 +1,5 @@
 //! `cocci-core`: the semantic-patch engine — matching, transformation,
-//! rule orchestration, and a parallel multi-file driver.
+//! rule orchestration, and one streaming corpus driver.
 //!
 //! This is the paper's primary contribution rebuilt in Rust. The pipeline
 //! for one file is:
@@ -16,12 +16,16 @@
 //! 4. splice all edits into the original text ([`edits`]), yielding a
 //!    minimal diff.
 //!
-//! The patch is compiled **once** per run ([`compile::CompiledPatch`]:
-//! regex constraints, inheritance graph, per-rule prefilter atoms) and
-//! shared immutably across workers; the [`driver`] module distributes
-//! steps 1–4 over many files with scoped threads, and the [`corpus`]
-//! module streams whole directory trees through the driver in
-//! bounded-memory batches, emitting a machine-readable [`ApplyReport`].
+//! Patches are compiled **once** per run ([`compile::CompiledPatch`]:
+//! regex constraints, inheritance graph, per-rule prefilter atoms) into a
+//! [`CompiledRuleSet`] — a directory of rules for `spatch scan`, or a
+//! one-entry set for one `--sp-file` patch — shared immutably across
+//! workers. Every run then goes through the same two pieces: the
+//! per-file pipeline in [`driver`] (merged prefilter, one shared parse,
+//! every surviving rule, attribution, suppression, kill stages) and the
+//! streaming corpus driver [`scan_corpus`], whose work unit is the file
+//! and which emits a machine-readable [`ApplyReport`]. File sources
+//! (directory walks, in-memory lists) live in [`corpus`].
 //!
 //! ```
 //! use cocci_core::Patcher;
@@ -54,10 +58,10 @@ pub mod suppress;
 pub use compile::CompiledPatch;
 pub use context::FileContext;
 pub use corpus::{
-    apply_to_corpus, apply_to_corpus_resumed, BatchOptions, CorpusOptions, FileSource, IgnoreSet,
-    MemorySource, WalkSource,
+    apply_to_corpus_resumed, BatchOptions, CorpusOptions, FileSource, IgnoreSet, MemorySource,
+    WalkSource,
 };
-pub use driver::{apply_batch, apply_batch_opts, apply_to_files, ExecOptions, FileOutcome};
+pub use driver::{apply_to_files, FileOutcome};
 pub use edits::{Edit, EditConflict, EditSet};
 pub use env::{Env, ExportedEnv, Value};
 pub use explain::{AttemptTrace, ExplainBlock, ExplainConfig, KillStage};
@@ -68,5 +72,5 @@ pub use orchestrate::{ApplyError, Patcher};
 pub use pool::{resolve_threads, PoolStats, ResultSlots, WorkQueue};
 pub use report::{content_hash, ApplyReport, FileReport, FileStatus, PoolMetrics, RunMetrics};
 pub use ruleset::{parse_rule_metadata, CompiledRuleSet, RuleMeta, ScanRule, Severity};
-pub use scan::{scan_batch, scan_corpus, RuleOutcome, ScanOutcome};
+pub use scan::{scan_corpus, RuleOutcome};
 pub use suppress::SuppressionIndex;

@@ -7,7 +7,6 @@
 //! in-house JSON parser — the workspace builds offline with zero
 //! crates.io dependencies, so there is no serde to lean on.
 
-use crate::driver::FileOutcome;
 use crate::explain::{ExplainBlock, KillStage};
 use crate::findings::{finding_from_json, finding_to_json, Finding};
 use crate::pool::PoolStats;
@@ -15,8 +14,9 @@ use crate::scan::RuleOutcome;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Classified outcome of one file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Classified outcome of one file. Ordered by severity: a file's status
+/// is the most severe of its rules' statuses (`pruned` when none ran).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FileStatus {
     /// Skipped by the prefilter before lexing/parsing.
     Pruned,
@@ -24,7 +24,8 @@ pub enum FileStatus {
     Unmatched,
     /// Matched at least one rule but produced no edits (pure-match rules).
     Matched,
-    /// Edits were produced; `FileOutcome::output` holds the new text.
+    /// Edits were produced; [`FileOutcome::output`](crate::FileOutcome)
+    /// holds the new text of an `--sp-file` patch.
     Changed,
     /// Exceeded the per-file time budget (`--timeout-ms`); abandoned at
     /// a rule boundary so the corpus run could move on.
@@ -111,9 +112,10 @@ pub struct FileReport {
     /// Findings from reporting-only rules (and script `print_report`
     /// calls). `--resume` carries them forward for unchanged files.
     pub findings: Vec<Finding>,
-    /// Per-rule outcomes (scan mode only; empty for single-patch runs).
+    /// Per-rule outcomes of the rules with ids (rules-directory runs;
+    /// empty for an `--sp-file` patch).
     pub rules: Vec<RuleOutcome>,
-    /// Rules the merged prefilter pruned for this file (scan mode only).
+    /// Rules with ids the merged prefilter pruned for this file.
     pub rules_pruned: usize,
     /// Findings dropped by `// spatch-ignore` markers.
     pub suppressed: usize,
@@ -121,39 +123,6 @@ pub struct FileReport {
     /// (`None` for files with no recorded attempts — errors outside the
     /// match pipeline, or reports from older builds).
     pub kill_stage: Option<KillStage>,
-}
-
-impl FileReport {
-    /// Classify a driver outcome.
-    pub fn from_outcome(o: &FileOutcome) -> FileReport {
-        let status = if o.timed_out {
-            FileStatus::Timeout
-        } else if o.error.is_some() {
-            FileStatus::Error
-        } else if o.pruned {
-            FileStatus::Pruned
-        } else if o.output.is_some() {
-            FileStatus::Changed
-        } else if o.matches > 0 {
-            FileStatus::Matched
-        } else {
-            FileStatus::Unmatched
-        };
-        FileReport {
-            name: o.name.clone(),
-            status,
-            matches: o.matches,
-            witnesses: o.witnesses,
-            seconds: o.seconds,
-            hash: o.hash,
-            error: o.error.clone(),
-            findings: o.findings.clone(),
-            rules: Vec::new(),
-            rules_pruned: 0,
-            suppressed: o.suppressed,
-            kill_stage: o.kill_stage,
-        }
-    }
 }
 
 /// Pool scheduler-health numbers carried in a [`RunMetrics`] block.
@@ -705,11 +674,16 @@ pub mod json {
         out
     }
 
+    /// Deepest `[`/`{` nesting [`parse`] accepts. Reports nest a few
+    /// levels; the parser recurses once per level, so an untrusted
+    /// `--resume` file must not choose the stack depth.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parse one JSON document.
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("json: trailing data at byte {pos}"));
@@ -733,8 +707,13 @@ pub mod json {
         }
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(b, pos);
+        if depth >= MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+            return Err(format!(
+                "json: nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+            ));
+        }
         match b.get(*pos) {
             None => Err("json: unexpected end of input".into()),
             Some(b'{') => {
@@ -749,7 +728,7 @@ pub mod json {
                     skip_ws(b, pos);
                     let key = parse_string(b, pos)?;
                     expect(b, pos, b':')?;
-                    let val = parse_value(b, pos)?;
+                    let val = parse_value(b, pos, depth + 1)?;
                     map.insert(key, val);
                     skip_ws(b, pos);
                     match b.get(*pos) {
@@ -771,7 +750,7 @@ pub mod json {
                     return Ok(Value::Arr(arr));
                 }
                 loop {
-                    arr.push(parse_value(b, pos)?);
+                    arr.push(parse_value(b, pos, depth + 1)?);
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -1117,6 +1096,17 @@ mod tests {
         assert_eq!(o.get("d"), Some(&json::Value::Null));
         assert!(json::parse("{\"unterminated\": ").is_err());
         assert!(json::parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn json_parser_caps_nesting_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok());
+        let err = json::parse(&nested(json::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Far past the cap, unclosed: an error, not a stack overflow.
+        assert!(json::parse(&"[".repeat(200_000)).is_err());
+        assert!(json::parse(&"{\"a\": ".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Rule collections: a directory of semantic patches compiled once.
+//! Rule collections: the unit every corpus run executes.
 //!
 //! `spatch scan --rules <dir>` lints a corpus with N rules in one pass.
 //! [`CompiledRuleSet::load_dir`] reads every `*.cocci` file of the
@@ -7,6 +7,13 @@
 //! ids, and merges every rule's prefilter atoms into one [`AtomSieve`]
 //! so a single scan of a file's text yields the set of rules that may
 //! match it.
+//!
+//! Applying one `--sp-file` patch is the same run over a one-entry set
+//! ([`CompiledRuleSet::from_patch`]). The only difference is
+//! attribution, fixed per rule by the constructor: a rules-directory
+//! rule has an id its findings, attempts, errors, and per-rule report
+//! rows are labelled with; a lone patch keeps its inner SMPL rule names
+//! and gets no per-rule rows.
 //!
 //! # Rule file metadata
 //!
@@ -24,6 +31,7 @@
 //! be identical across platforms and filesystems.
 
 use crate::compile::{AtomSieve, CompiledPatch};
+use crate::findings::SarifRule;
 use crate::orchestrate::ApplyError;
 use crate::report::content_hash;
 use std::path::Path;
@@ -83,18 +91,22 @@ pub struct ScanRule {
     pub meta: RuleMeta,
     /// The compiled patch, shareable across driver workers.
     pub compiled: Arc<CompiledPatch>,
+    /// Loaded from a rules directory, so results are attributed to
+    /// `meta.id`; `false` for an `--sp-file` patch, whose results keep
+    /// their inner rule names. Fixed by the set's constructor.
+    pub(crate) has_id: bool,
 }
 
-/// A directory of semantic patches, compiled once and prefiltered
-/// together. Rules are sorted by id; `hash` identifies the exact rule
-/// texts for `--resume`.
+/// Semantic patches compiled once and prefiltered together: a directory
+/// of rules, or one `--sp-file` patch. Rules are sorted by id; `hash`
+/// identifies the exact rule texts for `--resume`.
 #[derive(Debug, Clone)]
 pub struct CompiledRuleSet {
     /// The rules, ascending by `meta.id`.
     pub rules: Vec<ScanRule>,
     /// Identity of the whole set: FNV-1a over every `id\0text\0` pair in
-    /// sorted order. Plays the role `patch_hash` plays for single-patch
-    /// reports.
+    /// sorted order, or [`content_hash`] of the text of a lone patch.
+    /// Reports record it as `patch_hash`.
     pub hash: u64,
     /// Merged prefilter: unit `i` is `rules[i]`.
     sieve: AtomSieve,
@@ -174,11 +186,36 @@ impl CompiledRuleSet {
         Ok(CompiledRuleSet {
             rules: rules
                 .into_iter()
-                .map(|(meta, compiled, _)| ScanRule { meta, compiled })
+                .map(|(meta, compiled, _)| ScanRule {
+                    meta,
+                    compiled,
+                    has_id: true,
+                })
                 .collect(),
             hash,
             sieve,
         })
+    }
+
+    /// A one-entry set for a single `--sp-file` patch: no rule id, the
+    /// patch's own prefilter, and `hash` as the set identity — the
+    /// [`content_hash`] of the patch text (0 when unknown).
+    pub fn from_patch(compiled: CompiledPatch, hash: u64) -> CompiledRuleSet {
+        let sieve = compiled.sieve.clone();
+        CompiledRuleSet {
+            rules: vec![ScanRule {
+                meta: RuleMeta {
+                    id: String::new(),
+                    severity: Severity::default(),
+                    message: None,
+                    source: String::new(),
+                },
+                compiled: Arc::new(compiled),
+                has_id: false,
+            }],
+            hash,
+            sieve,
+        }
     }
 
     /// Number of rules in the set.
@@ -199,13 +236,31 @@ impl CompiledRuleSet {
         self.sieve.surviving(text)
     }
 
-    /// The first rule requiring CFG path matching, if any — scan drivers
-    /// running with `--no-flow` refuse the set up front, like the
-    /// single-patch driver does.
-    pub fn requires_flow(&self) -> Option<&ScanRule> {
-        self.rules
-            .iter()
-            .find(|r| r.compiled.requires_flow().is_some())
+    /// The label (rule id, or inner rule name of a lone patch) of the
+    /// first rule requiring CFG path matching, if any — runs with
+    /// `--no-flow` refuse the set up front.
+    pub fn requires_flow(&self) -> Option<&str> {
+        self.rules.iter().find_map(|r| {
+            let inner = r.compiled.requires_flow()?;
+            Some(if r.has_id { r.meta.id.as_str() } else { inner })
+        })
+    }
+
+    /// SARIF tool metadata for every rule with an id (none for an
+    /// `--sp-file` patch, whose findings name their inner rules).
+    pub fn sarif_rules(&self) -> Vec<SarifRule> {
+        let with_id = self.rules.iter().filter(|r| r.has_id);
+        with_id
+            .map(|r| SarifRule {
+                id: r.meta.id.clone(),
+                level: r.meta.severity.as_str(),
+                description: r
+                    .meta
+                    .message
+                    .clone()
+                    .unwrap_or_else(|| format!("semantic-patch rule {}", r.meta.id)),
+            })
+            .collect()
     }
 }
 

@@ -1,47 +1,42 @@
-//! The N-rule scan driver: lint a corpus with a whole rule collection
-//! in one pass.
+//! The corpus driver: run a [`CompiledRuleSet`] over every file of a
+//! source, streaming, with bounded memory.
 //!
-//! The single-patch driver parallelises over *files*; scanning
-//! parallelises over **(file × surviving-rule) units**. Each file gets
-//! one [`FileContext`] (text, parse tree, CFG cache, line table,
-//! suppression index — built once), one pass of the rule set's merged
-//! prefilter automaton decides which rules may match it at all, and the
-//! surviving units are distributed over the worker pool. Units of the
-//! same file serialise on the file's context mutex, so fifty rules
-//! over one file share one parse — the [`ScanOutcome::parses`] probe
-//! asserts exactly that.
+//! Every run is a scan. `spatch scan --rules <dir>` runs a directory of
+//! rules; applying one `--sp-file` patch runs its one-entry set
+//! ([`CompiledRuleSet::from_patch`]). The work unit is the **file**:
+//! one persistent worker team pulls files from a work-stealing queue and
+//! runs each through [`run_file`](crate::driver) — sieve, one shared
+//! parse, every surviving rule, attribution, suppression, kill stages —
+//! so fifty rules over one file still cost one parse, and the file's
+//! parse tree dies before its worker takes the next file.
 //!
-//! Findings are attributed to the scan rule that produced them: each
+//! Findings of a rules-directory rule are attributed to it: each
 //! finding's `rule` field is rewritten to the rule's id and its message
 //! honours the rule's `// spatch-message:` override, so one merged
-//! report (or SARIF run) stays navigable at fifty rules.
-//!
-//! Scan mode never writes files: a transform rule that *would* change a
-//! file records a `changed` per-rule outcome and its match count, and
-//! nothing else.
+//! report (or SARIF run) stays navigable at fifty rules. Such rules never
+//! write files: a transform rule that *would* change a file records a
+//! `changed` per-rule outcome and its match count, and nothing else.
 
-use crate::context::FileContext;
 use crate::corpus::{CorpusOptions, FileSource};
-use crate::driver::{catch_matcher_panics, ExecOptions};
-use crate::explain::{self, AttemptTrace, ExplainBlock, KillStage, RuleAttempt};
-use crate::findings::Finding;
-use crate::orchestrate::{ApplyError, Patcher};
+use crate::driver::{run_file, FileOutcome};
+use crate::explain::{AttemptTrace, ExplainBlock, KillStage};
+use crate::orchestrate::ApplyError;
 use crate::pool::{resolve_threads, ResultSlots, WorkQueue};
 use crate::report::json::{self, Value};
-use crate::report::{ApplyReport, FileReport, FileStatus};
-use crate::ruleset::{CompiledRuleSet, ScanRule};
+use crate::report::{content_hash, ApplyReport, FileReport, FileStatus, RunMetrics};
+use crate::ruleset::CompiledRuleSet;
+use cocci_trace::Phase;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
-/// Outcome of one rule on one file (scan mode).
+/// Outcome of one rule with an id on one file (a rules-directory run).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuleOutcome {
     /// The rule id ([`RuleMeta::id`](crate::RuleMeta::id)).
     pub id: String,
     /// Per-rule status; `changed` means the (transform) rule *would*
-    /// rewrite the file — scan mode never writes.
+    /// rewrite the file — rules with ids never write.
     pub status: FileStatus,
     /// Matches this rule found in the file.
     pub matches: usize,
@@ -105,386 +100,21 @@ impl RuleOutcome {
     }
 }
 
-/// Result of scanning one file with a whole rule set.
-#[derive(Debug, Clone)]
-pub struct ScanOutcome {
-    /// File name as passed in.
-    pub name: String,
-    /// FNV-1a hash of the file text (resume bookkeeping).
-    pub hash: u64,
-    /// Accumulated wall-clock seconds (prefilter scan + every rule).
-    pub seconds: f64,
-    /// Times the file text was parsed — the "N rules, one parse"
-    /// guarantee says this stays ≤ 1 however many rules survived.
-    pub parses: usize,
-    /// Per-function CFGs built (shared across flow-sensitive rules).
-    pub cfg_builds: usize,
-    /// Rules the merged prefilter pruned for this file without parsing.
-    pub rules_pruned: usize,
-    /// Outcomes of the surviving rules, ascending by rule id.
-    pub rules: Vec<RuleOutcome>,
-    /// All kept findings, attributed to their rule ids, grouped in rule
-    /// order.
-    pub findings: Vec<Finding>,
-    /// Total findings dropped by `// spatch-ignore` markers.
-    pub suppressed: usize,
-    /// Per-path witnesses summed over flow-routed rules.
-    pub witnesses: usize,
-    /// First per-rule failure, prefixed with the rule id.
-    pub error: Option<String>,
-    /// Every attempt this file saw — one `Prefilter` entry per pruned
-    /// rule plus the surviving units' attempts, attributed to scan rule
-    /// ids. Feeds the report's `explain` block under `--explain`.
-    pub attempts: Vec<RuleAttempt>,
-}
-
-impl ScanOutcome {
-    /// Aggregate file status: the most severe per-rule status
-    /// (error > timeout > changed > matched > unmatched), or `pruned`
-    /// when no rule survived the prefilter.
-    pub fn status(&self) -> FileStatus {
-        fn rank(s: FileStatus) -> u8 {
-            match s {
-                FileStatus::Pruned => 0,
-                FileStatus::Unmatched => 1,
-                FileStatus::Matched => 2,
-                FileStatus::Changed => 3,
-                FileStatus::Timeout => 4,
-                FileStatus::Error => 5,
-            }
-        }
-        self.rules
-            .iter()
-            .map(|r| r.status)
-            .max_by_key(|s| rank(*s))
-            .unwrap_or(FileStatus::Pruned)
-    }
-
-    /// Matches summed over all rules.
-    pub fn matches(&self) -> usize {
-        self.rules.iter().map(|r| r.matches).sum()
-    }
-
-    /// The per-file report entry (per-rule outcomes included).
-    pub fn to_report(&self) -> FileReport {
-        FileReport {
-            name: self.name.clone(),
-            status: self.status(),
-            matches: self.matches(),
-            witnesses: self.witnesses,
-            seconds: self.seconds,
-            hash: self.hash,
-            error: self.error.clone(),
-            findings: self.findings.clone(),
-            rules: self.rules.clone(),
-            rules_pruned: self.rules_pruned,
-            suppressed: self.suppressed,
-            kill_stage: self.attempts.iter().map(|a| a.stage).max(),
-        }
-    }
-}
-
-/// What one (file × rule) work unit produced.
-struct UnitResult {
-    outcome: RuleOutcome,
-    findings: Vec<Finding>,
-    witnesses: usize,
-    error: Option<String>,
-    /// Funnel attempts, relabelled to the scan rule id.
-    attempts: Vec<RuleAttempt>,
-}
-
-/// Shared per-file state during a scan run.
-struct Slot {
-    name: String,
-    text: String,
-    ctx: Mutex<FileContext>,
-    /// Rule indices that survived the merged prefilter, ascending (and
-    /// therefore in rule-id order — the set is sorted by id).
-    surviving: Vec<usize>,
-    /// One `Prefilter` attempt per pruned rule, recorded at build time.
-    pruned_attempts: Vec<RuleAttempt>,
-    sieve_seconds: f64,
-    /// One preassigned result cell per surviving rule, so parallel
-    /// completion order cannot reorder the output.
-    results: Mutex<Vec<Option<UnitResult>>>,
-    /// Units still outstanding; the worker that takes this to zero
-    /// assembles the file's outcome (streaming runs only care).
-    remaining: AtomicUsize,
-}
-
-/// One (file × surviving-rule) work unit on the queue.
-struct Unit {
-    slot: Arc<Slot>,
-    /// Index into `slot.surviving` / `slot.results`.
-    k: usize,
-    /// The file's [`ResultSlots`] cell (streaming runs; `scan_batch`
-    /// assembles after the join and ignores it).
-    seq: usize,
-}
-
-/// A completed entry in a streaming scan's output sequence.
-enum ScanDone {
-    /// Every unit of the file finished; assemble from the slot.
-    Ran(Arc<Slot>),
-    /// Resumed or unreadable — the report entry is already final.
-    Skipped(FileReport),
-}
-
-impl Slot {
-    /// Sieve `text` against the merged prefilter and set up the per-rule
-    /// result cells. Pruned rules record their `Prefilter` funnel
-    /// attempt here — the only point that knows a (file × rule) pair
-    /// was killed before parsing.
-    fn build(set: &CompiledRuleSet, name: String, text: String, opts: &ExecOptions) -> Slot {
-        let t0 = Instant::now();
-        let surviving: Vec<usize> = if opts.prefilter {
-            let _span = cocci_trace::span(cocci_trace::Phase::Prefilter);
-            set.surviving_rules(&text)
-        } else {
-            (0..set.len()).collect()
-        };
-        if opts.prefilter && surviving.is_empty() {
-            cocci_trace::count(cocci_trace::Counter::FilesPruned, 1);
-        }
-        let mut pruned_attempts = Vec::new();
-        if surviving.len() < set.len() {
-            let mut next = surviving.iter().copied().peekable();
-            for (ri, rule) in set.rules.iter().enumerate() {
-                if next.peek() == Some(&ri) {
-                    next.next();
-                    continue;
-                }
-                let id = &rule.meta.id;
-                let detail = opts
-                    .explain
-                    .as_ref()
-                    .filter(|cfg| cfg.matches(&name, id))
-                    .map(|_| "merged prefilter: no required atom of this rule occurs".to_string());
-                explain::record_attempt(KillStage::Prefilter, &name, id, detail.as_deref());
-                pruned_attempts.push(RuleAttempt {
-                    rule: id.clone(),
-                    stage: KillStage::Prefilter,
-                    detail,
-                });
-            }
-        }
-        let n = surviving.len();
-        Slot {
-            ctx: Mutex::new(FileContext::new(name.clone(), text.as_str())),
-            name,
-            text,
-            surviving,
-            pruned_attempts,
-            sieve_seconds: t0.elapsed().as_secs_f64(),
-            results: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: AtomicUsize::new(n),
-        }
-    }
-
-    /// Fold the filled result cells into the file outcome. Callers
-    /// guarantee every unit has completed (`remaining` hit zero, or the
-    /// worker scope was joined).
-    fn assemble(&self, set: &CompiledRuleSet) -> ScanOutcome {
-        let ctx = self.ctx.lock().unwrap();
-        let results = std::mem::take(&mut *self.results.lock().unwrap());
-        let mut rules = Vec::with_capacity(self.surviving.len());
-        let mut findings = Vec::new();
-        let mut suppressed = 0usize;
-        let mut witnesses = 0usize;
-        let mut seconds = self.sieve_seconds;
-        let mut error: Option<String> = None;
-        let mut attempts = self.pruned_attempts.clone();
-        for r in results {
-            let r = r.expect("every unit processed");
-            seconds += r.outcome.seconds;
-            witnesses += r.witnesses;
-            suppressed += r.outcome.suppressed;
-            findings.extend(r.findings);
-            attempts.extend(r.attempts);
-            if error.is_none() {
-                if let Some(e) = r.error {
-                    error = Some(format!("rule {}: {e}", r.outcome.id));
-                }
-            }
-            rules.push(r.outcome);
-        }
-        ScanOutcome {
-            name: self.name.clone(),
-            hash: ctx.hash(),
-            seconds,
-            parses: ctx.parses(),
-            cfg_builds: ctx.cfg_builds(),
-            rules_pruned: set.len() - self.surviving.len(),
-            rules,
-            findings,
-            suppressed,
-            witnesses,
-            error,
-            attempts,
-        }
-    }
-}
-
-/// Run one (file × rule) unit, serialising on the file's context.
-fn run_unit(rule: &ScanRule, slot: &Slot, opts: &ExecOptions) -> UnitResult {
-    // One cheap Patcher per unit over the shared compile — script
-    // globals and stats are per-application state.
-    let mut patcher = Patcher::from_compiled(Arc::clone(&rule.compiled));
-    patcher.flow_enabled = opts.flow;
-    patcher.time_budget = opts.timeout_ms.map(Duration::from_millis);
-    patcher.explain = opts.explain.clone();
-    let t0 = Instant::now();
-    let mut ctx = slot.ctx.lock().unwrap();
-    let res = catch_matcher_panics(&slot.name, || patcher.apply_ctx(&mut ctx));
-    // Funnel attempts ride in the patcher's stats for both outcomes
-    // (`apply_ctx` stores them at its timeout/parse `Err` sites too);
-    // relabel them from inner SMPL rule names to the scan rule id —
-    // the same attribution findings get.
-    let mut attempts = std::mem::take(&mut patcher.last_stats.attempts);
-    for a in &mut attempts {
-        a.rule = rule.meta.id.clone();
-    }
-    match res {
-        Ok(output) => {
-            let matches: usize = patcher.last_stats.matches_per_rule.iter().sum();
-            let mut findings = std::mem::take(&mut patcher.last_stats.findings);
-            // Attribute findings to the scan rule: its id (not the inner
-            // SMPL rule name) keys the merged report, and its message
-            // override wins.
-            for f in &mut findings {
-                f.rule = rule.meta.id.clone();
-                if let Some(m) = &rule.meta.message {
-                    f.message = m.clone();
-                }
-            }
-            let (findings, suppressed) = if findings.is_empty() {
-                (findings, 0)
-            } else {
-                ctx.suppressions().filter(findings)
-            };
-            cocci_trace::count(cocci_trace::Counter::Suppressions, suppressed as u64);
-            // Inline markers silenced the whole unit: what completed the
-            // funnel actually died at suppression.
-            if suppressed > 0 && findings.is_empty() {
-                for a in &mut attempts {
-                    if a.stage == KillStage::Completed {
-                        a.stage = KillStage::Suppressed;
-                        if a.detail.is_some() || patcher.explain_wants(&slot.name, &a.rule) {
-                            a.detail =
-                                Some(format!("all {suppressed} finding(s) suppressed inline"));
-                        }
-                    }
-                }
-            }
-            for a in &attempts {
-                explain::record_attempt(a.stage, &slot.name, &a.rule, a.detail.as_deref());
-            }
-            let status = if output.is_some() {
-                FileStatus::Changed
-            } else if matches > 0 {
-                FileStatus::Matched
-            } else {
-                FileStatus::Unmatched
-            };
-            UnitResult {
-                outcome: RuleOutcome {
-                    id: rule.meta.id.clone(),
-                    status,
-                    matches,
-                    findings: findings.len(),
-                    suppressed,
-                    seconds: t0.elapsed().as_secs_f64(),
-                    kill_stage: attempts.iter().map(|a| a.stage).max(),
-                },
-                findings,
-                witnesses: patcher.last_stats.witnesses,
-                error: None,
-                attempts,
-            }
-        }
-        // Failed attempts keep their elapsed time too: a timed-out or
-        // crashing rule is exactly what slow-file accounting must see.
-        Err(e) => {
-            for a in &attempts {
-                explain::record_attempt(a.stage, &slot.name, &a.rule, a.detail.as_deref());
-            }
-            UnitResult {
-                outcome: RuleOutcome {
-                    id: rule.meta.id.clone(),
-                    status: if e.timed_out {
-                        FileStatus::Timeout
-                    } else {
-                        FileStatus::Error
-                    },
-                    matches: 0,
-                    findings: 0,
-                    suppressed: 0,
-                    seconds: t0.elapsed().as_secs_f64(),
-                    kill_stage: attempts.iter().map(|a| a.stage).max(),
-                },
-                findings: Vec::new(),
-                witnesses: 0,
-                error: Some(e.message),
-                attempts,
-            }
-        }
-    }
-}
-
-/// Scan one in-memory batch of files with every rule of `set`.
+/// Run every rule of `set` over every file of `source`, streaming
+/// batches with bounded memory.
 ///
-/// Work units are (file, surviving rule) pairs pulled from one atomic
-/// counter; units of the same file serialise on its [`FileContext`]
-/// mutex so the parse/CFG/line-table work happens once per file. The
-/// merged prefilter (one automaton pass per file) decides survival; with
-/// `opts.prefilter` off every rule runs on every file.
-pub fn scan_batch(
-    set: &CompiledRuleSet,
-    files: &[(String, String)],
-    opts: &ExecOptions,
-) -> Vec<ScanOutcome> {
-    let slots: Vec<Arc<Slot>> = files
-        .iter()
-        .map(|(name, text)| Arc::new(Slot::build(set, name.clone(), text.clone(), opts)))
-        .collect();
-    let total_units: usize = slots.iter().map(|s| s.surviving.len()).sum();
-    let threads = resolve_threads(opts.threads).min(total_units.max(1));
-    let queue: WorkQueue<Unit> = WorkQueue::new(threads);
-    for (seq, slot) in slots.iter().enumerate() {
-        queue.push_chunk((0..slot.surviving.len()).map(|k| Unit {
-            slot: Arc::clone(slot),
-            k,
-            seq,
-        }));
-    }
-    queue.close();
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queue = &queue;
-            scope.spawn(move || {
-                while let Some(u) = queue.pop(w) {
-                    let rule = &set.rules[u.slot.surviving[u.k]];
-                    let result = run_unit(rule, &u.slot, opts);
-                    u.slot.results.lock().unwrap()[u.k] = Some(result);
-                    u.slot.remaining.fetch_sub(1, Ordering::SeqCst);
-                }
-            });
-        }
-    });
-    // Assemble per-file outcomes in input order; per-rule entries are
-    // already in rule-id order via the preassigned cells.
-    slots.iter().map(|slot| slot.assemble(set)).collect()
-}
-
-/// Scan every file of `source` with `set`, streaming batches with
-/// bounded memory; the scan counterpart of
-/// [`apply_to_corpus_resumed`](crate::apply_to_corpus_resumed).
+/// `sink` is invoked once per processed file, in walk order, with its
+/// name, original text, and outcome — this is where a CLI prints diffs
+/// or findings while the text is still in memory. Files that could not
+/// be read, and files skipped by `previous`, go straight to the report.
 ///
-/// `previous` enables incremental re-scan: files whose content hash and
-/// completed status match the prior report are skipped, carrying their
-/// findings *and per-rule outcomes* forward. Sound only against the same
-/// rule set — callers must compare [`ApplyReport::patch_hash`] against
+/// `previous` enables incremental re-runs: files whose content hash
+/// matches their entry there and whose previous status was a
+/// *completed* outcome ([`FileStatus::resumable`]) are skipped — the
+/// entry (findings and per-rule outcomes included) is copied into the
+/// new report with zero seconds, the sink never sees them, and they
+/// count in [`ApplyReport::resumed`]. Sound only against the same rules:
+/// callers must compare [`ApplyReport::patch_hash`] against
 /// [`CompiledRuleSet::hash`] before resuming (the returned report
 /// records it).
 pub fn scan_corpus(
@@ -492,24 +122,20 @@ pub fn scan_corpus(
     source: &mut dyn FileSource,
     opts: &CorpusOptions,
     previous: Option<&ApplyReport>,
-    mut sink: impl FnMut(&str, &str, &ScanOutcome),
+    mut sink: impl FnMut(&str, &str, &FileOutcome),
 ) -> Result<ApplyReport, ApplyError> {
+    // `when exists`/`when strict` only exist on the CFG route — refuse
+    // once at run level rather than erroring identically on every file.
     if opts.no_flow {
         if let Some(rule) = set.requires_flow() {
             return Err(ApplyError::new(format!(
-                "rule {}: `when exists` / `when strict` require CFG path matching, \
-                 which --no-flow disables",
-                rule.meta.id
+                "rule {rule}: `when exists` / `when strict` require CFG path matching, \
+                 which --no-flow disables"
             )));
         }
     }
-    let exec = ExecOptions {
-        threads: opts.threads,
-        prefilter: !opts.no_prefilter,
-        flow: !opts.no_flow,
-        timeout_ms: opts.timeout_ms,
-        explain: opts.explain.clone(),
-    };
+    // Hash 0 means "unknown" (unreadable file, pre-hash report): never a
+    // skip candidate.
     let prev_by_name: HashMap<&str, &FileReport> = previous
         .map(|r| {
             r.files
@@ -522,145 +148,142 @@ pub fn scan_corpus(
     let t0 = Instant::now();
     let mut files = Vec::new();
     let mut resumed = 0usize;
-    let mut explain_block = opts.explain.as_ref().map(|_| ExplainBlock::default());
+
+    // One persistent worker team for the whole run: the walker (this
+    // thread) streams files into a work-stealing queue while the workers
+    // drain it, so a slow file in batch N overlaps with batch N+1. Every
+    // file the producer encounters (run, resumed, or unreadable)
+    // reserves one ordered result slot, so the sink and the report
+    // observe exactly the walk order whatever the completion order was.
+    enum Done {
+        Ran(Arc<str>, FileOutcome),
+        Skipped(FileReport),
+    }
+    struct Task {
+        slot: usize,
+        name: String,
+        text: String,
+        hash: u64,
+    }
     let threads = resolve_threads(opts.threads);
-    let queue: WorkQueue<Unit> = WorkQueue::new(threads);
-    let out: ResultSlots<ScanDone> = ResultSlots::new();
-    // One persistent worker team for the whole corpus: the producer (this
-    // thread) streams (file × rule) units while workers drain and steal.
-    // The worker that completes a file's last unit publishes it; the
-    // producer drains the filled prefix between batches, so sinks and
-    // reports observe walker order whatever the completion order was.
+    let queue: WorkQueue<Task> = WorkQueue::new(threads);
+    let slots: ResultSlots<Done> = ResultSlots::new();
+    // Under `--explain`, matching attempts accumulate into the report's
+    // explain block; it sorts on finish, so the embedded traces are
+    // byte-identical across thread counts.
+    let mut explain_block = opts.explain.as_ref().map(|_| ExplainBlock::default());
+
     std::thread::scope(|scope| {
         for w in 0..threads {
-            let (queue, out, exec) = (&queue, &out, &exec);
+            let (queue, slots) = (&queue, &slots);
             let spawn = std::thread::Builder::new().name(format!("worker-{w}"));
             let handle = spawn.spawn_scoped(scope, move || {
-                while let Some(u) = queue.pop(w) {
-                    let rule = &set.rules[u.slot.surviving[u.k]];
-                    let result = run_unit(rule, &u.slot, exec);
-                    u.slot.results.lock().unwrap()[u.k] = Some(result);
-                    if u.slot.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        out.set(u.seq, ScanDone::Ran(Arc::clone(&u.slot)));
-                    }
+                while let Some(task) = queue.pop(w) {
+                    let text: Arc<str> = task.text.into();
+                    let outcome = run_file(set, task.name, &text, task.hash, opts);
+                    slots.set(task.slot, Done::Ran(text, outcome));
                 }
             });
-            handle.expect("spawn scan worker");
+            handle.expect("spawn corpus worker");
         }
 
         let explain_cfg = opts.explain.as_deref();
         let explain_block = &mut explain_block;
-        let mut emit = |done: Vec<ScanDone>| {
+        let mut emit = |done: Vec<Done>, files: &mut Vec<FileReport>| {
             for d in done {
-                let _report_span = cocci_trace::span(cocci_trace::Phase::Report);
+                let _report_span = cocci_trace::span(Phase::Report);
                 match d {
-                    ScanDone::Ran(slot) => {
-                        let outcome = slot.assemble(set);
+                    Done::Ran(text, outcome) => {
+                        let name = &outcome.report.name;
                         if let (Some(block), Some(cfg)) = (explain_block.as_mut(), explain_cfg) {
                             block.extend(
                                 outcome
                                     .attempts
                                     .iter()
-                                    .filter(|a| cfg.matches(&outcome.name, &a.rule))
+                                    .filter(|a| cfg.matches(name, &a.rule))
                                     .map(|a| AttemptTrace {
-                                        file: outcome.name.clone(),
+                                        file: name.clone(),
                                         rule: a.rule.clone(),
                                         stage: a.stage,
                                         detail: a.detail.clone(),
                                     }),
                             );
                         }
-                        sink(&slot.name, &slot.text, &outcome);
-                        files.push(outcome.to_report());
+                        sink(name, &text, &outcome);
+                        files.push(outcome.report);
                     }
-                    ScanDone::Skipped(report) => files.push(report),
+                    Done::Skipped(report) => files.push(report),
                 }
             }
         };
+
         loop {
             let batch = {
-                let _walk_span = cocci_trace::span(cocci_trace::Phase::Walk);
+                let _walk_span = cocci_trace::span(Phase::Walk);
                 source.next_batch(&opts.batch)
             };
             for (name, msg) in source.take_errors() {
-                let seq = out.reserve(1);
-                out.set(
-                    seq,
-                    ScanDone::Skipped(FileReport {
-                        name,
-                        status: FileStatus::Error,
-                        matches: 0,
-                        witnesses: 0,
-                        seconds: 0.0,
-                        hash: 0,
-                        error: Some(msg),
-                        findings: Vec::new(),
-                        rules: Vec::new(),
-                        rules_pruned: 0,
-                        suppressed: 0,
-                        kill_stage: None,
-                    }),
-                );
+                let report = FileReport {
+                    name,
+                    status: FileStatus::Error,
+                    matches: 0,
+                    witnesses: 0,
+                    seconds: 0.0,
+                    hash: 0,
+                    error: Some(msg),
+                    findings: Vec::new(),
+                    rules: Vec::new(),
+                    rules_pruned: 0,
+                    suppressed: 0,
+                    kill_stage: None,
+                };
+                slots.set(slots.reserve(1), Done::Skipped(report));
             }
             if batch.is_empty() {
                 break;
             }
+            let mut tasks = Vec::with_capacity(batch.len());
             for (name, text) in batch {
-                let hash = crate::report::content_hash(&text);
-                let seq = out.reserve(1);
+                let hash = content_hash(&text);
+                let slot = slots.reserve(1);
                 match prev_by_name.get(name.as_str()) {
+                    // Only completed statuses are copied forward: a prior
+                    // `timeout`/`error` records a failed *attempt*, so the
+                    // file is re-attempted even though its text is
+                    // unchanged (see [`FileStatus::resumable`]). Findings,
+                    // per-rule outcomes, and the kill stage ride along —
+                    // an unchanged file still has the same diagnostics —
+                    // but no counter bumps: it is not a new attempt.
                     Some(prev) if prev.hash == hash && prev.status.resumable() => {
                         resumed += 1;
-                        out.set(
-                            seq,
-                            ScanDone::Skipped(FileReport {
-                                name,
-                                status: prev.status,
-                                matches: prev.matches,
-                                witnesses: prev.witnesses,
-                                seconds: 0.0,
-                                hash,
-                                error: prev.error.clone(),
-                                findings: prev.findings.clone(),
-                                // Per-rule outcomes ride forward with the
-                                // skip, like findings do — an unchanged
-                                // file still has the same per-rule story.
-                                rules: prev.rules.clone(),
-                                rules_pruned: prev.rules_pruned,
-                                suppressed: prev.suppressed,
-                                // Copied forward, but no counters bump:
-                                // a resumed file is not a new attempt.
-                                kill_stage: prev.kill_stage,
-                            }),
-                        );
+                        let report = FileReport {
+                            seconds: 0.0,
+                            ..(*prev).clone()
+                        };
+                        slots.set(slot, Done::Skipped(report));
                     }
-                    _ => {
-                        let slot = Arc::new(Slot::build(set, name, text, &exec));
-                        if slot.surviving.is_empty() {
-                            // Pruned without a parse — no units to queue.
-                            out.set(seq, ScanDone::Ran(slot));
-                        } else {
-                            let units = (0..slot.surviving.len()).map(|k| Unit {
-                                slot: Arc::clone(&slot),
-                                k,
-                                seq,
-                            });
-                            queue.push_chunk(units);
-                        }
-                    }
+                    _ => tasks.push(Task {
+                        slot,
+                        name,
+                        text,
+                        hash,
+                    }),
                 }
             }
-            // Release finished files (and their text) between batches.
-            emit(out.drain_ready());
+            queue.push_chunk(tasks);
+            // Stream out whatever has completed so far: the sink sees
+            // results (and text memory is released) while workers chew
+            // on the rest.
+            emit(slots.drain_ready(), &mut files);
         }
         queue.close();
-        emit(out.drain_all());
+        emit(slots.drain_all(), &mut files);
     });
-    // Workers joined — the trace snapshot now holds every span of this
-    // run, and the queue's counters describe its scheduling.
-    let metrics = cocci_trace::is_enabled().then(|| {
-        crate::report::RunMetrics::from_trace(&cocci_trace::collect(), Some(&queue.stats()))
-    });
+
+    // Workers are gone: every span for this run is recorded, so a traced
+    // run can embed an exact aggregate alongside the pool's counters.
+    let metrics = cocci_trace::is_enabled()
+        .then(|| RunMetrics::from_trace(&cocci_trace::collect(), Some(&queue.stats())));
     if let Some(block) = explain_block.as_mut() {
         block.finish();
     }
@@ -679,9 +302,32 @@ pub fn scan_corpus(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::corpus::MemorySource;
+    use crate::findings::Finding;
+    use crate::orchestrate::Patcher;
+
+    /// Run `set` over in-memory `files`, collecting every outcome.
+    pub(crate) fn collect(
+        set: &CompiledRuleSet,
+        files: &[(String, String)],
+        opts: &CorpusOptions,
+    ) -> Vec<FileOutcome> {
+        let mut outcomes = Vec::new();
+        let source = &mut MemorySource::new(files.iter().cloned());
+        scan_corpus(set, source, opts, None, |_, _, o| outcomes.push(o.clone())).unwrap();
+        outcomes
+    }
+
+    /// Every rule on every file (no prefilter), `threads` workers.
+    fn unfiltered(threads: usize) -> CorpusOptions {
+        CorpusOptions {
+            threads,
+            no_prefilter: true,
+            ..Default::default()
+        }
+    }
 
     fn src(id: &str, text: &str) -> (String, String, String) {
         (format!("{id}.cocci"), id.to_string(), text.to_string())
@@ -715,7 +361,7 @@ mod tests {
             ("g.c".into(), "void g(void) {\n    gamma(3);\n}\n".into()),
             ("none.c".into(), "void h(void) {\n    delta(4);\n}\n".into()),
         ];
-        let outcomes = scan_batch(&set, &files, &ExecOptions::default());
+        let outcomes = collect(&set, &files, &unfiltered(0));
 
         // Baseline: each rule applied individually to each file.
         let mut individual: Vec<(String, u32, u32, String)> = Vec::new();
@@ -730,7 +376,7 @@ mod tests {
         }
         let mut merged: Vec<_> = outcomes
             .iter()
-            .flat_map(|o| o.findings.iter().map(key))
+            .flat_map(|o| o.report.findings.iter().map(key))
             .collect();
         merged.sort();
         individual.sort();
@@ -749,20 +395,13 @@ mod tests {
             "f.c".to_string(),
             "void f(void) {\n    shared_api(1);\n}\n".to_string(),
         )];
-        let outcomes = scan_batch(&set, &files, &ExecOptions::default());
-        assert_eq!(outcomes[0].rules.len(), 10, "all rules survive");
-        assert_eq!(outcomes[0].parses, 1, "ten rules, one parse");
-        assert_eq!(outcomes[0].findings.len(), 10);
-        // The same holds with parallel workers racing on the file.
-        let outcomes = scan_batch(
-            &set,
-            &files,
-            &ExecOptions {
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(outcomes[0].parses, 1);
+        // The same holds with parallel workers in the pool.
+        for threads in [0, 4] {
+            let outcomes = collect(&set, &files, &unfiltered(threads));
+            assert_eq!(outcomes[0].report.rules.len(), 10, "all rules survive");
+            assert_eq!(outcomes[0].parses, 1, "ten rules, one parse");
+            assert_eq!(outcomes[0].report.findings.len(), 10);
+        }
     }
 
     #[test]
@@ -775,21 +414,15 @@ mod tests {
             ),
             ("n.c".to_string(), "void f(void) { other(); }\n".to_string()),
         ];
-        let outcomes = scan_batch(
-            &set,
-            &files,
-            &ExecOptions {
-                prefilter: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(outcomes[0].rules_pruned, 2);
-        assert_eq!(outcomes[0].rules.len(), 1);
-        assert_eq!(outcomes[0].rules[0].id, "r-alpha");
-        assert_eq!(outcomes[0].status(), FileStatus::Matched);
+        let outcomes = collect(&set, &files, &CorpusOptions::default());
+        let (a, n) = (&outcomes[0].report, &outcomes[1].report);
+        assert_eq!(a.rules_pruned, 2);
+        assert_eq!(a.rules.len(), 1);
+        assert_eq!(a.rules[0].id, "r-alpha");
+        assert_eq!(a.status, FileStatus::Matched);
         // No survivors: the file is pruned without being parsed.
-        assert_eq!(outcomes[1].rules_pruned, 3);
-        assert_eq!(outcomes[1].status(), FileStatus::Pruned);
+        assert_eq!(n.rules_pruned, 3);
+        assert_eq!(n.status, FileStatus::Pruned);
         assert_eq!(outcomes[1].parses, 0);
     }
 
@@ -800,15 +433,17 @@ mod tests {
             "s.c".to_string(),
             "void f(void) {\n    alpha(1); // spatch-ignore r-alpha\n    beta(2);\n}\n".to_string(),
         )];
-        let outcomes = scan_batch(&set, &files, &ExecOptions::default());
-        let by_id = |id: &str| outcomes[0].rules.iter().find(|r| r.id == id).unwrap();
+        let outcomes = collect(&set, &files, &unfiltered(0));
+        let report = &outcomes[0].report;
+        let by_id = |id: &str| report.rules.iter().find(|r| r.id == id).unwrap();
         assert_eq!(by_id("r-alpha").suppressed, 1);
         assert_eq!(by_id("r-alpha").findings, 0);
         assert_eq!(by_id("r-alpha").matches, 1, "suppressed, not unmatched");
+        assert_eq!(by_id("r-alpha").kill_stage, Some(KillStage::Suppressed));
         assert_eq!(by_id("r-beta").findings, 1);
-        assert_eq!(outcomes[0].suppressed, 1);
-        assert_eq!(outcomes[0].findings.len(), 1);
-        assert_eq!(outcomes[0].findings[0].rule, "r-beta");
+        assert_eq!(report.suppressed, 1);
+        assert_eq!(report.findings.len(), 1);
+        assert_eq!(report.findings[0].rule, "r-beta");
     }
 
     #[test]
@@ -822,22 +457,16 @@ mod tests {
             "m.c".to_string(),
             "void f(void) {\n    alpha(1);\n    beta(2);\n}\n".to_string(),
         )];
-        let outcomes = scan_batch(&set, &files, &ExecOptions::default());
-        let fix = outcomes[0]
-            .rules
-            .iter()
-            .find(|r| r.id == "fix-alpha")
-            .unwrap();
+        let outcomes = collect(&set, &files, &unfiltered(0));
+        let report = &outcomes[0].report;
+        let fix = report.rules.iter().find(|r| r.id == "fix-alpha").unwrap();
         assert_eq!(fix.status, FileStatus::Changed);
         assert!(fix.matches > 0);
         assert_eq!(fix.findings, 0, "transform rules produce no findings");
-        let scan = outcomes[0]
-            .rules
-            .iter()
-            .find(|r| r.id == "scan-beta")
-            .unwrap();
+        let scan = report.rules.iter().find(|r| r.id == "scan-beta").unwrap();
         assert_eq!(scan.status, FileStatus::Matched);
-        assert_eq!(outcomes[0].status(), FileStatus::Changed);
+        assert_eq!(report.status, FileStatus::Changed);
+        assert!(outcomes[0].output.is_none(), "rules with ids never write");
     }
 
     #[test]
@@ -847,15 +476,13 @@ mod tests {
             "bad.c".to_string(),
             "alpha beta gamma void broken( {\n".to_string(),
         )];
-        let outcomes = scan_batch(&set, &files, &ExecOptions::default());
-        assert_eq!(outcomes[0].status(), FileStatus::Error);
-        assert_eq!(outcomes[0].rules.len(), 3);
-        assert!(outcomes[0]
-            .rules
-            .iter()
-            .all(|r| r.status == FileStatus::Error));
+        let outcomes = collect(&set, &files, &unfiltered(0));
+        let report = &outcomes[0].report;
+        assert_eq!(report.status, FileStatus::Error);
+        assert_eq!(report.rules.len(), 3);
+        assert!(report.rules.iter().all(|r| r.status == FileStatus::Error));
         assert_eq!(outcomes[0].parses, 1, "the parse failure is cached");
-        let err = outcomes[0].error.as_deref().unwrap();
+        let err = report.error.as_deref().unwrap();
         assert!(err.starts_with("rule r-alpha:"), "{err}");
     }
 
@@ -866,27 +493,21 @@ mod tests {
             "f.c".to_string(),
             "void f(void) { alpha(1); }\n".to_string(),
         )];
-        let outcomes = scan_batch(
-            &set,
-            &files,
-            &ExecOptions {
-                timeout_ms: Some(0),
-                ..Default::default()
-            },
-        );
-        assert_eq!(outcomes[0].status(), FileStatus::Timeout);
-        assert!(outcomes[0]
-            .rules
-            .iter()
-            .all(|r| r.status == FileStatus::Timeout));
+        let opts = CorpusOptions {
+            timeout_ms: Some(0),
+            ..unfiltered(0)
+        };
+        let report = &collect(&set, &files, &opts)[0].report;
+        assert_eq!(report.status, FileStatus::Timeout);
+        assert!(report.rules.iter().all(|r| r.status == FileStatus::Timeout));
         // Quarantined attempts still record their elapsed time, so slow
         // files are visible to `--stats` whatever their status.
         assert!(
-            outcomes[0].rules.iter().all(|r| r.seconds > 0.0),
+            report.rules.iter().all(|r| r.seconds > 0.0),
             "{:?}",
-            outcomes[0].rules
+            report.rules
         );
-        assert!(outcomes[0].seconds > 0.0);
+        assert!(report.seconds > 0.0);
     }
 
     #[test]
@@ -896,9 +517,9 @@ mod tests {
             "bad.c".to_string(),
             "alpha beta gamma void broken( {\n".to_string(),
         )];
-        let outcomes = scan_batch(&set, &files, &ExecOptions::default());
-        assert_eq!(outcomes[0].status(), FileStatus::Error);
-        assert!(outcomes[0].rules.iter().all(|r| r.seconds > 0.0));
+        let outcomes = collect(&set, &files, &unfiltered(0));
+        assert_eq!(outcomes[0].report.status, FileStatus::Error);
+        assert!(outcomes[0].report.rules.iter().all(|r| r.seconds > 0.0));
         // And the per-rule seconds survive the report JSON round trip.
         let report = ApplyReport {
             patch: String::new(),
@@ -910,7 +531,7 @@ mod tests {
             metrics: None,
             lints: Vec::new(),
             explain: None,
-            files: outcomes.iter().map(|o| o.to_report()).collect(),
+            files: outcomes.iter().map(|o| o.report.clone()).collect(),
         };
         let back = ApplyReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back.files[0].rules, report.files[0].rules);
@@ -931,23 +552,16 @@ mod tests {
         let runs: Vec<Vec<FileDigest>> = [1, 4, 8]
             .iter()
             .map(|&t| {
-                scan_batch(
-                    &set,
-                    &files,
-                    &ExecOptions {
-                        threads: t,
-                        ..Default::default()
-                    },
-                )
-                .iter()
-                .map(|o| {
-                    (
-                        o.name.clone(),
-                        o.rules.iter().map(|r| r.id.clone()).collect(),
-                        o.findings.iter().map(key).collect(),
-                    )
-                })
-                .collect()
+                collect(&set, &files, &unfiltered(t))
+                    .iter()
+                    .map(|o| {
+                        (
+                            o.report.name.clone(),
+                            o.report.rules.iter().map(|r| r.id.clone()).collect(),
+                            o.report.findings.iter().map(key).collect(),
+                        )
+                    })
+                    .collect()
             })
             .collect();
         assert_eq!(runs[0], runs[1]);
@@ -1017,9 +631,9 @@ mod tests {
         assert!(err.message.contains("when exists"), "{err}");
     }
 
-    /// Streaming-scan counterpart of the corpus determinism test: the
-    /// (file × rule) unit pool must yield the same sink stream and
-    /// report whatever the thread count and batch size.
+    /// Per-rule counterpart of the corpus determinism test: the
+    /// (file × rule) unit pool must yield the same sink stream, report
+    /// and per-rule rows whatever the thread count and batch size.
     #[test]
     fn scan_corpus_identical_across_threads_and_batch_sizes() {
         let set = set3();
@@ -1033,7 +647,7 @@ mod tests {
                 (format!("s{i}.c"), body.to_string())
             })
             .collect();
-        type Digest = (Vec<String>, Vec<(String, String, usize)>);
+        type Digest = (Vec<String>, Vec<(String, String, usize, Vec<RuleOutcome>)>);
         let mut runs: Vec<Digest> = Vec::new();
         for threads in [1, 2, 4] {
             for max_files in [1, 4, 100] {
@@ -1050,15 +664,26 @@ mod tests {
                         ..Default::default()
                     },
                     None,
-                    |name, _, outcome| {
-                        sunk.push(format!("{name}:{}:{}", outcome.status(), outcome.matches()))
+                    |name, _, o| {
+                        sunk.push(format!("{name}:{}:{}", o.report.status, o.report.matches))
                     },
                 )
                 .unwrap();
-                let digest: Vec<(String, String, usize)> = report
+                let digest = report
                     .files
                     .iter()
-                    .map(|f| (f.name.clone(), f.status.to_string(), f.matches))
+                    .map(|f| {
+                        // Wall-clock seconds are the one field allowed to vary.
+                        let rules = f
+                            .rules
+                            .iter()
+                            .map(|r| RuleOutcome {
+                                seconds: 0.0,
+                                ..r.clone()
+                            })
+                            .collect();
+                        (f.name.clone(), f.status.to_string(), f.matches, rules)
+                    })
                     .collect();
                 runs.push((sunk, digest));
             }
@@ -1068,7 +693,7 @@ mod tests {
             assert_eq!(r.1, runs[0].1, "report sequence differs");
         }
         let expect: Vec<String> = (0..9).map(|i| format!("s{i}.c")).collect();
-        let names: Vec<String> = runs[0].1.iter().map(|(n, _, _)| n.clone()).collect();
+        let names: Vec<String> = runs[0].1.iter().map(|d| d.0.clone()).collect();
         assert_eq!(names, expect, "report keeps walk order");
     }
 

@@ -8,8 +8,7 @@
 //! test binary's parallel threads would pollute them.
 
 use cocci_core::explain::{funnel_rows, ExplainConfig, KillStage};
-use cocci_core::scan::scan_batch;
-use cocci_core::{CompiledRuleSet, ExecOptions};
+use cocci_core::{scan_corpus, CompiledRuleSet, CorpusOptions, MemorySource};
 use cocci_trace::Counter;
 use std::sync::Arc;
 
@@ -47,15 +46,16 @@ fn funnel_counters_reconcile_exactly_with_outcomes() {
             "void m(void) {\n    int alpha = 1;\n}\n".into(),
         ),
     ];
-    let outcomes = scan_batch(
-        &set,
-        &files,
-        &ExecOptions {
-            prefilter: true,
-            explain: Some(Arc::new(ExplainConfig::default())),
-            ..Default::default()
-        },
-    );
+    let mut outcomes = Vec::new();
+    let source = &mut MemorySource::new(files);
+    let opts = CorpusOptions {
+        explain: Some(Arc::new(ExplainConfig::default())),
+        ..Default::default()
+    };
+    let report = scan_corpus(&set, source, &opts, None, |_, _, o| {
+        outcomes.push(o.clone())
+    })
+    .unwrap();
     cocci_trace::set_enabled(false);
 
     // The attempts counter is the sum of every outcome's attempt list.
@@ -86,7 +86,7 @@ fn funnel_counters_reconcile_exactly_with_outcomes() {
     }
 
     // Pruned scan rules record exactly one Prefilter attempt each.
-    let pruned: usize = outcomes.iter().map(|o| o.rules_pruned).sum();
+    let pruned: usize = outcomes.iter().map(|o| o.report.rules_pruned).sum();
     assert_eq!(
         cocci_trace::counter_value(Counter::KillPrefilter) as usize,
         pruned,
@@ -109,19 +109,27 @@ fn funnel_counters_reconcile_exactly_with_outcomes() {
     // attempts carry the *scan* rule id — the same attribution findings
     // use.
     for o in &outcomes {
-        for r in &o.rules {
+        for r in &o.report.rules {
             let attempt = o
                 .attempts
                 .iter()
                 .find(|a| a.rule == r.id && a.stage != KillStage::Prefilter)
-                .unwrap_or_else(|| panic!("{}: no attempt for surviving rule {}", o.name, r.id));
-            assert_eq!(r.kill_stage, Some(attempt.stage), "{}: {}", o.name, r.id);
+                .unwrap_or_else(|| {
+                    panic!("{}: no attempt for surviving rule {}", o.report.name, r.id)
+                });
+            assert_eq!(
+                r.kill_stage,
+                Some(attempt.stage),
+                "{}: {}",
+                o.report.name,
+                r.id
+            );
             if r.matches > 0 {
                 assert_eq!(r.kill_stage, Some(KillStage::Completed));
             }
         }
     }
-    let miss = outcomes.iter().find(|o| o.name == "miss.c").unwrap();
+    let miss = outcomes.iter().find(|o| o.report.name == "miss.c").unwrap();
     let anchor_kill = miss
         .attempts
         .iter()
@@ -132,11 +140,15 @@ fn funnel_counters_reconcile_exactly_with_outcomes() {
         anchor_kill.detail.is_some(),
         "explain-on attempts carry kill details"
     );
-    let none = outcomes.iter().find(|o| o.name == "none.c").unwrap();
+    let none = outcomes.iter().find(|o| o.report.name == "none.c").unwrap();
     assert!(none
         .attempts
         .iter()
         .all(|a| a.stage == KillStage::Prefilter && a.detail.is_some()));
+
+    // The report's explain block holds every traced attempt.
+    let block = report.explain.expect("explain block under --explain");
+    assert_eq!(block.attempts.len(), total_attempts);
 
     // The funnel table derived from the live counters is monotone and
     // lands exactly on the completed count.

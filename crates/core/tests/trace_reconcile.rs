@@ -1,5 +1,5 @@
 //! Phase counters vs. report fields: the engine's telemetry must agree
-//! with the probes the engine already maintains (`ScanOutcome::parses`,
+//! with the probes the engine already maintains (`FileOutcome::parses`,
 //! prefilter prune counts), or the `--stats` table is fiction.
 //!
 //! This lives in its own integration-test binary on purpose: trace
@@ -8,8 +8,7 @@
 //! test file gets a process to itself, so one test function owns the
 //! counters end to end.
 
-use cocci_core::scan::scan_batch;
-use cocci_core::{CompiledRuleSet, ExecOptions};
+use cocci_core::{scan_corpus, CompiledRuleSet, CorpusOptions, MemorySource};
 use cocci_trace::Counter;
 
 fn src(id: &str, callee: &str) -> (String, String, String) {
@@ -40,14 +39,13 @@ fn phase_counters_reconcile_with_report_fields() {
         // No rule atom at all: pruned outright, never parsed.
         ("none.c".into(), "void h(void) {\n    delta(4);\n}\n".into()),
     ];
-    let outcomes = scan_batch(
-        &set,
-        &files,
-        &ExecOptions {
-            prefilter: true,
-            ..Default::default()
-        },
-    );
+    let mut outcomes = Vec::new();
+    let source = &mut MemorySource::new(files.clone());
+    let opts = CorpusOptions::default();
+    scan_corpus(&set, source, &opts, None, |_, _, o| {
+        outcomes.push(o.clone())
+    })
+    .unwrap();
     let data = cocci_trace::collect();
     cocci_trace::set_enabled(false);
 
@@ -57,13 +55,13 @@ fn phase_counters_reconcile_with_report_fields() {
     assert_eq!(
         cocci_trace::counter_value(Counter::FilesParsed) as usize,
         parses,
-        "files_parsed counter vs ScanOutcome::parses"
+        "files_parsed counter vs FileOutcome::parses"
     );
 
     // pruned counter == files the merged prefilter dropped outright.
     let pruned_outright = outcomes
         .iter()
-        .filter(|o| o.rules.is_empty() && o.rules_pruned == set.len())
+        .filter(|o| o.report.rules.is_empty() && o.report.rules_pruned == set.len())
         .count();
     assert_eq!(pruned_outright, 1, "none.c is pruned");
     assert_eq!(
@@ -72,9 +70,9 @@ fn phase_counters_reconcile_with_report_fields() {
         "files_pruned counter vs prefilter skips"
     );
 
-    // Every surviving (file × rule) unit parses through the shared
+    // Every surviving (file × rule) attempt parses through the shared
     // context: the first unit pays, the rest must be recorded cache hits.
-    let units: usize = outcomes.iter().map(|o| o.rules.len()).sum();
+    let units: usize = outcomes.iter().map(|o| o.report.rules.len()).sum();
     assert_eq!(
         cocci_trace::counter_value(Counter::ParseCacheHits) as usize,
         units - parses,

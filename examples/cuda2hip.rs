@@ -106,8 +106,8 @@ fn main() {
         secs
     );
     for o in &outcomes {
-        if let Some(e) = &o.error {
-            eprintln!("  ERROR {}: {e}", o.name);
+        if let Some(e) = &o.report.error {
+            eprintln!("  ERROR {}: {e}", o.report.name);
         }
     }
 
@@ -126,7 +126,7 @@ fn main() {
         let new_text = o.output.as_deref().unwrap();
         for (a, b) in inputs
             .iter()
-            .find(|(n, _)| *n == o.name)
+            .find(|(n, _)| *n == o.report.name)
             .map(|(_, t)| t)
             .unwrap()
             .lines()

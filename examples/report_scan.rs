@@ -17,7 +17,7 @@
 //! cargo run -p cocci-examples --example report_scan [-- OUTDIR]
 //! ```
 
-use cocci_core::corpus::{apply_to_corpus, CorpusOptions, WalkSource};
+use cocci_core::corpus::{apply_to_corpus_resumed, CorpusOptions, WalkSource};
 use cocci_examples::section;
 use cocci_smpl::parse_semantic_patch;
 use cocci_workloads::corpus::{write_corpus_tree, CorpusTreeSpec};
@@ -58,7 +58,8 @@ fn main() {
     let patch = parse_semantic_patch(SCAN_PATCH).expect("parse patch");
     assert!(patch.is_report_only(), "pure-context patch");
     let mut source = WalkSource::discover(std::slice::from_ref(&root), &[]);
-    let report = apply_to_corpus(&patch, &mut source, &CorpusOptions::default(), |_, _, _| {})
+    let opts = CorpusOptions::default();
+    let report = apply_to_corpus_resumed(&patch, &mut source, &opts, None, |_, _, _| {})
         .expect("corpus run");
     let mut total = 0usize;
     for f in &report.files {

@@ -10,14 +10,14 @@
 //! directory, then runs the scan in-process and prints the per-rule
 //! finding counts plus the parse-count probe. CI reuses the
 //! materialized tree to drive the `spatch scan` binary across output
-//! formats and to diff the N-rule scan against N single-rule runs.
+//! formats.
 //!
 //! ```text
 //! cargo run -p cocci-examples --example scan_matrix [-- OUTDIR]
 //! ```
 
 use cocci_core::corpus::{CorpusOptions, WalkSource};
-use cocci_core::{scan_corpus, CompiledRuleSet, ScanOutcome};
+use cocci_core::{scan_corpus, CompiledRuleSet, FileOutcome};
 use cocci_examples::section;
 use cocci_workloads::rule_matrix::{rule_matrix_codebase, rule_matrix_rules, RuleMatrixSpec};
 use std::collections::BTreeMap;
@@ -57,7 +57,7 @@ fn main() {
     section("scan (all rules, one parse per file)");
     let set = CompiledRuleSet::load_dir(&rules_dir).expect("load rules dir");
     let mut source = WalkSource::discover(std::slice::from_ref(&corpus_dir), &[]);
-    let mut outcomes: Vec<ScanOutcome> = Vec::new();
+    let mut outcomes: Vec<FileOutcome> = Vec::new();
     let report = scan_corpus(
         &set,
         &mut source,
@@ -72,10 +72,10 @@ fn main() {
     let mut pruned_files = 0usize;
     for o in &outcomes {
         parses += o.parses;
-        if o.rules.is_empty() {
+        if o.report.rules.is_empty() {
             pruned_files += 1;
         }
-        for f in &o.findings {
+        for f in &o.report.findings {
             *per_rule.entry(f.rule.as_str()).or_default() += 1;
         }
     }
@@ -89,7 +89,10 @@ fn main() {
     }
     println!(
         "\n{} finding(s); {} parse(s) over {} file(s), {} pruned outright; {}",
-        outcomes.iter().map(|o| o.findings.len()).sum::<usize>(),
+        outcomes
+            .iter()
+            .map(|o| o.report.findings.len())
+            .sum::<usize>(),
         parses,
         outcomes.len(),
         pruned_files,

@@ -3,8 +3,10 @@
 //! edge cases, edit interplay, and cross-crate behaviour (CFG of patched
 //! output).
 
-use cocci_core::{apply_to_files, Patcher};
+use cocci_core::Patcher;
+use cocci_core::{apply_to_files, scan_corpus, CompiledRuleSet, CorpusOptions, MemorySource};
 use cocci_smpl::parse_semantic_patch;
+use cocci_workloads::rule_matrix::{rule_matrix_codebase, rule_matrix_rules, RuleMatrixSpec};
 
 fn apply(patch: &str, target: &str) -> Option<String> {
     let sp = parse_semantic_patch(patch).unwrap_or_else(|e| panic!("patch parse: {e}"));
@@ -362,8 +364,53 @@ fn driver_reports_mixed_outcomes() {
     ];
     let outcomes = apply_to_files(&patch, &files, 2).unwrap();
     assert!(outcomes[0].output.is_some());
-    assert!(outcomes[1].output.is_none() && outcomes[1].error.is_none());
-    assert!(outcomes[2].error.is_some());
+    assert!(outcomes[1].output.is_none() && outcomes[1].report.error.is_none());
+    assert!(outcomes[2].report.error.is_some());
+}
+
+/// The scan oracle: an N-rule scan finds exactly the union of N one-rule
+/// scans' (file, line, col, rule) sets — the shared parse and merged
+/// prefilter are pure optimizations.
+#[test]
+fn n_rule_scan_equals_union_of_one_rule_scans() {
+    let spec = RuleMatrixSpec {
+        rules: 10,
+        files: 8,
+        functions_per_file: 8,
+        overlap: 2,
+        seed: 0x5CA2,
+    };
+    let sources: Vec<(String, String, String)> = rule_matrix_rules(&spec)
+        .into_iter()
+        .map(|f| {
+            let stem = f.name.trim_end_matches(".cocci").to_string();
+            (f.name, stem, f.text)
+        })
+        .collect();
+    let files: Vec<(String, String)> = rule_matrix_codebase(&spec)
+        .into_iter()
+        .map(|f| (f.name, f.text))
+        .collect();
+    let findings = |sources: &[(String, String, String)]| {
+        let set = CompiledRuleSet::from_sources(sources).unwrap();
+        let mut keys = Vec::new();
+        let source = &mut MemorySource::new(files.clone());
+        let opts = CorpusOptions::default();
+        let report = scan_corpus(&set, source, &opts, None, |_, _, _| {}).unwrap();
+        for f in report.files.iter().flat_map(|f| &f.findings) {
+            keys.push((f.path.clone(), f.line, f.col, f.rule.clone()));
+        }
+        keys.sort();
+        keys
+    };
+    let merged = findings(&sources);
+    let mut union: Vec<_> = sources
+        .iter()
+        .flat_map(|s| findings(std::slice::from_ref(s)))
+        .collect();
+    union.sort();
+    assert!(!merged.is_empty(), "the matrix corpus has matching arms");
+    assert_eq!(merged, union, "N-rule scan == union of one-rule scans");
 }
 
 // ---- cross-crate: CFG of patched output ----

@@ -744,9 +744,10 @@ old_api(e2)@p;
     ];
     let outcomes = cocci_core::apply_to_files(&sp, &files, 1).unwrap();
     for (o, name) in outcomes.iter().zip(["first.c", "second.c"]) {
-        assert!(o.error.is_none(), "{:?}", o.error);
-        let use_findings: Vec<_> = o.findings.iter().filter(|f| f.rule == "use").collect();
-        assert_eq!(use_findings.len(), 1, "{name}: {:?}", o.findings);
+        let r = &o.report;
+        assert!(r.error.is_none(), "{:?}", r.error);
+        let use_findings: Vec<_> = r.findings.iter().filter(|f| f.rule == "use").collect();
+        assert_eq!(use_findings.len(), 1, "{name}: {:?}", r.findings);
         assert_eq!(use_findings[0].path, name);
         assert_eq!((use_findings[0].line, use_findings[0].col), (2, 5));
     }
