@@ -77,8 +77,16 @@ trend_check() {
 echo "== E1 bench smoke (short samples, JSON to target/) =="
 cargo bench --bench uc_matrix --locked
 test -s target/BENCH_uc_matrix.json
+# Rules that inherit run once per inherited environment. With pinned and
+# deduplicated seeds, UC7+UC8's per-function cost stays flat as a file
+# grows from 25 to 200 functions; a walk of the whole file per
+# environment made it grow with the file (ratio ~7).
+FN_RATIO=$(grep -o '"id": "uc78_fn_cost_ratio", "value": [0-9.eE+-]*' target/BENCH_uc_matrix.json | awk '{print $NF}')
+test -n "$FN_RATIO"
+awk -v r="$FN_RATIO" 'BEGIN { exit !(r + 0 < 2.0) }' \
+  || { echo "UC78 per-function cost ratio ${FN_RATIO} >= 2.0"; exit 1; }
 trend_check uc_matrix
-echo "ok: target/BENCH_uc_matrix.json written"
+echo "ok: target/BENCH_uc_matrix.json written (UC78 per-function cost ratio ${FN_RATIO})"
 
 echo "== prefilter bench smoke (hit-rate trend, JSON to target/) =="
 cargo bench --bench prefilter --locked

@@ -1577,6 +1577,42 @@ fn stats_count_totals_are_stable_across_thread_counts() {
     assert_eq!(run("4"), base, "-j 4 drifted");
 }
 
+#[test]
+fn each_rewritten_text_parses_once() {
+    use cocci_workloads::gen::{cuda_codebase, CodebaseSpec};
+    use cocci_workloads::patches::UC78_CUDA_HIP_FULL;
+    let dir = tmpdir("parse-once");
+    let patch = dir.join("hip.cocci");
+    fs::write(&patch, UC78_CUDA_HIP_FULL).unwrap();
+    let spec = CodebaseSpec {
+        files: 1,
+        functions_per_file: 6,
+        seed: 7,
+    };
+    let file = cuda_codebase(&spec).remove(0);
+    for site in ["__half h;", "curand_uniform_double(", "<<<"] {
+        assert!(file.text.contains(site), "{site} missing:\n{}", file.text);
+    }
+    let path = dir.join(&file.name);
+    fs::write(&path, &file.text).unwrap();
+    let out = spatch()
+        .arg("--sp-file")
+        .arg(&patch)
+        .args(["--stats", "-j", "1", "--quiet"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    // The original text (cfe, hfe), the text `hfe` rewrote (cte, hte),
+    // and the text `hte` rewrote (chevron): one parse each.
+    assert!(
+        err.lines()
+            .any(|l| l.trim_start() == "counter files_parsed: 3"),
+        "{err}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // `spatch lint` and the load-time rule lint in scan/apply.
 

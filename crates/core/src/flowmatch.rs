@@ -43,7 +43,7 @@
 
 use crate::env::Env;
 use crate::matcher::{self, MatchCtx, MatchState, Pair, PairKind};
-use crate::orchestrate::collect_seq_matches;
+use crate::treesearch::collect_seq_matches;
 use cocci_cast::ast::*;
 use cocci_cast::visit;
 use cocci_flow::{build_cfg, walk_gap, Cfg, NodeId, NodeKind, Quant};

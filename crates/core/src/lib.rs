@@ -54,6 +54,7 @@ pub mod rewrite;
 pub mod ruleset;
 pub mod scan;
 pub mod suppress;
+mod treesearch;
 
 pub use compile::CompiledPatch;
 pub use context::FileContext;

@@ -22,11 +22,11 @@ use crate::edits::EditSet;
 use crate::env::{Env, ExportedEnv, Value};
 use crate::explain::{AttemptProbe, ExplainConfig, KillStage, RuleAttempt};
 use crate::findings::{self, Finding, Resolver};
-use crate::matcher::{self, MatchCtx, MatchState};
+use crate::matcher::{MatchCtx, MatchState};
 use crate::rewrite;
+use crate::treesearch::{DistinctSeeds, TreeSearch};
 use cocci_cast::ast::*;
 use cocci_cast::parser::{parse_translation_unit, NoMeta, ParseOptions};
-use cocci_cast::visit;
 use cocci_script::{Interp, PosInfo, Value as ScriptValue};
 use cocci_smpl::{
     Constraint, DepExpr, FreshPart, MetaDeclKind, Pattern, Rule, ScriptRule, SemanticPatch,
@@ -36,6 +36,8 @@ use cocci_source::Span;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
+
+pub use crate::treesearch::find_matches;
 
 /// Error applying a semantic patch.
 #[derive(Debug, Clone)]
@@ -178,6 +180,8 @@ impl Patcher {
         let name = ctx.name().to_string();
         let mut current: Arc<str> = ctx.text_arc();
         let mut changed = false;
+        // The parse of the rewritten text, kept until the next edit lands.
+        let mut private_tu: Option<Arc<TranslationUnit>> = None;
         let mut interp = Interp::new();
         let mut matched: HashSet<String> = HashSet::new();
         let mut streams: Vec<ExportedEnv> = vec![ExportedEnv::new()];
@@ -266,10 +270,14 @@ impl Patcher {
                     // The original text parses through the shared
                     // context (cached across rules and across scan rule
                     // sets); once this patch's own edits landed, the
-                    // rewritten text is private and parses privately.
-                    let parsed: Result<Arc<TranslationUnit>, String> = if changed {
+                    // rewritten text is private and parses privately,
+                    // once per edit.
+                    let parsed: Result<Arc<TranslationUnit>, String> = if let Some(tu) = &private_tu
+                    {
+                        Ok(Arc::clone(tu))
+                    } else if changed {
                         parse_translation_unit(&current, opts, &NoMeta)
-                            .map(Arc::new)
+                            .map(|tu| Arc::clone(private_tu.insert(Arc::new(tu))))
                             .map_err(|e| format!("cannot parse target (after transformation): {e}"))
                     } else {
                         ctx.parse(opts)
@@ -360,8 +368,9 @@ impl Patcher {
                                 })?
                                 .into();
                             changed = true;
-                            // The line table describes the pre-edit
-                            // text now; rebuild on next use.
+                            // The parse and the line table describe the
+                            // pre-edit text now; rebuild on next use.
+                            private_tu = None;
                             resolver = None;
                         }
                     }
@@ -538,9 +547,10 @@ impl Patcher {
                 matched.insert(n.clone());
             }
         }
-        if !new_streams.is_empty() {
-            *streams = new_streams;
-        }
+        // Environments lacking the script's inputs passed through above;
+        // the rest survive only if the script kept them (a script that
+        // drops every environment leaves none).
+        *streams = new_streams;
         Ok(())
     }
 
@@ -675,7 +685,13 @@ impl Patcher {
         let mut edits = EditSet::new();
         let mut probe = AttemptProbe::default();
         let rule_label = t.name.as_deref().unwrap_or("<anonymous>");
-        for (ex, seed) in &seeds {
+        // Tree route, second seed on: pinned searches and duplicate
+        // seeds (see `treesearch`). The first seed, and so every
+        // single-seed rule, walks the file directly.
+        let mut tree = TreeSearch::new(&t.body.pattern, tu);
+        let mut distinct = (flow_search.is_none() && seeds.len() > 1 && !reference_search())
+            .then(DistinctSeeds::default);
+        for (si, (ex, seed)) in seeds.iter().enumerate() {
             let mut found = match &flow_search {
                 Some(fs) => {
                     let _span = cocci_trace::span_with(cocci_trace::Phase::FlowMatch, rule_label);
@@ -683,7 +699,32 @@ impl Patcher {
                 }
                 None => {
                     let _span = cocci_trace::span_with(cocci_trace::Phase::TreeMatch, rule_label);
-                    let found = find_matches(&ctx, &t.body.pattern, tu, seed);
+                    if let Some(n) = distinct.as_mut().and_then(|d| d.twin(seed, src)) {
+                        // An equal earlier seed matched at these roots,
+                        // and each is now claimed or blocked: count what
+                        // the skipped search would have (n anchor hits,
+                        // n blocked groups).
+                        #[cfg(test)]
+                        seed_check::duplicate(&ctx, &t.body.pattern, tu, seed, n, &claimed);
+                        probe.anchors += n as u64;
+                        probe.group_blocked += n as u64;
+                        continue;
+                    }
+                    let pinned = if si > 0 && distinct.is_some() {
+                        tree.pinned(&ctx, seed)
+                    } else {
+                        None
+                    };
+                    #[cfg(test)]
+                    seed_check::pinned(&ctx, &t.body.pattern, tu, seed, pinned.as_deref());
+                    let found =
+                        pinned.unwrap_or_else(|| find_matches(&ctx, &t.body.pattern, tu, seed));
+                    if let Some(d) = &mut distinct {
+                        d.searched(
+                            found.len(),
+                            found.iter().all(|m| !match_root(m).is_synthetic()),
+                        );
+                    }
                     // Tree route: a full-pattern match *is* the anchor
                     // hit (no separate gap/binding stages).
                     probe.anchors += found.len() as u64;
@@ -944,178 +985,76 @@ fn overlaps(a: Span, b: Span) -> bool {
     a.start < b.end && b.start < a.end
 }
 
-/// Find all matches of a pattern in a translation unit, starting from a
-/// seed environment.
-pub fn find_matches(
-    ctx: &MatchCtx,
-    pattern: &Pattern,
-    tu: &TranslationUnit,
-    seed: &Env,
-) -> Vec<MatchState> {
-    let mut out = Vec::new();
-    match pattern {
-        Pattern::Expr(pat) => {
-            visit::walk_all_exprs(tu, &mut |e| {
-                let mut st = MatchState {
-                    env: seed.clone(),
-                    ..Default::default()
-                };
-                if matcher::match_expr(ctx, pat, e, &mut st) {
-                    // Record the root pair for the rewriter.
-                    st.pairs.push(crate::matcher::Pair {
-                        pat: pat.span(),
-                        src: e.span(),
-                        kind: crate::matcher::PairKind::Expr,
-                    });
-                    out.push(st);
-                }
-            });
-        }
-        Pattern::Stmts(pats) => {
-            // Match inside every block of every function.
-            let mut blocks: Vec<&Block> = Vec::new();
-            visit::walk_functions(tu, &mut |f| {
-                blocks.push(&f.body);
-            });
-            let mut nested: Vec<&Block> = Vec::new();
-            for b in &blocks {
-                for s in &b.stmts {
-                    visit::walk_stmt(s, &mut |st| {
-                        if let Stmt::Block(inner) = st {
-                            nested.push(inner);
-                        }
-                    });
-                }
-            }
-            blocks.extend(nested);
-            for block in blocks {
-                collect_seq_matches(ctx, pats, &block.stmts, block.span, seed, &mut out);
-            }
-            // Single-statement patterns also match at nested
-            // sub-statement positions (unbraced `if`/loop branches),
-            // which block-list windows never visit.
-            if pats.len() == 1 && !matches!(pats[0], Stmt::Dots { .. } | Stmt::MetaStmtList { .. })
-            {
-                let mut nested_stmts: Vec<&Stmt> = Vec::new();
-                visit::walk_functions(tu, &mut |f| {
-                    for s in &f.body.stmts {
-                        visit::walk_stmt(s, &mut |st| {
-                            if !matches!(st, Stmt::Block(_)) {
-                                nested_stmts.push(st);
-                            }
-                        });
-                    }
-                });
-                for s in nested_stmts {
-                    let mut st = MatchState {
-                        env: seed.clone(),
-                        ..Default::default()
-                    };
-                    if matcher::match_stmt(ctx, &pats[0], s, &mut st) {
-                        out.push(st);
-                    }
-                }
-            }
-            // Dual: directive/declaration-only patterns also match the
-            // top level (the include-insertion and API-translation rules
-            // need this).
-            let only_toplevel_shapes = pats
-                .iter()
-                .all(|p| matches!(p, Stmt::Directive(_) | Stmt::Decl(_) | Stmt::Dots { .. }));
-            if only_toplevel_shapes {
-                let pseudo: Vec<Stmt> = tu
-                    .items
-                    .iter()
-                    .map(|it| match it {
-                        Item::Directive(d) => Stmt::Directive(d.clone()),
-                        Item::Decl(d) => Stmt::Decl(d.clone()),
-                        other => Stmt::Empty { span: other.span() },
-                    })
-                    .collect();
-                collect_seq_matches(ctx, pats, &pseudo, tu.span, seed, &mut out);
-            }
-        }
-        Pattern::Items(pats) => {
-            collect_item_matches(ctx, pats, &tu.items, seed, &mut out);
-            // Recurse into namespaces / extern blocks.
-            fn rec(
-                ctx: &MatchCtx,
-                pats: &[Item],
-                items: &[Item],
-                seed: &Env,
-                out: &mut Vec<MatchState>,
-            ) {
-                for it in items {
-                    match it {
-                        Item::Namespace { items, .. } | Item::ExternBlock { items, .. } => {
-                            collect_item_matches(ctx, pats, items, seed, out);
-                            rec(ctx, pats, items, seed, out);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            rec(ctx, pats, &tu.items, seed, &mut out);
-        }
-    }
-    out
+/// Whether to run the reference loop (every tree seed through
+/// [`find_matches`], no pins or duplicate skipping): only ever in tests.
+#[cfg(not(test))]
+fn reference_search() -> bool {
+    false
 }
 
-pub(crate) fn collect_seq_matches(
-    ctx: &MatchCtx,
-    pats: &[Stmt],
-    srcs: &[Stmt],
-    enclosing: Span,
-    seed: &Env,
-    out: &mut Vec<MatchState>,
-) {
-    let leading_dots = matches!(pats.first(), Some(Stmt::Dots { .. }));
-    let starts: Vec<usize> = if leading_dots {
-        vec![0]
-    } else {
-        (0..srcs.len().max(1)).collect()
-    };
-    for start in starts {
-        if start > srcs.len() {
-            break;
-        }
-        let mut st = MatchState {
-            env: seed.clone(),
-            ..Default::default()
-        };
-        if matcher::match_stmt_seq(ctx, pats, &srcs[start..], false, enclosing, &mut st) {
-            out.push(st);
-        }
-    }
-}
+#[cfg(test)]
+use seed_check::reference_search;
 
-fn collect_item_matches(
-    ctx: &MatchCtx,
-    pats: &[Item],
-    items: &[Item],
-    seed: &Env,
-    out: &mut Vec<MatchState>,
-) {
-    if pats.is_empty() {
-        return;
+/// Test-only checks that the tree route's seed search is a drop-in for
+/// the reference loop, which sends every seed through [`find_matches`].
+#[cfg(test)]
+pub(crate) mod seed_check {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static REFERENCE: Cell<bool> = const { Cell::new(false) };
+        static PINNED: Cell<usize> = const { Cell::new(0) };
+        static DUPLICATES: Cell<usize> = const { Cell::new(0) };
     }
-    for start in 0..items.len() {
-        if start + pats.len() > items.len() {
-            break;
+
+    /// Whether this thread runs the reference loop.
+    pub(crate) fn reference_search() -> bool {
+        REFERENCE.with(Cell::get)
+    }
+
+    /// Run the reference loop on this thread (or stop).
+    pub(crate) fn set_reference(on: bool) {
+        REFERENCE.with(|r| r.set(on));
+    }
+
+    /// (pinned searches, skipped duplicates) checked on this thread so
+    /// far.
+    pub(crate) fn counts() -> (usize, usize) {
+        (PINNED.with(Cell::get), DUPLICATES.with(Cell::get))
+    }
+
+    /// A pinned search returned exactly what `find_matches` returns.
+    pub(super) fn pinned(
+        ctx: &MatchCtx,
+        pattern: &Pattern,
+        tu: &TranslationUnit,
+        seed: &Env,
+        pinned: Option<&[MatchState]>,
+    ) {
+        if let Some(found) = pinned {
+            let expected = find_matches(ctx, pattern, tu, seed);
+            assert_eq!(format!("{found:?}"), format!("{expected:?}"));
+            PINNED.with(|c| c.set(c.get() + 1));
         }
-        let mut st = MatchState {
-            env: seed.clone(),
-            ..Default::default()
-        };
-        let mut ok = true;
-        for (pi, p) in pats.iter().enumerate() {
-            if !matcher::match_item(ctx, p, &items[start + pi], &mut st) {
-                ok = false;
-                break;
-            }
+    }
+
+    /// A skipped duplicate would have found `n` matches, each blocked by
+    /// a claim.
+    pub(super) fn duplicate(
+        ctx: &MatchCtx,
+        pattern: &Pattern,
+        tu: &TranslationUnit,
+        seed: &Env,
+        n: usize,
+        claimed: &[(Span, u32)],
+    ) {
+        let expected = find_matches(ctx, pattern, tu, seed);
+        assert_eq!(expected.len(), n);
+        for m in &expected {
+            let root = match_root(m);
+            assert!(!root.is_synthetic() && claims_conflict(claimed, root, m));
         }
-        if ok {
-            out.push(st);
-        }
+        DUPLICATES.with(|c| c.set(c.get() + 1));
     }
 }

@@ -80,10 +80,11 @@ pub struct WorkQueue<T> {
     shards: Box<[Mutex<VecDeque<T>>]>,
     /// Round-robin cursor for producer pushes.
     cursor: AtomicUsize,
-    /// Items pushed and not yet popped. Incremented *before* the wakeup
-    /// notification and re-checked under the state lock by sleeping
-    /// workers, so a push between "shards look empty" and "wait" cannot
-    /// be missed.
+    /// Items pushed and not yet popped. Incremented under the shard lock
+    /// that makes the items visible (so a pop can never run ahead of it
+    /// and wrap it below zero) and *before* the wakeup notification;
+    /// sleeping workers re-check it under the state lock, so a push
+    /// between "shards look empty" and "wait" cannot be missed.
     pending: AtomicUsize,
     closed: Mutex<bool>,
     cond: Condvar,
@@ -137,8 +138,11 @@ impl<T> WorkQueue<T> {
     /// Push one unit onto the next shard (round-robin).
     pub fn push(&self, item: T) {
         let s = self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[s].lock().unwrap().push_back(item);
-        let depth = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
+        let depth = {
+            let mut shard = self.shards[s].lock().unwrap();
+            shard.push_back(item);
+            self.pending.fetch_add(1, Ordering::SeqCst) + 1
+        };
         self.depth_max.fetch_max(depth as u64, Ordering::Relaxed);
         let _guard = self.closed.lock().unwrap();
         self.cond.notify_one();
@@ -150,15 +154,15 @@ impl<T> WorkQueue<T> {
     pub fn push_chunk(&self, items: impl IntoIterator<Item = T>) {
         let s = self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let mut n = 0usize;
-        {
+        let depth = {
             let mut shard = self.shards[s].lock().unwrap();
             for it in items {
                 shard.push_back(it);
                 n += 1;
             }
-        }
+            self.pending.fetch_add(n, Ordering::SeqCst) + n
+        };
         if n > 0 {
-            let depth = self.pending.fetch_add(n, Ordering::SeqCst) + n;
             self.depth_max.fetch_max(depth as u64, Ordering::Relaxed);
             let _guard = self.closed.lock().unwrap();
             self.cond.notify_all();
@@ -181,12 +185,12 @@ impl<T> WorkQueue<T> {
         let w = worker % n;
         loop {
             if let Some(item) = self.shards[w].lock().unwrap().pop_back() {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
+                self.taken();
                 return Some(item);
             }
             for off in 1..n {
                 if let Some(item) = self.shards[(w + off) % n].lock().unwrap().pop_front() {
-                    self.pending.fetch_sub(1, Ordering::SeqCst);
+                    self.taken();
                     self.steals[w].fetch_add(1, Ordering::Relaxed);
                     return Some(item);
                 }
@@ -205,6 +209,12 @@ impl<T> WorkQueue<T> {
             let _unused = self.cond.wait(closed).unwrap();
             self.idle_ns[w].fetch_add(blocked.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
+    }
+
+    /// Count one popped item out of `pending`.
+    fn taken(&self) {
+        let before = self.pending.fetch_sub(1, Ordering::SeqCst);
+        debug_assert!(before > 0, "pop ran ahead of its push's count");
     }
 }
 
@@ -376,6 +386,38 @@ mod tests {
         });
         assert_eq!(got.load(Ordering::SeqCst), 12);
         assert!(done.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn pushes_are_counted_before_a_worker_can_pop_them() {
+        // Workers pop the moment an item is visible; its push must
+        // already be counted in `pending`, or the pop drives the count
+        // below zero (a debug-build overflow that left the producer
+        // panicking and the workers asleep).
+        let q: WorkQueue<usize> = WorkQueue::new(2);
+        // Miri interprets the CI pool tests; keep its run short.
+        let total = if cfg!(miri) { 200 } else { 20_000 };
+        let popped = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for w in 0..2 {
+                let (q, popped) = (&q, &popped);
+                scope.spawn(move || {
+                    while q.pop(w).is_some() {
+                        popped.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            for i in 0..total {
+                if i % 2 == 0 {
+                    q.push(i);
+                } else {
+                    q.push_chunk([i]);
+                }
+            }
+            q.close();
+        });
+        assert_eq!(popped.load(Ordering::Relaxed), total);
+        assert_eq!(q.pending.load(Ordering::SeqCst), 0);
     }
 
     #[test]

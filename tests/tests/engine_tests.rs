@@ -164,6 +164,40 @@ expression list m.el;
     assert!(out.contains("other(3);"), "{out}");
 }
 
+#[test]
+fn script_dropping_every_environment_leaves_none() {
+    let patch = r#"
+@initialize:python@ @@
+D = { "bar": "baz" }
+
+@r@
+identifier fn;
+position p;
+@@
+fn@p(...)
+
+@script:python s@
+fn << r.fn;
+nf;
+@@
+coccinelle.nf = cocci.make_ident(D[fn]);
+
+@t@
+identifier r.fn;
+position r.p;
+@@
+- fn@p(...)
++ gone()
+"#;
+    // The script drops the only environment: `t` has no seed left.
+    assert_eq!(apply(patch, "void f(void) { foo(1); }\n"), None);
+    // It keeps `bar`'s environment and drops `foo`'s.
+    assert_eq!(
+        apply(patch, "void f(void) { foo(1); bar(2); }\n").as_deref(),
+        Some("void f(void) { foo(1); gone(); }\n")
+    );
+}
+
 // ---- matcher edges ----
 
 #[test]
