@@ -85,8 +85,15 @@ FN_RATIO=$(grep -o '"id": "uc78_fn_cost_ratio", "value": [0-9.eE+-]*' target/BEN
 test -n "$FN_RATIO"
 awk -v r="$FN_RATIO" 'BEGIN { exit !(r + 0 < 2.0) }' \
   || { echo "UC78 per-function cost ratio ${FN_RATIO} >= 2.0"; exit 1; }
+# The write path (claims, edit dedup, the CLI diff) must cost the same
+# per site at 20,000 one-line sites as at 2,500; a quadratic stage made
+# the ratio grow with the file (~7 for the O(n*m) diff table).
+DENSE_RATIO=$(grep -o '"id": "dense_site_cost_ratio", "value": [0-9.eE+-]*' target/BENCH_uc_matrix.json | awk '{print $NF}')
+test -n "$DENSE_RATIO"
+awk -v r="$DENSE_RATIO" 'BEGIN { exit !(r + 0 < 2.0) }' \
+  || { echo "dense per-site cost ratio ${DENSE_RATIO} >= 2.0"; exit 1; }
 trend_check uc_matrix
-echo "ok: target/BENCH_uc_matrix.json written (UC78 per-function cost ratio ${FN_RATIO})"
+echo "ok: target/BENCH_uc_matrix.json written (UC78 per-function cost ratio ${FN_RATIO}, dense per-site cost ratio ${DENSE_RATIO})"
 
 echo "== prefilter bench smoke (hit-rate trend, JSON to target/) =="
 cargo bench --bench prefilter --locked

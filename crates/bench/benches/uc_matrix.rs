@@ -12,6 +12,20 @@
 //! `uc78_fn_cost_ratio` (per-function time at 200 over per-function time
 //! at 25) stays near 1 only while each environment costs the roots it can
 //! reach rather than a walk of the whole file. CI gates it below 2.
+//!
+//! A write-path sweep closes it: a one-rule `old_api` → `new_api` apply
+//! plus the CLI's unified diff (compiled from its source, as
+//! perfbench's replay does) over files with one site per line, at 2,500
+//! and 20,000 sites. `dense_site_cost_ratio` (per-site time at 20,000
+//! over per-site time at 2,500) stays near 1 only while claims, edits
+//! and the diff each cost linear time in the sites. CI gates it below 2.
+
+/// The CLI's diff sink, compiled from the CLI's own source. Checking
+/// this bench under `cfg(test)` compiles the module's test imports
+/// without its tests.
+#[path = "../../cli/src/diff.rs"]
+#[allow(unused_imports)]
+mod cli_diff;
 
 use cocci_bench::corpus_for;
 use cocci_bench::timing::{Harness, Throughput};
@@ -57,5 +71,38 @@ fn main() {
         per_fn.push(h.min_s("uc78_size", &id).expect("recorded") / functions as f64);
     }
     h.metric("uc78_size", "uc78_fn_cost_ratio", per_fn[1] / per_fn[0]);
+
+    let patch = parse_semantic_patch("@@\nexpression e;\n@@\n- old_api(e);\n+ new_api(e);\n")
+        .expect("old_api");
+    let mut patcher = Patcher::new(&patch).expect("old_api compiles");
+    let mut per_site = Vec::new();
+    for sites in [2_500, 20_000] {
+        let mut text = String::new();
+        for site in 0..sites {
+            if site % 50 == 0 {
+                text.push_str(&format!("void dense_{}(double *buf) {{\n", site / 50));
+            }
+            text.push_str(&format!("    old_api(buf[{}]);\n", site % 64));
+            if site % 50 == 49 {
+                text.push_str("}\n\n");
+            }
+        }
+        let id = format!("{sites}_sites");
+        h.bench(
+            "dense_sites",
+            &id,
+            Throughput::Bytes(text.len() as u64),
+            || {
+                let out = patcher.apply("dense.c", &text).unwrap().expect("rewritten");
+                cli_diff::unified_diff("dense.c", &text, &out, 3)
+            },
+        );
+        per_site.push(h.min_s("dense_sites", &id).expect("recorded") / sites as f64);
+    }
+    h.metric(
+        "dense_sites",
+        "dense_site_cost_ratio",
+        per_site[1] / per_site[0],
+    );
     h.finish().expect("write BENCH_uc_matrix.json");
 }

@@ -1,9 +1,19 @@
 //! Minimal unified-diff rendering (line-based LCS).
 //!
 //! `spatch` traditionally prints its transformations as a unified diff;
-//! this module provides that output without external dependencies. The
-//! LCS is computed with the O(n·m) dynamic program, which is fine for
-//! source files (the driver diffs one file at a time).
+//! this module provides that output without external dependencies. It
+//! uses only `std` and no `crate::` paths, so benchmarks compile it by
+//! path and price exactly what the CLI prints.
+//!
+//! The edit script is the traceback of the longest-common-subsequence
+//! table. When the lines the two texts share appear in the same order on
+//! both sides, that traceback is found in O(n + m) (`linear_ops`). This
+//! holds whenever no rewritten line's old text survives in the new text
+//! and no new line's text already occurs in the old one. Any other pair
+//! of texts fills the O(n·m) table (`lcs_ops`), which is also the tests'
+//! reference.
+
+use std::collections::HashSet;
 
 /// Produce a unified diff between `a` and `b` labelled with `name`.
 /// Returns an empty string when the texts are identical.
@@ -108,14 +118,70 @@ pub fn unified_diff(name: &str, a: &str, b: &str, context: usize) -> String {
     out
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     Equal(usize, usize),
     Delete(usize),
     Insert(usize),
 }
 
+/// The edit script turning `a` into `b`: [`lcs_ops`]'s, computed in
+/// linear time whenever [`linear_ops`] can.
 fn diff_ops(a: &[&str], b: &[&str]) -> Vec<Op> {
+    linear_ops(a, b).unwrap_or_else(|| lcs_ops(a, b))
+}
+
+/// [`lcs_ops`]'s traceback in O(n + m), or `None` when the lines the two
+/// sides share do not form the same sequence on both.
+///
+/// Call a line *shared* when its text occurs anywhere on the other side;
+/// an unshared line is in no common subsequence. Let S be the shared
+/// lines of `a` in order, and suppose the shared lines of `b` are S too.
+/// Then from (0, 0) the traceback stays synchronised: the rest of each
+/// side holds the same suffix S_k of S, and the rest's LCS is |S_k|. At
+/// such a point it
+/// - deletes an unshared `a` line: dropping it costs nothing, and the
+///   tie with inserting goes to Delete;
+/// - otherwise inserts an unshared `b` line: deleting the shared `a`
+///   line instead would leave only |S_k| − 1;
+/// - otherwise pairs the two shared lines, both the head of S_k.
+///
+/// The condition is file-wide. Old `X E A` against new `A E X` holds two
+/// edits whose own lines share no text, but X and A are shared across
+/// them, so this returns `None` and the table decides.
+fn linear_ops(a: &[&str], b: &[&str]) -> Option<Vec<Op>> {
+    let in_a: HashSet<&str> = a.iter().copied().collect();
+    let in_b: HashSet<&str> = b.iter().copied().collect();
+    let shared_a: Vec<bool> = a.iter().map(|l| in_b.contains(l)).collect();
+    let shared_b: Vec<bool> = b.iter().map(|l| in_a.contains(l)).collect();
+    let seq_a = a.iter().zip(&shared_a).filter(|p| *p.1).map(|p| p.0);
+    let seq_b = b.iter().zip(&shared_b).filter(|p| *p.1).map(|p| p.0);
+    if !seq_a.eq(seq_b) {
+        return None;
+    }
+    let mut ops = Vec::with_capacity(a.len().max(b.len()));
+    let (mut i, mut j) = (0usize, 0usize);
+    loop {
+        while i < a.len() && !shared_a[i] {
+            ops.push(Op::Delete(i));
+            i += 1;
+        }
+        while j < b.len() && !shared_b[j] {
+            ops.push(Op::Insert(j));
+            j += 1;
+        }
+        if i == a.len() {
+            return Some(ops);
+        }
+        ops.push(Op::Equal(i, j));
+        i += 1;
+        j += 1;
+    }
+}
+
+/// The O(n·m) reference: fill the LCS table, then trace it back from
+/// (0, 0), taking Equal whenever the lines agree and Delete on ties.
+fn lcs_ops(a: &[&str], b: &[&str]) -> Vec<Op> {
     let n = a.len();
     let m = b.len();
     // LCS table.
@@ -189,6 +255,70 @@ mod tests {
     fn deletion_only() {
         let d = unified_diff("f.c", "a\nb\nc\n", "a\nc\n", 0);
         assert!(d.contains("-b"));
+    }
+
+    #[test]
+    fn lines_shared_across_edits_take_the_table() {
+        // Each edit's own lines share no text, but X and A occur on both
+        // sides in opposite orders: only the table gives these bytes.
+        let (a, b) = (["X", "E", "A"], ["A", "E", "X"]);
+        assert_eq!(linear_ops(&a, &b), None);
+        assert_eq!(
+            unified_diff("f.c", "X\nE\nA\n", "A\nE\nX\n", 3),
+            "--- a/f.c\n+++ b/f.c\n@@ -1,3 +1,3 @@\n-X\n-E\n A\n+E\n+X\n"
+        );
+    }
+
+    /// Whenever the linear traceback applies, it equals the table's, on
+    /// seeded random line sequences over small alphabets.
+    #[test]
+    fn linear_traceback_equals_the_table() {
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        const LETTERS: [&str; 12] = ["a", "b", "c", "d", "e", "f", "U", "V", "W", "X", "Y", "Z"];
+        let (mut linear, mut cases) = (0usize, 0usize);
+        for _ in 0..200_000 {
+            let alphabet = 1 + next(6) as usize;
+            let a: Vec<&str> = (0..next(9))
+                .map(|_| LETTERS[next(alphabet as u64) as usize])
+                .collect();
+            // Half the cases edit `a` the way a rewrite does: replace,
+            // drop or add lines, often with text from a disjoint set.
+            let b: Vec<&str> = if next(2) == 0 {
+                (0..next(9))
+                    .map(|_| LETTERS[next(alphabet as u64) as usize])
+                    .collect()
+            } else {
+                let mut b = Vec::new();
+                for &line in &a {
+                    match next(4) {
+                        0 => {}
+                        1 => b.push(LETTERS[6 + next(6) as usize]),
+                        _ => b.push(line),
+                    }
+                    if next(4) == 0 {
+                        b.push(LETTERS[next(12) as usize]);
+                    }
+                }
+                b
+            };
+            cases += 1;
+            if let Some(ops) = linear_ops(&a, &b) {
+                linear += 1;
+                assert_eq!(ops, lcs_ops(&a, &b), "a={a:?} b={b:?}");
+            }
+        }
+        assert!(
+            linear >= 1_000,
+            "linear path applied in {linear} of {cases}"
+        );
     }
 
     #[test]

@@ -41,6 +41,29 @@ fn prints_unified_diff_by_default() {
 }
 
 #[test]
+fn rewrite_to_text_already_in_the_file_prints_the_table_diff() {
+    // The new `bar(1);` line also exists unchanged, so the shared lines
+    // of old and new text differ and the diff takes the LCS table.
+    let dir = tmpdir("repeat");
+    fs::write(dir.join("p.cocci"), "@@ @@\n- foo(1);\n+ bar(1);\n").unwrap();
+    fs::write(
+        dir.join("t.c"),
+        "void f(void) {\n    foo(1);\n    bar(1);\n}\n",
+    )
+    .unwrap();
+    let out = spatch()
+        .current_dir(&dir)
+        .args(["--sp-file", "p.cocci", "t.c"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        "--- a/t.c\n+++ b/t.c\n@@ -1,4 +1,4 @@\n void f(void) {\n-    foo(1);\n     bar(1);\n+    bar(1);\n }\n"
+    );
+}
+
+#[test]
 fn in_place_rewrites_files() {
     let dir = tmpdir("inplace");
     let patch = dir.join("p.cocci");

@@ -21,7 +21,7 @@ use crate::context::FileContext;
 use crate::corpus::{CorpusOptions, MemorySource};
 use crate::explain::{self, ExplainConfig, KillStage, RuleAttempt};
 use crate::findings::Finding;
-use crate::orchestrate::{ApplyError, Patcher};
+use crate::orchestrate::{ApplyError, Deadline, Patcher};
 use crate::report::{FileReport, FileStatus};
 use crate::ruleset::{CompiledRuleSet, ScanRule};
 use crate::scan::RuleOutcome;
@@ -273,8 +273,12 @@ pub(crate) fn run_file(
         cocci_trace::count(cocci_trace::Counter::FilesPruned, 1);
     } else {
         let mut ctx = FileContext::with_hash(out.report.name.clone(), Arc::clone(text), hash);
+        let deadline = opts.timeout_ms.map(|ms| Deadline {
+            start: t0,
+            budget: Duration::from_millis(ms),
+        });
         for &ri in &surviving {
-            run_rule(&set.rules[ri], &mut ctx, opts, &mut out);
+            run_rule(&set.rules[ri], &mut ctx, opts, deadline, &mut out);
         }
         out.parses = ctx.parses();
         out.cfg_builds = ctx.cfg_builds();
@@ -285,12 +289,19 @@ pub(crate) fn run_file(
 }
 
 /// Run one surviving rule through the shared context and fold its
-/// attributed results into `out`.
-fn run_rule(rule: &ScanRule, ctx: &mut FileContext, opts: &CorpusOptions, out: &mut FileOutcome) {
+/// attributed results into `out`. `deadline` is the file's, shared by
+/// all its rules.
+fn run_rule(
+    rule: &ScanRule,
+    ctx: &mut FileContext,
+    opts: &CorpusOptions,
+    deadline: Option<Deadline>,
+    out: &mut FileOutcome,
+) {
     let t0 = Instant::now();
     let mut patcher = Patcher::from_compiled(Arc::clone(&rule.compiled));
     patcher.flow_enabled = !opts.no_flow;
-    patcher.time_budget = opts.timeout_ms.map(Duration::from_millis);
+    patcher.deadline = deadline;
     patcher.explain = opts.explain.clone();
     let res = catch_matcher_panics(&out.report.name, || patcher.apply_ctx(ctx));
     // Timeout and parse failures store their attempts before erroring;
@@ -476,6 +487,34 @@ mod tests {
         let outcomes = run(patch, &files, opts(60_000));
         assert_eq!(outcomes[0].report.status, FileStatus::Changed);
         assert!(outcomes[0].output.is_some());
+    }
+
+    #[test]
+    fn time_budget_spans_every_rule_of_a_file() {
+        // One budget per file: the first rule's parse alone spends 1 ms,
+        // so the second rule times out at its boundary.
+        let rule = |id: &str, callee: &str| {
+            let text = format!("@scan@\nexpression e;\nposition p;\n@@\n{callee}(e)@p;\n");
+            (format!("{id}.cocci"), id.to_string(), text)
+        };
+        let set =
+            CompiledRuleSet::from_sources(&[rule("r-alpha", "alpha"), rule("r-beta", "beta")])
+                .unwrap();
+        let text: String = (0..2_000)
+            .map(|i| format!("void f{i}(int x) {{\n    alpha(x + {i});\n    beta(x * {i});\n}}\n"))
+            .collect();
+        let opts = CorpusOptions {
+            threads: 1,
+            timeout_ms: Some(1),
+            ..Default::default()
+        };
+        let outcomes = crate::scan::tests::collect(&set, &[("big.c".to_string(), text)], &opts);
+        let r = &outcomes[0].report;
+        assert_eq!(r.rules.len(), 2, "both rules survive the prefilter");
+        assert_eq!(r.rules[1].status, FileStatus::Timeout, "{:?}", r.rules);
+        assert_eq!(r.status, FileStatus::Timeout);
+        let err = r.error.as_deref().unwrap();
+        assert!(err.contains("budget (1 ms)"), "{err}");
     }
 
     #[test]

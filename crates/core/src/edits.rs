@@ -7,6 +7,7 @@
 //! input, like Coccinelle's.
 
 use cocci_source::Span;
+use std::collections::HashMap;
 use std::fmt;
 
 /// One edit: replace `span` with `replacement`. An empty span is a pure
@@ -43,6 +44,8 @@ impl std::error::Error for EditConflict {}
 #[derive(Debug, Default, Clone)]
 pub struct EditSet {
     edits: Vec<Edit>,
+    /// Indices into `edits` by span: a duplicate can only share its span.
+    by_span: HashMap<Span, Vec<usize>>,
     next_seq: u32,
 }
 
@@ -65,13 +68,14 @@ impl EditSet {
     /// Record a replacement. Exact duplicates are dropped.
     pub fn replace(&mut self, span: Span, replacement: impl Into<String>) {
         let replacement = replacement.into();
-        if self
-            .edits
+        let same_span = self.by_span.entry(span).or_default();
+        if same_span
             .iter()
-            .any(|e| e.span == span && e.replacement == replacement)
+            .any(|&i| self.edits[i].replacement == replacement)
         {
             return;
         }
+        same_span.push(self.edits.len());
         self.edits.push(Edit {
             span,
             replacement,
@@ -88,16 +92,6 @@ impl EditSet {
     /// Record an insertion at `offset`.
     pub fn insert(&mut self, offset: u32, text: impl Into<String>) {
         self.replace(Span::empty(offset), text);
-    }
-
-    /// Whether `span` overlaps any recorded non-insertion edit.
-    pub fn overlaps(&self, span: Span) -> bool {
-        self.edits.iter().any(|e| {
-            !e.span.is_empty()
-                && !span.is_empty()
-                && e.span.start < span.end
-                && span.start < e.span.end
-        })
     }
 
     /// Absorb every edit of `other` (exact duplicates still dropped,
@@ -298,6 +292,10 @@ mod tests {
         es.delete(Span::new(0, 2));
         assert_eq!(es.len(), 1);
         assert_eq!(es.apply("xxrest").unwrap(), "rest");
+        // Same span with other text, or same text at another span: kept.
+        es.replace(Span::new(0, 2), "y");
+        es.replace(Span::new(2, 4), "");
+        assert_eq!(es.len(), 3);
     }
 
     #[test]

@@ -36,6 +36,7 @@ use cocci_source::Span;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 pub use crate::treesearch::find_matches;
 
@@ -79,6 +80,16 @@ fn aerr(message: impl Into<String>) -> ApplyError {
     ApplyError::new(message)
 }
 
+/// A file's wall-clock budget. The driver starts it once per file, so
+/// every rule run on the file spends from the same budget.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Deadline {
+    /// When the file's run began.
+    pub(crate) start: Instant,
+    /// How long the file may take.
+    pub(crate) budget: Duration,
+}
+
 /// Statistics from one application.
 #[derive(Debug, Clone, Default)]
 pub struct ApplyStats {
@@ -119,10 +130,9 @@ pub struct Patcher {
     /// engine. On by default; `spatch --no-flow` and benchmarks clear it
     /// to get the legacy tree-sequence reading of dots.
     pub flow_enabled: bool,
-    /// Per-file wall-clock budget, checked at rule boundaries. A file
-    /// over budget aborts with a timeout error instead of stalling the
-    /// corpus run.
-    pub time_budget: Option<std::time::Duration>,
+    /// Per-file deadline, checked at rule boundaries. A file past it
+    /// aborts with a timeout error instead of stalling the corpus run.
+    pub(crate) deadline: Option<Deadline>,
     /// `--explain` filter: when set and matching a (file, rule)
     /// attempt, its [`RuleAttempt`] carries a human-readable detail
     /// (the always-on half records only the stage).
@@ -146,7 +156,7 @@ impl Patcher {
             compiled,
             last_stats: ApplyStats::default(),
             flow_enabled: true,
-            time_budget: None,
+            deadline: None,
             explain: None,
         }
     }
@@ -172,7 +182,6 @@ impl Patcher {
     /// state for the rewritten text (sequential rule semantics are
     /// preserved); the returned `Some(text)` is the rewritten file.
     pub fn apply_ctx(&mut self, ctx: &mut FileContext) -> Result<Option<String>, ApplyError> {
-        let t0 = std::time::Instant::now();
         let opts = ParseOptions {
             pattern: false,
             lang: self.compiled.patch.lang,
@@ -216,8 +225,8 @@ impl Patcher {
             // Per-file time budget, checked at rule boundaries so a
             // pathological file aborts between rules instead of stalling
             // the whole corpus run.
-            if let Some(budget) = self.time_budget {
-                if t0.elapsed() >= budget {
+            if let Some(Deadline { start, budget }) = self.deadline {
+                if start.elapsed() >= budget {
                     cocci_trace::count(cocci_trace::Counter::Timeouts, 1);
                     let rule_label = rule.name().unwrap_or("<anonymous>");
                     stats.attempts.push(RuleAttempt {
@@ -681,7 +690,7 @@ impl Patcher {
 
         let mut all_matches: Vec<MatchState> = Vec::new();
         let mut new_streams: Vec<ExportedEnv> = Vec::new();
-        let mut claimed: Vec<(Span, u32)> = Vec::new();
+        let mut claimed = Claims::default();
         let mut edits = EditSet::new();
         let mut probe = AttemptProbe::default();
         let rule_label = t.name.as_deref().unwrap_or("<anonymous>");
@@ -786,7 +795,7 @@ impl Patcher {
                 }
                 let member_blocked = |m: &MatchState| {
                     let root = match_root(m);
-                    !root.is_synthetic() && claims_conflict(&claimed, root, m)
+                    !root.is_synthetic() && claimed.blocks(root, m)
                 };
                 if gid != 0 && atomic_groups {
                     if members.iter().any(member_blocked) {
@@ -863,7 +872,7 @@ impl Patcher {
                 for m in members {
                     let root = match_root(&m);
                     if !root.is_synthetic() {
-                        claimed.push((root, m.witness_group));
+                        claimed.insert(root, m.witness_group);
                     }
                     if exports_needed {
                         let mut ex2 = ex.map(|e| (*e).clone()).unwrap_or_default();
@@ -951,11 +960,49 @@ fn shared_resolver(
     r
 }
 
-/// Whether an overlapping earlier claim blocks match `m`. Sibling
-/// witnesses forked from one CFG anchor attempt deliberately share
-/// source territory (the common anchors); matches with the same
-/// non-zero witness group never block each other — each rewrites its
-/// own per-path sites.
+/// The roots one rule's matches claimed, each with its witness group.
+#[derive(Default)]
+struct Claims {
+    /// Claims sorted by start; equal starts keep insertion order, so the
+    /// matches of one walk, which arrive in source order, append.
+    sorted: Vec<(Span, u32)>,
+    /// Length of the longest claimed root: a claim starting more than
+    /// this far before a root ends before it.
+    longest: u32,
+    /// Every claim in insertion order, for the reference scan.
+    #[cfg(test)]
+    all: Vec<(Span, u32)>,
+}
+
+impl Claims {
+    fn insert(&mut self, root: Span, group: u32) {
+        let at = self.sorted.partition_point(|(c, _)| c.start <= root.start);
+        self.sorted.insert(at, (root, group));
+        self.longest = self.longest.max(root.len());
+        #[cfg(test)]
+        self.all.push((root, group));
+    }
+
+    /// Whether an overlapping earlier claim blocks match `m`, whose root
+    /// is `root`. Sibling witnesses forked from one CFG anchor attempt
+    /// deliberately share source territory (the common anchors);
+    /// matches with the same non-zero witness group never block each
+    /// other — each rewrites its own per-path sites.
+    fn blocks(&self, root: Span, m: &MatchState) -> bool {
+        let from = root.start.saturating_sub(self.longest);
+        let lo = self.sorted.partition_point(|(c, _)| c.start < from);
+        let hi = self.sorted.partition_point(|(c, _)| c.start < root.end);
+        let blocked = self.sorted[lo..hi]
+            .iter()
+            .any(|&(c, g)| overlaps(c, root) && !(m.witness_group != 0 && g == m.witness_group));
+        #[cfg(test)]
+        assert_eq!(blocked, claims_conflict(&self.all, root, m), "at {root:?}");
+        blocked
+    }
+}
+
+/// The linear scan [`Claims::blocks`] must agree with.
+#[cfg(test)]
 fn claims_conflict(claimed: &[(Span, u32)], root: Span, m: &MatchState) -> bool {
     claimed
         .iter()
@@ -1047,14 +1094,52 @@ pub(crate) mod seed_check {
         tu: &TranslationUnit,
         seed: &Env,
         n: usize,
-        claimed: &[(Span, u32)],
+        claimed: &Claims,
     ) {
         let expected = find_matches(ctx, pattern, tu, seed);
         assert_eq!(expected.len(), n);
         for m in &expected {
             let root = match_root(m);
-            assert!(!root.is_synthetic() && claims_conflict(claimed, root, m));
+            assert!(!root.is_synthetic() && claimed.blocks(root, m));
         }
         DUPLICATES.with(|c| c.set(c.get() + 1));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn claim_index_answers_like_the_scan() {
+        let group = |g: u32| MatchState {
+            witness_group: g,
+            ..Default::default()
+        };
+        // Same-group siblings overlap one another and arrive out of
+        // start order; a long claim reaches far past later starts.
+        let mut claims = Claims::default();
+        for (start, end, g) in [
+            (40, 60, 3),
+            (10, 50, 3),
+            (20, 30, 3),
+            (70, 75, 0),
+            (0, 5, 0),
+        ] {
+            claims.insert(Span::new(start, end), g);
+        }
+        // `blocks` asserts agreement with the scan on every query.
+        for start in 0..80 {
+            for end in start + 1..=80 {
+                for g in [0, 3, 4] {
+                    claims.blocks(Span::new(start, end), &group(g));
+                }
+            }
+        }
+        assert!(!claims.blocks(Span::new(12, 18), &group(3)), "siblings");
+        assert!(claims.blocks(Span::new(12, 18), &group(4)));
+        assert!(claims.blocks(Span::new(12, 18), &group(0)));
+        assert!(!claims.blocks(Span::new(60, 70), &group(0)), "gap");
+        assert!(claims.blocks(Span::new(74, 80), &group(3)));
     }
 }
