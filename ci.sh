@@ -74,6 +74,21 @@ trend_check() {
   cp "$fresh" "$BENCH_BASELINE_DIR/"
 }
 
+# Read one gate value out of a BENCH_*.json artifact into the variable
+# named VAR and fail unless it is below BOUND. BEFORE is the exact text
+# ahead of the number, so this is the one place ci.sh depends on the
+# bench writer's spacing. On failure MESSAGE is printed with {} replaced
+# by the value.
+#   gate VAR FILE BEFORE BOUND MESSAGE
+gate() {
+  local value
+  value=$(grep -o "$3 [0-9.eE+-]*" "$2" | awk '{print $NF}')
+  test -n "$value"
+  awk -v v="$value" -v b="$4" 'BEGIN { exit !(v + 0 < b + 0) }' \
+    || { echo "${5/"{}"/$value}"; exit 1; }
+  printf -v "$1" '%s' "$value"
+}
+
 echo "== E1 bench smoke (short samples, JSON to target/) =="
 cargo bench --bench uc_matrix --locked
 test -s target/BENCH_uc_matrix.json
@@ -81,17 +96,13 @@ test -s target/BENCH_uc_matrix.json
 # deduplicated seeds, UC7+UC8's per-function cost stays flat as a file
 # grows from 25 to 200 functions; a walk of the whole file per
 # environment made it grow with the file (ratio ~7).
-FN_RATIO=$(grep -o '"id": "uc78_fn_cost_ratio", "value": [0-9.eE+-]*' target/BENCH_uc_matrix.json | awk '{print $NF}')
-test -n "$FN_RATIO"
-awk -v r="$FN_RATIO" 'BEGIN { exit !(r + 0 < 2.0) }' \
-  || { echo "UC78 per-function cost ratio ${FN_RATIO} >= 2.0"; exit 1; }
+gate FN_RATIO target/BENCH_uc_matrix.json '"id": "uc78_fn_cost_ratio", "value":' 2.0 \
+  "UC78 per-function cost ratio {} >= 2.0"
 # The write path (claims, edit dedup, the CLI diff) must cost the same
 # per site at 20,000 one-line sites as at 2,500; a quadratic stage made
 # the ratio grow with the file (~7 for the O(n*m) diff table).
-DENSE_RATIO=$(grep -o '"id": "dense_site_cost_ratio", "value": [0-9.eE+-]*' target/BENCH_uc_matrix.json | awk '{print $NF}')
-test -n "$DENSE_RATIO"
-awk -v r="$DENSE_RATIO" 'BEGIN { exit !(r + 0 < 2.0) }' \
-  || { echo "dense per-site cost ratio ${DENSE_RATIO} >= 2.0"; exit 1; }
+gate DENSE_RATIO target/BENCH_uc_matrix.json '"id": "dense_site_cost_ratio", "value":' 2.0 \
+  "dense per-site cost ratio {} >= 2.0"
 trend_check uc_matrix
 echo "ok: target/BENCH_uc_matrix.json written (UC78 per-function cost ratio ${FN_RATIO}, dense per-site cost ratio ${DENSE_RATIO})"
 
@@ -123,17 +134,13 @@ grep -q queue_depth_max target/BENCH_scaling.json
 # with tracing enabled vs disabled (best-of-samples on both sides) and
 # the enabled run — a strict upper bound on the disabled probes' cost —
 # may exceed the untraced run by at most 2%.
-OVERHEAD=$(grep -o '"id": "trace_overhead_frac", "value": [0-9.eE+-]*' target/BENCH_scaling.json | awk '{print $NF}')
-test -n "$OVERHEAD"
-awk -v o="$OVERHEAD" 'BEGIN { exit !(o + 0 < 0.02) }' \
-  || { echo "tracing overhead ${OVERHEAD} >= 2% budget"; exit 1; }
+gate OVERHEAD target/BENCH_scaling.json '"id": "trace_overhead_frac", "value":' 0.02 \
+  "tracing overhead {} >= 2% budget"
 # Explain's always-on half must be even cheaper: with --explain off,
 # record_attempt is one relaxed load per (file x rule) attempt, and the
 # projected cost over a corpus run may be at most 1% of its wall clock.
-EXPLAIN_FRAC=$(grep -o '"id": "explain_overhead_frac", "value": [0-9.eE+-]*' target/BENCH_scaling.json | awk '{print $NF}')
-test -n "$EXPLAIN_FRAC"
-awk -v o="$EXPLAIN_FRAC" 'BEGIN { exit !(o + 0 < 0.01) }' \
-  || { echo "explain overhead ${EXPLAIN_FRAC} >= 1% budget"; exit 1; }
+gate EXPLAIN_FRAC target/BENCH_scaling.json '"id": "explain_overhead_frac", "value":' 0.01 \
+  "explain overhead {} >= 1% budget"
 trend_check scaling
 echo "ok: target/BENCH_scaling.json written (alloc/file + pool counters + trace overhead ${OVERHEAD} + explain overhead ${EXPLAIN_FRAC} recorded)"
 
@@ -176,10 +183,9 @@ grep -q sieve_survivors target/BENCH_scan_rules.json
 grep -q lint_seconds target/BENCH_scan_rules.json
 # Lint-at-load must be noise: statically analysing all 50 rules may cost
 # at most 1% of actually scanning the corpus with them.
-LINT_FRAC=$(grep -o '"group": "lint_overhead_frac", "id": "50_vs_scan", "value": [0-9.eE+-]*' target/BENCH_scan_rules.json | awk '{print $NF}')
-test -n "$LINT_FRAC"
-awk -v o="$LINT_FRAC" 'BEGIN { exit !(o + 0 < 0.01) }' \
-  || { echo "lint overhead ${LINT_FRAC} >= 1% budget"; exit 1; }
+gate LINT_FRAC target/BENCH_scan_rules.json \
+  '"group": "lint_overhead_frac", "id": "50_vs_scan", "value":' 0.01 \
+  "lint overhead {} >= 1% budget"
 trend_check scan_rules
 echo "ok: target/BENCH_scan_rules.json written (per-rule scaling + survivor metrics + lint overhead ${LINT_FRAC} recorded)"
 

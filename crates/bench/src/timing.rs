@@ -13,6 +13,7 @@
 //! mean seconds and derived throughput. `std::hint::black_box` guards
 //! the closure result so the optimizer cannot elide the measured work.
 
+use cocci_trace::json::{self, Str};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -227,18 +228,15 @@ impl Harness {
         let _ = write!(
             out,
             "  \"experiment\": {},\n  \"sample_size\": {},\n  \"results\": [",
-            json_str(&self.experiment),
+            Str(&self.experiment),
             self.effective_samples()
         );
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        json::join(&mut out, ",", &self.records, |out, r| {
             let _ = write!(
                 out,
                 "\n    {{\"group\": {}, \"id\": {}, ",
-                json_str(&r.group),
-                json_str(&r.id)
+                Str(&r.group),
+                Str(&r.id)
             );
             match r.throughput {
                 Throughput::None => {}
@@ -256,27 +254,21 @@ impl Harness {
                 r.median(),
                 r.mean()
             );
-            for (j, s) in r.samples_s.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
+            json::join(out, ", ", &r.samples_s, |out, s| {
                 let _ = write!(out, "{s:e}");
-            }
+            });
             out.push_str("]}");
-        }
+        });
         out.push_str("\n  ],\n  \"metrics\": [");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        json::join(&mut out, ",", &self.metrics, |out, m| {
             let _ = write!(
                 out,
                 "\n    {{\"group\": {}, \"id\": {}, \"value\": {:e}}}",
-                json_str(&m.group),
-                json_str(&m.id),
+                Str(&m.group),
+                Str(&m.id),
                 m.value
             );
-        }
+        });
         out.push_str("\n  ]\n}\n");
         out
     }
@@ -315,26 +307,6 @@ fn fmt_secs(s: f64) -> String {
     } else {
         format!("{s:.3} s")
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -391,8 +363,41 @@ mod tests {
         assert_eq!(r2.mean(), 2.5);
     }
 
+    /// The `BENCH_*.json` text, byte for byte: ci.sh reads gate values
+    /// out of it by exact spacing. One record per throughput kind and
+    /// one metric; the sample count is whatever `$BENCH_SAMPLES` makes it.
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+    fn bench_json_bytes_are_pinned() {
+        let mut h = Harness::new("pin\"x");
+        for (id, throughput, samples_s) in [
+            ("plain", Throughput::None, vec![2.0, 1.0]),
+            ("bytes", Throughput::Bytes(4096), vec![0.25]),
+            ("elems", Throughput::Elements(12), vec![3e-6, 1e-6, 2e-6]),
+        ] {
+            h.records.push(Record {
+                group: "g\\1".into(),
+                id: id.into(),
+                throughput,
+                samples_s,
+            });
+        }
+        h.metric("gate", "cost_ratio", 1.375);
+        let expect = format!(
+            r#"{{
+  "experiment": "pin\"x",
+  "sample_size": {},
+  "results": [
+    {{"group": "g\\1", "id": "plain", "min_s": 1e0, "median_s": 1.5e0, "mean_s": 1.5e0, "samples_s": [2e0, 1e0]}},
+    {{"group": "g\\1", "id": "bytes", "bytes": 4096, "min_s": 2.5e-1, "median_s": 2.5e-1, "mean_s": 2.5e-1, "samples_s": [2.5e-1]}},
+    {{"group": "g\\1", "id": "elems", "elements": 12, "min_s": 1e-6, "median_s": 2e-6, "mean_s": 2e-6, "samples_s": [3e-6, 1e-6, 2e-6]}}
+  ],
+  "metrics": [
+    {{"group": "gate", "id": "cost_ratio", "value": 1.375e0}}
+  ]
+}}
+"#,
+            h.effective_samples()
+        );
+        assert_eq!(h.to_json(), expect);
     }
 }

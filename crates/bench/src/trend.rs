@@ -11,7 +11,7 @@
 //! exceed the budget. Benchmarks present in only one of the two files
 //! are skipped — adding or retiring a benchmark is not a regression.
 
-use cocci_core::report::json;
+use cocci_trace::json::{self, Fields, Value};
 
 /// The compared wall-clock statistic of one timed benchmark record.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,40 +53,23 @@ impl Regression {
 /// Parse the timed records of a `BENCH_*.json` artifact.
 pub fn read_timings(text: &str) -> Result<Vec<TrendEntry>, String> {
     let v = json::parse(text)?;
-    let obj = v.as_object().ok_or("bench json: expected an object")?;
-    let mut out = Vec::new();
-    for r in obj
-        .get("results")
-        .and_then(json::Value::as_array)
-        .ok_or("bench json: missing \"results\"")?
-    {
-        let ro = r.as_object().ok_or("bench json: result not an object")?;
-        let group = ro
-            .get("group")
-            .and_then(json::Value::as_str)
-            .ok_or("bench json: result missing \"group\"")?
-            .to_string();
-        let id = ro
-            .get("id")
-            .and_then(json::Value::as_str)
-            .ok_or("bench json: result missing \"id\"")?
-            .to_string();
-        let min_s = ro.get("min_s").and_then(json::Value::as_f64);
-        let median_s = ro.get("median_s").and_then(json::Value::as_f64);
-        let (best_s, median_s) = match (min_s, median_s) {
-            (Some(b), Some(m)) => (b, m),
-            (Some(b), None) => (b, b),
-            (None, Some(m)) => (m, m),
-            (None, None) => return Err("bench json: result missing \"min_s\"/\"median_s\"".into()),
-        };
-        out.push(TrendEntry {
-            group,
-            id,
-            best_s,
-            median_s,
-        });
-    }
-    Ok(out)
+    let results = Fields::new(&v, "bench json")?.req("results", Value::as_array)?;
+    results
+        .iter()
+        .map(|r| {
+            let r = Fields::new(r, "bench json: result")?;
+            let median_s = r.get("median_s").and_then(Value::as_f64);
+            let best_s = (r.get("min_s").and_then(Value::as_f64))
+                .or(median_s)
+                .ok_or("bench json: result missing \"min_s\"/\"median_s\"")?;
+            Ok(TrendEntry {
+                group: r.str("group")?,
+                id: r.str("id")?,
+                best_s,
+                median_s: median_s.unwrap_or(best_s),
+            })
+        })
+        .collect()
 }
 
 /// Compare fresh timings against a baseline. A benchmark regresses when

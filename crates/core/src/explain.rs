@@ -26,8 +26,8 @@
 //! ([`record_attempt`]), so the `--stats` table, the report `metrics`
 //! counters, and the sum of per-file outcomes always reconcile.
 
-use crate::report::json;
-use std::fmt;
+use crate::report::json::{self, Fields, Str, Value};
+use std::fmt::{self, Write as _};
 
 /// The pipeline stage that ended one (file × rule) attempt. `Completed`
 /// means the attempt survived the whole funnel (rewrote or reported).
@@ -270,38 +270,28 @@ impl AttemptTrace {
         }
     }
 
-    fn to_json(&self) -> String {
-        let mut out = format!(
+    /// Write as one entry of the explain block's `"attempts"` array.
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
             "{{\"file\": {}, \"rule\": {}, \"stage\": \"{}\"",
-            json::escape(&self.file),
-            json::escape(&self.rule),
+            Str(&self.file),
+            Str(&self.rule),
             self.stage
         );
         if let Some(d) = &self.detail {
-            out.push_str(&format!(", \"detail\": {}", json::escape(d)));
+            let _ = write!(out, ", \"detail\": {}", Str(d));
         }
         out.push('}');
-        out
     }
 
-    fn from_json(v: &json::Value) -> Result<AttemptTrace, String> {
-        let o = v.as_object().ok_or("explain attempt: expected an object")?;
-        let s = |k: &str| -> Result<String, String> {
-            o.get(k)
-                .and_then(json::Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("explain attempt: missing \"{k}\""))
-        };
-        let stage = s("stage")?;
+    fn from_json(v: &Value) -> Result<AttemptTrace, String> {
+        let f = Fields::new(v, "explain attempt")?;
         Ok(AttemptTrace {
-            file: s("file")?,
-            rule: s("rule")?,
-            stage: KillStage::parse(&stage)
-                .ok_or_else(|| format!("explain attempt: unknown stage \"{stage}\""))?,
-            detail: o
-                .get("detail")
-                .and_then(json::Value::as_str)
-                .map(str::to_string),
+            file: f.str("file")?,
+            rule: f.str("rule")?,
+            stage: f.req("stage", |v| KillStage::parse(v.as_str()?))?,
+            detail: f.opt_str("detail").map(str::to_string),
         })
     }
 }
@@ -340,38 +330,23 @@ impl ExplainBlock {
             .sort_by(|a, b| a.file.cmp(&b.file).then(a.rule.cmp(&b.rule)));
     }
 
-    /// Serialize as the report's `"explain"` value.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"attempts\": [");
-        for (i, a) in self.attempts.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&a.to_json());
-        }
+    /// Write as the report's `"explain"` value.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"attempts\": [");
+        json::join(out, ", ", &self.attempts, |out, a| a.write_json(out));
         out.push(']');
         if self.dropped > 0 {
-            out.push_str(&format!(", \"dropped\": {}", self.dropped));
+            let _ = write!(out, ", \"dropped\": {}", self.dropped);
         }
         out.push('}');
-        out
     }
 
     /// Parse the report's `"explain"` value back.
-    pub fn from_json(v: &json::Value) -> Result<ExplainBlock, String> {
-        let o = v.as_object().ok_or("explain: expected an object")?;
-        let mut attempts = Vec::new();
-        if let Some(arr) = o.get("attempts").and_then(json::Value::as_array) {
-            for a in arr {
-                attempts.push(AttemptTrace::from_json(a)?);
-            }
-        }
+    pub fn from_json(v: &Value) -> Result<ExplainBlock, String> {
+        let f = Fields::new(v, "explain")?;
         Ok(ExplainBlock {
-            attempts,
-            dropped: o
-                .get("dropped")
-                .and_then(json::Value::as_f64)
-                .unwrap_or(0.0) as u64,
+            attempts: f.list("attempts", AttemptTrace::from_json)?,
+            dropped: f.num("dropped") as u64,
         })
     }
 }
@@ -540,8 +515,9 @@ mod tests {
         ]);
         block.finish();
         assert_eq!(block.attempts[0].file, "a.c", "sorted by file");
-        let v = json::parse(&block.to_json()).unwrap();
-        let back = ExplainBlock::from_json(&v).unwrap();
+        let mut text = String::new();
+        block.write_json(&mut text);
+        let back = ExplainBlock::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, block);
 
         let mut big = ExplainBlock::default();

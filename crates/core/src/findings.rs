@@ -15,12 +15,13 @@
 //! the driver ([`FileOutcome`](crate::FileOutcome)), the apply report
 //! ([`FileReport`](crate::report::FileReport), JSON round trip,
 //! `--resume` carries them forward for unchanged files), and out of the
-//! CLI as grep-style text, report JSON, or SARIF 2.1.0 ([`to_sarif`])
-//! for CI ingestion.
+//! CLI as grep-style text, report JSON, or SARIF 2.1.0
+//! ([`to_sarif_with`]) for CI ingestion.
 
 use crate::env::Value;
 use crate::matcher::MatchState;
-use crate::report::{json, ApplyReport};
+use crate::report::json::{self, Fields, Str};
+use crate::report::ApplyReport;
 use cocci_smpl::{MetaDecl, MetaDeclKind};
 use cocci_source::{FileId, SourceMap, Span};
 use std::fmt::Write as _;
@@ -146,68 +147,48 @@ pub fn finding_for_match(
     }
 }
 
-/// Serialize one finding as a JSON object (used inside apply reports).
-pub fn finding_to_json(f: &Finding) -> String {
-    let mut out = String::new();
+/// Write one finding as a JSON object (used inside apply reports).
+pub fn write_finding(out: &mut String, f: &Finding) {
     let _ = write!(
         out,
         "{{\"path\": {}, \"line\": {}, \"col\": {}, \"end_line\": {}, \"end_col\": {}, \"rule\": {}, \"message\": {}",
-        json::escape(&f.path),
+        Str(&f.path),
         f.line,
         f.col,
         f.end_line,
         f.end_col,
-        json::escape(&f.rule),
-        json::escape(&f.message),
+        Str(&f.rule),
+        Str(&f.message),
     );
     if !f.bindings.is_empty() {
-        // An array of [name, value] pairs, not an object: the minimal
-        // JSON parser reads objects into a BTreeMap, which would lose
-        // the documented declaration order across a round trip.
+        // An array of [name, value] pairs, not an object: the JSON reader
+        // keeps objects in a BTreeMap, which would lose the documented
+        // declaration order across a round trip.
         out.push_str(", \"bindings\": [");
-        for (i, (k, v)) in f.bindings.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{}, {}]", json::escape(k), json::escape(v));
-        }
+        json::join(out, ", ", &f.bindings, |out, (k, v)| {
+            let _ = write!(out, "[{}, {}]", Str(k), Str(v));
+        });
         out.push(']');
     }
     out.push('}');
-    out
 }
 
 /// Parse one finding back from its JSON object form.
 pub fn finding_from_json(v: &json::Value) -> Result<Finding, String> {
-    let o = v.as_object().ok_or("finding: expected a JSON object")?;
-    let s = |k: &str| -> Result<String, String> {
-        o.get(k)
-            .and_then(json::Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("finding: missing \"{k}\""))
+    let f = Fields::new(v, "finding")?;
+    let pair = |b: &json::Value| match b.as_array() {
+        Some([json::Value::Str(k), json::Value::Str(v)]) => Ok((k.clone(), v.clone())),
+        _ => Err("finding: binding entry not a [name, value] pair".to_string()),
     };
-    let n = |k: &str| -> u32 { o.get(k).and_then(json::Value::as_f64).unwrap_or(0.0) as u32 };
-    let mut bindings = Vec::new();
-    if let Some(b) = o.get("bindings").and_then(json::Value::as_array) {
-        for pair in b {
-            let bad = || "finding: binding entry not a [name, value] pair".to_string();
-            let p = pair.as_array().ok_or_else(bad)?;
-            let [k, v] = p else { return Err(bad()) };
-            match (k.as_str(), v.as_str()) {
-                (Some(k), Some(v)) => bindings.push((k.to_string(), v.to_string())),
-                _ => return Err(bad()),
-            }
-        }
-    }
     Ok(Finding {
-        path: s("path")?,
-        line: n("line"),
-        col: n("col"),
-        end_line: n("end_line"),
-        end_col: n("end_col"),
-        rule: s("rule")?,
-        message: s("message")?,
-        bindings,
+        path: f.str("path")?,
+        line: f.num("line") as u32,
+        col: f.num("col") as u32,
+        end_line: f.num("end_line") as u32,
+        end_col: f.num("end_col") as u32,
+        rule: f.str("rule")?,
+        message: f.str("message")?,
+        bindings: f.list("bindings", pair)?,
     })
 }
 
@@ -226,18 +207,13 @@ pub struct SarifRule {
 
 /// Render every finding of a report as a SARIF 2.1.0 document, the
 /// interchange format CI systems (GitHub code scanning among them)
-/// ingest. One run, one rule entry per distinct rule id, one result per
-/// finding with a single physical location. Single-patch shorthand for
-/// [`to_sarif_with`] without rule metadata (every result at `note`).
-pub fn to_sarif(report: &ApplyReport) -> String {
-    to_sarif_with(report, &[])
-}
-
-/// [`to_sarif`] with per-rule metadata: `rules` entries supply the
+/// ingest: one run, one rule entry per distinct rule id, one result per
+/// finding with a single physical location. `rules` entries supply the
 /// SARIF `level` and description for their ids (scan mode passes every
 /// loaded rule, so the tool section is complete — and byte-stable —
 /// even for rules with zero findings this run). Finding rule ids
-/// without a descriptor still get a generated entry at `note`.
+/// without a descriptor still get a generated entry, and their results
+/// sit at `note`.
 pub fn to_sarif_with(report: &ApplyReport, rules: &[SarifRule]) -> String {
     // Lint diagnostics ride along as ordinary results: their "rule" is
     // the lint id and their location points into the rule source file.
@@ -267,10 +243,7 @@ pub fn to_sarif_with(report: &ApplyReport, rules: &[SarifRule]) -> String {
     );
     out.push_str("  \"runs\": [{\n");
     out.push_str("    \"tool\": {\"driver\": {\"name\": \"spatch\", \"informationUri\": \"https://coccinelle.gitlabpages.inria.fr/website/\", \"rules\": [");
-    for (i, id) in rule_ids.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
+    json::join(&mut out, ", ", &rule_ids, |out, &id| {
         let description = match meta(id) {
             Some(r) => r.description.clone(),
             None => format!("semantic-patch rule {id}"),
@@ -278,8 +251,8 @@ pub fn to_sarif_with(report: &ApplyReport, rules: &[SarifRule]) -> String {
         let _ = write!(
             out,
             "{{\"id\": {}, \"shortDescription\": {{\"text\": {}}}",
-            json::escape(id),
-            json::escape(&description),
+            Str(id),
+            Str(&description),
         );
         if let Some(r) = meta(id) {
             let _ = write!(
@@ -289,13 +262,10 @@ pub fn to_sarif_with(report: &ApplyReport, rules: &[SarifRule]) -> String {
             );
         }
         out.push('}');
-    }
+    });
     out.push_str("]}},\n");
     out.push_str("    \"results\": [");
-    for (i, (f, kill_stage)) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    json::join(&mut out, ",", &findings, |out, (f, kill_stage)| {
         let level = meta(&f.rule).map(|r| r.level).unwrap_or("note");
         // A content-derived fingerprint so result trackers can match
         // findings across runs even as unrelated lines shift.
@@ -309,10 +279,10 @@ pub fn to_sarif_with(report: &ApplyReport, rules: &[SarifRule]) -> String {
              \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \
              \"region\": {{\"startLine\": {}, \"startColumn\": {}, \"endLine\": {}, \"endColumn\": {}}}}}}}], \
              \"partialFingerprints\": {{\"spatchFinding/v1\": \"{fingerprint:016x}\"}}",
-            json::escape(&f.rule),
+            Str(&f.rule),
             level,
-            json::escape(&f.message),
-            json::escape(&f.path),
+            Str(&f.message),
+            Str(&f.path),
             f.line.max(1),
             f.col.max(1),
             f.end_line.max(1),
@@ -322,7 +292,7 @@ pub fn to_sarif_with(report: &ApplyReport, rules: &[SarifRule]) -> String {
             let _ = write!(out, ", \"properties\": {{\"killStage\": \"{}\"}}", k.name());
         }
         out.push('}');
-    }
+    });
     out.push_str("\n    ]\n  }]\n}\n");
     out
 }
@@ -355,7 +325,8 @@ mod tests {
     #[test]
     fn finding_json_round_trips() {
         let f = sample_finding();
-        let j = finding_to_json(&f);
+        let mut j = String::new();
+        write_finding(&mut j, &f);
         let v = json::parse(&j).unwrap();
         let back = finding_from_json(&v).unwrap();
         assert_eq!(back, f);
@@ -405,7 +376,7 @@ mod tests {
                 kill_stage: Some(crate::explain::KillStage::Completed),
             }],
         };
-        let sarif = to_sarif(&report);
+        let sarif = to_sarif_with(&report, &[]);
         let v = json::parse(&sarif).unwrap();
         let o = v.as_object().unwrap();
         assert_eq!(o.get("version").unwrap().as_str(), Some("2.1.0"));

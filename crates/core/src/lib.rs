@@ -66,7 +66,7 @@ pub use driver::{apply_to_files, FileOutcome};
 pub use edits::{Edit, EditConflict, EditSet};
 pub use env::{Env, ExportedEnv, Value};
 pub use explain::{AttemptTrace, ExplainBlock, ExplainConfig, KillStage};
-pub use findings::{to_sarif, to_sarif_with, Finding, SarifRule};
+pub use findings::{to_sarif_with, Finding, SarifRule};
 pub use flowmatch::{CfgCache, FlowPattern, FlowSearch, FlowStep, SearchProbe};
 pub use matcher::{MatchCtx, MatchState, Pair, PairKind};
 pub use orchestrate::{ApplyError, Patcher};

@@ -3,16 +3,18 @@
 //! A corpus run produces an [`ApplyReport`]: one [`FileReport`] per file
 //! (outcome, match count, wall-clock seconds) plus run-level metadata.
 //! The report serializes to JSON ([`ApplyReport::to_json`]) for CI bots
-//! and round-trips back ([`ApplyReport::from_json`]) via a minimal
-//! in-house JSON parser — the workspace builds offline with zero
-//! crates.io dependencies, so there is no serde to lean on.
+//! and round-trips back ([`ApplyReport::from_json`]) through the
+//! workspace's one JSON layer, [`cocci_trace::json`].
 
 use crate::explain::{ExplainBlock, KillStage};
-use crate::findings::{finding_from_json, finding_to_json, Finding};
+use crate::findings::{finding_from_json, write_finding, Finding};
 use crate::pool::PoolStats;
 use crate::scan::RuleOutcome;
+use json::{Fields, Str, Value};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+pub use cocci_trace::json;
 
 /// Classified outcome of one file. Ordered by severity: a file's status
 /// is the most severe of its rules' statuses (`pruned` when none ran).
@@ -125,6 +127,65 @@ pub struct FileReport {
     pub kill_stage: Option<KillStage>,
 }
 
+impl FileReport {
+    /// Write as one entry of the report's `"files"` array.
+    fn write_json(&self, out: &mut String) {
+        // The hash rides as a hex string: u64 does not survive the f64
+        // number path of the JSON reader.
+        let _ = write!(
+            out,
+            "{{\"name\": {}, \"status\": \"{}\", \"matches\": {}, \"witnesses\": {}, \"seconds\": {:e}, \"hash\": \"{:016x}\"",
+            Str(&self.name),
+            self.status,
+            self.matches,
+            self.witnesses,
+            self.seconds,
+            self.hash
+        );
+        if let Some(e) = &self.error {
+            let _ = write!(out, ", \"error\": {}", Str(e));
+        }
+        if self.suppressed > 0 {
+            let _ = write!(out, ", \"suppressed\": {}", self.suppressed);
+        }
+        if self.rules_pruned > 0 {
+            let _ = write!(out, ", \"rules_pruned\": {}", self.rules_pruned);
+        }
+        if let Some(k) = self.kill_stage {
+            let _ = write!(out, ", \"kill_stage\": \"{}\"", k.name());
+        }
+        if !self.rules.is_empty() {
+            out.push_str(", \"rules\": [");
+            json::join(out, ", ", &self.rules, |out, r| r.write_json(out));
+            out.push(']');
+        }
+        if !self.findings.is_empty() {
+            out.push_str(", \"findings\": [");
+            json::join(out, ", ", &self.findings, write_finding);
+            out.push(']');
+        }
+        out.push('}');
+    }
+
+    fn from_json(v: &Value) -> Result<FileReport, String> {
+        let f = Fields::new(v, "report: file entry")?;
+        Ok(FileReport {
+            name: f.str("name")?,
+            status: f.req("status", |v| FileStatus::parse(v.as_str()?))?,
+            matches: f.num("matches") as usize,
+            witnesses: f.num("witnesses") as usize,
+            seconds: f.num("seconds"),
+            hash: f.hex("hash"),
+            error: f.opt_str("error").map(str::to_string),
+            findings: f.list("findings", finding_from_json)?,
+            rules: f.list("rules", RuleOutcome::from_json)?,
+            rules_pruned: f.num("rules_pruned") as usize,
+            suppressed: f.num("suppressed") as usize,
+            kill_stage: f.opt_str("kill_stage").and_then(KillStage::parse),
+        })
+    }
+}
+
 /// Pool scheduler-health numbers carried in a [`RunMetrics`] block.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolMetrics {
@@ -213,29 +274,18 @@ impl RunMetrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Serialize as a JSON object (nanosecond totals ride as numbers;
-    /// they stay far below the f64 53-bit integer limit).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"phases\": {");
-        for (i, (name, count)) in self.phase_counts.iter().enumerate() {
+    /// Write as a JSON object (nanosecond totals ride as numbers; they
+    /// stay far below the f64 53-bit integer limit).
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"phases\": {");
+        json::join(out, ", ", &self.phase_counts, |out, (name, count)| {
             let ns = self.phase_total_ns(name);
-            let _ = write!(
-                out,
-                "{}{}: {{\"count\": {count}, \"ns\": {ns}}}",
-                if i == 0 { "" } else { ", " },
-                json::escape(name)
-            );
-        }
+            let _ = write!(out, "{}: {{\"count\": {count}, \"ns\": {ns}}}", Str(name));
+        });
         out.push_str("}, \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{}: {v}",
-                if i == 0 { "" } else { ", " },
-                json::escape(name)
-            );
-        }
+        json::join(out, ", ", &self.counters, |out, (name, v)| {
+            let _ = write!(out, "{}: {v}", Str(name));
+        });
         out.push('}');
         if let Some(pool) = &self.pool {
             let _ = write!(
@@ -245,55 +295,34 @@ impl RunMetrics {
             );
         }
         out.push('}');
-        out
     }
 
     /// Parse the JSON object form back.
-    pub fn from_json(v: &json::Value) -> Result<RunMetrics, String> {
-        let obj = v.as_object().ok_or("metrics: expected a JSON object")?;
+    pub fn from_json(v: &Value) -> Result<RunMetrics, String> {
+        let f = Fields::new(v, "metrics")?;
         let mut phase_counts = BTreeMap::new();
         let mut phase_ns = BTreeMap::new();
-        if let Some(phases) = obj.get("phases").and_then(json::Value::as_object) {
-            for (name, pv) in phases {
-                let po = pv.as_object().ok_or("metrics: phase entry not an object")?;
-                let count = po.get("count").and_then(json::Value::as_f64).unwrap_or(0.0);
-                let ns = po.get("ns").and_then(json::Value::as_f64).unwrap_or(0.0);
-                phase_counts.insert(name.clone(), count as u64);
-                phase_ns.insert(name.clone(), ns as u64);
-            }
+        for (name, pv) in f.members("phases") {
+            let phase = Fields::new(pv, "metrics: phase entry")?;
+            phase_counts.insert(name.clone(), phase.num("count") as u64);
+            phase_ns.insert(name.clone(), phase.num("ns") as u64);
         }
-        let mut counters = BTreeMap::new();
-        if let Some(cs) = obj.get("counters").and_then(json::Value::as_object) {
-            for (name, cv) in cs {
-                counters.insert(name.clone(), cv.as_f64().unwrap_or(0.0) as u64);
-            }
-        }
-        let pool = obj
+        let counters = f.members("counters");
+        let pool = f
             .get("pool")
-            .and_then(json::Value::as_object)
-            .map(|po| PoolMetrics {
-                workers: po
-                    .get("workers")
-                    .and_then(json::Value::as_f64)
-                    .unwrap_or(0.0) as usize,
-                steals: po
-                    .get("steals")
-                    .and_then(json::Value::as_f64)
-                    .unwrap_or(0.0) as u64,
-                idle_ns: po
-                    .get("idle_ns")
-                    .and_then(json::Value::as_f64)
-                    .unwrap_or(0.0) as u64,
-                queue_depth_max: po
-                    .get("queue_depth_max")
-                    .and_then(json::Value::as_f64)
-                    .unwrap_or(0.0) as u64,
-            });
+            .and_then(|p| Fields::new(p, "metrics: pool").ok());
         Ok(RunMetrics {
             phase_counts,
             phase_ns,
-            counters,
-            pool,
+            counters: counters
+                .map(|(name, v)| (name.clone(), v.as_f64().unwrap_or(0.0) as u64))
+                .collect(),
+            pool: pool.map(|p| PoolMetrics {
+                workers: p.num("workers") as usize,
+                steals: p.num("steals") as u64,
+                idle_ns: p.num("idle_ns") as u64,
+                queue_depth_max: p.num("queue_depth_max") as u64,
+            }),
         })
     }
 }
@@ -360,94 +389,39 @@ impl ApplyReport {
 
     /// Serialize to JSON.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::from("{\n");
         let _ = write!(
             out,
             "  \"patch\": {},\n  \"patch_hash\": \"{:016x}\",\n  \"threads\": {},\n  \"prefilter\": {},\n  \"resumed\": {},\n  \"total_seconds\": {:e},\n  \"counts\": {{",
-            json::escape(&self.patch),
+            Str(&self.patch),
             self.patch_hash,
             self.threads,
             self.prefilter,
             self.resumed,
             self.total_seconds
         );
-        for (i, s) in FileStatus::ALL.into_iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{s}\": {}",
-                if i == 0 { "" } else { ", " },
-                self.count(s)
-            );
-        }
+        json::join(&mut out, ", ", FileStatus::ALL, |out, s| {
+            let _ = write!(out, "\"{s}\": {}", self.count(s));
+        });
         out.push('}');
         if let Some(m) = &self.metrics {
-            let _ = write!(out, ",\n  \"metrics\": {}", m.to_json());
+            out.push_str(",\n  \"metrics\": ");
+            m.write_json(&mut out);
         }
         if !self.lints.is_empty() {
             out.push_str(",\n  \"lints\": [");
-            for (i, l) in self.lints.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&finding_to_json(l));
-            }
+            json::join(&mut out, ", ", &self.lints, write_finding);
             out.push(']');
         }
         if let Some(ex) = &self.explain {
-            let _ = write!(out, ",\n  \"explain\": {}", ex.to_json());
+            out.push_str(",\n  \"explain\": ");
+            ex.write_json(&mut out);
         }
         out.push_str(",\n  \"files\": [");
-        for (i, f) in self.files.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            // The hash rides as a hex string: u64 does not survive the
-            // f64 number path of the minimal JSON parser.
-            let _ = write!(
-                out,
-                "\n    {{\"name\": {}, \"status\": \"{}\", \"matches\": {}, \"witnesses\": {}, \"seconds\": {:e}, \"hash\": \"{:016x}\"",
-                json::escape(&f.name),
-                f.status,
-                f.matches,
-                f.witnesses,
-                f.seconds,
-                f.hash
-            );
-            if let Some(e) = &f.error {
-                let _ = write!(out, ", \"error\": {}", json::escape(e));
-            }
-            if f.suppressed > 0 {
-                let _ = write!(out, ", \"suppressed\": {}", f.suppressed);
-            }
-            if f.rules_pruned > 0 {
-                let _ = write!(out, ", \"rules_pruned\": {}", f.rules_pruned);
-            }
-            if let Some(k) = f.kill_stage {
-                let _ = write!(out, ", \"kill_stage\": \"{}\"", k.name());
-            }
-            if !f.rules.is_empty() {
-                out.push_str(", \"rules\": [");
-                for (j, r) in f.rules.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&r.to_json());
-                }
-                out.push(']');
-            }
-            if !f.findings.is_empty() {
-                out.push_str(", \"findings\": [");
-                for (j, fd) in f.findings.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&finding_to_json(fd));
-                }
-                out.push(']');
-            }
-            out.push('}');
-        }
+        json::join(&mut out, ",", &self.files, |out, f| {
+            out.push_str("\n    ");
+            f.write_json(out);
+        });
         out.push_str("\n  ]\n}\n");
         out
     }
@@ -455,389 +429,21 @@ impl ApplyReport {
     /// Parse a report back from its JSON form.
     pub fn from_json(text: &str) -> Result<ApplyReport, String> {
         let v = json::parse(text)?;
-        let obj = v.as_object().ok_or("report: expected a JSON object")?;
-        let patch = obj
-            .get("patch")
-            .and_then(json::Value::as_str)
-            .ok_or("report: missing \"patch\"")?
-            .to_string();
-        let patch_hash = obj
-            .get("patch_hash")
-            .and_then(json::Value::as_str)
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .unwrap_or(0);
-        let threads = obj
-            .get("threads")
-            .and_then(json::Value::as_f64)
-            .ok_or("report: missing \"threads\"")? as usize;
-        let prefilter = obj
-            .get("prefilter")
-            .and_then(json::Value::as_bool)
-            .ok_or("report: missing \"prefilter\"")?;
-        let total_seconds = obj
-            .get("total_seconds")
-            .and_then(json::Value::as_f64)
-            .unwrap_or(0.0);
-        let resumed = obj
-            .get("resumed")
-            .and_then(json::Value::as_f64)
-            .unwrap_or(0.0) as usize;
-        let metrics = match obj.get("metrics") {
-            Some(mv) => Some(RunMetrics::from_json(mv)?),
-            None => None,
-        };
-        let mut lints = Vec::new();
-        if let Some(arr) = obj.get("lints").and_then(json::Value::as_array) {
-            for lv in arr {
-                lints.push(finding_from_json(lv)?);
-            }
-        }
-        let explain = match obj.get("explain") {
-            Some(ev) => Some(ExplainBlock::from_json(ev)?),
-            None => None,
-        };
-        let mut files = Vec::new();
-        for fv in obj
-            .get("files")
-            .and_then(json::Value::as_array)
-            .ok_or("report: missing \"files\"")?
-        {
-            let fo = fv.as_object().ok_or("report: file entry not an object")?;
-            let name = fo
-                .get("name")
-                .and_then(json::Value::as_str)
-                .ok_or("report: file entry missing \"name\"")?
-                .to_string();
-            let status = fo
-                .get("status")
-                .and_then(json::Value::as_str)
-                .and_then(FileStatus::parse)
-                .ok_or("report: file entry has bad \"status\"")?;
-            let matches = fo
-                .get("matches")
-                .and_then(json::Value::as_f64)
-                .unwrap_or(0.0) as usize;
-            let witnesses = fo
-                .get("witnesses")
-                .and_then(json::Value::as_f64)
-                .unwrap_or(0.0) as usize;
-            let seconds = fo
-                .get("seconds")
-                .and_then(json::Value::as_f64)
-                .unwrap_or(0.0);
-            let hash = fo
-                .get("hash")
-                .and_then(json::Value::as_str)
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .unwrap_or(0);
-            let error = fo
-                .get("error")
-                .and_then(json::Value::as_str)
-                .map(str::to_string);
-            let mut findings = Vec::new();
-            if let Some(arr) = fo.get("findings").and_then(json::Value::as_array) {
-                for fv in arr {
-                    findings.push(finding_from_json(fv)?);
-                }
-            }
-            let suppressed = fo
-                .get("suppressed")
-                .and_then(json::Value::as_f64)
-                .unwrap_or(0.0) as usize;
-            let rules_pruned = fo
-                .get("rules_pruned")
-                .and_then(json::Value::as_f64)
-                .unwrap_or(0.0) as usize;
-            let kill_stage = fo
-                .get("kill_stage")
-                .and_then(json::Value::as_str)
-                .and_then(KillStage::parse);
-            let mut rules = Vec::new();
-            if let Some(arr) = fo.get("rules").and_then(json::Value::as_array) {
-                for rv in arr {
-                    rules.push(RuleOutcome::from_json(rv)?);
-                }
-            }
-            files.push(FileReport {
-                name,
-                status,
-                matches,
-                witnesses,
-                seconds,
-                hash,
-                error,
-                findings,
-                rules,
-                rules_pruned,
-                suppressed,
-                kill_stage,
-            });
-        }
+        let f = Fields::new(&v, "report")?;
         Ok(ApplyReport {
-            patch,
-            patch_hash,
-            threads,
-            prefilter,
-            resumed,
-            total_seconds,
-            metrics,
-            lints,
-            explain,
-            files,
+            patch: f.str("patch")?,
+            patch_hash: f.hex("patch_hash"),
+            threads: f.req("threads", Value::as_f64)? as usize,
+            prefilter: f.req("prefilter", Value::as_bool)?,
+            resumed: f.num("resumed") as usize,
+            total_seconds: f.num("total_seconds"),
+            metrics: f.get("metrics").map(RunMetrics::from_json).transpose()?,
+            lints: f.list("lints", finding_from_json)?,
+            explain: f.get("explain").map(ExplainBlock::from_json).transpose()?,
+            files: (f.req("files", Value::as_array)?.iter())
+                .map(FileReport::from_json)
+                .collect::<Result<_, _>>()?,
         })
-    }
-}
-
-/// Minimal JSON reader/writer — just enough for apply reports and bench
-/// files; not a general-purpose implementation.
-pub mod json {
-    use std::collections::BTreeMap;
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any number (parsed as `f64`).
-        Num(f64),
-        /// String.
-        Str(String),
-        /// Array.
-        Arr(Vec<Value>),
-        /// Object (key order not preserved).
-        Obj(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        /// The string payload, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The numeric payload, if this is a number.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The boolean payload, if this is a boolean.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        /// The elements, if this is an array.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        /// The members, if this is an object.
-        pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    /// Escape `s` as a JSON string literal (quotes included).
-    pub fn escape(s: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// Deepest `[`/`{` nesting [`parse`] accepts. Reports nest a few
-    /// levels; the parser recurses once per level, so an untrusted
-    /// `--resume` file must not choose the stack depth.
-    pub const MAX_DEPTH: usize = 128;
-
-    /// Parse one JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("json: trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("json: expected `{}` at byte {pos}", c as char))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        if depth >= MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
-            return Err(format!(
-                "json: nesting deeper than {MAX_DEPTH} levels at byte {pos}"
-            ));
-        }
-        match b.get(*pos) {
-            None => Err("json: unexpected end of input".into()),
-            Some(b'{') => {
-                *pos += 1;
-                let mut map = BTreeMap::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = parse_string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    let val = parse_value(b, pos, depth + 1)?;
-                    map.insert(key, val);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(map));
-                        }
-                        _ => return Err(format!("json: expected `,` or `}}` at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut arr = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(arr));
-                }
-                loop {
-                    arr.push(parse_value(b, pos, depth + 1)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(arr));
-                        }
-                        _ => return Err(format!("json: expected `,` or `]` at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(_) => {
-                let start = *pos;
-                while *pos < b.len()
-                    && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    *pos += 1;
-                }
-                let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-                s.parse::<f64>()
-                    .map(Value::Num)
-                    .map_err(|_| format!("json: bad number `{s}` at byte {start}"))
-            }
-        }
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("json: expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("json: unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("json: truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err("json: bad escape".into()),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte safe).
-                    let start = *pos;
-                    *pos += 1;
-                    while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                        *pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-                }
-            }
-        }
     }
 }
 

@@ -22,7 +22,7 @@ use crate::driver::{run_file, FileOutcome};
 use crate::explain::{AttemptTrace, ExplainBlock, KillStage};
 use crate::orchestrate::ApplyError;
 use crate::pool::{resolve_threads, ResultSlots, WorkQueue};
-use crate::report::json::{self, Value};
+use crate::report::json::{Fields, Str, Value};
 use crate::report::{content_hash, ApplyReport, FileReport, FileStatus, RunMetrics};
 use crate::ruleset::CompiledRuleSet;
 use cocci_trace::Phase;
@@ -55,11 +55,13 @@ pub struct RuleOutcome {
 }
 
 impl RuleOutcome {
-    /// Serialize as one JSON object (used inside file reports).
-    pub(crate) fn to_json(&self) -> String {
-        let mut out = format!(
+    /// Write as one JSON object (used inside file reports).
+    pub(crate) fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(
+            out,
             "{{\"id\": {}, \"status\": \"{}\", \"matches\": {}, \"findings\": {}, \"suppressed\": {}, \"seconds\": {:e}",
-            json::escape(&self.id),
+            Str(&self.id),
             self.status,
             self.matches,
             self.findings,
@@ -67,35 +69,22 @@ impl RuleOutcome {
             self.seconds
         );
         if let Some(k) = self.kill_stage {
-            out.push_str(&format!(", \"kill_stage\": \"{}\"", k.name()));
+            let _ = write!(out, ", \"kill_stage\": \"{}\"", k.name());
         }
         out.push('}');
-        out
     }
 
-    /// Parse the [`to_json`](RuleOutcome::to_json) form back.
+    /// Parse the [`write_json`](RuleOutcome::write_json) form back.
     pub(crate) fn from_json(v: &Value) -> Result<RuleOutcome, String> {
-        let o = v.as_object().ok_or("rule outcome: expected an object")?;
-        let get_n = |k: &str| o.get(k).and_then(Value::as_f64).unwrap_or(0.0) as usize;
+        let f = Fields::new(v, "rule outcome")?;
         Ok(RuleOutcome {
-            id: o
-                .get("id")
-                .and_then(Value::as_str)
-                .ok_or("rule outcome: missing \"id\"")?
-                .to_string(),
-            status: o
-                .get("status")
-                .and_then(Value::as_str)
-                .and_then(FileStatus::parse)
-                .ok_or("rule outcome: bad \"status\"")?,
-            matches: get_n("matches"),
-            findings: get_n("findings"),
-            suppressed: get_n("suppressed"),
-            seconds: o.get("seconds").and_then(Value::as_f64).unwrap_or(0.0),
-            kill_stage: o
-                .get("kill_stage")
-                .and_then(Value::as_str)
-                .and_then(KillStage::parse),
+            id: f.str("id")?,
+            status: f.req("status", |v| FileStatus::parse(v.as_str()?))?,
+            matches: f.num("matches") as usize,
+            findings: f.num("findings") as usize,
+            suppressed: f.num("suppressed") as usize,
+            seconds: f.num("seconds"),
+            kill_stage: f.opt_str("kill_stage").and_then(KillStage::parse),
         })
     }
 }
@@ -708,14 +697,17 @@ pub(crate) mod tests {
             seconds: 1.25e-3,
             kill_stage: Some(KillStage::Completed),
         };
-        let v = json::parse(&r.to_json()).unwrap();
-        assert_eq!(RuleOutcome::from_json(&v).unwrap(), r);
+        let read = |r: &RuleOutcome| {
+            let mut text = String::new();
+            r.write_json(&mut text);
+            RuleOutcome::from_json(&crate::report::json::parse(&text).unwrap()).unwrap()
+        };
+        assert_eq!(read(&r), r);
         // Entries without the stage (older reports) parse to None.
         let r2 = RuleOutcome {
             kill_stage: None,
             ..r.clone()
         };
-        let v = json::parse(&r2.to_json()).unwrap();
-        assert_eq!(RuleOutcome::from_json(&v).unwrap(), r2);
+        assert_eq!(read(&r2), r2);
     }
 }

@@ -19,7 +19,13 @@
 //!   per recorded thread) viewable in Perfetto or about:tracing.
 //! - [`TraceData::phase_totals`] / [`TraceData::detail_totals`] feed the
 //!   `--stats` table and the report `metrics` block.
+//!
+//! [`json`] is the workspace's one JSON layer (escaper, reader, field
+//! policy), shared by this writer and every report and bench file.
 
+pub mod json;
+
+use json::Str;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -514,75 +520,55 @@ impl TraceData {
     /// recorded marker. Open the file in Perfetto (ui.perfetto.dev) or
     /// chrome://tracing.
     pub fn write_chrome<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        writeln!(w, "{{\"traceEvents\":[")?;
-        let mut first = true;
-        let sep = |w: &mut W, first: &mut bool| -> io::Result<()> {
-            if *first {
-                *first = false;
-                Ok(())
-            } else {
-                writeln!(w, ",")
-            }
-        };
-        sep(w, &mut first)?;
+        // The process metadata event always comes first, so every later
+        // event starts with its separator.
         write!(
             w,
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
+            "{{\"traceEvents\":[\n{{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
              \"args\":{{\"name\":\"spatch\"}}}}"
         )?;
         for lane in &self.lanes {
-            sep(w, &mut first)?;
             write!(
                 w,
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":{}}}}}",
-                lane.tid,
-                json_string(&lane.name)
-            )?;
-            sep(w, &mut first)?;
-            write!(
-                w,
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_sort_index\",\
-                 \"args\":{{\"sort_index\":{}}}}}",
-                lane.tid,
-                lane_sort_index(&lane.name, lane.tid)
+                ",\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
+                 \"args\":{{\"name\":{}}}}},\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
+                 \"name\":\"thread_sort_index\",\"args\":{{\"sort_index\":{}}}}}",
+                Str(&lane.name),
+                lane_sort_index(&lane.name, lane.tid),
+                tid = lane.tid,
             )?;
         }
+        // Ends a span or instant event, with its detail if it has one.
+        let close = |w: &mut W, detail: &Option<Box<str>>| match detail {
+            Some(d) => write!(w, ",\"args\":{{\"detail\":{}}}}}", Str(d)),
+            None => write!(w, "}}"),
+        };
         for lane in &self.lanes {
             for span in &lane.spans {
-                sep(w, &mut first)?;
                 write!(
                     w,
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
+                    ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
                      \"name\":\"{}\"",
                     lane.tid,
                     span.start_ns as f64 / 1000.0,
                     span.dur_ns as f64 / 1000.0,
                     span.phase.name()
                 )?;
-                if let Some(detail) = &span.detail {
-                    write!(w, ",\"args\":{{\"detail\":{}}}", json_string(detail))?;
-                }
-                write!(w, "}}")?;
+                close(w, &span.detail)?;
             }
             for inst in &lane.instants {
-                sep(w, &mut first)?;
                 write!(
                     w,
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"s\":\"t\",\
+                    ",\n{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"s\":\"t\",\
                      \"name\":\"{}\"",
                     lane.tid,
                     inst.ts_ns as f64 / 1000.0,
                     inst.name
                 )?;
-                if let Some(detail) = &inst.detail {
-                    write!(w, ",\"args\":{{\"detail\":{}}}", json_string(detail))?;
-                }
-                write!(w, "}}")?;
+                close(w, &inst.detail)?;
             }
         }
-        writeln!(w, "\n]}}")?;
-        Ok(())
+        writeln!(w, "\n]}}")
     }
 }
 
@@ -596,25 +582,6 @@ fn lane_sort_index(name: &str, tid: u64) -> u64 {
         Some(n) => (n + 1) * 1_000 + tid,
         None => tid,
     }
-}
-
-/// JSON-escape a string (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -829,6 +796,72 @@ mod tests {
         assert!(text.contains("\"ph\":\"i\""));
         assert!(text.contains("\"name\":\"kill_gap_walk\""));
         assert!(!text.contains("kill_anchor"), "disabled instants dropped");
+    }
+
+    /// The Chrome-trace writer's exact bytes on a hand-built snapshot:
+    /// metadata for a plain and a numbered lane, a span whose detail
+    /// needs every kind of escape, and instants with and without detail.
+    #[test]
+    fn chrome_output_bytes_are_pinned() {
+        let span = |phase, detail: Option<&str>, start_ns, dur_ns| SpanEvent {
+            phase,
+            detail: detail.map(Into::into),
+            start_ns,
+            dur_ns,
+        };
+        let lane = |tid, name: &str, spans, instants| Lane {
+            tid,
+            name: name.to_string(),
+            spans,
+            dropped: 0,
+            instants,
+            instants_dropped: 0,
+        };
+        let data = TraceData {
+            lanes: vec![
+                lane(
+                    1,
+                    "main",
+                    vec![span(Phase::Walk, None, 1_500, 250_000)],
+                    vec![InstantEvent {
+                        name: "kill_anchor",
+                        detail: Some("a.c: r\t1".into()),
+                        ts_ns: 7,
+                    }],
+                ),
+                lane(
+                    3,
+                    "worker-10",
+                    vec![span(
+                        Phase::TreeMatch,
+                        Some("q\"b\\s\nn\u{1}é"),
+                        1_234_567,
+                        5,
+                    )],
+                    vec![InstantEvent {
+                        name: "kill_timeout",
+                        detail: None,
+                        ts_ns: 2_000_001,
+                    }],
+                ),
+            ],
+            counters: BTreeMap::new(),
+        };
+        let mut out = Vec::new();
+        data.write_chrome(&mut out).unwrap();
+        let expect = r#"{"traceEvents":[
+{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"spatch"}},
+{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"main"}},
+{"ph":"M","pid":1,"tid":1,"name":"thread_sort_index","args":{"sort_index":1}},
+{"ph":"M","pid":1,"tid":3,"name":"thread_name","args":{"name":"worker-10"}},
+{"ph":"M","pid":1,"tid":3,"name":"thread_sort_index","args":{"sort_index":11003}},
+{"ph":"X","pid":1,"tid":1,"ts":1.500,"dur":250.000,"name":"walk"},
+{"ph":"i","pid":1,"tid":1,"ts":0.007,"s":"t","name":"kill_anchor","args":{"detail":"a.c: r\t1"}},
+{"ph":"X","pid":1,"tid":3,"ts":1234.567,"dur":0.005,"name":"tree_match","args":{"detail":"q\"b\\s\nn\u0001é"}},
+{"ph":"i","pid":1,"tid":3,"ts":2000.001,"s":"t","name":"kill_timeout"}
+]}
+"#;
+        assert_eq!(String::from_utf8(out).unwrap(), expect);
     }
 
     #[test]

@@ -10,88 +10,62 @@
 //!
 //! Exits non-zero with a diagnostic on the first violation.
 
-use cocci_core::report::json;
+use cocci_core::report::json::{self, Fields, Value};
 use cocci_core::ApplyReport;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("trace_check: {msg}");
-    ExitCode::FAILURE
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (trace_path, report_path) = match (args.first(), args.get(1)) {
-        (Some(t), Some(r)) => (t, r),
-        _ => return fail("usage: trace_check <trace.json> <report.json>"),
+    let result = match (args.first(), args.get(1)) {
+        (Some(t), Some(r)) => check(t, r),
+        _ => Err("usage: trace_check <trace.json> <report.json>".to_string()),
     };
+    match result {
+        Ok(msg) => {
+            println!("trace_check: ok — {msg}");
+            ExitCode::SUCCESS
+        }
+        Err(msg) => {
+            eprintln!("trace_check: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
-    let trace_text = match std::fs::read_to_string(trace_path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("{trace_path}: {e}")),
-    };
-    let trace = match json::parse(&trace_text) {
-        Ok(v) => v,
-        Err(e) => return fail(&format!("{trace_path}: not valid JSON: {e}")),
-    };
-    let events = match trace
-        .as_object()
-        .and_then(|o| o.get("traceEvents"))
-        .and_then(json::Value::as_array)
-    {
-        Some(evs) => evs,
-        None => return fail(&format!("{trace_path}: no traceEvents array")),
-    };
+fn check(trace_path: &str, report_path: &str) -> Result<String, String> {
+    let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    let trace = json::parse(&read(trace_path)?)
+        .map_err(|e| format!("{trace_path}: not valid JSON: {e}"))?;
+    let events = Fields::new(&trace, trace_path)?.req("traceEvents", Value::as_array)?;
 
     // Sum complete-event ("X") durations per phase name; µs -> ns.
     let mut spans: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for ev in events {
-        let Some(o) = ev.as_object() else {
-            return fail(&format!("{trace_path}: non-object trace event"));
-        };
-        match o.get("ph").and_then(json::Value::as_str) {
+        let ev = Fields::new(ev, trace_path)?;
+        match ev.opt_str("ph") {
             Some("X") => {
                 for key in ["pid", "tid", "ts", "dur"] {
-                    if o.get(key).and_then(json::Value::as_f64).is_none() {
-                        return fail(&format!("{trace_path}: X event missing numeric {key}"));
-                    }
+                    ev.req(key, Value::as_f64)?;
                 }
-                let Some(name) = o.get("name").and_then(json::Value::as_str) else {
-                    return fail(&format!("{trace_path}: X event missing name"));
-                };
-                let dur_us = o.get("dur").and_then(json::Value::as_f64).unwrap_or(0.0);
-                let e = spans.entry(name.to_string()).or_insert((0, 0));
+                let e = spans.entry(ev.str("name")?).or_insert((0, 0));
                 e.0 += 1;
-                e.1 += (dur_us * 1e3).round() as u64;
+                e.1 += (ev.num("dur") * 1e3).round() as u64;
             }
             Some(_) => {} // "M" metadata and any future event kinds
-            None => return fail(&format!("{trace_path}: event missing ph")),
+            None => return Err(format!("{trace_path}: event missing ph")),
         }
     }
     for phase in cocci_trace::Phase::ALL {
-        match spans.get(phase.name()) {
-            Some(&(count, _)) if count > 0 => {}
-            _ => {
-                return fail(&format!(
-                    "{trace_path}: no spans for phase {}",
-                    phase.name()
-                ))
-            }
+        if spans.get(phase.name()).is_none_or(|&(count, _)| count == 0) {
+            return Err(format!("{trace_path}: no spans for phase {}", phase.name()));
         }
     }
 
-    let report_text = match std::fs::read_to_string(report_path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("{report_path}: {e}")),
-    };
-    let report = match ApplyReport::from_json(&report_text) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("{report_path}: {e}")),
-    };
-    let Some(metrics) = &report.metrics else {
-        return fail(&format!("{report_path}: report has no metrics block"));
-    };
+    let report =
+        ApplyReport::from_json(&read(report_path)?).map_err(|e| format!("{report_path}: {e}"))?;
+    let metrics = (report.metrics.as_ref())
+        .ok_or_else(|| format!("{report_path}: report has no metrics block"))?;
 
     // Both surfaces snapshot the same rings after the workers join, so
     // span counts must agree exactly and durations within rounding; the
@@ -102,22 +76,20 @@ fn main() -> ExitCode {
         let report_count = metrics.phase_counts.get(name).copied().unwrap_or(0);
         let report_ns = metrics.phase_total_ns(name);
         if trace_count != report_count {
-            return fail(&format!(
+            return Err(format!(
                 "phase {name}: {trace_count} trace spans vs {report_count} in the report metrics"
             ));
         }
         let drift = (trace_ns as f64 - report_ns as f64).abs();
         if drift > report_ns.max(1_000) as f64 * 0.05 {
-            return fail(&format!(
+            return Err(format!(
                 "phase {name}: trace total {trace_ns}ns vs report {report_ns}ns (>5% apart)"
             ));
         }
     }
-    println!(
-        "trace_check: ok — {} events, {} phases reconciled against {}",
+    Ok(format!(
+        "{} events, {} phases reconciled against {report_path}",
         events.len(),
-        cocci_trace::Phase::ALL.len(),
-        report_path
-    );
-    ExitCode::SUCCESS
+        cocci_trace::Phase::ALL.len()
+    ))
 }
