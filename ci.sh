@@ -24,6 +24,11 @@ cargo fmt --all --check
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --locked -- -D warnings
 
+# Doc links must resolve: deleting a documented item must not leave a
+# dangling intra-doc link behind.
+echo "== rustdoc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
+
 # Bench trend tracking: each fresh BENCH_*.json is compared against the
 # previous run's artifact (kept under $BENCH_BASELINE_DIR) and the build
 # fails on a wall-clock regression beyond the budget (min AND median of

@@ -393,55 +393,31 @@ fn run_lint(args: &Args) -> ExitCode {
         Ok(c) => c,
         Err(code) => return code,
     };
-    // Gather `(source, rule id, text)` triples: one per `*.cocci` file
-    // for a directory (validating each metadata header exactly as scan's
-    // loader would), or the single file itself.
-    let mut rule_files: Vec<PathBuf> = Vec::new();
-    if target.is_dir() {
-        match std::fs::read_dir(target) {
-            Ok(rd) => {
-                for entry in rd.filter_map(|e| e.ok()) {
-                    let p = entry.path();
-                    if p.extension().is_some_and(|x| x == "cocci") {
-                        rule_files.push(p);
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("spatch: cannot read {}: {e}", target.display());
-                return ExitCode::from(2);
-            }
-        }
-        rule_files.sort();
-        if rule_files.is_empty() {
-            eprintln!("spatch: {}: no .cocci rule files", target.display());
+    // Gather `(source, rule id, text)` triples: a directory's rule files
+    // exactly as scan's loader lists them (validating each metadata
+    // header as it would), or the single file itself.
+    let listed = if target.is_dir() {
+        cocci_core::rule_sources(target)
+    } else {
+        cocci_core::rule_source(target).map(|f| vec![f])
+    };
+    let files = match listed {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("spatch: {e}");
             return ExitCode::from(2);
         }
-    } else {
-        rule_files.push(target.clone());
-    }
-    let mut sources: Vec<(String, String, String)> = Vec::new();
-    for p in &rule_files {
-        let text = match std::fs::read_to_string(p) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("spatch: cannot read {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        };
-        let stem = p
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("rule")
-            .to_string();
+    };
+    let mut sources: Vec<(String, String, String)> = Vec::with_capacity(files.len());
+    for (path, stem, text) in files {
         let meta = match cocci_core::parse_rule_metadata(&text, &stem) {
             Ok(m) => m,
             Err(e) => {
-                eprintln!("spatch: {}: {e}", p.display());
+                eprintln!("spatch: {path}: {e}");
                 return ExitCode::from(2);
             }
         };
-        sources.push((p.display().to_string(), meta.id, text));
+        sources.push((path, meta.id, text));
     }
     let mut patches: Vec<SemanticPatch> = Vec::new();
     for (src, _, text) in &sources {

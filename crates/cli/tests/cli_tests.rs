@@ -1636,6 +1636,98 @@ fn each_rewritten_text_parses_once() {
     );
 }
 
+/// `r1` rewrites `old_begin` to `probe_begin`; the flow rules after it,
+/// a report (`r2`) and a rewrite (`r3`), match only the rewritten text.
+const REWRITE_THEN_FLOW_PATCH: &str =
+    "@r1@\nexpression b;\n@@\n- old_begin(b);\n+ probe_begin(b);\n\n\
+     @r2@\nexpression b;\nposition p;\n@@\nprobe_begin(b)@p;\n...\nprobe_end(b);\n\n\
+     @r3@\nexpression b;\n@@\nprobe_begin(b);\n...\n- probe_end(b);\n+ probe_exit(b);\n";
+
+const REWRITE_THEN_FLOW_SRC: &str = "void one(int x) {\n    old_begin(x);\n    work(x);\n    \
+     probe_end(x);\n}\n\nvoid two(int y, int c) {\n    old_begin(y);\n    if (c) {\n        \
+     probe_end(y);\n    } else {\n        probe_end(y);\n    }\n}\n";
+
+/// `json` with the value after every `"key": ` of `keys` replaced by 0.
+fn zero_values(json: &str, keys: &[&str]) -> String {
+    let mut out = json.to_string();
+    for key in keys {
+        let needle = format!("\"{key}\": ");
+        let mut from = 0;
+        while let Some(at) = out[from..].find(&needle) {
+            let start = from + at + needle.len();
+            let len = out[start..].find([',', '}', '\n']).unwrap();
+            out.replace_range(start..start + len, "0");
+            from = start;
+        }
+    }
+    out
+}
+
+#[test]
+fn flow_rules_after_a_rewrite_match_the_rewritten_text() {
+    let dir = tmpdir("rewrite-then-flow");
+    fs::write(dir.join("probe.cocci"), REWRITE_THEN_FLOW_PATCH).unwrap();
+    fs::create_dir_all(dir.join("tree")).unwrap();
+    fs::write(dir.join("tree/probe.c"), REWRITE_THEN_FLOW_SRC).unwrap();
+    let diff = "--- a/tree/probe.c\n+++ b/tree/probe.c\n@@ -1,14 +1,14 @@\n \
+         void one(int x) {\n-    old_begin(x);\n+    probe_begin(x);\n     work(x);\n-    \
+         probe_end(x);\n+    probe_exit(x);\n }\n \n void two(int y, int c) {\n-    \
+         old_begin(y);\n+    probe_begin(y);\n     if (c) {\n-        probe_end(y);\n+        \
+         probe_exit(y);\n     } else {\n-        probe_end(y);\n+        probe_exit(y);\n     }\n }\n";
+    let report = "{\n  \"patch\": \"probe.cocci\",\n  \"patch_hash\": \"8a5a8865ec18007e\",\n  \
+         \"threads\": 0,\n  \"prefilter\": true,\n  \"resumed\": 0,\n  \"total_seconds\": 0,\n  \
+         \"counts\": {\"pruned\": 0, \"unmatched\": 0, \"matched\": 0, \"changed\": 1, \"timeout\": 0, \
+         \"error\": 0},\n  \"files\": [\n    {\"name\": \"tree/probe.c\", \"status\": \"changed\", \
+         \"matches\": 6, \"witnesses\": 4, \"seconds\": 0, \"hash\": \"8737d7810fa36462\", \
+         \"kill_stage\": \"completed\", \"findings\": [{\"path\": \"tree/probe.c\", \"line\": 2, \
+         \"col\": 5, \"end_line\": 2, \"end_col\": 19, \"rule\": \"r2\", \"message\": \"matched\", \
+         \"bindings\": [[\"b\", \"x\"]]}, {\"path\": \"tree/probe.c\", \"line\": 8, \"col\": 5, \
+         \"end_line\": 8, \"end_col\": 19, \"rule\": \"r2\", \"message\": \"matched\", \
+         \"bindings\": [[\"b\", \"y\"]]}]}\n  ]\n}\n";
+    for jobs in ["1", "4"] {
+        let out = spatch()
+            .current_dir(&dir)
+            .args([
+                "--sp-file",
+                "probe.cocci",
+                "-j",
+                jobs,
+                "--report",
+                "r.json",
+                "tree",
+            ])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), diff, "-j {jobs}");
+        let json = fs::read_to_string(dir.join("r.json")).unwrap();
+        let json = zero_values(&json, &["threads", "total_seconds", "seconds"]);
+        assert_eq!(json, report, "-j {jobs}");
+    }
+    // Both flow rules run on the one rewritten text, whose two functions
+    // build their CFGs once.
+    let out = spatch()
+        .current_dir(&dir)
+        .args([
+            "--sp-file",
+            "probe.cocci",
+            "--stats",
+            "-j",
+            "1",
+            "--quiet",
+            "tree",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.lines()
+            .any(|l| l.trim_start().split(" ms=").next() == Some("phase cfg_build: spans=2")),
+        "{err}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // `spatch lint` and the load-time rule lint in scan/apply.
 
@@ -1766,6 +1858,24 @@ fn lint_sarif_format_has_required_keys() {
     // The tool section lists the lint classes with their levels.
     assert!(stdout.contains("\"id\": \"SPL03\""), "{stdout}");
     assert!(stdout.contains("\"level\": \"error\""), "{stdout}");
+}
+
+#[test]
+fn lint_and_scan_accept_the_same_rules_directory() {
+    let dir = tmpdir("lint-scan-dir");
+    let rules = write_rules_dir(&dir);
+    // A directory named like a rule file is not a rule file.
+    fs::create_dir_all(rules.join("sub.cocci")).unwrap();
+    let corpus = write_scan_tree(&dir);
+    let lint = spatch().arg("lint").arg(&rules).output().unwrap();
+    assert_eq!(lint.status.code(), Some(0), "{lint:?}");
+    let scan = spatch()
+        .args(["scan", "--quiet", "--rules"])
+        .arg(&rules)
+        .arg(&corpus)
+        .output()
+        .unwrap();
+    assert_eq!(scan.status.code(), Some(0), "{scan:?}");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! transform rule's **prefilter** is extracted (the literal atoms a file
 //! must contain for the rule to possibly match, see
 //! [`cocci_smpl::prefilter`]). The result is immutable and is shared
-//! behind an [`Arc`] by every worker thread; per-application mutable state
+//! behind an [`Arc`](std::sync::Arc) by every worker thread; per-application mutable state
 //! (script-interpreter globals, statistics) stays in
 //! [`Patcher`](crate::Patcher).
 

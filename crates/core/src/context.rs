@@ -1,20 +1,18 @@
-//! Run-scoped per-file state shared across rules: parse once, match N
-//! times.
+//! Per-text state shared across rules: parse once, match N times.
 //!
-//! Applying a single patch owns its file state implicitly — lex/parse,
-//! build CFGs, resolve lines, done. Scanning a *rule collection* breaks
-//! that shape: fifty rules over one file must not re-lex, re-parse, and
-//! re-build every function's CFG fifty times. [`FileContext`] extracts
-//! the rule-independent substrate — the target text, its parsed
+//! Fifty rules over one file must not re-lex, re-parse, and re-build
+//! every function's CFG fifty times. [`FileContext`] holds the
+//! rule-independent substrate of one text — the text, its parsed
 //! translation unit, the per-function CFG cache, the line-table
-//! [`Resolver`], the suppression-comment index — into one unit built
-//! per file and borrowed by each rule's matcher
+//! [`Resolver`], the suppression-comment index — built on first use
+//! and borrowed by each rule's matcher
 //! ([`Patcher::apply_ctx`](crate::Patcher::apply_ctx)).
 //!
-//! The context always describes the **original** file text. A transform
-//! rule whose edits land mid-patch switches its `Patcher` onto private
-//! (per-application) state for the rewritten text; the shared caches
-//! stay valid for the next rule set member. The [`parses`] and
+//! Every text a rule runs on has one context. The caller's context
+//! describes the **original** file text and outlives the patch, so the
+//! next rule set of a scan reuses its caches. A transform rule whose
+//! edits land mid-patch gives the rewritten text a context of its own,
+//! which the patch's later rules share. The [`parses`] and
 //! [`cfg_builds`] counters exist so tests can assert the "exactly once"
 //! property instead of trusting it.
 //!
@@ -31,8 +29,8 @@ use cocci_cast::Lang;
 use cocci_source::Interner;
 use std::sync::Arc;
 
-/// Per-file state built once and shared by every rule applied to the
-/// file. See the module docs.
+/// Per-text state built once and shared by every rule run on the text.
+/// See the module docs.
 pub struct FileContext {
     name: String,
     text: Arc<str>,
@@ -47,7 +45,7 @@ pub struct FileContext {
 }
 
 impl FileContext {
-    /// A fresh context over one file's original text.
+    /// A fresh context over one file's text.
     pub fn new(name: impl Into<String>, text: impl Into<Arc<str>>) -> FileContext {
         let text = text.into();
         let hash = content_hash(&text);
@@ -86,22 +84,24 @@ impl FileContext {
         &self.name
     }
 
-    /// The original text.
+    /// The text.
     pub fn text(&self) -> &str {
         &self.text
     }
 
-    /// A cheap shared handle on the original text.
+    /// A cheap shared handle on the text.
     pub fn text_arc(&self) -> Arc<str> {
         Arc::clone(&self.text)
     }
 
-    /// FNV-1a hash of the original text (the `--resume` identity).
+    /// FNV-1a hash of the text (the `--resume` identity). A rewritten
+    /// text's context carries 0, the report's "unknown" value; nothing
+    /// reads it.
     pub fn hash(&self) -> u64 {
         self.hash
     }
 
-    /// Parse the file under `opts`, caching the result: the first rule
+    /// Parse the text under `opts`, caching the result: the first rule
     /// pays for the parse, later rules (of this patch or any other in a
     /// scan) get the same tree. A parse *failure* is cached too — fifty
     /// rules over an unparsable file report one error each without
@@ -134,7 +134,7 @@ impl FileContext {
         }
     }
 
-    /// The line/col resolver for the original text, built on first use.
+    /// The line/col resolver for the text, built on first use.
     pub fn resolver(&mut self) -> Arc<Resolver> {
         match &self.resolver {
             Some(r) => Arc::clone(r),
@@ -158,12 +158,12 @@ impl FileContext {
         }
     }
 
-    /// The shared per-function CFG cache.
+    /// The text's per-function CFG cache.
     pub fn cfgs(&mut self) -> &mut CfgCache {
         &mut self.cfgs
     }
 
-    /// How many times the file text was actually parsed through this
+    /// How many times the text was actually parsed through this
     /// context — the probe behind the scan engine's "one parse serves N
     /// rules" guarantee.
     pub fn parses(&self) -> usize {

@@ -3,9 +3,11 @@
 //! A GADGET-scale tree does not fit in memory. [`FileSource`] streams
 //! files in **bounded-memory batches**: a source yields at most
 //! [`BatchOptions::max_files`] files / `max_bytes` bytes of text per
-//! call, the driver ([`scan_corpus`]) runs the batch in parallel,
-//! records outcomes into an [`ApplyReport`], and
-//! drops the text before pulling the next batch.
+//! call, the driver ([`scan_corpus`]) runs the batch in parallel and
+//! records outcomes into an [`ApplyReport`], dropping each file's text
+//! once it is sunk. It reads the next batch only when what is read but
+//! not yet sunk fits in one batch, so at most two batches of text are in
+//! memory however far the workers lag.
 //!
 //! Two sources are provided:
 //!
@@ -36,6 +38,14 @@ pub struct BatchOptions {
     /// Maximum total text bytes per batch (at least one file is always
     /// yielded, so a single oversized file still goes through).
     pub max_bytes: usize,
+}
+
+impl BatchOptions {
+    /// Whether a batch of `files` files and `bytes` bytes is full before
+    /// a file of `next` bytes (a batch always takes its first file).
+    pub(crate) fn full(&self, files: usize, bytes: usize, next: usize) -> bool {
+        files > 0 && (files >= self.max_files || bytes + next > self.max_bytes)
+    }
 }
 
 impl Default for BatchOptions {
@@ -78,8 +88,7 @@ impl FileSource for MemorySource {
         let mut bytes = 0usize;
         while let Some((_, text)) = self.files.front() {
             let len = text.len();
-            if !batch.is_empty() && (batch.len() >= opts.max_files || bytes + len > opts.max_bytes)
-            {
+            if opts.full(batch.len(), bytes, len) {
                 break;
             }
             bytes += len;
@@ -190,8 +199,7 @@ impl FileSource for WalkSource {
             let size = std::fs::metadata(path)
                 .map(|m| m.len() as usize)
                 .unwrap_or(0);
-            if !batch.is_empty() && (batch.len() >= opts.max_files || bytes + size > opts.max_bytes)
-            {
+            if opts.full(batch.len(), bytes, size) {
                 break;
             }
             let path = self.pending.pop_front().unwrap();

@@ -42,10 +42,13 @@ pub struct FileOutcome {
     /// Every (file × rule) attempt with the stage that ended it: pruned
     /// rules first, then the survivors', in rule order.
     pub attempts: Vec<RuleAttempt>,
-    /// Times the file text was parsed — the "N rules, one parse"
-    /// guarantee says this stays ≤ 1 however many rules survived.
+    /// Times the file's original text was parsed — the "N rules, one
+    /// parse" guarantee says this stays ≤ 1 however many rules survived.
+    /// Texts a patch rewrote have contexts of their own and count in
+    /// neither this nor `cfg_builds`.
     pub parses: usize,
-    /// Per-function CFGs built (shared across flow-sensitive rules).
+    /// Per-function CFGs of the original text built (shared across
+    /// flow-sensitive rules).
     pub cfg_builds: usize,
 }
 

@@ -11,10 +11,11 @@
 //! This module supplies that semantics. A rule body whose pattern is a
 //! top-level statement sequence with dots is *lowered*
 //! ([`lower_pattern`]) into alternating [`FlowStep::Anchor`] /
-//! [`FlowStep::Gap`] steps. Matching then runs per function
-//! ([`find_flow_matches`]):
+//! [`FlowStep::Gap`] steps. A [`FlowSearch`] then matches them per
+//! function:
 //!
-//! 1. build the function's CFG (`cocci-flow`);
+//! 1. take the function's CFG (`cocci-flow`) from the text's
+//!    [`CfgCache`], building it on first use;
 //! 2. every CFG node whose statement tree-matches the first anchor seeds
 //!    a match attempt — expression-level matching *is* the node
 //!    predicate, so metavariables, isomorphisms and constraints all keep
@@ -56,11 +57,11 @@ use std::sync::Arc;
 /// ("the CFG can't be built" guard for pathological inputs).
 pub const MAX_CFG_NODES: usize = 10_000;
 
-/// Per-file cache of built CFGs, keyed by function span. The graphs
-/// depend only on the target text — not on the rule being matched — so a
+/// Cache of one text's built CFGs, keyed by function span. The graphs
+/// depend only on the text — not on the rule being matched — so each
 /// [`FileContext`](crate::FileContext) carries one of these and every
-/// flow-routed rule applied to the file reuses the same graphs instead
-/// of rebuilding them. `None` records an over-budget function (so the
+/// flow-routed rule run on that text reuses the same graphs instead of
+/// rebuilding them. `None` records an over-budget function (so the
 /// budget check also happens once).
 #[derive(Debug, Default)]
 pub struct CfgCache {
@@ -283,27 +284,12 @@ pub fn lower_pattern(pats: &[Stmt]) -> Option<FlowPattern> {
     })
 }
 
-/// Find all matches of a lowered pattern in `tu` under all-paths
-/// semantics, seeding every attempt from `seed`. `tree_pats` is the
-/// original pattern sequence, used for the per-function tree fallback
-/// when a CFG exceeds the node budget.
-///
-/// One-shot convenience over [`FlowSearch`]; callers matching the same
-/// file under several seed environments should build the search once.
-pub fn find_flow_matches(
-    ctx: &MatchCtx,
-    fp: &FlowPattern,
-    tree_pats: &[Stmt],
-    tu: &TranslationUnit,
-    seed: &Env,
-) -> Vec<MatchState> {
-    FlowSearch::new(fp, tree_pats, tu).find(ctx, seed)
-}
-
 /// A lowered pattern prepared against one translation unit: every
-/// function's CFG and span→statement index built exactly once, reusable
+/// function's CFG and span→statement index looked up once, reusable
 /// across seed environments (a rule inheriting metavariables runs once
-/// per exported environment — the CFGs depend only on the file).
+/// per exported environment — the CFGs depend only on the text). The
+/// tree patterns serve the per-function fallback when a CFG exceeds
+/// the node budget.
 pub struct FlowSearch<'t> {
     fp: &'t FlowPattern,
     tree_pats: &'t [Stmt],
@@ -326,16 +312,10 @@ struct FnData<'t> {
 }
 
 impl<'t> FlowSearch<'t> {
-    /// Build the per-function CFGs and span indexes for `tu`.
-    pub fn new(fp: &'t FlowPattern, tree_pats: &'t [Stmt], tu: &'t TranslationUnit) -> Self {
-        let mut cache = CfgCache::default();
-        Self::with_cache(fp, tree_pats, tu, &mut cache)
-    }
-
-    /// Like [`FlowSearch::new`], but CFGs come from (and land in) a
-    /// shared per-file [`CfgCache`]: N rules applied to the same parse
-    /// build each function's graph once instead of N times. The span
-    /// index is rebuilt per search (it borrows this search's `tu`).
+    /// Prepare `fp` against `tu`. CFGs come from (and land in) the
+    /// text's [`CfgCache`]: N rules applied to the same parse build each
+    /// function's graph once instead of N times. The span index is
+    /// rebuilt per search (it borrows this search's `tu`).
     pub fn with_cache(
         fp: &'t FlowPattern,
         tree_pats: &'t [Stmt],
@@ -576,10 +556,9 @@ impl<'a> FnMatcher<'a> {
         let FlowStep::Anchor(next) = &self.fp.steps[i + 1] else {
             unreachable!("lowered steps end on an anchor");
         };
-        let starts: Vec<NodeId> = self.cfg.succs(from).iter().map(|&(s, _)| s).collect();
         let Ok(mut hits) = walk_gap(
             self.cfg,
-            &starts,
+            self.cfg.succs(from),
             *quant,
             &mut |m| {
                 self.stmt_at(m)
@@ -841,7 +820,7 @@ mod tests {
             decls: &ds,
             regexes: &regexes,
         };
-        find_flow_matches(&ctx, &fp, &pats, &tu, &Env::new())
+        FlowSearch::with_cache(&fp, &pats, &tu, &mut CfgCache::default()).find(&ctx, &Env::new())
     }
 
     #[test]

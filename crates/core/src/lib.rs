@@ -72,6 +72,8 @@ pub use matcher::{MatchCtx, MatchState, Pair, PairKind};
 pub use orchestrate::{ApplyError, Patcher};
 pub use pool::{resolve_threads, PoolStats, ResultSlots, WorkQueue};
 pub use report::{content_hash, ApplyReport, FileReport, FileStatus, PoolMetrics, RunMetrics};
-pub use ruleset::{parse_rule_metadata, CompiledRuleSet, RuleMeta, ScanRule, Severity};
+pub use ruleset::{
+    parse_rule_metadata, rule_source, rule_sources, CompiledRuleSet, RuleMeta, ScanRule, Severity,
+};
 pub use scan::{scan_corpus, RuleOutcome};
 pub use suppress::SuppressionIndex;

@@ -21,12 +21,12 @@ use crate::context::FileContext;
 use crate::edits::EditSet;
 use crate::env::{Env, ExportedEnv, Value};
 use crate::explain::{AttemptProbe, ExplainConfig, KillStage, RuleAttempt};
-use crate::findings::{self, Finding, Resolver};
+use crate::findings::{self, Finding};
 use crate::matcher::{MatchCtx, MatchState};
 use crate::rewrite;
 use crate::treesearch::{DistinctSeeds, TreeSearch};
 use cocci_cast::ast::*;
-use cocci_cast::parser::{parse_translation_unit, NoMeta, ParseOptions};
+use cocci_cast::parser::ParseOptions;
 use cocci_script::{Interp, PosInfo, Value as ScriptValue};
 use cocci_smpl::{
     Constraint, DepExpr, FreshPart, MetaDeclKind, Pattern, Rule, ScriptRule, SemanticPatch,
@@ -177,20 +177,20 @@ impl Patcher {
     /// caches (parse tree, CFGs, line table, suppression index) describe
     /// the **original** text and survive the call untouched: the scan
     /// driver applies N compiled rule sets through one context and the
-    /// file is lexed/parsed once. When this patch's own edits land
-    /// mid-application, the patcher transparently switches to private
-    /// state for the rewritten text (sequential rule semantics are
-    /// preserved); the returned `Some(text)` is the rewritten file.
+    /// file is lexed/parsed once. Every rule reads the text it runs on
+    /// through a context: once this patch's own edits land, later rules
+    /// run on a fresh context of the rewritten text, whose parse, line
+    /// table and CFGs they share in turn (sequential rule semantics);
+    /// the returned `Some(text)` is the rewritten file.
     pub fn apply_ctx(&mut self, ctx: &mut FileContext) -> Result<Option<String>, ApplyError> {
         let opts = ParseOptions {
             pattern: false,
             lang: self.compiled.patch.lang,
         };
         let name = ctx.name().to_string();
-        let mut current: Arc<str> = ctx.text_arc();
-        let mut changed = false;
-        // The parse of the rewritten text, kept until the next edit lands.
-        let mut private_tu: Option<Arc<TranslationUnit>> = None;
+        // The context of the text this patch's edits produced, replaced
+        // whenever a rule's edits land; `None` while the text is `ctx`'s.
+        let mut rewritten: Option<FileContext> = None;
         let mut interp = Interp::new();
         let mut matched: HashSet<String> = HashSet::new();
         let mut streams: Vec<ExportedEnv> = vec![ExportedEnv::new()];
@@ -202,13 +202,6 @@ impl Patcher {
             attempts: Vec::new(),
         };
         let mut finalizers = Vec::new();
-        // Line/col resolution for findings and script positions, built
-        // lazily over the *current* text and invalidated whenever a
-        // transform rule rewrites it. While the text is still the
-        // original, the build is fetched from (and cached in) the shared
-        // context, so several rules — of this patch or any other scan
-        // rule — share a single line-table build.
-        let mut resolver: Option<Arc<Resolver>> = None;
         // Auto-findings of reporting rules whose bindings feed a script
         // rule are *deferred*: if that script ends up authoring findings
         // (via `coccilib.report.print_report`), the generic `matched`
@@ -247,6 +240,8 @@ impl Patcher {
                     )));
                 }
             }
+            let edited = rewritten.is_some();
+            let cur = rewritten.as_mut().unwrap_or(&mut *ctx);
             match rule {
                 Rule::Initialize(b) => {
                     interp
@@ -258,16 +253,12 @@ impl Patcher {
                     if !deps_ok(s.depends.as_ref(), &matched) {
                         continue;
                     }
-                    let shared = if changed { None } else { Some(&mut *ctx) };
-                    self.run_script_rule(
+                    Self::run_script_rule(
                         s,
                         &mut interp,
                         &mut streams,
                         &mut matched,
-                        &name,
-                        &current,
-                        &mut resolver,
-                        shared,
+                        cur,
                         &mut stats.findings,
                         &mut scripts_reporting,
                     )?;
@@ -276,25 +267,16 @@ impl Patcher {
                     if !deps_ok(t.depends.as_ref(), &matched) {
                         continue;
                     }
-                    // The original text parses through the shared
-                    // context (cached across rules and across scan rule
-                    // sets); once this patch's own edits landed, the
-                    // rewritten text is private and parses privately,
-                    // once per edit.
-                    let parsed: Result<Arc<TranslationUnit>, String> = if let Some(tu) = &private_tu
-                    {
-                        Ok(Arc::clone(tu))
-                    } else if changed {
-                        parse_translation_unit(&current, opts, &NoMeta)
-                            .map(|tu| Arc::clone(private_tu.insert(Arc::new(tu))))
-                            .map_err(|e| format!("cannot parse target (after transformation): {e}"))
-                    } else {
-                        ctx.parse(opts)
-                            .map_err(|e| format!("cannot parse target: {e}"))
-                    };
-                    let tu: Arc<TranslationUnit> = match parsed {
+                    // Each text parses once, through its context (the
+                    // original's is cached across scan rule sets too).
+                    let tu = match cur.parse(opts) {
                         Ok(tu) => tu,
-                        Err(msg) => {
+                        Err(e) => {
+                            let msg = if edited {
+                                format!("cannot parse target (after transformation): {e}")
+                            } else {
+                                format!("cannot parse target: {e}")
+                            };
                             let rule_label = t.name.as_deref().unwrap_or("<anonymous>");
                             stats.attempts.push(RuleAttempt {
                                 rule: rule_label.to_string(),
@@ -314,9 +296,8 @@ impl Patcher {
                     // witness; a flow-routed rule's tree-fallback
                     // matches (over-budget functions) keep 0 and are
                     // not counted as witnesses.
-                    let shared = if changed { None } else { Some(&mut *ctx) };
                     let (all_matches, new_streams, edits, probe) =
-                        self.run_transform_rule(ri, t, &tu, &name, &current, &streams, shared)?;
+                        self.run_transform_rule(ri, t, &tu, cur, &streams)?;
                     let rule_label = t.name.as_deref().unwrap_or("<anonymous>");
                     let stage = probe.stage(!all_matches.is_empty());
                     stats.attempts.push(RuleAttempt {
@@ -335,8 +316,7 @@ impl Patcher {
                     // theirs (see `deferred` above).
                     if self.compiled.rules[ri].report_only && !all_matches.is_empty() {
                         let rule_name = t.name.as_deref().unwrap_or("<anonymous>");
-                        let shared = if changed { None } else { Some(&mut *ctx) };
-                        let r = shared_resolver(&mut resolver, shared, &name, &current);
+                        let r = cur.resolver();
                         let mut auto = Vec::with_capacity(all_matches.len());
                         for m in &all_matches {
                             auto.push(findings::finding_for_match(
@@ -344,7 +324,7 @@ impl Patcher {
                                 &t.metavars,
                                 m,
                                 &r,
-                                &current,
+                                cur.text(),
                             ));
                         }
                         let feeds_script = t
@@ -367,20 +347,16 @@ impl Patcher {
                         if !edits.is_empty() {
                             stats.edits += edits.len();
                             let _render = cocci_trace::span(cocci_trace::Phase::Render);
-                            current = edits
-                                .apply(&current)
-                                .map_err(|e| {
-                                    aerr(format!(
-                                        "{name}: rule {}: {e}",
-                                        t.name.as_deref().unwrap_or("<anonymous>")
-                                    ))
-                                })?
-                                .into();
-                            changed = true;
-                            // The parse and the line table describe the
-                            // pre-edit text now; rebuild on next use.
-                            private_tu = None;
-                            resolver = None;
+                            let text = edits.apply(cur.text()).map_err(|e| {
+                                aerr(format!(
+                                    "{name}: rule {}: {e}",
+                                    t.name.as_deref().unwrap_or("<anonymous>")
+                                ))
+                            })?;
+                            // Later rules run on the new text, through a
+                            // context of its own (hash 0: unknown, and
+                            // never read for a rewritten text).
+                            rewritten = Some(FileContext::with_hash(name.as_str(), text.into(), 0));
                         }
                     }
                 }
@@ -410,11 +386,7 @@ impl Patcher {
                 .map_err(|e| aerr(format!("{name}: finalize block: {e}")))?;
         }
         self.last_stats = stats;
-        Ok(if changed {
-            Some(current.to_string())
-        } else {
-            None
-        })
+        Ok(rewritten.map(|c| c.text().to_string()))
     }
 
     /// Whether the `--explain` filter is set and matches this
@@ -440,27 +412,22 @@ impl Patcher {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_script_rule(
-        &self,
         s: &ScriptRule,
         interp: &mut Interp,
         streams: &mut Vec<ExportedEnv>,
         matched: &mut HashSet<String>,
-        file: &str,
-        src: &str,
-        resolver: &mut Option<Arc<Resolver>>,
-        mut shared: Option<&mut FileContext>,
+        cur: &mut FileContext,
         findings: &mut Vec<Finding>,
         scripts_reporting: &mut HashSet<String>,
     ) -> Result<(), ApplyError> {
         let mut new_streams = Vec::new();
         let mut any = false;
-        // The shared resolver is built lazily (most script rules inherit
-        // no positions) over the caller's *current* text. Positions were
-        // bound against the current text of their rule's run; report
-        // mode is restricted to transformation-free patches, so the
-        // text — and with it the line table — cannot have moved since.
+        // The current text's resolver is built lazily (most script rules
+        // inherit no positions). Positions were bound against the
+        // current text of their rule's run; report mode is restricted to
+        // transformation-free patches, so the text — and with it the
+        // line table — cannot have moved since.
         for ex in streams.iter() {
             // Gather inputs; environments lacking them pass through
             // unchanged (the script does not run for them).
@@ -481,7 +448,7 @@ impl Patcher {
                         let (line, column, line_end, column_end) = match resolved {
                             Some(rp) => (rp.line, rp.col, rp.end_line, rp.end_col),
                             None => {
-                                let r = shared_resolver(resolver, shared.as_deref_mut(), file, src);
+                                let r = cur.resolver();
                                 let (line, column) = r.line_col(span.start);
                                 let (line_end, column_end) = r.line_col(span.end);
                                 (line, column, line_end, column_end)
@@ -517,7 +484,7 @@ impl Patcher {
             }
             let run = interp
                 .run_script(&s.code, &inputs)
-                .map_err(|e| aerr(format!("{file}: script rule: {e}")))?;
+                .map_err(|e| aerr(format!("{}: script rule: {e}", cur.name())))?;
             // `coccilib.report.print_report` calls become findings,
             // attributed to this script rule.
             for r in interp.take_reports() {
@@ -569,16 +536,13 @@ impl Patcher {
     /// stream, the emitted edit set for those matches, ready to
     /// apply, and the attempt probe for kill-stage attribution.
     #[allow(clippy::type_complexity)]
-    #[allow(clippy::too_many_arguments)]
     fn run_transform_rule(
         &self,
         ri: usize,
         t: &TransformRule,
         tu: &TranslationUnit,
-        file: &str,
-        src: &str,
+        cur: &mut FileContext,
         streams: &[ExportedEnv],
-        mut shared: Option<&mut FileContext>,
     ) -> Result<
         (
             Vec<MatchState>,
@@ -643,18 +607,15 @@ impl Patcher {
             }
         }
 
+        let file = cur.name().to_string();
+        let text = cur.text_arc();
+        let src: &str = &text;
         let ctx = MatchCtx {
-            file,
+            file: &file,
             src,
             decls: &t.metavars,
             regexes: &self.compiled.rules[ri].regexes,
         };
-        // Positions crossing a rule boundary capture their line/col
-        // *now*, against the text this rule matched — later transform
-        // rules may rewrite the in-memory text and shift the byte
-        // offsets out from under the span. Built lazily: only rules
-        // that export positions pay for the line table.
-        let mut export_resolver: Option<Arc<Resolver>> = None;
 
         // Flow-sensitive rules route through the CFG path engine
         // (all-paths dots semantics); everything else — and every rule
@@ -679,12 +640,11 @@ impl Patcher {
             }
         }
         let flow_search = match (&self.compiled.rules[ri].flow, &t.body.pattern) {
-            (Some(fp), Pattern::Stmts(pats)) if self.flow_enabled => Some(match &mut shared {
-                // Shared context: this file's CFGs build once, no matter
-                // how many flow-routed rules (of how many patches) run.
-                Some(ctx) => crate::flowmatch::FlowSearch::with_cache(fp, pats, tu, ctx.cfgs()),
-                None => crate::flowmatch::FlowSearch::new(fp, pats, tu),
-            }),
+            // The text's CFGs build once, no matter how many flow-routed
+            // rules (of how many patches) run on it.
+            (Some(fp), Pattern::Stmts(pats)) if self.flow_enabled => Some(
+                crate::flowmatch::FlowSearch::with_cache(fp, pats, tu, cur.cfgs()),
+            ),
             _ => None,
         };
 
@@ -879,21 +839,17 @@ impl Patcher {
                         let mut detached = Env::new();
                         for (k, v) in m.env.iter() {
                             let dv = match v {
-                                // Freshly bound positions resolve here;
-                                // a position inherited already-resolved
-                                // keeps its original (bind-time)
-                                // coordinates.
+                                // Freshly bound positions resolve now,
+                                // against the text this rule matched
+                                // (later rules may rewrite it); a
+                                // position inherited already-resolved
+                                // keeps its bind-time coordinates.
                                 Value::Pos {
                                     file: pf,
                                     span,
                                     resolved: None,
                                 } => {
-                                    let r = shared_resolver(
-                                        &mut export_resolver,
-                                        shared.as_deref_mut(),
-                                        file,
-                                        src,
-                                    );
+                                    let r = cur.resolver();
                                     let (line, col) = r.line_col(span.start);
                                     let (end_line, end_col) = r.line_col(span.end);
                                     Value::Pos {
@@ -935,29 +891,6 @@ impl Patcher {
         }
         Ok((all_matches, streams_out, edits, probe))
     }
-}
-
-/// The lazily-built line-table resolver for the text a rule is running
-/// against. While the text is still the file's original (`shared` is
-/// `Some`), the build comes from the shared [`FileContext`] — one line
-/// table serves every rule applied to the file; once the patch's own
-/// edits rewrote the text, `shared` is `None` and a private resolver is
-/// built over `src`. Either way the handle is memoized in `slot`.
-fn shared_resolver(
-    slot: &mut Option<Arc<Resolver>>,
-    shared: Option<&mut FileContext>,
-    name: &str,
-    src: &str,
-) -> Arc<Resolver> {
-    if let Some(r) = slot {
-        return Arc::clone(r);
-    }
-    let r = match shared {
-        Some(ctx) => ctx.resolver(),
-        None => Arc::new(Resolver::new(name, src)),
-    };
-    *slot = Some(Arc::clone(&r));
-    r
 }
 
 /// The roots one rule's matches claimed, each with its witness group.

@@ -223,9 +223,10 @@ impl<T> WorkQueue<T> {
 /// The producer [`reserve`](ResultSlots::reserve)s cells in encounter
 /// order and hands each work unit its cell index; workers
 /// [`set`](ResultSlots::set) cells as they finish, in any order. The
-/// producer then drains the *filled prefix* — results come out exactly
-/// in reservation order, whatever the completion order was, which is
-/// what keeps corpus output byte-identical across thread counts.
+/// producer then [`drain_until`](ResultSlots::drain_until)s the *filled
+/// prefix* — results come out exactly in reservation order, whatever the
+/// completion order was, which is what keeps corpus output
+/// byte-identical across thread counts.
 pub struct ResultSlots<T> {
     inner: Mutex<Slots<T>>,
     cond: Condvar,
@@ -272,20 +273,14 @@ impl<T> ResultSlots<T> {
         self.cond.notify_all();
     }
 
-    /// Pop the filled prefix without blocking (producer-side streaming
-    /// drain between batches).
-    pub fn drain_ready(&self) -> Vec<T> {
-        let mut s = self.inner.lock().unwrap();
-        s.take_ready()
-    }
-
-    /// Pop everything, blocking until every reserved cell is filled.
-    pub fn drain_all(&self) -> Vec<T> {
+    /// Pop the filled prefix, blocking until at most `left` reserved
+    /// cells remain undrained: `drain_until(0)` waits for every result.
+    pub fn drain_until(&self, left: usize) -> Vec<T> {
         let mut s = self.inner.lock().unwrap();
         let mut out = Vec::new();
         loop {
             out.extend(s.take_ready());
-            if s.cells.is_empty() {
+            if s.cells.len() <= left {
                 return out;
             }
             s = self.cond.wait(s).unwrap();
@@ -425,13 +420,13 @@ mod tests {
         let slots: ResultSlots<&str> = ResultSlots::new();
         assert_eq!(slots.reserve(3), 0);
         slots.set(2, "c");
-        assert!(slots.drain_ready().is_empty(), "prefix not filled yet");
+        assert!(slots.drain_until(3).is_empty(), "prefix not filled yet");
         slots.set(0, "a");
-        assert_eq!(slots.drain_ready(), ["a"], "only the filled prefix");
+        assert_eq!(slots.drain_until(3), ["a"], "only the filled prefix");
         assert_eq!(slots.reserve(1), 3, "indices keep counting after drain");
         slots.set(1, "b");
         slots.set(3, "d");
-        assert_eq!(slots.drain_all(), ["b", "c", "d"]);
+        assert_eq!(slots.drain_until(0), ["b", "c", "d"]);
     }
 
     #[test]
@@ -439,7 +434,7 @@ mod tests {
         let slots: ResultSlots<usize> = ResultSlots::new();
         slots.reserve(10);
         let out = std::thread::scope(|scope| {
-            let h = scope.spawn(|| slots.drain_all());
+            let h = scope.spawn(|| slots.drain_until(0));
             for i in (0..10).rev() {
                 slots.set(i, i * i);
             }

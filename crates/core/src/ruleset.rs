@@ -112,37 +112,44 @@ pub struct CompiledRuleSet {
     sieve: AtomSieve,
 }
 
+/// The `*.cocci` files directly under `dir` (directories so named are
+/// skipped) as `(path, file stem, text)` triples in path order: what
+/// [`CompiledRuleSet::load_dir`] compiles and `spatch lint` lints.
+pub fn rule_sources(dir: &Path) -> Result<Vec<(String, String, String)>, ApplyError> {
+    let entries = std::fs::read_dir(dir)
+        .map_err(|e| ApplyError::new(format!("cannot read rules dir {}: {e}", dir.display())))?;
+    let mut paths: Vec<_> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.is_file() && p.extension().and_then(|x| x.to_str()) == Some("cocci"))
+        .collect();
+    paths.sort();
+    if paths.is_empty() {
+        return Err(ApplyError::new(format!(
+            "rules dir {} contains no .cocci files",
+            dir.display()
+        )));
+    }
+    paths.iter().map(|p| rule_source(p)).collect()
+}
+
+/// One rule file as a `(path, file stem, text)` triple.
+pub fn rule_source(path: &Path) -> Result<(String, String, String), ApplyError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| ApplyError::new(format!("cannot read {}: {e}", path.display())))?;
+    let stem = path
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("rule")
+        .to_string();
+    Ok((path.display().to_string(), stem, text))
+}
+
 impl CompiledRuleSet {
     /// Load and compile every `*.cocci` file directly under `dir`.
     /// Errors name the offending file; duplicate rule ids refuse the
     /// whole set.
     pub fn load_dir(dir: &Path) -> Result<CompiledRuleSet, ApplyError> {
-        let entries = std::fs::read_dir(dir).map_err(|e| {
-            ApplyError::new(format!("cannot read rules dir {}: {e}", dir.display()))
-        })?;
-        let mut paths: Vec<_> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_file() && p.extension().and_then(|x| x.to_str()) == Some("cocci"))
-            .collect();
-        paths.sort();
-        if paths.is_empty() {
-            return Err(ApplyError::new(format!(
-                "rules dir {} contains no .cocci files",
-                dir.display()
-            )));
-        }
-        let mut sources = Vec::with_capacity(paths.len());
-        for p in paths {
-            let text = std::fs::read_to_string(&p)
-                .map_err(|e| ApplyError::new(format!("cannot read {}: {e}", p.display())))?;
-            let stem = p
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("rule")
-                .to_string();
-            sources.push((p.display().to_string(), stem, text));
-        }
-        Self::from_sources(&sources)
+        Self::from_sources(&rule_sources(dir)?)
     }
 
     /// Compile a set from in-memory sources: `(display name, default id,

@@ -17,7 +17,7 @@
 //! write files: a transform rule that *would* change a file records a
 //! `changed` per-rule outcome and its match count, and nothing else.
 
-use crate::corpus::{CorpusOptions, FileSource};
+use crate::corpus::{BatchOptions, CorpusOptions, FileSource};
 use crate::driver::{run_file, FileOutcome};
 use crate::explain::{AttemptTrace, ExplainBlock, KillStage};
 use crate::orchestrate::ApplyError;
@@ -26,7 +26,7 @@ use crate::report::json::{Fields, Str, Value};
 use crate::report::{content_hash, ApplyReport, FileReport, FileStatus, RunMetrics};
 use crate::ruleset::CompiledRuleSet;
 use cocci_trace::Phase;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -90,7 +90,8 @@ impl RuleOutcome {
 }
 
 /// Run every rule of `set` over every file of `source`, streaming
-/// batches with bounded memory.
+/// batches with bounded memory: the next batch is read only once what is
+/// read but not yet sunk fits in one batch under `opts.batch`.
 ///
 /// `sink` is invoked once per processed file, in walk order, with its
 /// name, original text, and outcome — this is where a CLI prints diffs
@@ -206,7 +207,16 @@ pub fn scan_corpus(
             }
         };
 
+        // Text sizes of the slots reserved but not yet sunk, in slot order.
+        let mut held: VecDeque<usize> = VecDeque::new();
         loop {
+            // Stream out what has completed, first waiting until what is
+            // read but not yet sunk fits in one batch: the walker stays
+            // at most one batch ahead of the sink, however far the
+            // workers lag.
+            let done = slots.drain_until(batch_tail(&held, &opts.batch));
+            held.drain(..done.len());
+            emit(done, &mut files);
             let batch = {
                 let _walk_span = cocci_trace::span(Phase::Walk);
                 source.next_batch(&opts.batch)
@@ -227,6 +237,7 @@ pub fn scan_corpus(
                     kill_stage: None,
                 };
                 slots.set(slots.reserve(1), Done::Skipped(report));
+                held.push_back(0);
             }
             if batch.is_empty() {
                 break;
@@ -235,6 +246,7 @@ pub fn scan_corpus(
             for (name, text) in batch {
                 let hash = content_hash(&text);
                 let slot = slots.reserve(1);
+                held.push_back(text.len());
                 match prev_by_name.get(name.as_str()) {
                     // Only completed statuses are copied forward: a prior
                     // `timeout`/`error` records a failed *attempt*, so the
@@ -260,13 +272,9 @@ pub fn scan_corpus(
                 }
             }
             queue.push_chunk(tasks);
-            // Stream out whatever has completed so far: the sink sees
-            // results (and text memory is released) while workers chew
-            // on the rest.
-            emit(slots.drain_ready(), &mut files);
         }
         queue.close();
-        emit(slots.drain_all(), &mut files);
+        emit(slots.drain_until(0), &mut files);
     });
 
     // Workers are gone: every span for this run is recorded, so a traced
@@ -288,6 +296,19 @@ pub fn scan_corpus(
         explain: explain_block,
         files,
     })
+}
+
+/// How many of the newest `held` text sizes fit in one batch.
+fn batch_tail(held: &VecDeque<usize>, opts: &BatchOptions) -> usize {
+    let (mut files, mut bytes) = (0, 0);
+    for &size in held.iter().rev() {
+        if opts.full(files, bytes, size) {
+            break;
+        }
+        files += 1;
+        bytes += size;
+    }
+    files
 }
 
 #[cfg(test)]
@@ -684,6 +705,59 @@ pub(crate) mod tests {
         let expect: Vec<String> = (0..9).map(|i| format!("s{i}.c")).collect();
         let names: Vec<String> = runs[0].1.iter().map(|d| d.0.clone()).collect();
         assert_eq!(names, expect, "report keeps walk order");
+    }
+
+    /// A source that records, at each read, how many files it has handed
+    /// out beyond those the sink has seen.
+    struct Counting<'a> {
+        inner: MemorySource,
+        read: usize,
+        sunk: &'a std::cell::Cell<usize>,
+        ahead: Vec<usize>,
+    }
+
+    impl crate::corpus::FileSource for Counting<'_> {
+        fn next_batch(&mut self, opts: &crate::corpus::BatchOptions) -> Vec<(String, String)> {
+            self.ahead.push(self.read - self.sunk.get());
+            let batch = self.inner.next_batch(opts);
+            self.read += batch.len();
+            batch
+        }
+    }
+
+    #[test]
+    fn walker_stays_one_batch_ahead_of_a_slow_sink() {
+        let set = CompiledRuleSet::from_sources(&[src("r", &report_rule("old_api"))]).unwrap();
+        let text: String = (0..100)
+            .map(|i| format!("void f{i}(int x) {{\n    old_api(x);\n}}\n"))
+            .collect();
+        let files = (0..60).map(|i| (format!("f{i}.c"), text.clone()));
+        let sunk = std::cell::Cell::new(0);
+        let mut source = Counting {
+            inner: MemorySource::new(files),
+            read: 0,
+            sunk: &sunk,
+            ahead: Vec::new(),
+        };
+        let batch = crate::corpus::BatchOptions {
+            max_files: 4,
+            max_bytes: usize::MAX,
+        };
+        let opts = CorpusOptions {
+            threads: 1,
+            batch,
+            ..Default::default()
+        };
+        scan_corpus(&set, &mut source, &opts, None, |_, _, _| {
+            sunk.set(sunk.get() + 1)
+        })
+        .unwrap();
+        assert_eq!(sunk.get(), 60);
+        let most = source.ahead.iter().copied().max().unwrap();
+        assert!(
+            most <= batch.max_files,
+            "walker ran {most} files ahead of the sink"
+        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! CFG construction from a function AST.
 
-use crate::graph::{Cfg, EdgeKind, NodeId, NodeKind};
+use crate::graph::{Cfg, NodeId, NodeKind};
 use cocci_cast::ast::*;
-use cocci_cast::render;
-use cocci_source::Symbol;
+use cocci_source::{Span, Symbol};
 use std::collections::HashMap;
 
 /// Build the control-flow graph of a function body.
@@ -17,17 +16,13 @@ pub fn build_cfg(f: &FunctionDef) -> Cfg {
     };
     let entry = b.g.entry();
     let exit = b.g.exit();
-    let after = b.stmts(&f.body.stmts, entry, EdgeKind::Seq);
-    b.connect(after, exit, EdgeKind::Seq);
-    // Resolve forward gotos.
-    let pending = std::mem::take(&mut b.pending_gotos);
-    for (from, label) in pending {
-        if let Some(&target) = b.labels.get(&label) {
-            b.g.edge(from, target, EdgeKind::Seq);
-        } else {
-            // Unknown label: fall to exit so the graph stays connected.
-            b.g.edge(from, exit, EdgeKind::Seq);
-        }
+    let after = b.stmts(&f.body.stmts, entry);
+    b.connect(after, exit);
+    // Resolve forward gotos; an unknown label falls to the exit so the
+    // graph stays connected.
+    for (from, label) in std::mem::take(&mut b.pending_gotos) {
+        let target = b.labels.get(&label).copied().unwrap_or(exit);
+        b.g.edge(from, target);
     }
     b.g
 }
@@ -45,49 +40,49 @@ struct Builder {
 type Frontier = Option<NodeId>;
 
 impl Builder {
-    fn connect(&mut self, from: Frontier, to: NodeId, kind: EdgeKind) {
+    fn connect(&mut self, from: Frontier, to: NodeId) {
         if let Some(f) = from {
-            self.g.edge(f, to, kind);
+            self.g.edge(f, to);
         }
     }
 
-    fn stmts(&mut self, stmts: &[Stmt], mut cur: NodeId, mut kind: EdgeKind) -> Frontier {
+    /// Add a node reached from `pred`.
+    fn node(&mut self, kind: NodeKind, span: Span, pred: NodeId) -> NodeId {
+        let n = self.g.add(kind, span);
+        self.g.edge(pred, n);
+        n
+    }
+
+    fn stmts(&mut self, stmts: &[Stmt], mut cur: NodeId) -> Frontier {
         let mut frontier = Some(cur);
         for s in stmts {
-            match frontier {
-                Some(_) => {
-                    frontier = self.stmt(s, cur, kind);
-                    if let Some(f) = frontier {
-                        cur = f;
-                        kind = EdgeKind::Seq;
-                    }
-                }
-                None => {
-                    // Dead code after a jump: still build nodes (labels may
-                    // revive flow) starting from nowhere.
-                    let node = self.g.add(NodeKind::Join, "dead", s.span());
-                    frontier = self.stmt(s, node, EdgeKind::Seq);
-                    if let Some(f) = frontier {
-                        cur = f;
-                        kind = EdgeKind::Seq;
-                    }
-                }
+            if frontier.is_none() {
+                // Dead code after a jump: still build nodes (labels may
+                // revive flow) starting from nowhere.
+                cur = self.g.add(NodeKind::Join, s.span());
+            }
+            frontier = self.stmt(s, cur);
+            if let Some(f) = frontier {
+                cur = f;
             }
         }
         frontier
     }
 
-    fn short(label: &str) -> String {
-        let mut s: String = label.chars().take(40).collect();
-        if label.len() > 40 {
-            s.push('…');
-        }
-        s
+    /// A loop body entered from `from`, where `break` leaves to `brk` and
+    /// `continue` goes to `cont`.
+    fn loop_body(&mut self, body: &Stmt, from: NodeId, brk: NodeId, cont: NodeId) -> Frontier {
+        self.break_targets.push(brk);
+        self.continue_targets.push(cont);
+        let end = self.stmt(body, from);
+        self.break_targets.pop();
+        self.continue_targets.pop();
+        end
     }
 
-    /// Add `s` to the graph, attached after `pred` via `kind`. Returns the
-    /// new frontier.
-    fn stmt(&mut self, s: &Stmt, pred: NodeId, kind: EdgeKind) -> Frontier {
+    /// Add `s` to the graph, reached from `pred`. Returns the new
+    /// frontier.
+    fn stmt(&mut self, s: &Stmt, pred: NodeId) -> Frontier {
         match s {
             Stmt::Expr { .. }
             | Stmt::Decl(_)
@@ -95,190 +90,100 @@ impl Builder {
             | Stmt::Dots { .. }
             | Stmt::MetaStmt { .. }
             | Stmt::MetaStmtList { .. }
-            | Stmt::PatGroup { .. } => {
-                let label = Self::short(&render::render_stmt(s));
-                let n = self.g.add(NodeKind::Stmt, label, s.span());
-                self.g.edge(pred, n, kind);
-                Some(n)
-            }
-            Stmt::Directive(d) => {
-                let n = self.g.add(NodeKind::Directive, d.raw.clone(), d.span);
-                self.g.edge(pred, n, kind);
-                Some(n)
-            }
-            Stmt::Block(b) => self.stmts(&b.stmts, pred, kind),
+            | Stmt::PatGroup { .. } => Some(self.node(NodeKind::Stmt, s.span(), pred)),
+            Stmt::Directive(d) => Some(self.node(NodeKind::Directive, d.span, pred)),
+            Stmt::Block(b) => self.stmts(&b.stmts, pred),
             Stmt::If {
-                cond,
                 then_branch,
                 else_branch,
                 span,
+                ..
             } => {
-                let c = self.g.add(
-                    NodeKind::Branch,
-                    format!("if ({})", Self::short(&render::render_expr(cond))),
-                    *span,
-                );
-                self.g.edge(pred, c, kind);
-                let join = self.g.add(NodeKind::Join, "if-join", *span);
-                let t_end = self.stmt(then_branch, c, EdgeKind::True);
-                self.connect(t_end, join, EdgeKind::Seq);
-                match else_branch {
-                    Some(e) => {
-                        let e_end = self.stmt(e, c, EdgeKind::False);
-                        self.connect(e_end, join, EdgeKind::Seq);
-                    }
-                    None => self.g.edge(c, join, EdgeKind::False),
-                }
+                let c = self.node(NodeKind::Branch, *span, pred);
+                let join = self.g.add(NodeKind::Join, *span);
+                let t_end = self.stmt(then_branch, c);
+                self.connect(t_end, join);
+                let e_end = match else_branch {
+                    Some(e) => self.stmt(e, c),
+                    None => Some(c),
+                };
+                self.connect(e_end, join);
                 Some(join)
             }
-            Stmt::While { cond, body, span } => {
-                let header = self.g.add(
-                    NodeKind::Branch,
-                    format!("while ({})", Self::short(&render::render_expr(cond))),
-                    *span,
-                );
-                self.g.edge(pred, header, kind);
-                let exit = self.g.add(NodeKind::Join, "while-exit", *span);
-                self.g.edge(header, exit, EdgeKind::False);
-                self.break_targets.push(exit);
-                self.continue_targets.push(header);
-                let b_end = self.stmt(body, header, EdgeKind::True);
-                self.connect(b_end, header, EdgeKind::Back);
-                self.break_targets.pop();
-                self.continue_targets.pop();
+            Stmt::While { body, span, .. } | Stmt::RangeFor { body, span, .. } => {
+                let header = self.node(NodeKind::Branch, *span, pred);
+                let exit = self.g.add(NodeKind::Join, *span);
+                self.g.edge(header, exit);
+                let b_end = self.loop_body(body, header, exit, header);
+                self.connect(b_end, header);
                 Some(exit)
             }
-            Stmt::DoWhile { body, cond, span } => {
-                let exit = self.g.add(NodeKind::Join, "do-exit", *span);
-                let check = self.g.add(
-                    NodeKind::Branch,
-                    format!("while ({})", Self::short(&render::render_expr(cond))),
-                    *span,
-                );
-                self.break_targets.push(exit);
-                self.continue_targets.push(check);
+            Stmt::DoWhile { body, span, .. } => {
+                let exit = self.g.add(NodeKind::Join, *span);
+                let check = self.g.add(NodeKind::Branch, *span);
                 // Body entered unconditionally.
-                let body_entry = self.g.add(NodeKind::Join, "do-body", *span);
-                self.g.edge(pred, body_entry, kind);
-                let b_end = self.stmt(body, body_entry, EdgeKind::Seq);
-                self.connect(b_end, check, EdgeKind::Seq);
-                self.g.edge(check, body_entry, EdgeKind::Back);
-                self.g.edge(check, exit, EdgeKind::False);
-                self.break_targets.pop();
-                self.continue_targets.pop();
+                let body_entry = self.node(NodeKind::Join, *span, pred);
+                let b_end = self.loop_body(body, body_entry, exit, check);
+                self.connect(b_end, check);
+                self.g.edge(check, body_entry);
+                self.g.edge(check, exit);
                 Some(exit)
             }
             Stmt::For {
                 init,
                 cond,
-                step,
                 body,
                 span,
                 ..
             } => {
-                let mut cur = pred;
-                let mut k = kind;
-                if let Some(i) = init.as_deref() {
-                    let label = match i {
-                        ForInit::Decl(d) => render::render_decl(d),
-                        ForInit::Expr(e) => render::render_expr(e),
-                        ForInit::Dots { .. } => "...".to_string(),
-                    };
-                    let n = self.g.add(NodeKind::Stmt, Self::short(&label), *span);
-                    self.g.edge(cur, n, k);
-                    cur = n;
-                    k = EdgeKind::Seq;
-                }
-                let header_label = cond
-                    .as_ref()
-                    .map(|c| format!("for ({})", Self::short(&render::render_expr(c))))
-                    .unwrap_or_else(|| "for (;;)".to_string());
-                let header = self.g.add(NodeKind::Branch, header_label, *span);
-                self.g.edge(cur, header, k);
-                let exit = self.g.add(NodeKind::Join, "for-exit", *span);
+                let cur = match init {
+                    Some(_) => self.node(NodeKind::Stmt, *span, pred),
+                    None => pred,
+                };
+                let header = self.node(NodeKind::Branch, *span, cur);
+                let exit = self.g.add(NodeKind::Join, *span);
                 if cond.is_some() {
-                    self.g.edge(header, exit, EdgeKind::False);
+                    self.g.edge(header, exit);
                 }
-                let step_node = self.g.add(
-                    NodeKind::Stmt,
-                    step.as_ref()
-                        .map(|e| Self::short(&render::render_expr(e)))
-                        .unwrap_or_else(|| "step".to_string()),
-                    *span,
-                );
-                self.break_targets.push(exit);
-                self.continue_targets.push(step_node);
-                let b_end = self.stmt(body, header, EdgeKind::True);
-                self.connect(b_end, step_node, EdgeKind::Seq);
-                self.g.edge(step_node, header, EdgeKind::Back);
-                self.break_targets.pop();
-                self.continue_targets.pop();
-                Some(exit)
-            }
-            Stmt::RangeFor { body, span, .. } => {
-                let header = self.g.add(NodeKind::Branch, "range-for", *span);
-                self.g.edge(pred, header, kind);
-                let exit = self.g.add(NodeKind::Join, "for-exit", *span);
-                self.g.edge(header, exit, EdgeKind::False);
-                self.break_targets.push(exit);
-                self.continue_targets.push(header);
-                let b_end = self.stmt(body, header, EdgeKind::True);
-                self.connect(b_end, header, EdgeKind::Back);
-                self.break_targets.pop();
-                self.continue_targets.pop();
+                let step = self.g.add(NodeKind::Stmt, *span);
+                let b_end = self.loop_body(body, header, exit, step);
+                self.connect(b_end, step);
+                self.g.edge(step, header);
                 Some(exit)
             }
             Stmt::Return { span, .. } => {
-                let n = self.g.add(NodeKind::Stmt, "return", *span);
-                self.g.edge(pred, n, kind);
+                let n = self.node(NodeKind::Stmt, *span, pred);
                 let exit = self.g.exit();
-                self.g.edge(n, exit, EdgeKind::Seq);
+                self.g.edge(n, exit);
                 None
             }
             Stmt::Break { span } => {
-                let n = self.g.add(NodeKind::Stmt, "break", *span);
-                self.g.edge(pred, n, kind);
+                let n = self.node(NodeKind::Stmt, *span, pred);
                 if let Some(&t) = self.break_targets.last() {
-                    self.g.edge(n, t, EdgeKind::Seq);
+                    self.g.edge(n, t);
                 }
                 None
             }
             Stmt::Continue { span } => {
-                let n = self.g.add(NodeKind::Stmt, "continue", *span);
-                self.g.edge(pred, n, kind);
+                let n = self.node(NodeKind::Stmt, *span, pred);
                 if let Some(&t) = self.continue_targets.last() {
-                    self.g.edge(n, t, EdgeKind::Seq);
+                    self.g.edge(n, t);
                 }
                 None
             }
             Stmt::Goto { label, span } => {
-                let n = self
-                    .g
-                    .add(NodeKind::Stmt, format!("goto {}", label.name), *span);
-                self.g.edge(pred, n, kind);
+                let n = self.node(NodeKind::Stmt, *span, pred);
                 self.pending_gotos.push((n, label.name));
                 None
             }
             Stmt::Label { label, stmt, span } => {
-                let n = self
-                    .g
-                    .add(NodeKind::Join, format!("{}:", label.name), *span);
-                self.g.edge(pred, n, kind);
+                let n = self.node(NodeKind::Join, *span, pred);
                 self.labels.insert(label.name, n);
-                self.stmt(stmt, n, EdgeKind::Seq)
+                self.stmt(stmt, n)
             }
-            Stmt::Switch {
-                scrutinee,
-                body,
-                span,
-            } => {
-                let sw = self.g.add(
-                    NodeKind::Branch,
-                    format!("switch ({})", Self::short(&render::render_expr(scrutinee))),
-                    *span,
-                );
-                self.g.edge(pred, sw, kind);
-                let exit = self.g.add(NodeKind::Join, "switch-exit", *span);
+            Stmt::Switch { body, span, .. } => {
+                let sw = self.node(NodeKind::Branch, *span, pred);
+                let exit = self.g.add(NodeKind::Join, *span);
                 self.break_targets.push(exit);
                 // Flatten the switch body: each `case` gets an edge from
                 // the switch head; fallthrough connects consecutive cases.
@@ -287,39 +192,28 @@ impl Builder {
                 if let Stmt::Block(b) = body.as_ref() {
                     for s in &b.stmts {
                         if let Stmt::Case { value, stmt, span } = s {
-                            if value.is_none() {
-                                has_default = true;
-                            }
-                            let c = self.g.add(
-                                NodeKind::Join,
-                                value
-                                    .as_ref()
-                                    .map(|v| format!("case {}", render::render_expr(v)))
-                                    .unwrap_or_else(|| "default".to_string()),
-                                *span,
-                            );
-                            self.g.edge(sw, c, EdgeKind::True);
-                            self.connect(frontier, c, EdgeKind::Seq);
-                            frontier = self.stmt(stmt, c, EdgeKind::Seq);
-                        } else if frontier.is_some() {
-                            frontier = self.stmt(s, frontier.unwrap(), EdgeKind::Seq);
+                            has_default |= value.is_none();
+                            let c = self.node(NodeKind::Join, *span, sw);
+                            self.connect(frontier, c);
+                            frontier = self.stmt(stmt, c);
+                        } else if let Some(f) = frontier {
+                            frontier = self.stmt(s, f);
                         }
                     }
                 } else {
-                    frontier = self.stmt(body, sw, EdgeKind::True);
+                    frontier = self.stmt(body, sw);
                 }
-                self.connect(frontier, exit, EdgeKind::Seq);
+                self.connect(frontier, exit);
                 if !has_default {
-                    self.g.edge(sw, exit, EdgeKind::False);
+                    self.g.edge(sw, exit);
                 }
                 self.break_targets.pop();
                 Some(exit)
             }
             Stmt::Case { stmt, span, .. } => {
                 // Case outside a switch body (unusual); treat as label.
-                let n = self.g.add(NodeKind::Join, "case", *span);
-                self.g.edge(pred, n, kind);
-                self.stmt(stmt, n, EdgeKind::Seq)
+                let n = self.node(NodeKind::Join, *span, pred);
+                self.stmt(stmt, n)
             }
         }
     }

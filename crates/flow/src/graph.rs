@@ -32,27 +32,13 @@ pub enum NodeKind {
     Join,
 }
 
-/// Classification of a CFG edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeKind {
-    /// Unconditional fallthrough.
-    Seq,
-    /// Branch taken (`true` side / matching case).
-    True,
-    /// Branch not taken (`false` side / default).
-    False,
-    /// Loop back edge.
-    Back,
-}
-
-/// An intra-procedural control-flow graph.
+/// An intra-procedural control-flow graph: each node's kind, source
+/// span and successors, which is all that matching reads.
 #[derive(Debug, Clone)]
 pub struct Cfg {
     kinds: Vec<NodeKind>,
-    labels: Vec<String>,
     spans: Vec<Span>,
-    succs: Vec<Vec<(NodeId, EdgeKind)>>,
-    preds: Vec<Vec<(NodeId, EdgeKind)>>,
+    succs: Vec<Vec<NodeId>>,
     entry: NodeId,
     exit: NodeId,
 }
@@ -62,35 +48,28 @@ impl Cfg {
     pub(crate) fn new() -> Self {
         let mut g = Cfg {
             kinds: Vec::new(),
-            labels: Vec::new(),
             spans: Vec::new(),
             succs: Vec::new(),
-            preds: Vec::new(),
             entry: NodeId(0),
             exit: NodeId(0),
         };
-        g.entry = g.add(NodeKind::Entry, "entry", Span::SYNTHETIC);
-        g.exit = g.add(NodeKind::Exit, "exit", Span::SYNTHETIC);
+        g.entry = g.add(NodeKind::Entry, Span::SYNTHETIC);
+        g.exit = g.add(NodeKind::Exit, Span::SYNTHETIC);
         g
     }
 
-    pub(crate) fn add(&mut self, kind: NodeKind, label: impl Into<String>, span: Span) -> NodeId {
+    pub(crate) fn add(&mut self, kind: NodeKind, span: Span) -> NodeId {
         let id = NodeId(self.kinds.len() as u32);
         self.kinds.push(kind);
-        self.labels.push(label.into());
         self.spans.push(span);
         self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
         id
     }
 
-    pub(crate) fn edge(&mut self, from: NodeId, to: NodeId, kind: EdgeKind) {
-        if !self.succs[from.index()]
-            .iter()
-            .any(|&(t, k)| t == to && k == kind)
-        {
-            self.succs[from.index()].push((to, kind));
-            self.preds[to.index()].push((from, kind));
+    pub(crate) fn edge(&mut self, from: NodeId, to: NodeId) {
+        let succs = &mut self.succs[from.index()];
+        if !succs.contains(&to) {
+            succs.push(to);
         }
     }
 
@@ -124,72 +103,14 @@ impl Cfg {
         self.kinds[n.index()]
     }
 
-    /// Human-readable label of `n` (statement text, condensed).
-    pub fn label(&self, n: NodeId) -> &str {
-        &self.labels[n.index()]
-    }
-
     /// Source span of `n`.
     pub fn span(&self, n: NodeId) -> Span {
         self.spans[n.index()]
     }
 
-    /// Successor edges of `n`.
-    pub fn succs(&self, n: NodeId) -> &[(NodeId, EdgeKind)] {
+    /// Successors of `n`, each once, in the order their edges were added.
+    pub fn succs(&self, n: NodeId) -> &[NodeId] {
         &self.succs[n.index()]
-    }
-
-    /// Predecessor edges of `n`.
-    pub fn preds(&self, n: NodeId) -> &[(NodeId, EdgeKind)] {
-        &self.preds[n.index()]
-    }
-
-    /// Reverse postorder from the entry node.
-    pub fn reverse_postorder(&self) -> Vec<NodeId> {
-        let mut visited = vec![false; self.len()];
-        let mut post = Vec::with_capacity(self.len());
-        // Iterative DFS with explicit stack of (node, next-succ-index).
-        let mut stack: Vec<(NodeId, usize)> = vec![(self.entry, 0)];
-        visited[self.entry.index()] = true;
-        while let Some(&mut (n, ref mut i)) = stack.last_mut() {
-            if *i < self.succs[n.index()].len() {
-                let (succ, _) = self.succs[n.index()][*i];
-                *i += 1;
-                if !visited[succ.index()] {
-                    visited[succ.index()] = true;
-                    stack.push((succ, 0));
-                }
-            } else {
-                post.push(n);
-                stack.pop();
-            }
-        }
-        post.reverse();
-        post
-    }
-
-    /// Graphviz dot rendering (for debugging and documentation).
-    pub fn to_dot(&self) -> String {
-        let mut s = String::from("digraph cfg {\n");
-        for n in self.nodes() {
-            s.push_str(&format!(
-                "  n{} [label=\"{}\"];\n",
-                n.index(),
-                self.label(n).replace('"', "\\\"")
-            ));
-        }
-        for n in self.nodes() {
-            for &(t, k) in self.succs(n) {
-                s.push_str(&format!(
-                    "  n{} -> n{} [label=\"{:?}\"];\n",
-                    n.index(),
-                    t.index(),
-                    k
-                ));
-            }
-        }
-        s.push_str("}\n");
-        s
     }
 }
 
@@ -200,40 +121,22 @@ mod tests {
     #[test]
     fn manual_graph_edges() {
         let mut g = Cfg::new();
-        let a = g.add(NodeKind::Stmt, "a", Span::SYNTHETIC);
-        let b = g.add(NodeKind::Stmt, "b", Span::SYNTHETIC);
-        g.edge(g.entry(), a, EdgeKind::Seq);
-        g.edge(a, b, EdgeKind::Seq);
-        g.edge(b, g.exit(), EdgeKind::Seq);
-        assert_eq!(g.succs(a), &[(b, EdgeKind::Seq)]);
-        assert_eq!(g.preds(b), &[(a, EdgeKind::Seq)]);
+        let a = g.add(NodeKind::Stmt, Span::SYNTHETIC);
+        let b = g.add(NodeKind::Stmt, Span::SYNTHETIC);
+        g.edge(g.entry(), a);
+        g.edge(a, b);
+        g.edge(b, g.exit());
+        assert_eq!(g.succs(a), &[b]);
+        assert_eq!(g.succs(b), &[g.exit()]);
         assert_eq!(g.len(), 4);
     }
 
     #[test]
     fn duplicate_edges_ignored() {
         let mut g = Cfg::new();
-        let a = g.add(NodeKind::Stmt, "a", Span::SYNTHETIC);
-        g.edge(g.entry(), a, EdgeKind::Seq);
-        g.edge(g.entry(), a, EdgeKind::Seq);
+        let a = g.add(NodeKind::Stmt, Span::SYNTHETIC);
+        g.edge(g.entry(), a);
+        g.edge(g.entry(), a);
         assert_eq!(g.succs(g.entry()).len(), 1);
-    }
-
-    #[test]
-    fn rpo_starts_at_entry() {
-        let mut g = Cfg::new();
-        let a = g.add(NodeKind::Stmt, "a", Span::SYNTHETIC);
-        g.edge(g.entry(), a, EdgeKind::Seq);
-        g.edge(a, g.exit(), EdgeKind::Seq);
-        let rpo = g.reverse_postorder();
-        assert_eq!(rpo[0], g.entry());
-    }
-
-    #[test]
-    fn dot_output_contains_nodes() {
-        let g = Cfg::new();
-        let dot = g.to_dot();
-        assert!(dot.contains("entry"));
-        assert!(dot.contains("exit"));
     }
 }

@@ -5,17 +5,13 @@
 //! "along **every** control-flow path" — a CTL `AF`-style obligation
 //! discharged by model checking over the function's CFG. This module
 //! provides the graph side of that check and leaves "does this node
-//! match a pattern?" to the caller as node predicates:
+//! match a pattern?" to the caller as node predicates.
 //!
-//! * [`walk_gap`] — the quantified reachability core. From a set of
-//!   start nodes, do the paths reach a *satisfying* node through *clean*
-//!   intermediate nodes before falling off the function exit? Under
-//!   [`Quant::Forall`] every path must; under [`Quant::Exists`] one is
-//!   enough.
-//! * [`step_successors`] — successor traversal that sees through the
-//!   synthetic join nodes the builder inserts for structure, so "the
-//!   next statement along each path" means what a semantic patch means
-//!   by it.
+//! [`walk_gap`] is the quantified reachability core. From a set of start
+//! nodes, do the paths reach a *satisfying* node through *clean*
+//! intermediate nodes before falling off the function exit? Under
+//! [`Quant::Forall`] every path must; under [`Quant::Exists`] one is
+//! enough.
 //!
 //! **Loop cut-points.** Traversal never expands a node twice, so every
 //! cycle is explored exactly once and cut where it closes. This is the
@@ -23,7 +19,7 @@
 //! that matter are the acyclic unwindings plus whatever leaves the loop,
 //! not the infinite self-loop.
 
-use crate::graph::{Cfg, NodeId, NodeKind};
+use crate::graph::{Cfg, NodeId};
 
 /// How a gap walk quantifies over control-flow paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +90,7 @@ pub fn walk_gap(
             }
             continue;
         }
-        for &(succ, _) in cfg.succs(n) {
+        for &succ in cfg.succs(n) {
             if !visited[succ.index()] {
                 visited[succ.index()] = true;
                 stack.push(succ);
@@ -108,57 +104,55 @@ pub fn walk_gap(
     Ok(hits)
 }
 
-/// The next non-synthetic nodes along each outgoing path of `n`:
-/// successors, with the builder's structural [`NodeKind::Join`] nodes
-/// traversed transparently (they carry no statement).
-pub fn step_successors(cfg: &Cfg, n: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; cfg.len()];
-    let mut out = Vec::new();
-    let mut stack: Vec<NodeId> = cfg.succs(n).iter().map(|&(s, _)| s).collect();
-    while let Some(m) = stack.pop() {
-        if seen[m.index()] {
-            continue;
-        }
-        seen[m.index()] = true;
-        if cfg.kind(m) == NodeKind::Join {
-            stack.extend(cfg.succs(m).iter().map(|&(s, _)| s));
-        } else {
-            out.push(m);
-        }
-    }
-    out.sort_by_key(|m| m.index());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::build_cfg;
+    use crate::graph::NodeKind;
     use cocci_cast::parser::{parse_translation_unit, NoMeta, ParseOptions};
     use cocci_cast::Item;
 
-    fn cfg_of(src: &str) -> Cfg {
+    /// A function's CFG with the source it was built from.
+    struct Func {
+        cfg: Cfg,
+        src: &'static str,
+    }
+
+    fn cfg_of(src: &'static str) -> Func {
         let tu = parse_translation_unit(src, ParseOptions::c(), &NoMeta).unwrap();
         match &tu.items[0] {
-            Item::Function(f) => build_cfg(f),
+            Item::Function(f) => Func {
+                cfg: build_cfg(f),
+                src,
+            },
             other => panic!("{other:?}"),
         }
     }
 
-    fn node_with_label(cfg: &Cfg, needle: &str) -> NodeId {
-        cfg.nodes()
-            .find(|&n| cfg.label(n).contains(needle))
-            .unwrap_or_else(|| panic!("no node labelled {needle}"))
+    impl Func {
+        /// Whether `n` is a statement node whose source text contains
+        /// `needle`.
+        fn has(&self, n: NodeId, needle: &str) -> bool {
+            let span = self.cfg.span(n);
+            self.cfg.kind(n) == NodeKind::Stmt
+                && self.src[span.start as usize..span.end as usize].contains(needle)
+        }
+
+        fn node(&self, needle: &str) -> NodeId {
+            self.cfg
+                .nodes()
+                .find(|&n| self.has(n, needle))
+                .unwrap_or_else(|| panic!("no statement node reads {needle}"))
+        }
     }
 
-    fn gap(cfg: &Cfg, from: &str, to: &str, quant: Quant) -> Result<Vec<NodeId>, GapFailure> {
-        let a = node_with_label(cfg, from);
-        let starts: Vec<NodeId> = cfg.succs(a).iter().map(|&(s, _)| s).collect();
+    fn gap(f: &Func, from: &str, to: &str, quant: Quant) -> Result<Vec<NodeId>, GapFailure> {
+        let a = f.node(from);
         walk_gap(
-            cfg,
-            &starts,
+            &f.cfg,
+            f.cfg.succs(a),
             quant,
-            &mut |n| cfg.label(n).contains(to),
+            &mut |n| f.has(n, to),
             &mut |_| true,
         )
     }
@@ -205,23 +199,22 @@ mod tests {
 
     #[test]
     fn unclean_node_fails_forall_but_prunes_exists() {
-        let cfg = cfg_of("void f(int x) { a(); if (x) { bad(); b(); } else { b(); } }");
-        let a = node_with_label(&cfg, "a()");
-        let starts: Vec<NodeId> = cfg.succs(a).iter().map(|&(s, _)| s).collect();
-        let forbidden = node_with_label(&cfg, "bad()");
+        let f = cfg_of("void f(int x) { a(); if (x) { bad(); b(); } else { b(); } }");
+        let starts = f.cfg.succs(f.node("a()"));
+        let forbidden = f.node("bad()");
         let res = walk_gap(
-            &cfg,
-            &starts,
+            &f.cfg,
+            starts,
             Quant::Forall,
-            &mut |n| cfg.label(n).contains("b()"),
+            &mut |n| f.has(n, "b()"),
             &mut |n| n != forbidden,
         );
         assert_eq!(res, Err(GapFailure::Unclean(forbidden)));
         let res = walk_gap(
-            &cfg,
-            &starts,
+            &f.cfg,
+            starts,
             Quant::Exists,
-            &mut |n| cfg.label(n).contains("b()"),
+            &mut |n| f.has(n, "b()"),
             &mut |n| n != forbidden,
         );
         assert_eq!(res.unwrap().len(), 1, "else-branch path survives");
@@ -244,14 +237,5 @@ mod tests {
         let cfg = cfg_of("void f(void) { a(); b(); b(); }");
         let hits = gap(&cfg, "a()", "b()", Quant::Forall).unwrap();
         assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn step_successors_see_through_joins() {
-        let cfg = cfg_of("void f(int x) { if (x) a(); b(); }");
-        let a = node_with_label(&cfg, "a()");
-        let nexts = step_successors(&cfg, a);
-        assert_eq!(nexts.len(), 1);
-        assert!(cfg.label(nexts[0]).contains("b()"));
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! The implementation is the classic two-stage pipeline: a recursive-descent
 //! parser producing a small AST ([`ast::Node`]), compiled to a Thompson NFA
-//! ([`nfa::Program`]) executed by a Pike-style virtual machine. Matching is
+//! (`nfa::Program`) executed by a Pike-style virtual machine. Matching is
 //! therefore linear in `text.len() * program.len()` with no exponential
 //! blow-up, which matters because semantic patches are applied to thousands
 //! of identifiers in large codebases.

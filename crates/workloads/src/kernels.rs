@@ -1,8 +1,8 @@
 //! AoS vs. SoA particle-update micro-kernels (experiment E4).
 //!
 //! The paper's flagship application of semantic patching is the
-//! AoS→SoA transformation of the GADGET cosmological code ([ML21],
-//! recommended by the [BIHK16] pilot study to improve auto-vectorization).
+//! AoS→SoA transformation of the GADGET cosmological code (\[ML21\],
+//! recommended by the \[BIHK16\] pilot study to improve auto-vectorization).
 //! We cannot run GADGET, but the *performance phenomenon that motivates
 //! the refactoring* — structure-of-arrays layout turning strided memory
 //! access into unit-stride, vectorizable access — is reproducible with a

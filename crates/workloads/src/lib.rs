@@ -15,7 +15,7 @@
 //!   rewriting (hipify-perl-style) produces false positives and a
 //!   semantic engine must not;
 //! * [`kernels`] — the AoS vs. SoA particle-update kernels motivating the
-//!   paper's flagship refactoring ([ML21]), runnable in Rust so the
+//!   paper's flagship refactoring (\[ML21\]), runnable in Rust so the
 //!   memory-layout effect itself is measurable;
 //! * [`corpus`] — mixed on-disk corpus *trees* (nested directories, noise
 //!   files, `.gitignore`d artifacts) for directory-mode driver runs and

@@ -453,7 +453,7 @@ fn n_rule_scan_equals_union_of_one_rule_scans() {
 fn patched_output_has_wellformed_cfg() {
     use cocci_cast::parser::{parse_translation_unit, NoMeta, ParseOptions};
     use cocci_cast::Item;
-    use cocci_flow::{build_cfg, natural_loops, reachable};
+    use cocci_flow::{build_cfg, walk_gap, Cfg, GapFailure, NodeId, Quant};
 
     let patch = r#"
 @@
@@ -473,9 +473,35 @@ fn patched_output_has_wellformed_cfg() {
     };
     let cfg = build_cfg(f);
     // Instrumentation must not break structure: the loop is still there
-    // and every node is reachable.
-    assert_eq!(natural_loops(&cfg).len(), 1);
-    let reach = reachable(&cfg);
+    // (one edge closing back onto a depth-first path from the entry)…
+    fn back_edges(cfg: &Cfg, n: NodeId, on_path: &mut [Option<bool>]) -> usize {
+        on_path[n.index()] = Some(true);
+        let mut count = 0;
+        for &s in cfg.succs(n) {
+            match on_path[s.index()] {
+                None => count += back_edges(cfg, s, on_path),
+                Some(true) => count += 1,
+                Some(false) => {}
+            }
+        }
+        on_path[n.index()] = Some(false);
+        count
+    }
+    assert_eq!(back_edges(&cfg, cfg.entry(), &mut vec![None; cfg.len()]), 1);
+    // …and every node is reachable: a gap walk from the entry that never
+    // hits visits them all.
+    let mut reach = vec![false; cfg.len()];
+    let walk = walk_gap(
+        &cfg,
+        &[cfg.entry()],
+        Quant::Exists,
+        &mut |n| {
+            reach[n.index()] = true;
+            false
+        },
+        &mut |_| true,
+    );
+    assert_eq!(walk, Err(GapFailure::NoHit));
     assert!(reach.iter().all(|&r| r));
 }
 
