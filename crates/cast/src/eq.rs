@@ -392,6 +392,21 @@ fn declarator_eq(a: &Declarator, b: &Declarator) -> bool {
             (Some(p), Some(q)) => expr_eq(p, q),
             _ => false,
         }
+        && match (&a.fn_params, &b.fn_params) {
+            (None, None) => true,
+            (Some(p), Some(q)) => params_eq(p, q),
+            _ => false,
+        }
+}
+
+/// Structural equality of parameter lists: same length, and each
+/// parameter with an equal type and the same name.
+pub fn params_eq(a: &[Param], b: &[Param]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            type_eq(&x.ty, &y.ty)
+                && x.name.as_ref().map(|n| n.name) == y.name.as_ref().map(|n| n.name)
+        })
 }
 
 #[cfg(test)]
@@ -448,5 +463,10 @@ mod tests {
         assert!(stmt_eq(&s("double x = 0;"), &s("double x = 0;")));
         assert!(!stmt_eq(&s("double x = 0;"), &s("float x = 0;")));
         assert!(!stmt_eq(&s("double x = 0;"), &s("double y = 0;")));
+        // Prototypes compare their parameter lists.
+        assert!(stmt_eq(&s("void f(int x);"), &s("void f(int x);")));
+        assert!(!stmt_eq(&s("void f(int x);"), &s("void f(double x);")));
+        assert!(!stmt_eq(&s("void f(int x);"), &s("void f(int y);")));
+        assert!(!stmt_eq(&s("void f(int x);"), &s("void f(int x, int y);")));
     }
 }

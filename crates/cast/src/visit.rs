@@ -84,35 +84,30 @@ pub fn walk_expr<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
 /// Call `f` on `s` and every nested statement, pre-order.
 pub fn walk_stmt<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Stmt)) {
     f(s);
+    child_stmts(s, &mut |c| walk_stmt(c, f));
+}
+
+/// Call `f` on each statement directly nested in `s`, in source order.
+pub fn child_stmts<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Stmt)) {
     match s {
-        Stmt::Block(b) => {
-            for st in &b.stmts {
-                walk_stmt(st, f);
-            }
-        }
+        Stmt::Block(b) => b.stmts.iter().for_each(f),
         Stmt::If {
             then_branch,
             else_branch,
             ..
         } => {
-            walk_stmt(then_branch, f);
+            f(then_branch);
             if let Some(e) = else_branch {
-                walk_stmt(e, f);
+                f(e);
             }
         }
         Stmt::While { body, .. }
         | Stmt::DoWhile { body, .. }
         | Stmt::For { body, .. }
         | Stmt::RangeFor { body, .. }
-        | Stmt::Switch { body, .. } => walk_stmt(body, f),
-        Stmt::Label { stmt, .. } | Stmt::Case { stmt, .. } => walk_stmt(stmt, f),
-        Stmt::PatGroup { branches, .. } => {
-            for b in branches {
-                for st in b {
-                    walk_stmt(st, f);
-                }
-            }
-        }
+        | Stmt::Switch { body, .. } => f(body),
+        Stmt::Label { stmt, .. } | Stmt::Case { stmt, .. } => f(stmt),
+        Stmt::PatGroup { branches, .. } => branches.iter().flatten().for_each(f),
         _ => {}
     }
 }

@@ -26,7 +26,6 @@ use crate::suppress::SuppressionIndex;
 use cocci_cast::ast::TranslationUnit;
 use cocci_cast::parser::{parse_translation_unit, NoMeta, ParseOptions};
 use cocci_cast::Lang;
-use cocci_source::Interner;
 use std::sync::Arc;
 
 /// Per-text state built once and shared by every rule run on the text.
@@ -40,7 +39,6 @@ pub struct FileContext {
     resolver: Option<Arc<Resolver>>,
     suppress: Option<Arc<SuppressionIndex>>,
     cfgs: CfgCache,
-    interner: Arc<Interner>,
     parses: usize,
 }
 
@@ -64,19 +62,8 @@ impl FileContext {
             resolver: None,
             suppress: None,
             cfgs: CfgCache::default(),
-            interner: Interner::global(),
             parses: 0,
         }
-    }
-
-    /// The interner this file's tokens and identifiers resolve through.
-    ///
-    /// All contexts share the process-global table (pattern-side and
-    /// file-side symbols must compare equal), so the handle is a cheap
-    /// `Arc` clone that worker threads can carry across the pool
-    /// boundary without touching a lock.
-    pub fn interner(&self) -> Arc<Interner> {
-        Arc::clone(&self.interner)
     }
 
     /// The file's (display) name.

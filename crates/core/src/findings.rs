@@ -10,8 +10,8 @@
 //! with `@p`) pin the finding to the annotated occurrence; without one
 //! the finding anchors at the match root.
 //!
-//! Byte spans resolve to 1-based line/column through `cocci-source`'s
-//! [`SourceMap`] at emit time ([`Resolver`]); findings then flow through
+//! Byte spans resolve to 1-based line/column through the text's line
+//! table at emit time ([`Resolver`]); findings then flow through
 //! the driver ([`FileOutcome`](crate::FileOutcome)), the apply report
 //! ([`FileReport`](crate::report::FileReport), JSON round trip,
 //! `--resume` carries them forward for unchanged files), and out of the
@@ -23,7 +23,7 @@ use crate::matcher::MatchState;
 use crate::report::json::{self, Fields, Str};
 use crate::report::ApplyReport;
 use cocci_smpl::{MetaDecl, MetaDeclKind};
-use cocci_source::{FileId, SourceMap, Span};
+use cocci_source::Span;
 use std::fmt::Write as _;
 
 /// One diagnostic produced by a reporting-only rule (or by a script
@@ -71,25 +71,38 @@ impl Finding {
     }
 }
 
-/// Line/column resolution for one target file, built on
-/// `cocci-source`'s [`SourceMap`] line tables.
+/// Line/column resolution for one target file.
 pub struct Resolver {
-    map: SourceMap,
-    id: FileId,
+    /// The file's name, the path of its findings.
+    name: String,
+    /// Byte offset at which each line starts; `line_starts[0] == 0`.
+    line_starts: Vec<u32>,
+    /// Length of the text: later offsets clamp to it.
+    len: u32,
 }
 
 impl Resolver {
-    /// Register `text` under `name` and precompute its line table.
+    /// Precompute the line table of file `name`'s `text`.
     pub fn new(name: &str, text: &str) -> Resolver {
-        let mut map = SourceMap::new();
-        let id = map.add_file(name, text);
-        Resolver { map, id }
+        let mut line_starts = vec![0];
+        for (i, b) in text.bytes().enumerate() {
+            if b == b'\n' {
+                line_starts.push(i as u32 + 1);
+            }
+        }
+        Resolver {
+            name: name.to_string(),
+            line_starts,
+            len: text.len() as u32,
+        }
     }
 
-    /// 1-based line/column of a byte offset.
+    /// 1-based line/column of a byte offset. Offsets past the end of the
+    /// text clamp to its end.
     pub fn line_col(&self, offset: u32) -> (u32, u32) {
-        let lc = self.map.file(self.id).line_col(offset);
-        (lc.line, lc.col)
+        let offset = offset.min(self.len);
+        let line = self.line_starts.partition_point(|&start| start <= offset) - 1;
+        (line as u32 + 1, offset - self.line_starts[line] + 1)
     }
 }
 
@@ -136,7 +149,7 @@ pub fn finding_for_match(
         }
     }
     Finding {
-        path: resolver.map.file(resolver.id).name.clone(),
+        path: resolver.name.clone(),
         line,
         col,
         end_line,
@@ -345,8 +358,14 @@ mod tests {
     fn resolver_maps_offsets_to_line_col() {
         let r = Resolver::new("a.c", "int x;\nint y;\n");
         assert_eq!(r.line_col(0), (1, 1));
+        assert_eq!(r.line_col(4), (1, 5));
         assert_eq!(r.line_col(7), (2, 1));
         assert_eq!(r.line_col(12), (2, 6));
+        assert_eq!(r.line_col(13), (2, 7));
+        // Past the end clamps to the end.
+        assert_eq!(Resolver::new("a.c", "ab").line_col(100), (1, 3));
+        // An empty text is one empty line.
+        assert_eq!(Resolver::new("e.c", "").line_col(0), (1, 1));
     }
 
     #[test]

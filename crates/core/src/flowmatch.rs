@@ -38,16 +38,23 @@
 //!    [`MatchState::witness_group`] id so downstream overlap claiming
 //!    keeps them together.
 //!
+//! [`FlowSearch::find`] adds what it tried into the rule's
+//! [`AttemptProbe`]: an anchor hit per attempt, and a gap kill or binding
+//! kill per attempt that dies, classified by its first failure.
+//!
 //! Functions whose CFG exceeds [`MAX_CFG_NODES`] fall back to the tree
-//! matcher for that function only, so pathological inputs degrade to the
-//! old behaviour instead of blowing up.
+//! matcher for that function only (the windows of its blocks, tried
+//! through `treesearch`), so pathological inputs degrade to the old
+//! behaviour instead of blowing up.
 
 use crate::env::Env;
+use crate::explain::AttemptProbe;
 use crate::matcher::{self, MatchCtx, MatchState, Pair, PairKind};
-use crate::treesearch::collect_seq_matches;
+use crate::treesearch::{stmt_roots, try_root};
 use cocci_cast::ast::*;
 use cocci_cast::visit;
 use cocci_flow::{build_cfg, walk_gap, Cfg, NodeId, NodeKind, Quant};
+use cocci_smpl::Pattern;
 use cocci_source::Span;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -103,41 +110,18 @@ impl CfgCache {
 /// attempts truncate (each witness is independently sound).
 pub const MAX_WITNESSES_PER_ATTEMPT: usize = 256;
 
-/// Per-search attempt accounting for kill-stage attribution
-/// ([`crate::explain`]). An *attempt* is one CFG node that matched the
-/// first anchor; it either completes (witnesses survive) or dies in a
-/// gap walk (escape, `when !=` violation, no hit) or in witness binding
-/// (reconciliation/cross-product refusal). Cells because [`FlowSearch::find`]
-/// takes `&self`.
-#[derive(Debug, Default)]
-pub struct SearchProbe {
-    /// CFG nodes that matched the first anchor (attempt starts).
-    pub anchors: Cell<u64>,
-    /// Attempts killed discharging a gap (escaped path, unclean
-    /// `when !=` node, or no path reaching the next anchor).
-    pub gap_kills: Cell<u64>,
-    /// Attempts killed reconciling witness bindings (merge failure or
-    /// cross-product refusal at [`MAX_WITNESSES_PER_ATTEMPT`]).
-    pub binding_kills: Cell<u64>,
-    /// Scratch: classification of the first failure inside the current
-    /// attempt (reset per anchor seed).
-    kill: Cell<KillClass>,
-}
-
+/// What first killed the current anchor attempt, for kill-stage
+/// attribution ([`crate::explain`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 enum KillClass {
     #[default]
     None,
+    /// A gap walk failed: an escaped path, an unclean `when !=` node, or
+    /// no path reaching the next anchor.
     Gap,
+    /// Witness bindings failed to reconcile (merge failure or
+    /// cross-product refusal at [`MAX_WITNESSES_PER_ATTEMPT`]).
     Binding,
-}
-
-impl SearchProbe {
-    fn classify(&self, class: KillClass) {
-        if self.kill.get() == KillClass::None {
-            self.kill.set(class);
-        }
-    }
 }
 
 /// One step of a lowered statement-dots pattern.
@@ -288,19 +272,17 @@ pub fn lower_pattern(pats: &[Stmt]) -> Option<FlowPattern> {
 /// function's CFG and span→statement index looked up once, reusable
 /// across seed environments (a rule inheriting metavariables runs once
 /// per exported environment — the CFGs depend only on the text). The
-/// tree patterns serve the per-function fallback when a CFG exceeds
-/// the node budget.
+/// rule's tree pattern serves the per-function fallback when a CFG
+/// exceeds the node budget.
 pub struct FlowSearch<'t> {
     fp: &'t FlowPattern,
-    tree_pats: &'t [Stmt],
+    tree: &'t Pattern,
     fns: Vec<FnData<'t>>,
     /// Next [`MatchState::witness_group`] id — unique across every
     /// `find` call on this search, so sibling witnesses of one anchor
     /// attempt stay grouped even when a rule runs under several seed
     /// environments.
-    next_group: Cell<u32>,
-    /// Attempt accounting across every `find` call on this search.
-    probe: SearchProbe,
+    next_group: u32,
 }
 
 /// Per-function precomputed matching substrate. `cfg` is `None` when
@@ -315,10 +297,11 @@ impl<'t> FlowSearch<'t> {
     /// Prepare `fp` against `tu`. CFGs come from (and land in) the
     /// text's [`CfgCache`]: N rules applied to the same parse build each
     /// function's graph once instead of N times. The span index is
-    /// rebuilt per search (it borrows this search's `tu`).
+    /// rebuilt per search (it borrows this search's `tu`). `tree` is the
+    /// rule's statement pattern, which `fp` was lowered from.
     pub fn with_cache(
         fp: &'t FlowPattern,
-        tree_pats: &'t [Stmt],
+        tree: &'t Pattern,
         tu: &'t TranslationUnit,
         cache: &mut CfgCache,
     ) -> Self {
@@ -343,22 +326,22 @@ impl<'t> FlowSearch<'t> {
         });
         FlowSearch {
             fp,
-            tree_pats,
+            tree,
             fns,
-            next_group: Cell::new(1),
-            probe: SearchProbe::default(),
+            next_group: 1,
         }
-    }
-
-    /// Attempt accounting accumulated over every `find` call so far.
-    pub fn probe(&self) -> &SearchProbe {
-        &self.probe
     }
 
     /// All match witnesses across the prepared functions for one seed
     /// environment (an anchor attempt whose paths bind differently
     /// yields several sibling witnesses sharing a `witness_group`).
-    pub fn find(&self, ctx: &MatchCtx, seed: &Env) -> Vec<MatchState> {
+    /// Anchor hits, gap kills and binding kills add into `probe`.
+    pub fn find(
+        &mut self,
+        ctx: &MatchCtx,
+        seed: &Env,
+        probe: &mut AttemptProbe,
+    ) -> Vec<MatchState> {
         let mut out = Vec::new();
         for data in &self.fns {
             match &data.cfg {
@@ -368,42 +351,27 @@ impl<'t> FlowSearch<'t> {
                         fp: self.fp,
                         cfg: cfg.as_ref(),
                         by_span: &data.by_span,
-                        probe: &self.probe,
+                        kill: Cell::new(KillClass::None),
                     };
-                    m.run(seed, &self.next_group, &mut out);
+                    m.run(seed, &mut self.next_group, probe, &mut out);
                 }
                 // Over-budget CFG: the tree fallback reads dots as plain
                 // sequence gaps, which would silently discard an
                 // explicit `when exists`/`when strict` — skip such
                 // functions (conservative: no match, never a wrong
-                // rewrite) and degrade only unquantified patterns.
+                // rewrite) and degrade only unquantified patterns to the
+                // tree matcher's windows over the function's blocks.
                 None if self.fp.explicit_quant => {}
-                None => tree_fallback(ctx, self.tree_pats, data.f, seed, &mut out),
+                None => {
+                    if let Pattern::Stmts(pats) = self.tree {
+                        stmt_roots(pats, &[data.f], &mut |root| {
+                            try_root(ctx, self.tree, root, seed, &mut out)
+                        });
+                    }
+                }
             }
         }
         out
-    }
-}
-
-/// Tree-sequence matching of one function's blocks — the behaviour a
-/// flow-routed rule degrades to when the CFG is out of budget.
-fn tree_fallback(
-    ctx: &MatchCtx,
-    pats: &[Stmt],
-    f: &FunctionDef,
-    seed: &Env,
-    out: &mut Vec<MatchState>,
-) {
-    let mut blocks: Vec<&Block> = vec![&f.body];
-    for s in &f.body.stmts {
-        visit::walk_stmt(s, &mut |st| {
-            if let Stmt::Block(inner) = st {
-                blocks.push(inner);
-            }
-        });
-    }
-    for block in blocks {
-        collect_seq_matches(ctx, pats, &block.stmts, block.span, seed, out);
     }
 }
 
@@ -414,10 +382,19 @@ struct FnMatcher<'a> {
     fp: &'a FlowPattern,
     cfg: &'a Cfg,
     by_span: &'a HashMap<Span, &'a Stmt>,
-    probe: &'a SearchProbe,
+    /// What first killed the current anchor attempt.
+    kill: Cell<KillClass>,
 }
 
 impl<'a> FnMatcher<'a> {
+    /// Record `class` as what killed the current attempt, unless an
+    /// earlier failure inside it already did.
+    fn classify(&self, class: KillClass) {
+        if self.kill.get() == KillClass::None {
+            self.kill.set(class);
+        }
+    }
+
     /// The source statement a CFG node stands for, when it stands for
     /// exactly one (entry/exit/join nodes stand for none, branch nodes
     /// for a compound construct anchors never pin).
@@ -482,7 +459,13 @@ impl<'a> FnMatcher<'a> {
     /// attempt that forks yields several sibling witnesses; they are
     /// deduplicated by bound source spans and stamped with a shared
     /// `witness_group` id.
-    fn run(&self, seed: &Env, next_group: &Cell<u32>, out: &mut Vec<MatchState>) {
+    fn run(
+        &self,
+        seed: &Env,
+        next_group: &mut u32,
+        probe: &mut AttemptProbe,
+        out: &mut Vec<MatchState>,
+    ) {
         let FlowStep::Anchor(first) = &self.fp.steps[0] else {
             return;
         };
@@ -495,20 +478,17 @@ impl<'a> FnMatcher<'a> {
             if !matcher::match_stmt(self.ctx, first, s, &mut st) {
                 continue;
             }
-            self.probe.anchors.set(self.probe.anchors.get() + 1);
-            self.probe.kill.set(KillClass::None);
+            probe.anchors += 1;
+            self.kill.set(KillClass::None);
             let mut witnesses = self.advance(1, n, st);
             if witnesses.is_empty() {
                 // Classified by the first failure site inside the
                 // attempt; an unclassified refusal is a gap death (the
                 // advance either discharges a gap or reconciles
                 // bindings — nothing else empties the witness set).
-                match self.probe.kill.get() {
-                    KillClass::Binding => self
-                        .probe
-                        .binding_kills
-                        .set(self.probe.binding_kills.get() + 1),
-                    _ => self.probe.gap_kills.set(self.probe.gap_kills.get() + 1),
+                match self.kill.get() {
+                    KillClass::Binding => probe.binding_kills += 1,
+                    _ => probe.gap_kills += 1,
                 }
             }
             dedup_witnesses(&mut witnesses);
@@ -525,8 +505,8 @@ impl<'a> FnMatcher<'a> {
                         (witnesses.len() - 1) as u64,
                     );
                 }
-                let id = next_group.get();
-                next_group.set(id.wrapping_add(1).max(1));
+                let id = *next_group;
+                *next_group = id.wrapping_add(1).max(1);
                 for w in &mut witnesses {
                     w.witness_group = id;
                 }
@@ -570,7 +550,7 @@ impl<'a> FnMatcher<'a> {
             },
             &mut |m| when_not.is_empty() || !self.violates_when(m, when_not, &st),
         ) else {
-            self.probe.classify(KillClass::Gap);
+            self.classify(KillClass::Gap);
             return Vec::new();
         };
         // Deterministic source order for binding and rewriting.
@@ -621,7 +601,7 @@ impl<'a> FnMatcher<'a> {
         let mut groups: Vec<(MatchState, Vec<NodeId>)> = Vec::new();
         'hits: for m in hits {
             let Some(s) = self.stmt_at(m) else {
-                self.probe.classify(KillClass::Gap);
+                self.classify(KillClass::Gap);
                 return Vec::new(); // sat only holds on statement nodes
             };
             for (gst, gh) in &mut groups {
@@ -636,7 +616,7 @@ impl<'a> FnMatcher<'a> {
             if !matcher::match_stmt(self.ctx, next, s, &mut fresh) {
                 // Unreachable (the sat predicate bound this hit from
                 // `st`); refuse conservatively rather than drop a path.
-                self.probe.classify(KillClass::Gap);
+                self.classify(KillClass::Gap);
                 return Vec::new();
             }
             groups.push((fresh, vec![m]));
@@ -684,7 +664,7 @@ impl<'a> FnMatcher<'a> {
                         // Cross-product blow-up on a pathological
                         // input: refuse the attempt (a forall witness
                         // subset cannot be soundly truncated).
-                        self.probe.classify(KillClass::Binding);
+                        self.classify(KillClass::Binding);
                         return Vec::new();
                     }
                 }
@@ -707,7 +687,7 @@ impl<'a> FnMatcher<'a> {
             if out.len() > MAX_WITNESSES_PER_ATTEMPT {
                 // Pathological fan-out: refuse the attempt (a forall
                 // witness subset cannot be soundly truncated).
-                self.probe.classify(KillClass::Binding);
+                self.classify(KillClass::Binding);
                 return Vec::new();
             }
         }
@@ -820,7 +800,12 @@ mod tests {
             decls: &ds,
             regexes: &regexes,
         };
-        FlowSearch::with_cache(&fp, &pats, &tu, &mut CfgCache::default()).find(&ctx, &Env::new())
+        let tree = Pattern::Stmts(pats);
+        FlowSearch::with_cache(&fp, &tree, &tu, &mut CfgCache::default()).find(
+            &ctx,
+            &Env::new(),
+            &mut AttemptProbe::default(),
+        )
     }
 
     #[test]

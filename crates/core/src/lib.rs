@@ -67,7 +67,7 @@ pub use edits::{Edit, EditConflict, EditSet};
 pub use env::{Env, ExportedEnv, Value};
 pub use explain::{AttemptTrace, ExplainBlock, ExplainConfig, KillStage};
 pub use findings::{to_sarif_with, Finding, SarifRule};
-pub use flowmatch::{CfgCache, FlowPattern, FlowSearch, FlowStep, SearchProbe};
+pub use flowmatch::{CfgCache, FlowPattern, FlowSearch, FlowStep};
 pub use matcher::{MatchCtx, MatchState, Pair, PairKind};
 pub use orchestrate::{ApplyError, Patcher};
 pub use pool::{resolve_threads, PoolStats, ResultSlots, WorkQueue};

@@ -174,7 +174,7 @@ pub(crate) fn value_eq(a: &Value, b: &Value) -> bool {
         (Value::StmtList(x), Value::StmtList(y)) => {
             x.len() == y.len() && x.iter().zip(y).all(|(p, q)| eq::stmt_eq(p, q))
         }
-        (Value::Params(x), Value::Params(y)) => x.len() == y.len(),
+        (Value::Params(x), Value::Params(y)) => eq::params_eq(x, y),
         // Cross-representation comparisons (script outputs, sizeof text).
         (Value::Ident { name, .. }, Value::Text(t))
         | (Value::Text(t), Value::Ident { name, .. }) => name.as_str() == t,
@@ -1309,10 +1309,11 @@ pub fn match_params(
                 .map(|n| n.name)
                 .unwrap_or_else(|| Symbol::intern(""));
             if let Some(Value::Params(bound)) = st.env.get(name).map(|v| v.structural().clone()) {
-                if bound.len() > srcs.len() {
+                let n = bound.len();
+                if n > srcs.len() || !eq::params_eq(&bound, &srcs[..n]) {
                     return false;
                 }
-                return go(ctx, rest, &srcs[bound.len()..], st);
+                return go(ctx, rest, &srcs[n..], st);
             }
             for k in (0..=srcs.len()).rev() {
                 let mut attempt = st.clone();

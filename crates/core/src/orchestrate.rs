@@ -639,11 +639,11 @@ impl Patcher {
                 }
             }
         }
-        let flow_search = match (&self.compiled.rules[ri].flow, &t.body.pattern) {
+        let mut flow_search = match (&self.compiled.rules[ri].flow, &t.body.pattern) {
             // The text's CFGs build once, no matter how many flow-routed
             // rules (of how many patches) run on it.
-            (Some(fp), Pattern::Stmts(pats)) if self.flow_enabled => Some(
-                crate::flowmatch::FlowSearch::with_cache(fp, pats, tu, cur.cfgs()),
+            (Some(fp), pattern @ Pattern::Stmts(_)) if self.flow_enabled => Some(
+                crate::flowmatch::FlowSearch::with_cache(fp, pattern, tu, cur.cfgs()),
             ),
             _ => None,
         };
@@ -654,6 +654,19 @@ impl Patcher {
         let mut edits = EditSet::new();
         let mut probe = AttemptProbe::default();
         let rule_label = t.name.as_deref().unwrap_or("<anonymous>");
+        // A report-only body has no `-`/`+` lines, so its matches have no
+        // edits and skip the rewriter.
+        let report_only = self.compiled.rules[ri].report_only;
+        let rewrite_span =
+            || (!report_only).then(|| cocci_trace::span(cocci_trace::Phase::Rewrite));
+        let member_edits = |m: &MatchState| -> Result<EditSet, ApplyError> {
+            let mut set = EditSet::new();
+            if !report_only {
+                rewrite::emit_edits(&t.body, m, src, &mut set)
+                    .map_err(|e| aerr(format!("rewrite: {e}")))?;
+            }
+            Ok(set)
+        };
         // Tree route, second seed on: pinned searches and duplicate
         // seeds (see `treesearch`). The first seed, and so every
         // single-seed rule, walks the file directly.
@@ -661,10 +674,10 @@ impl Patcher {
         let mut distinct = (flow_search.is_none() && seeds.len() > 1 && !reference_search())
             .then(DistinctSeeds::default);
         for (si, (ex, seed)) in seeds.iter().enumerate() {
-            let mut found = match &flow_search {
+            let mut found = match &mut flow_search {
                 Some(fs) => {
                     let _span = cocci_trace::span_with(cocci_trace::Phase::FlowMatch, rule_label);
-                    fs.find(&ctx, seed)
+                    fs.find(&ctx, seed, &mut probe)
                 }
                 None => {
                     let _span = cocci_trace::span_with(cocci_trace::Phase::TreeMatch, rule_label);
@@ -731,13 +744,14 @@ impl Patcher {
             }
             // Sibling witnesses forked from one anchor attempt (adjacent
             // in `found`, shared non-zero group id) are handled as a
-            // group. For patterns with a *forall* gap the group is
-            // atomic — the siblings jointly discharge the all-paths
-            // obligation, so if an earlier claim blocks any sibling, or
-            // their rewrites contradict, keeping a subset would rewrite
-            // only some of the attempt's arms. Pure-`exists` patterns
-            // fork one *independent* witness per surviving path: there
-            // only the individually blocked/contradicting siblings
+            // group, and a tree match (group 0) as a group of one. For
+            // tree matches and patterns with a *forall* gap the group is
+            // all or nothing — forall siblings jointly discharge the
+            // all-paths obligation, so if an earlier claim blocks any
+            // sibling, or their rewrites contradict, keeping a subset
+            // would rewrite only some of the attempt's arms. Pure-`exists`
+            // patterns fork one *independent* witness per surviving path:
+            // there only the individually blocked/contradicting siblings
             // drop.
             let atomic_groups = self.compiled.rules[ri]
                 .flow
@@ -757,7 +771,7 @@ impl Patcher {
                     let root = match_root(m);
                     !root.is_synthetic() && claimed.blocks(root, m)
                 };
-                if gid != 0 && atomic_groups {
+                if gid == 0 || atomic_groups {
                     if members.iter().any(member_blocked) {
                         probe.group_blocked += 1;
                         continue;
@@ -771,16 +785,13 @@ impl Patcher {
                     // their own set so cross-member contradictions are
                     // visible (same-offset insertions with different
                     // text never trip a single merged set).
-                    let mut member_sets = Vec::with_capacity(members.len());
-                    {
-                        let _rewrite = cocci_trace::span(cocci_trace::Phase::Rewrite);
-                        for m in &members {
-                            let mut set = EditSet::new();
-                            rewrite::emit_edits(&t.body, m, src, &mut set)
-                                .map_err(|e| aerr(format!("rewrite: {e}")))?;
-                            member_sets.push(set);
-                        }
-                    }
+                    let member_sets = {
+                        let _rewrite = rewrite_span();
+                        members
+                            .iter()
+                            .map(member_edits)
+                            .collect::<Result<Vec<_>, _>>()?
+                    };
                     let contradictory = member_sets
                         .iter()
                         .enumerate()
@@ -792,7 +803,7 @@ impl Patcher {
                     for set in member_sets {
                         edits.merge(set);
                     }
-                } else if gid != 0 {
+                } else {
                     // Independent exists witnesses: drop blocked ones,
                     // then keep a maximal consistent set in source
                     // order (a later witness whose edits contradict an
@@ -802,11 +813,9 @@ impl Patcher {
                     probe.group_blocked += (before - members.len()) as u64;
                     let mut accepted_sets: Vec<EditSet> = Vec::new();
                     let mut kept = Vec::with_capacity(members.len());
-                    let _rewrite = cocci_trace::span(cocci_trace::Phase::Rewrite);
+                    let _rewrite = rewrite_span();
                     for m in members {
-                        let mut set = EditSet::new();
-                        rewrite::emit_edits(&t.body, &m, src, &mut set)
-                            .map_err(|e| aerr(format!("rewrite: {e}")))?;
+                        let set = member_edits(&m)?;
                         if accepted_sets.iter().all(|a| !a.conflicts_with(&set)) {
                             accepted_sets.push(set);
                             kept.push(m);
@@ -817,16 +826,6 @@ impl Patcher {
                     members = kept;
                     for set in accepted_sets {
                         edits.merge(set);
-                    }
-                } else {
-                    if members.iter().any(member_blocked) {
-                        probe.group_blocked += 1;
-                        continue;
-                    }
-                    let _rewrite = cocci_trace::span(cocci_trace::Phase::Rewrite);
-                    for m in &members {
-                        rewrite::emit_edits(&t.body, m, src, &mut edits)
-                            .map_err(|e| aerr(format!("rewrite: {e}")))?;
                     }
                 }
                 for m in members {
@@ -881,14 +880,6 @@ impl Patcher {
         } else {
             None
         };
-        if let Some(fs) = &flow_search {
-            // Flow route: per-anchor-attempt accounting accumulated
-            // inside the search (across every seed environment).
-            let p = fs.probe();
-            probe.anchors += p.anchors.get();
-            probe.gap_kills += p.gap_kills.get();
-            probe.binding_kills += p.binding_kills.get();
-        }
         Ok((all_matches, streams_out, edits, probe))
     }
 }

@@ -2,20 +2,50 @@
 //! rule that runs once per inherited environment avoids re-walking the
 //! file for each one.
 //!
-//! [`find_matches`] tries a pattern at every candidate root of a
-//! translation unit — each subexpression, each statement window of each
-//! block, each nested statement, each top-level item — starting from one
-//! seed environment. A rule that inherits from earlier rules runs once per
-//! seed, so walking per seed makes its cost seeds × file size. Two exact
-//! shortcuts bring it down to the distinct seeds and the roots each can
-//! reach:
+//! [`for_each_root`] is the only code that knows where a pattern is
+//! tried. It hands out every candidate root of a pattern in a text, each
+//! once, in this order:
+//!
+//! * an expression pattern: every subexpression, in
+//!   [`walk_all_exprs`](visit::walk_all_exprs) order;
+//! * a one-statement pattern: every statement of every block, with the
+//!   blocks in search order (every function body, then every block
+//!   nested in one); then, per function in pre-order, every non-block
+//!   statement that no block lists: an unbraced `if`/`else` branch, a
+//!   loop or `switch` body, a label's or `case`'s statement;
+//! * a longer statement pattern: every window of every block, in the
+//!   same block order (only the first window when the pattern opens with
+//!   dots);
+//! * an item pattern: the item windows of the top level, then those of
+//!   each namespace and extern block.
+//!
+//! [`try_root`] tries a pattern at one root, and [`find_matches`] tries
+//! it at every root. A directive- or declaration-only statement pattern
+//! is also tried at the top level, read as a block of owned clones of the
+//! items; those roots borrow the clones, so they stay out of the
+//! enumeration.
+//!
+//! Each root is tried once. A one-statement pattern used to be tried at
+//! every statement of a block twice, as a window start and again as a
+//! nested statement. The second try matched the same statement from the
+//! same seed as the first, so the two matches had equal roots and witness
+//! group 0, and the later one was always dropped: by the earlier match's
+//! claim, or by the same claim that dropped both (see
+//! `Patcher::run_transform_rule`). Dropping the second try changes no
+//! match, finding, edit, exported environment, kill stage or `--explain`
+//! text; only the internal probe counts of anchor hits and blocked groups
+//! lose the duplicates.
+//!
+//! A rule that inherits from earlier rules runs once per seed, so walking
+//! per seed makes its cost seeds × file size. Two exact shortcuts bring it
+//! down to the distinct seeds and the roots each can reach:
 //!
 //! * [`TreeSearch`] pins a seed that binds an inherited position the
 //!   pattern requires. A position binds only where a matched node's span
 //!   equals the bound span, so only roots whose subtree covers that span
-//!   can match. A span index over the candidate roots, built the first
-//!   time a pinned seed needs it, finds them, and they are tried in walk
-//!   order: the matches come out exactly as the full walk returns them.
+//!   can match. A span index over the roots, built the first time a
+//!   pinned seed needs it, finds them, and they are tried in walk order:
+//!   the matches come out exactly as the full walk returns them.
 //! * [`DistinctSeeds`] recognises a seed whose bindings equal an earlier
 //!   seed's. Such a seed finds the same roots again, which the caller's
 //!   claims already cover (see `Patcher::run_transform_rule`).
@@ -38,31 +68,18 @@ pub fn find_matches(
     seed: &Env,
 ) -> Vec<MatchState> {
     let mut out = Vec::new();
-    match pattern {
-        Pattern::Expr(pat) => {
-            visit::walk_all_exprs(tu, &mut |e| try_expr(ctx, pat, e, seed, &mut out));
-        }
-        Pattern::Stmts(pats) => {
-            // Match inside every block of every function.
-            for block in search_blocks(tu) {
-                collect_seq_matches(ctx, pats, &block.stmts, block.span, seed, &mut out);
-            }
-            // Single-statement patterns also match at nested
-            // sub-statement positions (unbraced `if`/loop branches),
-            // which block-list windows never visit.
-            if single_stmt(pats) {
-                for s in nested_stmts(tu) {
-                    try_stmt(ctx, &pats[0], s, seed, &mut out);
-                }
-            }
-            // Dual: directive/declaration-only patterns also match the
-            // top level (the include-insertion and API-translation rules
-            // need this).
-            let only_toplevel_shapes = pats
-                .iter()
-                .all(|p| matches!(p, Stmt::Directive(_) | Stmt::Decl(_) | Stmt::Dots { .. }));
-            if only_toplevel_shapes {
-                let pseudo: Vec<Stmt> = tu
+    for_each_root(pattern, tu, &mut |root| {
+        try_root(ctx, pattern, root, seed, &mut out)
+    });
+    // Directive- and declaration-only patterns also match the top level
+    // (the include-insertion and API-translation rules need this).
+    if let Pattern::Stmts(pats) = pattern {
+        let only_toplevel_shapes = pats
+            .iter()
+            .all(|p| matches!(p, Stmt::Directive(_) | Stmt::Decl(_) | Stmt::Dots { .. }));
+        if only_toplevel_shapes {
+            let pseudo = Block {
+                stmts: tu
                     .items
                     .iter()
                     .map(|it| match it {
@@ -70,71 +87,102 @@ pub fn find_matches(
                         Item::Decl(d) => Stmt::Decl(d.clone()),
                         other => Stmt::Empty { span: other.span() },
                     })
-                    .collect();
-                collect_seq_matches(ctx, pats, &pseudo, tu.span, seed, &mut out);
-            }
-        }
-        Pattern::Items(pats) => {
-            collect_item_matches(ctx, pats, &tu.items, seed, &mut out);
-            // Recurse into namespaces / extern blocks.
-            fn rec(
-                ctx: &MatchCtx,
-                pats: &[Item],
-                items: &[Item],
-                seed: &Env,
-                out: &mut Vec<MatchState>,
-            ) {
-                for it in items {
-                    match it {
-                        Item::Namespace { items, .. } | Item::ExternBlock { items, .. } => {
-                            collect_item_matches(ctx, pats, items, seed, out);
-                            rec(ctx, pats, items, seed, out);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            rec(ctx, pats, &tu.items, seed, &mut out);
+                    .collect(),
+                span: tu.span,
+            };
+            block_roots(pats, &pseudo, &mut |root| {
+                try_root(ctx, pattern, root, seed, &mut out)
+            });
         }
     }
     out
 }
 
-/// The blocks a statement pattern is tried in, in search order: every
-/// function body, then every block nested in one.
-fn search_blocks(tu: &TranslationUnit) -> Vec<&Block> {
-    let mut blocks: Vec<&Block> = Vec::new();
-    visit::walk_functions(tu, &mut |f| {
-        blocks.push(&f.body);
-    });
-    let mut nested: Vec<&Block> = Vec::new();
-    for b in &blocks {
-        for s in &b.stmts {
+/// A place a pattern is tried.
+#[derive(Clone, Copy)]
+pub(crate) enum Root<'t> {
+    /// A subexpression (expression patterns).
+    Expr(&'t Expr),
+    /// One statement (one-statement patterns).
+    Stmt(&'t Stmt),
+    /// A block's statements from a window start on, with the span of the
+    /// block.
+    Window(&'t [Stmt], Span),
+    /// An item list from a window start on (item patterns).
+    Items(&'t [Item]),
+}
+
+/// Call `f` on every root of `pattern` in `tu`, each once, in the order
+/// the module docs give.
+pub(crate) fn for_each_root<'t>(
+    pattern: &Pattern,
+    tu: &'t TranslationUnit,
+    f: &mut dyn FnMut(Root<'t>),
+) {
+    match pattern {
+        Pattern::Expr(_) => visit::walk_all_exprs(tu, &mut |e| f(Root::Expr(e))),
+        Pattern::Stmts(pats) => {
+            let mut fns = Vec::new();
+            visit::walk_functions(tu, &mut |func| fns.push(func));
+            stmt_roots(pats, &fns, f);
+        }
+        Pattern::Items(pats) => item_roots(pats, &tu.items, f),
+    }
+}
+
+/// The roots of statement pattern `pats` in the functions `fns`: those of
+/// every block (the function bodies, then every block nested in one),
+/// then, for a one-statement pattern, every statement no block lists.
+pub(crate) fn stmt_roots<'t>(pats: &[Stmt], fns: &[&'t FunctionDef], f: &mut dyn FnMut(Root<'t>)) {
+    let mut blocks: Vec<&Block> = fns.iter().map(|func| &func.body).collect();
+    for func in fns {
+        for s in &func.body.stmts {
             visit::walk_stmt(s, &mut |st| {
                 if let Stmt::Block(inner) = st {
-                    nested.push(inner);
+                    blocks.push(inner);
                 }
             });
         }
     }
-    blocks.extend(nested);
-    blocks
+    for block in blocks {
+        block_roots(pats, block, f);
+    }
+    if single_stmt(pats) {
+        for func in fns {
+            for s in &func.body.stmts {
+                unlisted_stmts(s, f);
+            }
+        }
+    }
 }
 
-/// Every non-block statement nested in a function body, in search order:
-/// the extra roots of a one-statement pattern.
-fn nested_stmts(tu: &TranslationUnit) -> Vec<&Stmt> {
-    let mut stmts: Vec<&Stmt> = Vec::new();
-    visit::walk_functions(tu, &mut |f| {
-        for s in &f.body.stmts {
-            visit::walk_stmt(s, &mut |st| {
-                if !matches!(st, Stmt::Block(_)) {
-                    stmts.push(st);
-                }
-            });
+/// The roots of statement pattern `pats` in one block. A one-statement
+/// pattern is tried at each statement: its one-statement window consumes
+/// exactly that statement. A longer pattern is tried at each window
+/// start, or only at the first when it opens with dots; an empty block
+/// has one, empty, window.
+fn block_roots<'t>(pats: &[Stmt], block: &'t Block, f: &mut dyn FnMut(Root<'t>)) {
+    if single_stmt(pats) {
+        block.stmts.iter().for_each(|s| f(Root::Stmt(s)));
+    } else if matches!(pats.first(), Some(Stmt::Dots { .. })) {
+        f(Root::Window(&block.stmts, block.span));
+    } else {
+        for start in 0..block.stmts.len().max(1) {
+            f(Root::Window(&block.stmts[start..], block.span));
         }
+    }
+}
+
+/// Every non-block statement nested in `s` that no block lists, in
+/// pre-order.
+fn unlisted_stmts<'t>(s: &'t Stmt, f: &mut dyn FnMut(Root<'t>)) {
+    let children_listed = matches!(s, Stmt::Block(_));
+    visit::child_stmts(s, &mut |c| {
+        if !children_listed && !matches!(c, Stmt::Block(_)) {
+            f(Root::Stmt(c));
+        }
+        unlisted_stmts(c, f);
     });
-    stmts
 }
 
 /// Whether a statement pattern is one statement, which consumes exactly
@@ -143,94 +191,59 @@ fn single_stmt(pats: &[Stmt]) -> bool {
     pats.len() == 1 && !matches!(pats[0], Stmt::Dots { .. } | Stmt::MetaStmtList { .. })
 }
 
-fn fresh(seed: &Env) -> MatchState {
-    MatchState {
-        env: seed.clone(),
-        ..Default::default()
-    }
-}
-
-fn try_expr(ctx: &MatchCtx, pat: &Expr, e: &Expr, seed: &Env, out: &mut Vec<MatchState>) {
-    let mut st = fresh(seed);
-    if matcher::match_expr(ctx, pat, e, &mut st) {
-        // Record the root pair for the rewriter.
-        st.pairs.push(Pair {
-            pat: pat.span(),
-            src: e.span(),
-            kind: PairKind::Expr,
-        });
-        out.push(st);
-    }
-}
-
-fn try_stmt(ctx: &MatchCtx, pat: &Stmt, s: &Stmt, seed: &Env, out: &mut Vec<MatchState>) {
-    let mut st = fresh(seed);
-    if matcher::match_stmt(ctx, pat, s, &mut st) {
-        out.push(st);
-    }
-}
-
-fn try_window(
-    ctx: &MatchCtx,
-    pats: &[Stmt],
-    srcs: &[Stmt],
-    enclosing: Span,
-    seed: &Env,
-    out: &mut Vec<MatchState>,
-) {
-    let mut st = fresh(seed);
-    if matcher::match_stmt_seq(ctx, pats, srcs, false, enclosing, &mut st) {
-        out.push(st);
-    }
-}
-
-pub(crate) fn collect_seq_matches(
-    ctx: &MatchCtx,
-    pats: &[Stmt],
-    srcs: &[Stmt],
-    enclosing: Span,
-    seed: &Env,
-    out: &mut Vec<MatchState>,
-) {
-    let leading_dots = matches!(pats.first(), Some(Stmt::Dots { .. }));
-    let starts: Vec<usize> = if leading_dots {
-        vec![0]
-    } else {
-        (0..srcs.len().max(1)).collect()
-    };
-    for start in starts {
-        if start > srcs.len() {
-            break;
-        }
-        try_window(ctx, pats, &srcs[start..], enclosing, seed, out);
-    }
-}
-
-fn collect_item_matches(
-    ctx: &MatchCtx,
-    pats: &[Item],
-    items: &[Item],
-    seed: &Env,
-    out: &mut Vec<MatchState>,
-) {
+/// The item windows of `items`, then those of each namespace and extern
+/// block among them.
+fn item_roots<'t>(pats: &[Item], items: &'t [Item], f: &mut dyn FnMut(Root<'t>)) {
     if pats.is_empty() {
         return;
     }
-    for start in 0..items.len() {
-        if start + pats.len() > items.len() {
-            break;
+    for start in 0..(items.len() + 1).saturating_sub(pats.len()) {
+        f(Root::Items(&items[start..]));
+    }
+    for it in items {
+        if let Item::Namespace { items, .. } | Item::ExternBlock { items, .. } = it {
+            item_roots(pats, items, f);
         }
-        let mut st = fresh(seed);
-        let mut ok = true;
-        for (pi, p) in pats.iter().enumerate() {
-            if !matcher::match_item(ctx, p, &items[start + pi], &mut st) {
-                ok = false;
-                break;
+    }
+}
+
+/// Try `pattern` at `root` from `seed`, and push the match if it matches.
+pub(crate) fn try_root(
+    ctx: &MatchCtx,
+    pattern: &Pattern,
+    root: Root,
+    seed: &Env,
+    out: &mut Vec<MatchState>,
+) {
+    let mut st = MatchState {
+        env: seed.clone(),
+        ..Default::default()
+    };
+    let matched = match (pattern, root) {
+        (Pattern::Expr(pat), Root::Expr(e)) => {
+            let matched = matcher::match_expr(ctx, pat, e, &mut st);
+            if matched {
+                // Record the root pair for the rewriter.
+                st.pairs.push(Pair {
+                    pat: pat.span(),
+                    src: e.span(),
+                    kind: PairKind::Expr,
+                });
             }
+            matched
         }
-        if ok {
-            out.push(st);
+        (Pattern::Stmts(pats), Root::Stmt(s)) => matcher::match_stmt(ctx, &pats[0], s, &mut st),
+        (Pattern::Stmts(pats), Root::Window(srcs, enclosing)) => {
+            matcher::match_stmt_seq(ctx, pats, srcs, false, enclosing, &mut st)
         }
+        (Pattern::Items(pats), Root::Items(items)) => pats
+            .iter()
+            .zip(items)
+            .all(|(p, it)| matcher::match_item(ctx, p, it, &mut st)),
+        _ => unreachable!("roots are enumerated from their pattern"),
+    };
+    if matched {
+        out.push(st);
     }
 }
 
@@ -302,32 +315,26 @@ fn expr_positions(e: &Expr, out: &mut Vec<Symbol>) {
     }
 }
 
-/// A place a pinned pattern is tried.
-#[derive(Clone, Copy)]
-enum Root<'a> {
-    /// A subexpression (expression patterns).
-    Expr(&'a Expr),
-    /// A block window starting at its first statement, with the span of
-    /// the enclosing block.
-    Window(&'a [Stmt], Span),
-    /// A nested statement (one-statement patterns).
-    Stmt(&'a Stmt),
-}
-
-/// Smallest span covering every node of `s`'s subtree.
-fn stmt_hull(s: &Stmt) -> Span {
+/// Smallest span covering every node of a pinnable root's subtree.
+fn hull(root: Root) -> Span {
     let mut hull = Span::SYNTHETIC;
-    visit::walk_stmt(s, &mut |st| {
-        hull = hull.merge(st.span());
-        visit::stmt_exprs(st, &mut |e| hull = hull.merge(e.span()));
-    });
+    match root {
+        Root::Expr(e) => visit::walk_expr(e, &mut |sub| hull = hull.merge(sub.span())),
+        Root::Stmt(s) => visit::walk_stmt(s, &mut |st| {
+            hull = hull.merge(st.span());
+            visit::stmt_exprs(st, &mut |e| hull = hull.merge(e.span()));
+        }),
+        Root::Window(..) | Root::Items(_) => {
+            unreachable!("only expression and one-statement patterns are pinned")
+        }
+    }
     hull
 }
 
-/// The candidate roots of one pinnable pattern over one text, indexed by
-/// the span their subtree covers.
+/// The roots of one pinnable pattern over one text, indexed by the span
+/// their subtree covers.
 struct RootIndex<'a> {
-    /// Every candidate root, in [`find_matches`] order.
+    /// Every root, in [`for_each_root`] order.
     roots: Vec<Root<'a>>,
     /// (subtree span, position in `roots`), sorted by span start.
     by_start: Vec<(Span, u32)>,
@@ -341,35 +348,11 @@ struct RootIndex<'a> {
 impl<'a> RootIndex<'a> {
     fn new(pattern: &Pattern, tu: &'a TranslationUnit) -> RootIndex<'a> {
         let mut roots = Vec::new();
-        let mut hulls = Vec::new();
-        match pattern {
-            Pattern::Expr(_) => visit::walk_all_exprs(tu, &mut |e| {
-                let mut hull = Span::SYNTHETIC;
-                visit::walk_expr(e, &mut |sub| hull = hull.merge(sub.span()));
-                roots.push(Root::Expr(e));
-                hulls.push(hull);
-            }),
-            Pattern::Stmts(_) => {
-                // A one-statement window at `start` consumes exactly
-                // `stmts[start]` (and an empty block cannot match).
-                for block in search_blocks(tu) {
-                    for start in 0..block.stmts.len() {
-                        roots.push(Root::Window(&block.stmts[start..], block.span));
-                        hulls.push(stmt_hull(&block.stmts[start]));
-                    }
-                }
-                for s in nested_stmts(tu) {
-                    roots.push(Root::Stmt(s));
-                    hulls.push(stmt_hull(s));
-                }
-            }
-            Pattern::Items(_) => unreachable!("item patterns are never pinned"),
-        }
-        let mut by_start: Vec<(Span, u32)> = hulls
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| (h, i as u32))
-            .collect();
+        let mut by_start: Vec<(Span, u32)> = Vec::new();
+        for_each_root(pattern, tu, &mut |root| {
+            by_start.push((hull(root), roots.len() as u32));
+            roots.push(root);
+        });
         by_start.sort_by_key(|(h, _)| h.start);
         let leaves = by_start.len().next_power_of_two();
         let mut max_end = vec![0; 2 * leaves];
@@ -463,14 +446,7 @@ impl<'a> TreeSearch<'a> {
             .get_or_insert_with(|| RootIndex::new(pattern, tu));
         let mut out = Vec::new();
         for root in index.containing(pin) {
-            match (pattern, root) {
-                (Pattern::Expr(pat), Root::Expr(e)) => try_expr(ctx, pat, e, seed, &mut out),
-                (Pattern::Stmts(pats), Root::Window(srcs, enclosing)) => {
-                    try_window(ctx, pats, srcs, enclosing, seed, &mut out)
-                }
-                (Pattern::Stmts(pats), Root::Stmt(s)) => try_stmt(ctx, &pats[0], s, seed, &mut out),
-                _ => unreachable!("roots are enumerated from this pattern"),
-            }
+            try_root(ctx, pattern, root, seed, &mut out);
         }
         Some(out)
     }
@@ -846,6 +822,28 @@ position u.p;
     }
 
     #[test]
+    fn find_matches_tries_each_statement_once() {
+        let patch = parse_semantic_patch("@r@\nexpression e;\n@@\nfoo(e);\n").unwrap();
+        let r = rule(&patch, "r");
+        let src = "void f(int x) { foo(1); if (x) foo(2); { foo(3); } }\n";
+        let tu = parse_translation_unit(src, ParseOptions::c(), &NoMeta).unwrap();
+        let regexes = HashMap::new();
+        let ctx = MatchCtx {
+            file: "once.c",
+            src,
+            decls: &r.metavars,
+            regexes: &regexes,
+        };
+        // The body's statements, the nested block's, then the unbraced
+        // branch that no block lists.
+        let bound: Vec<String> = find_matches(&ctx, &r.body.pattern, &tu, &Env::new())
+            .iter()
+            .map(|m| m.env.get("e").unwrap().render(src))
+            .collect();
+        assert_eq!(bound, ["1", "3", "2"]);
+    }
+
+    #[test]
     fn duplicate_seeds_with_a_synthetic_root_are_searched_again() {
         // Tree-read `...` matches an empty run, whose root is synthetic
         // and never claimed: each duplicate matches there again.
@@ -1038,6 +1036,55 @@ baz(e);
                 .filter(|s| s.contains(pin))
                 .collect();
             assert_eq!(got, want, "{pin:?}");
+        }
+
+        // A one-statement pattern: each statement is a root once, the
+        // blocks' statements first, then those no block lists. The
+        // `else` block is not a root: no block lists it.
+        let src = "void s(int a) {\n  x = 1;\n  if (a) y = 2; else { z = 3; }\n  \
+                   { w = 4; while (a) a--; }\n  L: q = 5;\n}\n";
+        let tu = parse_translation_unit(src, ParseOptions::c(), &NoMeta).unwrap();
+        let pattern = Pattern::Stmts(vec![Stmt::Empty {
+            span: Span::SYNTHETIC,
+        }]);
+        let index = RootIndex::new(&pattern, &tu);
+        let span_of = |r: &Root| match r {
+            Root::Stmt(s) => s.span(),
+            _ => unreachable!(),
+        };
+        let text = |s: Span| &src[s.start as usize..s.end as usize];
+        let roots: Vec<&str> = index.roots.iter().map(|r| text(span_of(r))).collect();
+        assert_eq!(
+            roots,
+            [
+                "x = 1;",
+                "if (a) y = 2; else { z = 3; }",
+                "{ w = 4; while (a) a--; }",
+                "L: q = 5;",
+                "z = 3;",
+                "w = 4;",
+                "while (a) a--;",
+                "y = 2;",
+                "a--;",
+                "q = 5;",
+            ]
+        );
+        let mut all = Vec::new();
+        visit::walk_functions(&tu, &mut |f| {
+            for s in &f.body.stmts {
+                visit::walk_stmt(s, &mut |st| all.push(st.span()));
+            }
+        });
+        for pin in all {
+            let got: Vec<Span> = index.containing(pin).iter().map(span_of).collect();
+            let want: Vec<Span> = index
+                .roots
+                .iter()
+                .map(span_of)
+                .filter(|s| s.contains(pin))
+                .collect();
+            assert!(!want.is_empty(), "{}", text(pin));
+            assert_eq!(got, want, "{}", text(pin));
         }
     }
 }

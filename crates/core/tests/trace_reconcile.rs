@@ -91,4 +91,6 @@ fn phase_counters_reconcile_with_report_fields() {
         totals["tree_match"].count as usize, units,
         "one single-seed tree match per surviving unit"
     );
+    // Report-only rules have no edits to compute: no rewrite spans.
+    assert!(!totals.contains_key("rewrite"), "{totals:?}");
 }

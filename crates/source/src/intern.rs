@@ -7,10 +7,9 @@
 //! same string on the pattern side (compiled once per run) and the file
 //! side (parsed per worker thread), and a global table is the only
 //! arrangement in which the two can mint equal handles without
-//! rendezvous. [`Interner::global`] hands out the `Arc` that per-run
-//! state (e.g. `cocci_core`'s `FileContext`) threads along; `Symbol`
+//! rendezvous. [`Interner::global`] is that one instance; the `Symbol`
 //! convenience methods ([`Symbol::intern`], [`Symbol::as_str`]) go
-//! through the same instance.
+//! through it.
 //!
 //! Interned strings are leaked (`Box::leak`) so `resolve` returns
 //! `&'static str` without holding a lock across the call — the set of
@@ -29,7 +28,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 const SHARD_BITS: u32 = 4;
 const SHARDS: usize = 1 << SHARD_BITS;
@@ -172,9 +171,9 @@ impl Interner {
     }
 
     /// The process-global interner all `Symbol`s resolve against.
-    pub fn global() -> Arc<Interner> {
-        static GLOBAL: OnceLock<Arc<Interner>> = OnceLock::new();
-        Arc::clone(GLOBAL.get_or_init(|| Arc::new(Interner::new())))
+    pub fn global() -> &'static Interner {
+        static GLOBAL: OnceLock<Interner> = OnceLock::new();
+        GLOBAL.get_or_init(Interner::new)
     }
 
     /// Intern `s`, returning its stable handle. Repeat calls with equal
@@ -262,7 +261,7 @@ mod tests {
         let a = i1.intern("shared_across_handles");
         let b = i2.intern("shared_across_handles");
         assert_eq!(a, b);
-        assert!(Arc::ptr_eq(&i1, &i2));
+        assert!(std::ptr::eq(i1, i2));
     }
 
     #[test]

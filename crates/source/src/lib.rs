@@ -1,226 +1,12 @@
-//! Source-file management: file tables, byte spans, line/column mapping and
-//! diagnostics.
+//! Byte spans and the global string interner.
 //!
 //! Every other crate in the workspace refers to program text through the
-//! types defined here. A [`Span`] is a half-open byte range into a file
-//! registered in a [`SourceMap`]; diagnostics carry spans so that errors can
-//! be rendered with line/column context, the way `spatch` reports parse
-//! errors in semantic patches and target files.
+//! types defined here: a [`Span`] is a half-open byte range into one
+//! file's text, and a [`Symbol`] is an interned identifier or token
+//! string.
 
-mod diag;
 pub mod intern;
 mod span;
 
-pub use diag::{Diagnostic, DiagnosticKind, Diagnostics};
 pub use intern::{intern, FnvBuild, Interner, Symbol};
-pub use span::{FileId, LineCol, Span};
-
-use std::fmt;
-use std::sync::Arc;
-
-/// A single registered source file: its name, contents, and a precomputed
-/// table of line-start offsets for O(log n) line/column lookup.
-#[derive(Debug, Clone)]
-pub struct SourceFile {
-    /// Identifier of this file within its [`SourceMap`].
-    pub id: FileId,
-    /// Display name (usually a path; synthetic buffers use pseudo-names
-    /// such as `<patch>` or `<generated>`).
-    pub name: String,
-    /// Full text of the file.
-    pub text: Arc<str>,
-    /// Byte offsets at which each line starts; `line_starts[0] == 0`.
-    line_starts: Vec<u32>,
-}
-
-impl SourceFile {
-    fn new(id: FileId, name: String, text: Arc<str>) -> Self {
-        let mut line_starts = vec![0u32];
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
-            }
-        }
-        SourceFile {
-            id,
-            name,
-            text,
-            line_starts,
-        }
-    }
-
-    /// Translate a byte offset into a 1-based line/column pair.
-    ///
-    /// Offsets past the end of the file clamp to the final position.
-    pub fn line_col(&self, offset: u32) -> LineCol {
-        let offset = offset.min(self.text.len() as u32);
-        let line = match self.line_starts.binary_search(&offset) {
-            Ok(l) => l,
-            Err(l) => l - 1,
-        };
-        LineCol {
-            line: line as u32 + 1,
-            col: offset - self.line_starts[line] + 1,
-        }
-    }
-
-    /// The byte offset at which 1-based `line` starts, if it exists.
-    pub fn line_start(&self, line: u32) -> Option<u32> {
-        self.line_starts.get(line as usize - 1).copied()
-    }
-
-    /// Number of lines in the file (a trailing newline does not add a line).
-    pub fn line_count(&self) -> usize {
-        if self
-            .text
-            .as_bytes()
-            .last()
-            .map(|&b| b == b'\n')
-            .unwrap_or(false)
-        {
-            self.line_starts.len() - 1
-        } else {
-            self.line_starts.len()
-        }
-    }
-
-    /// The text covered by `span` (which must lie within this file).
-    pub fn slice(&self, span: Span) -> &str {
-        &self.text[span.start as usize..span.end as usize]
-    }
-
-    /// The full text of the 1-based `line`, without the trailing newline.
-    pub fn line_text(&self, line: u32) -> &str {
-        let start = self.line_starts[line as usize - 1] as usize;
-        let end = self
-            .line_starts
-            .get(line as usize)
-            .map(|&e| e as usize)
-            .unwrap_or(self.text.len());
-        self.text[start..end].trim_end_matches('\n')
-    }
-}
-
-/// Registry of all source files participating in one patching session:
-/// the semantic patch itself plus every target file.
-#[derive(Debug, Default)]
-pub struct SourceMap {
-    files: Vec<SourceFile>,
-}
-
-impl SourceMap {
-    /// Create an empty source map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a file and return its handle.
-    pub fn add_file(&mut self, name: impl Into<String>, text: impl Into<Arc<str>>) -> FileId {
-        let id = FileId(self.files.len() as u32);
-        self.files
-            .push(SourceFile::new(id, name.into(), text.into()));
-        id
-    }
-
-    /// Look up a registered file.
-    ///
-    /// # Panics
-    /// Panics if `id` was produced by a different `SourceMap`.
-    pub fn file(&self, id: FileId) -> &SourceFile {
-        &self.files[id.0 as usize]
-    }
-
-    /// All registered files, in registration order.
-    pub fn files(&self) -> &[SourceFile] {
-        &self.files
-    }
-
-    /// Render a span as `name:line:col` for error messages.
-    pub fn describe(&self, id: FileId, span: Span) -> String {
-        let f = self.file(id);
-        let lc = f.line_col(span.start);
-        format!("{}:{}:{}", f.name, lc.line, lc.col)
-    }
-}
-
-impl fmt::Display for SourceFile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn line_col_basic() {
-        let mut sm = SourceMap::new();
-        let id = sm.add_file("a.c", "int x;\nint y;\n");
-        let f = sm.file(id);
-        assert_eq!(f.line_col(0), LineCol { line: 1, col: 1 });
-        assert_eq!(f.line_col(4), LineCol { line: 1, col: 5 });
-        assert_eq!(f.line_col(7), LineCol { line: 2, col: 1 });
-        assert_eq!(f.line_col(13), LineCol { line: 2, col: 7 });
-    }
-
-    #[test]
-    fn line_col_clamps_past_eof() {
-        let mut sm = SourceMap::new();
-        let id = sm.add_file("a.c", "ab");
-        assert_eq!(sm.file(id).line_col(100), LineCol { line: 1, col: 3 });
-    }
-
-    #[test]
-    fn line_text_and_count() {
-        let mut sm = SourceMap::new();
-        let id = sm.add_file("a.c", "one\ntwo\nthree");
-        let f = sm.file(id);
-        assert_eq!(f.line_count(), 3);
-        assert_eq!(f.line_text(1), "one");
-        assert_eq!(f.line_text(2), "two");
-        assert_eq!(f.line_text(3), "three");
-    }
-
-    #[test]
-    fn line_count_trailing_newline() {
-        let mut sm = SourceMap::new();
-        let id = sm.add_file("a.c", "one\ntwo\n");
-        assert_eq!(sm.file(id).line_count(), 2);
-    }
-
-    #[test]
-    fn slice_roundtrip() {
-        let mut sm = SourceMap::new();
-        let id = sm.add_file("a.c", "hello world");
-        let span = Span::new(6, 11);
-        assert_eq!(sm.file(id).slice(span), "world");
-    }
-
-    #[test]
-    fn describe_formats_position() {
-        let mut sm = SourceMap::new();
-        let id = sm.add_file("dir/a.c", "x\nyz");
-        assert_eq!(sm.describe(id, Span::new(2, 3)), "dir/a.c:2:1");
-    }
-
-    #[test]
-    fn empty_file() {
-        let mut sm = SourceMap::new();
-        let id = sm.add_file("e.c", "");
-        let f = sm.file(id);
-        assert_eq!(f.line_count(), 1);
-        assert_eq!(f.line_col(0), LineCol { line: 1, col: 1 });
-    }
-
-    #[test]
-    fn multiple_files_independent_ids() {
-        let mut sm = SourceMap::new();
-        let a = sm.add_file("a.c", "aaa");
-        let b = sm.add_file("b.c", "bbb");
-        assert_ne!(a, b);
-        assert_eq!(sm.file(a).text.as_ref(), "aaa");
-        assert_eq!(sm.file(b).text.as_ref(), "bbb");
-        assert_eq!(sm.files().len(), 2);
-    }
-}
+pub use span::Span;

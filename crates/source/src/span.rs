@@ -1,29 +1,11 @@
-//! Byte spans and file identifiers.
+//! Byte spans.
 
 use std::fmt;
 
-/// Opaque handle to a file registered in a
-/// [`SourceMap`](crate::SourceMap).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FileId(pub(crate) u32);
-
-impl FileId {
-    /// Raw index of the file in its source map.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// Construct a `FileId` from a raw index. Intended for tests and
-    /// serialization; normal code obtains ids from `SourceMap::add_file`.
-    pub fn from_index(i: usize) -> Self {
-        FileId(i as u32)
-    }
-}
-
 /// Half-open byte range `[start, end)` into a single source file.
 ///
-/// Spans are deliberately file-agnostic (they do not embed a [`FileId`]);
-/// AST nodes carry the file association once at the root, which keeps the
+/// Spans are deliberately file-agnostic: the text they index is known
+/// from context (the file being parsed or matched), which keeps the
 /// per-node footprint at 8 bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Span {
@@ -104,22 +86,6 @@ impl fmt::Display for Span {
         } else {
             write!(f, "{}..{}", self.start, self.end)
         }
-    }
-}
-
-/// 1-based line/column pair produced by
-/// [`SourceFile::line_col`](crate::SourceFile::line_col).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LineCol {
-    /// 1-based line number.
-    pub line: u32,
-    /// 1-based column (byte-oriented).
-    pub col: u32,
-}
-
-impl fmt::Display for LineCol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.line, self.col)
     }
 }
 

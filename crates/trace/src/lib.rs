@@ -17,8 +17,10 @@
 //! Output paths:
 //! - [`TraceData::write_chrome`] emits Chrome trace-event JSON (one lane
 //!   per recorded thread) viewable in Perfetto or about:tracing.
-//! - [`TraceData::phase_totals`] / [`TraceData::detail_totals`] feed the
-//!   `--stats` table and the report `metrics` block.
+//! - [`TraceData::phase_totals`] feeds the `--stats` table and the
+//!   report `metrics` block. It sums exact per-lane totals that every
+//!   span adds to as it is recorded, so they count the spans a wrapped
+//!   ring overwrote too.
 //!
 //! [`json`] is the workspace's one JSON layer (escaper, reader, field
 //! policy), shared by this writer and every report and bench file.
@@ -210,6 +212,8 @@ struct RingInner {
     /// Next overwrite position once the buffer is full.
     next: usize,
     dropped: u64,
+    /// Every span recorded, by phase (overwritten ones included).
+    totals: [Total; Phase::ALL.len()],
     /// Instant markers, ring-buffered like the spans.
     instants: Vec<InstantEvent>,
     instants_next: usize,
@@ -257,6 +261,7 @@ fn with_local_ring(f: impl FnOnce(&mut RingInner)) {
                     buf: Vec::new(),
                     next: 0,
                     dropped: 0,
+                    totals: Default::default(),
                     instants: Vec::new(),
                     instants_next: 0,
                     instants_dropped: 0,
@@ -272,6 +277,9 @@ fn with_local_ring(f: impl FnOnce(&mut RingInner)) {
 
 fn record(event: SpanEvent) {
     with_local_ring(|inner| {
+        let total = &mut inner.totals[event.phase as usize];
+        total.count += 1;
+        total.total_ns += event.dur_ns;
         if inner.buf.len() < RING_CAPACITY {
             inner.buf.push(event);
         } else {
@@ -337,6 +345,7 @@ pub fn reset() {
         inner.buf.clear();
         inner.next = 0;
         inner.dropped = 0;
+        inner.totals = Default::default();
         inner.instants.clear();
         inner.instants_next = 0;
         inner.instants_dropped = 0;
@@ -415,6 +424,9 @@ pub struct Lane {
     pub spans: Vec<SpanEvent>,
     /// Spans overwritten because the ring filled up.
     pub dropped: u64,
+    /// Count and time of every span recorded, indexed by phase
+    /// ([`Phase::ALL`] order), overwritten spans included.
+    pub totals: [Total; Phase::ALL.len()],
     /// Instant markers, oldest surviving first.
     pub instants: Vec<InstantEvent>,
     /// Instants overwritten because their ring filled up.
@@ -461,6 +473,7 @@ pub fn collect() -> TraceData {
             name: ring.name.clone(),
             spans,
             dropped: inner.dropped,
+            totals: inner.totals,
             instants,
             instants_dropped: inner.instants_dropped,
         });
@@ -484,29 +497,16 @@ impl TraceData {
         self.lanes.iter().map(|l| l.dropped).sum()
     }
 
-    /// Per-phase totals across all lanes, keyed by [`Phase::name`].
+    /// Per-phase totals across all lanes, keyed by [`Phase::name`], for
+    /// every phase that recorded a span. Exact even when a ring wrapped.
     pub fn phase_totals(&self) -> BTreeMap<&'static str, Total> {
         let mut totals: BTreeMap<&'static str, Total> = BTreeMap::new();
         for lane in &self.lanes {
-            for span in &lane.spans {
-                let t = totals.entry(span.phase.name()).or_default();
-                t.count += 1;
-                t.total_ns += span.dur_ns;
-            }
-        }
-        totals
-    }
-
-    /// Totals for labelled spans, keyed by detail string (rule id),
-    /// summed across phases and lanes.
-    pub fn detail_totals(&self) -> BTreeMap<String, Total> {
-        let mut totals: BTreeMap<String, Total> = BTreeMap::new();
-        for lane in &self.lanes {
-            for span in &lane.spans {
-                if let Some(detail) = &span.detail {
-                    let t = totals.entry(detail.to_string()).or_default();
-                    t.count += 1;
-                    t.total_ns += span.dur_ns;
+            for (phase, lane_total) in Phase::ALL.iter().zip(&lane.totals) {
+                if lane_total.count > 0 {
+                    let t = totals.entry(phase.name()).or_default();
+                    t.count += lane_total.count;
+                    t.total_ns += lane_total.total_ns;
                 }
             }
         }
@@ -674,6 +674,10 @@ mod tests {
             (RING_CAPACITY + extra - 1) as u64
         );
         assert_eq!(data.dropped(), extra as u64);
+        // Phase totals count the overwritten spans too.
+        let parse = data.phase_totals()["parse"];
+        assert_eq!(parse.count, (RING_CAPACITY + extra) as u64);
+        assert_eq!(parse.total_ns, (RING_CAPACITY + extra) as u64);
     }
 
     #[test]
@@ -696,11 +700,6 @@ mod tests {
         assert_eq!(data.counters["witnesses_forked"], 40);
         let totals = data.phase_totals();
         assert_eq!(totals["flow_match"].count, 40);
-        let by_rule = data.detail_totals();
-        assert_eq!(by_rule.len(), 4);
-        for t in 0..4 {
-            assert_eq!(by_rule[&format!("rule-{t}")].count, 10);
-        }
         // Four distinct lanes recorded spans.
         let active = data.lanes.iter().filter(|l| !l.spans.is_empty()).count();
         assert_eq!(active, 4);
@@ -814,6 +813,7 @@ mod tests {
             name: name.to_string(),
             spans,
             dropped: 0,
+            totals: Default::default(),
             instants,
             instants_dropped: 0,
         };

@@ -216,6 +216,36 @@ double dot(const double *a, const double *b, int n) {
     assert!(out.contains("s += a[i] * b[i];"), "{out}");
 }
 
+#[test]
+fn uc4_keeps_the_default_attribute_of_another_overload() {
+    // The removed clone's parameter list is the `double` overload's, so
+    // only that overload loses `default`.
+    let target = r#"__attribute__((target("avx512")))
+double dot(const double *a, const double *b, int n) {
+    return avx512_impl(a, b, n);
+}
+__attribute__((target("default")))
+double dot(const double *a, const double *b, int n) {
+    double s = 0;
+    for (int i = 0; i < n; ++i) s += a[i] * b[i];
+    return s;
+}
+__attribute__((target("default")))
+double dot(const float *a, const float *b, int n) {
+    double s = 0;
+    for (int i = 0; i < n; ++i) s += a[i] * b[i];
+    return s;
+}
+"#;
+    let out = apply(BLOAT_PATCH, target);
+    assert!(!out.contains("avx512_impl"), "{out}");
+    assert_eq!(out.matches("__attribute__").count(), 1, "{out}");
+    assert!(
+        out.contains("__attribute__((target(\"default\")))\ndouble dot(const float *a"),
+        "{out}"
+    );
+}
+
 // ---------------------------------------------------------------- UC5
 
 const UNROLL_P0_PATCH: &str = r#"
