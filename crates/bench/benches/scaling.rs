@@ -8,7 +8,7 @@
 //! * `threads` — multi-file driver over a fixed corpus with 1..=8
 //!   workers, expecting near-linear speedup until core count;
 //! * `corpus` — the generated mixed corpus tree through the streaming
-//!   work-stealing corpus driver at 1/2/4/all threads. The tree is about
+//!   corpus driver at 1/2/4/all threads. The tree is about
 //!   a millisecond of work, too small to measure parallel speedup (the
 //!   `perfbench/` throughput benchmark does that at real size), so the
 //!   sweep records timings only.
@@ -74,7 +74,7 @@ fn thread_sweep(h: &mut Harness) {
 }
 
 /// The mixed corpus tree through the streaming corpus driver (persistent
-/// worker pool + work-stealing queue), small batches so the pool's
+/// worker pool fed by one FIFO queue), small batches so the pool's
 /// cross-batch overlap is actually exercised.
 fn corpus_sweep(h: &mut Harness) {
     let patch = parse_semantic_patch(UC1_LIKWID).unwrap();
@@ -116,7 +116,7 @@ fn corpus_sweep(h: &mut Harness) {
 }
 
 /// Telemetry probe: what the instrumentation costs, plus the pool's
-/// scheduler counters (steals, idle fraction, max queue depth) from a
+/// scheduler counters (idle fraction, max queue depth) from a
 /// traced run's `metrics` block.
 ///
 /// Two costs, kept apart because they answer different questions:
@@ -190,7 +190,6 @@ fn telemetry_probe(h: &mut Harness) {
         .as_ref()
         .and_then(|m| m.pool.as_ref())
         .expect("traced corpus run embeds pool metrics");
-    h.metric("pool", "pool_steals", pool.steals as f64);
     h.metric(
         "pool",
         "pool_idle_frac",

@@ -118,9 +118,8 @@ fn print_metrics(err: &mut impl Write, m: &RunMetrics, wall_seconds: f64) {
     if let Some(pool) = &m.pool {
         let _ = writeln!(
             err,
-            "  pool: workers={} steals={} queue_depth_max={} idle={:.1}% utilization={:.1}%",
+            "  pool: workers={} queue_depth_max={} idle={:.1}% utilization={:.1}%",
             pool.workers,
-            pool.steals,
             pool.queue_depth_max,
             pool.idle_frac(wall_seconds) * 100.0,
             pool.utilization_pct(wall_seconds)

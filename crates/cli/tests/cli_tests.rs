@@ -1866,16 +1866,31 @@ fn lint_and_scan_accept_the_same_rules_directory() {
     let rules = write_rules_dir(&dir);
     // A directory named like a rule file is not a rule file.
     fs::create_dir_all(rules.join("sub.cocci")).unwrap();
+    // A warn-level lint whose rule header sits on line 3.
+    fs::write(
+        rules.join("unused.cocci"),
+        "// spatch-rule: unused-var\n\n@unusedvar@\nexpression e, x;\nposition p;\n@@\ndelta(e)@p;\n",
+    )
+    .unwrap();
     let corpus = write_scan_tree(&dir);
     let lint = spatch().arg("lint").arg(&rules).output().unwrap();
     assert_eq!(lint.status.code(), Some(0), "{lint:?}");
+    let stdout = String::from_utf8(lint.stdout).unwrap();
+    let at = stdout
+        .lines()
+        .find_map(|l| l.split_once(": SPL01:"))
+        .map(|(at, _)| at.to_string())
+        .unwrap_or_else(|| panic!("no SPL01 in {stdout}"));
+    assert!(at.ends_with("unused.cocci:3:1"), "{at}");
     let scan = spatch()
-        .args(["scan", "--quiet", "--rules"])
+        .args(["scan", "--rules"])
         .arg(&rules)
         .arg(&corpus)
         .output()
         .unwrap();
     assert_eq!(scan.status.code(), Some(0), "{scan:?}");
+    let stderr = String::from_utf8(scan.stderr).unwrap();
+    assert!(stderr.contains(&format!("{at}: SPL01:")), "{stderr}");
 }
 
 #[test]

@@ -21,7 +21,6 @@
 
 use crate::findings::Resolver;
 use crate::flowmatch::CfgCache;
-use crate::report::content_hash;
 use crate::suppress::SuppressionIndex;
 use cocci_cast::ast::TranslationUnit;
 use cocci_cast::parser::{parse_translation_unit, NoMeta, ParseOptions};
@@ -33,7 +32,6 @@ use std::sync::Arc;
 pub struct FileContext {
     name: String,
     text: Arc<str>,
-    hash: u64,
     parsed: Option<(Lang, Arc<TranslationUnit>)>,
     parse_err: Option<(Lang, String)>,
     resolver: Option<Arc<Resolver>>,
@@ -45,18 +43,9 @@ pub struct FileContext {
 impl FileContext {
     /// A fresh context over one file's text.
     pub fn new(name: impl Into<String>, text: impl Into<Arc<str>>) -> FileContext {
-        let text = text.into();
-        let hash = content_hash(&text);
-        FileContext::with_hash(name, text, hash)
-    }
-
-    /// [`new`](FileContext::new) for a caller that already computed the
-    /// text's [`content_hash`] (the corpus driver hashes each file once).
-    pub fn with_hash(name: impl Into<String>, text: Arc<str>, hash: u64) -> FileContext {
         FileContext {
             name: name.into(),
-            text,
-            hash,
+            text: text.into(),
             parsed: None,
             parse_err: None,
             resolver: None,
@@ -79,13 +68,6 @@ impl FileContext {
     /// A cheap shared handle on the text.
     pub fn text_arc(&self) -> Arc<str> {
         Arc::clone(&self.text)
-    }
-
-    /// FNV-1a hash of the text (the `--resume` identity). A rewritten
-    /// text's context carries 0, the report's "unknown" value; nothing
-    /// reads it.
-    pub fn hash(&self) -> u64 {
-        self.hash
     }
 
     /// Parse the text under `opts`, caching the result: the first rule
@@ -202,11 +184,5 @@ mod tests {
         let s1 = ctx.suppressions();
         let s2 = ctx.suppressions();
         assert!(Arc::ptr_eq(&s1, &s2));
-    }
-
-    #[test]
-    fn hash_matches_content_hash() {
-        let ctx = FileContext::new("a.c", "text");
-        assert_eq!(ctx.hash(), content_hash("text"));
     }
 }

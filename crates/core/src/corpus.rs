@@ -703,7 +703,7 @@ mod tests {
     }
 
     /// The streaming pool must not leak scheduling into observable
-    /// output: whatever the thread count, batch size, or steal pattern,
+    /// output: whatever the thread count, batch size, or completion order,
     /// the sink stream and the report are byte-identical — for a
     /// one-entry set (an `--sp-file` patch) and a three-rule set alike —
     /// and a thread count larger than any single batch still engages

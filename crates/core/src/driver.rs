@@ -275,7 +275,7 @@ pub(crate) fn run_file(
     if surviving.is_empty() {
         cocci_trace::count(cocci_trace::Counter::FilesPruned, 1);
     } else {
-        let mut ctx = FileContext::with_hash(out.report.name.clone(), Arc::clone(text), hash);
+        let mut ctx = FileContext::new(out.report.name.clone(), Arc::clone(text));
         let deadline = opts.timeout_ms.map(|ms| Deadline {
             start: t0,
             budget: Duration::from_millis(ms),

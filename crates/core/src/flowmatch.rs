@@ -409,40 +409,12 @@ impl<'a> FnMatcher<'a> {
     /// statement contributes its whole expression tree, a branch node
     /// only its condition/scrutinee (the arms are separate nodes).
     fn violates_when(&self, n: NodeId, when_not: &[Expr], st: &MatchState) -> bool {
-        let check_expr = |e: &Expr| -> bool {
-            let mut hit = false;
-            visit::walk_expr(e, &mut |sub| {
-                if !hit {
-                    for forbidden in when_not {
-                        let mut probe = st.clone();
-                        if matcher::match_expr(self.ctx, forbidden, sub, &mut probe) {
-                            hit = true;
-                            break;
-                        }
-                    }
-                }
-            });
-            hit
-        };
+        let check_expr =
+            |e: &Expr| matcher::when_not_hit(self.ctx, when_not, st, |f| visit::walk_expr(e, f));
         match self.cfg.kind(n) {
-            NodeKind::Stmt | NodeKind::Directive => match self.stmt_at(n) {
-                Some(s) => {
-                    let mut hit = false;
-                    visit::deep_stmt_exprs(s, &mut |sub| {
-                        if !hit {
-                            for forbidden in when_not {
-                                let mut probe = st.clone();
-                                if matcher::match_expr(self.ctx, forbidden, sub, &mut probe) {
-                                    hit = true;
-                                    break;
-                                }
-                            }
-                        }
-                    });
-                    hit
-                }
-                None => false,
-            },
+            NodeKind::Stmt | NodeKind::Directive => self.stmt_at(n).is_some_and(|s| {
+                matcher::when_not_hit(self.ctx, when_not, st, |f| visit::deep_stmt_exprs(s, f))
+            }),
             NodeKind::Branch => match self.by_span.get(&self.cfg.span(n)).copied() {
                 Some(Stmt::If { cond, .. })
                 | Some(Stmt::While { cond, .. })

@@ -70,7 +70,7 @@ pub use findings::{to_sarif_with, Finding, SarifRule};
 pub use flowmatch::{CfgCache, FlowPattern, FlowSearch, FlowStep};
 pub use matcher::{MatchCtx, MatchState, Pair, PairKind};
 pub use orchestrate::{ApplyError, Patcher};
-pub use pool::{resolve_threads, PoolStats, ResultSlots, WorkQueue};
+pub use pool::{resolve_threads, ResultSlots, WorkQueue};
 pub use report::{content_hash, ApplyReport, FileReport, FileStatus, PoolMetrics, RunMetrics};
 pub use ruleset::{
     parse_rule_metadata, rule_source, rule_sources, CompiledRuleSet, RuleMeta, ScanRule, Severity,

@@ -1147,6 +1147,25 @@ pub fn match_block(ctx: &MatchCtx, pat: &Block, src: &Block, st: &mut MatchState
     ok
 }
 
+/// `when != e`: whether any `forbidden` expression matches an expression
+/// that `walk` visits, under `st`'s bindings (a probe never binds into
+/// `st`).
+pub(crate) fn when_not_hit<'a>(
+    ctx: &MatchCtx,
+    forbidden: &[Expr],
+    st: &MatchState,
+    walk: impl FnOnce(&mut dyn FnMut(&'a Expr)),
+) -> bool {
+    let mut hit = false;
+    walk(&mut |sub| {
+        hit = hit
+            || forbidden
+                .iter()
+                .any(|f| match_expr(ctx, f, sub, &mut st.clone()));
+    });
+    hit
+}
+
 /// Match a pattern statement sequence against source statements.
 ///
 /// With `require_full`, the pattern must consume every source statement
@@ -1172,25 +1191,15 @@ pub fn match_stmt_seq(
         Stmt::Dots { span, when_not, .. } => {
             for k in 0..=srcs.len() {
                 // `when != e`: no skipped statement may contain e.
-                if !when_not.is_empty() {
-                    let violates = srcs[..k].iter().any(|skipped| {
-                        when_not.iter().any(|forbidden| {
-                            let mut hit = false;
-                            visit::deep_stmt_exprs(skipped, &mut |se| {
-                                if !hit {
-                                    let mut probe = st.clone();
-                                    if match_expr(ctx, forbidden, se, &mut probe) {
-                                        hit = true;
-                                    }
-                                }
-                            });
-                            hit
-                        })
-                    });
-                    if violates {
-                        // Longer runs only add more statements; stop.
-                        break;
-                    }
+                // Shorter runs passed, so only the statement this run
+                // adds can fail, and then every longer run fails too.
+                if k > 0
+                    && !when_not.is_empty()
+                    && when_not_hit(ctx, when_not, st, |f| {
+                        visit::deep_stmt_exprs(&srcs[k - 1], f)
+                    })
+                {
+                    break;
                 }
                 let mut attempt = st.clone();
                 let consumed = &srcs[..k];

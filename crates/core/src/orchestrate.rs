@@ -354,9 +354,8 @@ impl Patcher {
                                 ))
                             })?;
                             // Later rules run on the new text, through a
-                            // context of its own (hash 0: unknown, and
-                            // never read for a rewritten text).
-                            rewritten = Some(FileContext::with_hash(name.as_str(), text.into(), 0));
+                            // context of its own.
+                            rewritten = Some(FileContext::new(name.as_str(), text));
                         }
                     }
                 }

@@ -8,7 +8,6 @@
 
 use crate::explain::{ExplainBlock, KillStage};
 use crate::findings::{finding_from_json, write_finding, Finding};
-use crate::pool::PoolStats;
 use crate::scan::RuleOutcome;
 use json::{Fields, Str, Value};
 use std::collections::BTreeMap;
@@ -186,13 +185,16 @@ impl FileReport {
     }
 }
 
-/// Pool scheduler-health numbers carried in a [`RunMetrics`] block.
+/// Scheduler-health numbers of one [`WorkQueue`](crate::pool::WorkQueue)
+/// (one corpus run), carried in a [`RunMetrics`] block.
+///
+/// Kept unconditionally — they are updated under the queue's lock, on the
+/// push path and the already-blocking wait path — so scheduler health is
+/// observable even in untraced runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolMetrics {
     /// Worker threads the queue was sized for.
     pub workers: usize,
-    /// Units taken from a neighbour's shard, summed over workers.
-    pub steals: u64,
     /// Nanoseconds spent blocked waiting for work, summed over workers.
     pub idle_ns: u64,
     /// High-water mark of queued-but-unpopped units.
@@ -200,16 +202,6 @@ pub struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    /// Collapse a per-worker [`PoolStats`] snapshot into report totals.
-    pub fn from_stats(stats: &PoolStats) -> PoolMetrics {
-        PoolMetrics {
-            workers: stats.workers,
-            steals: stats.total_steals(),
-            idle_ns: stats.total_idle_ns(),
-            queue_depth_max: stats.queue_depth_max,
-        }
-    }
-
     /// Fraction of the team's wall-clock budget spent idle (`0..=1`).
     pub fn idle_frac(&self, wall_seconds: f64) -> f64 {
         let budget_ns = wall_seconds * 1e9 * self.workers.max(1) as f64;
@@ -236,15 +228,15 @@ pub struct RunMetrics {
     pub phase_ns: BTreeMap<String, u64>,
     /// Counter name -> value (see `cocci_trace::Counter`).
     pub counters: BTreeMap<String, u64>,
-    /// Work-stealing pool health (absent for in-process batch runs that
-    /// never built a pool).
+    /// Worker pool health (absent for in-process batch runs that never
+    /// built a pool).
     pub pool: Option<PoolMetrics>,
 }
 
 impl RunMetrics {
     /// Build a metrics block from a collected trace snapshot plus an
     /// optional pool snapshot.
-    pub fn from_trace(data: &cocci_trace::TraceData, pool: Option<&PoolStats>) -> RunMetrics {
+    pub fn from_trace(data: &cocci_trace::TraceData, pool: Option<PoolMetrics>) -> RunMetrics {
         let mut phase_counts = BTreeMap::new();
         let mut phase_ns = BTreeMap::new();
         for (name, total) in data.phase_totals() {
@@ -260,7 +252,7 @@ impl RunMetrics {
             phase_counts,
             phase_ns,
             counters,
-            pool: pool.map(PoolMetrics::from_stats),
+            pool,
         }
     }
 
@@ -290,8 +282,8 @@ impl RunMetrics {
         if let Some(pool) = &self.pool {
             let _ = write!(
                 out,
-                ", \"pool\": {{\"workers\": {}, \"steals\": {}, \"idle_ns\": {}, \"queue_depth_max\": {}}}",
-                pool.workers, pool.steals, pool.idle_ns, pool.queue_depth_max
+                ", \"pool\": {{\"workers\": {}, \"idle_ns\": {}, \"queue_depth_max\": {}}}",
+                pool.workers, pool.idle_ns, pool.queue_depth_max
             );
         }
         out.push('}');
@@ -319,7 +311,6 @@ impl RunMetrics {
                 .collect(),
             pool: pool.map(|p| PoolMetrics {
                 workers: p.num("workers") as usize,
-                steals: p.num("steals") as u64,
                 idle_ns: p.num("idle_ns") as u64,
                 queue_depth_max: p.num("queue_depth_max") as u64,
             }),
@@ -477,7 +468,6 @@ mod tests {
                 .collect(),
                 pool: Some(PoolMetrics {
                     workers: 4,
-                    steals: 7,
                     idle_ns: 50_000_000,
                     queue_depth_max: 12,
                 }),
@@ -665,6 +655,16 @@ mod tests {
         bare.metrics = None;
         let back = ApplyReport::from_json(&bare.to_json()).unwrap();
         assert!(back.metrics.is_none());
+        // Older reports carry the pool's `steals`; the reader skips it.
+        let old = json::parse(
+            r#"{"phases": {}, "counters": {}, "pool": {"workers": 2, "steals": 7, "idle_ns": 5, "queue_depth_max": 3}}"#,
+        )
+        .unwrap();
+        let pool = RunMetrics::from_json(&old).unwrap().pool.unwrap();
+        assert_eq!(
+            (pool.workers, pool.idle_ns, pool.queue_depth_max),
+            (2, 5, 3)
+        );
     }
 
     #[test]

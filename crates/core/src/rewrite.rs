@@ -602,45 +602,19 @@ impl<'a> Rewriter<'a> {
     ) -> Result<(), String> {
         let matched_src = self.st.src_for(group_span);
         if conj {
-            // First pass: statement branches that are entirely minus
-            // delete the matched statement.
-            let mut deleted = false;
-            for b in branches {
-                if b.len() != 1 {
-                    continue;
-                }
-                let bspan = b[0].span();
-                let is_expr_branch = matches!(&b[0], Stmt::Expr { .. });
-                if !is_expr_branch && self.all_minus(bspan) {
-                    if let Some(src_span) = matched_src {
-                        edits.delete(expand_to_full_lines(self.src, src_span));
-                        deleted = true;
-                    }
-                }
-                // Statement metavariable branches (`- B`) are also
-                // deletions of the matched statement.
-                if is_expr_branch {
-                    continue;
+            // A statement branch that is entirely minus (a `- B`
+            // statement metavariable included) deletes the matched
+            // statement.
+            let deletes = branches.iter().any(|b| {
+                b.len() == 1 && !matches!(&b[0], Stmt::Expr { .. }) && self.all_minus(b[0].span())
+            });
+            if deletes {
+                if let Some(src_span) = matched_src {
+                    edits.delete(expand_to_full_lines(self.src, src_span));
+                    return Ok(());
                 }
             }
-            // Handle `- B`-style MetaStmt branches.
-            if !deleted {
-                for b in branches {
-                    if b.len() == 1
-                        && matches!(&b[0], Stmt::MetaStmt { .. })
-                        && self.all_minus(b[0].span())
-                    {
-                        if let Some(src_span) = matched_src {
-                            edits.delete(expand_to_full_lines(self.src, src_span));
-                            deleted = true;
-                        }
-                    }
-                }
-            }
-            if deleted {
-                return Ok(());
-            }
-            // Second pass: expression branches with edits rewrite every
+            // Otherwise expression branches with edits rewrite every
             // contained occurrence.
             for (bi, b) in branches.iter().enumerate() {
                 if b.len() != 1 {
@@ -648,11 +622,6 @@ impl<'a> Rewriter<'a> {
                 }
                 if let Stmt::Expr { expr, .. } = &b[0] {
                     let bspan = expr.span();
-                    if !self.body.span_has_minus(bspan)
-                        && !self.branch_has_following_plus(branches, bi, group_span)
-                    {
-                        continue;
-                    }
                     if !self.body.span_has_minus(bspan) {
                         continue;
                     }
@@ -693,7 +662,7 @@ impl<'a> Rewriter<'a> {
                 // Whole branch removed; adjacent plus lines replace the
                 // matched statement.
                 let (lo, _) = self.line_range(bspan);
-                let hi = self.branch_region_end_spans(branches, choice, group_span);
+                let hi = self.branch_region_end(branches, choice, group_span);
                 let replacement = self.render_lines(lo, hi, false);
                 if let Some(src_span) = matched_src {
                     if replacement.is_empty() {
@@ -709,38 +678,9 @@ impl<'a> Rewriter<'a> {
         }
     }
 
-    fn branch_has_following_plus(
-        &self,
-        branches: &[Vec<Stmt>],
-        bi: usize,
-        group_span: Span,
-    ) -> bool {
-        let bspan = branches[bi]
-            .iter()
-            .fold(Span::SYNTHETIC, |acc, s| acc.merge(s.span()));
-        let next_start = branches
-            .get(bi + 1)
-            .and_then(|nb| nb.first())
-            .map(|s| s.span().start)
-            .unwrap_or(group_span.end);
-        self.body
-            .plus_groups
-            .iter()
-            .any(|g| g.anchor >= bspan.end && g.anchor < next_start)
-    }
-
     /// Last line of the branch region: through any plus lines that follow
     /// the branch but precede the next branch.
     fn branch_region_end(&self, branches: &[Vec<Stmt>], bi: usize, group_span: Span) -> usize {
-        self.branch_region_end_spans(branches, bi, group_span)
-    }
-
-    fn branch_region_end_spans(
-        &self,
-        branches: &[Vec<Stmt>],
-        bi: usize,
-        group_span: Span,
-    ) -> usize {
         let bspan = branches[bi]
             .iter()
             .fold(Span::SYNTHETIC, |acc, s| acc.merge(s.span()));

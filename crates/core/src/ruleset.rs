@@ -82,6 +82,9 @@ pub struct RuleMeta {
     pub message: Option<String>,
     /// The file the rule was loaded from (display only).
     pub source: String,
+    /// The rule file's text, which load-time lints anchor their lines in
+    /// (empty for an `--sp-file` patch).
+    pub text: String,
 }
 
 /// One member of a [`CompiledRuleSet`].
@@ -163,11 +166,12 @@ impl CompiledRuleSet {
             let mut meta = parse_rule_metadata(text, default_id)
                 .map_err(|e| ApplyError::new(format!("{source}: {e}")))?;
             meta.source = source.clone();
+            meta.text = text.clone();
             let patch = cocci_smpl::parse_semantic_patch(text)
                 .map_err(|e| ApplyError::new(format!("{source}: {e}")))?;
             let compiled = CompiledPatch::compile(&patch)
                 .map_err(|e| ApplyError::new(format!("{source}: {}", e.message)))?;
-            rules.push((meta, Arc::new(compiled), text.clone()));
+            rules.push((meta, Arc::new(compiled)));
         }
         // Deterministic rule order: sorted by id, whatever order the
         // filesystem handed the files back in.
@@ -181,19 +185,19 @@ impl CompiledRuleSet {
             }
         }
         let mut identity = String::new();
-        for (meta, _, text) in &rules {
+        for (meta, _) in &rules {
             identity.push_str(&meta.id);
             identity.push('\0');
-            identity.push_str(text);
+            identity.push_str(&meta.text);
             identity.push('\0');
         }
         let hash = content_hash(&identity);
-        let units: Vec<_> = rules.iter().map(|(_, c, _)| c.sieve_unit()).collect();
+        let units: Vec<_> = rules.iter().map(|(_, c)| c.sieve_unit()).collect();
         let sieve = AtomSieve::build(&units);
         Ok(CompiledRuleSet {
             rules: rules
                 .into_iter()
-                .map(|(meta, compiled, _)| ScanRule {
+                .map(|(meta, compiled)| ScanRule {
                     meta,
                     compiled,
                     has_id: true,
@@ -216,6 +220,7 @@ impl CompiledRuleSet {
                     severity: Severity::default(),
                     message: None,
                     source: String::new(),
+                    text: String::new(),
                 },
                 compiled: Arc::new(compiled),
                 has_id: false,
@@ -282,6 +287,7 @@ pub fn parse_rule_metadata(text: &str, default_id: &str) -> Result<RuleMeta, Str
         severity: Severity::default(),
         message: None,
         source: String::new(),
+        text: String::new(),
     };
     for line in text.lines() {
         let trimmed = line.trim();

@@ -4,8 +4,8 @@
 //! Every run is a scan. `spatch scan --rules <dir>` runs a directory of
 //! rules; applying one `--sp-file` patch runs its one-entry set
 //! ([`CompiledRuleSet::from_patch`]). The work unit is the **file**:
-//! one persistent worker team pulls files from a work-stealing queue and
-//! runs each through [`run_file`](crate::driver) — sieve, one shared
+//! one persistent worker team takes files, oldest first, from one FIFO
+//! [`WorkQueue`] and runs each through [`run_file`](crate::driver) — sieve, one shared
 //! parse, every surviving rule, attribution, suppression, kill stages —
 //! so fifty rules over one file still cost one parse, and the file's
 //! parse tree dies before its worker takes the next file.
@@ -140,8 +140,8 @@ pub fn scan_corpus(
     let mut resumed = 0usize;
 
     // One persistent worker team for the whole run: the walker (this
-    // thread) streams files into a work-stealing queue while the workers
-    // drain it, so a slow file in batch N overlaps with batch N+1. Every
+    // thread) streams files into the work queue while the workers drain
+    // it, so a slow file in batch N overlaps with batch N+1. Every
     // file the producer encounters (run, resumed, or unreadable)
     // reserves one ordered result slot, so the sink and the report
     // observe exactly the walk order whatever the completion order was.
@@ -168,7 +168,7 @@ pub fn scan_corpus(
             let (queue, slots) = (&queue, &slots);
             let spawn = std::thread::Builder::new().name(format!("worker-{w}"));
             let handle = spawn.spawn_scoped(scope, move || {
-                while let Some(task) = queue.pop(w) {
+                while let Some(task) = queue.pop() {
                     let text: Arc<str> = task.text.into();
                     let outcome = run_file(set, task.name, &text, task.hash, opts);
                     slots.set(task.slot, Done::Ran(text, outcome));
@@ -280,7 +280,7 @@ pub fn scan_corpus(
     // Workers are gone: every span for this run is recorded, so a traced
     // run can embed an exact aggregate alongside the pool's counters.
     let metrics = cocci_trace::is_enabled()
-        .then(|| RunMetrics::from_trace(&cocci_trace::collect(), Some(&queue.stats())));
+        .then(|| RunMetrics::from_trace(&cocci_trace::collect(), Some(queue.stats())));
     if let Some(block) = explain_block.as_mut() {
         block.finish();
     }

@@ -925,7 +925,7 @@ pub fn lint_ruleset(set: &CompiledRuleSet, cfg: &LintConfig) -> Vec<Lint> {
         out.extend(lint_patch_impl(
             &r.compiled.patch,
             &r.meta.source,
-            None,
+            Some(&r.meta.text),
             cfg,
             Some(&atoms_empty),
         ));

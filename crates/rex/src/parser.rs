@@ -257,7 +257,8 @@ impl<'a> Parser<'a> {
 
     /// class := '[' '^'? item+ ']'
     fn class(&mut self) -> Result<Node, ParseError> {
-        debug_assert!(self.eat(b'['));
+        let opened = self.eat(b'[');
+        debug_assert!(opened, "class() starts at a `[`");
         let negated = self.eat(b'^');
         let mut items = Vec::new();
         loop {

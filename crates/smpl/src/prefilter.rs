@@ -11,9 +11,13 @@
 //!   required (`::`-qualified names are split into segments, which are the
 //!   contiguous pieces);
 //! * `symbol` metavariables match only their own name;
-//! * string/char/float literals match by raw-text equality;
-//! * **int literals are excluded** — the const-fold isomorphism compares
-//!   values, so pattern `4` matches source `0x4`;
+//! * string/float literals match by raw-text equality;
+//! * **int and char literals are excluded** — the const-fold isomorphism
+//!   compares values, so pattern `4` matches source `0x4` and `'a'`
+//!   matches `97`;
+//! * a ternary's atoms are required only when its condition yields one:
+//!   a condition without atoms may fold, and the ternary folds with it
+//!   (`1 ? 5 : foo` matches `5`);
 //! * operators are excluded — the additive-normalization isomorphism can
 //!   match `x - 1` against `x + -1` (the CUDA `<<<` launch marker is the
 //!   one exception: kernel-call patterns never fold);
@@ -139,9 +143,10 @@ impl Cx<'_> {
                 // literal identifier matching in the matcher.
                 _ => push_name(id.name.as_str(), out),
             },
-            // Value-compared under the const-fold isomorphism (`4` ≘ `0x4`).
-            Expr::IntLit { .. } => {}
-            Expr::FloatLit { raw, .. } | Expr::StrLit { raw, .. } | Expr::CharLit { raw, .. } => {
+            // Value-compared under the const-fold isomorphism (`4` ≘ `0x4`,
+            // `'a'` ≘ `97`).
+            Expr::IntLit { .. } | Expr::CharLit { .. } => {}
+            Expr::FloatLit { raw, .. } | Expr::StrLit { raw, .. } => {
                 out.push(raw.as_str().to_string())
             }
             Expr::Paren { inner, .. } => self.expr(inner, out),
@@ -161,9 +166,14 @@ impl Cx<'_> {
                 else_val,
                 ..
             } => {
-                self.expr(cond, out);
-                self.expr(then_val, out);
-                self.expr(else_val, out);
+                // Whatever yields an atom never folds; a condition that
+                // yields none may, and then the arms are not required.
+                let cond_atoms = self.atoms_of(|o| self.expr(cond, o));
+                if !cond_atoms.is_empty() {
+                    out.extend(cond_atoms);
+                    self.expr(then_val, out);
+                    self.expr(else_val, out);
+                }
             }
             Expr::Call { callee, args, .. } => {
                 self.expr(callee, out);
@@ -525,6 +535,22 @@ mod tests {
         // `4` matches `0x4` under const folding; only the callee is safe.
         let a = atoms_of_patch("@@ @@\n- f(4);\n+ g(4);\n");
         assert_eq!(a, vec![vec!["f".to_string()]]);
+        // `'a'` folds to 97 the same way.
+        let a = atoms_of_patch("@@ @@\n- f('a');\n+ g(1);\n");
+        assert_eq!(a, vec![vec!["f".to_string()]]);
+    }
+
+    #[test]
+    fn ternary_arms_are_required_only_behind_an_atom_condition() {
+        // `1 ? 5 : foo` folds to 5, so `foo` is not required ...
+        let a = atoms_of_patch("@@ @@\n- x = 1 ? 5 : foo;\n+ x = 6;\n");
+        assert_eq!(a, vec![vec!["x".to_string()]]);
+        // ... but a condition that yields an atom never folds.
+        let a = atoms_of_patch("@@ @@\n- x = c ? 5 : foo;\n+ x = 6;\n");
+        assert_eq!(
+            a,
+            vec![vec!["c".to_string(), "foo".to_string(), "x".to_string()]]
+        );
     }
 
     #[test]

@@ -216,6 +216,51 @@ fn prefilter_never_prunes_a_matching_file() {
     use cocci_core::CompiledPatch;
     use cocci_workloads::gen::{self, CodebaseSpec};
 
+    let compile = |uc: &str, patch_text: &str| {
+        let patch = parse_semantic_patch(patch_text).unwrap_or_else(|e| panic!("{uc}: {e}"));
+        CompiledPatch::compile(&patch).unwrap_or_else(|e| panic!("{uc}: {e}"))
+    };
+    let check = |uc: &str, compiled: &CompiledPatch, name: &str, text: &str| {
+        if compiled.may_match(text) {
+            return; // not pruned; nothing to check
+        }
+        // Pruned: the full pipeline must agree there is nothing here. A
+        // parse error also means "no match possible".
+        let mut p = Patcher::from_compiled(std::sync::Arc::new(compiled.clone()));
+        if let Ok(out) = p.apply(name, text) {
+            let matches: usize = p.last_stats.matches_per_rule.iter().sum();
+            assert_eq!(
+                matches, 0,
+                "{uc}: prefilter pruned {name} which matches {matches}x\n{text}"
+            );
+            assert!(
+                out.is_none(),
+                "{uc}: prefilter pruned {name} which the engine changed"
+            );
+        }
+    };
+
+    // The const-fold isomorphism matches `'a'` against `97` and
+    // `1 ? 5 : foo` against `5`: a fold must not cost a required atom.
+    for (uc, patch_text, text) in [
+        (
+            "char-fold",
+            "@@ @@\n- f('a');\n+ g(1);\n",
+            "void h(void) { f(97); }\n",
+        ),
+        (
+            "ternary-fold",
+            "@@ @@\n- x = 1 ? 5 : foo;\n+ x = 6;\n",
+            "void h(void) { x = 5; }\n",
+        ),
+    ] {
+        let compiled = compile(uc, patch_text);
+        let mut p = Patcher::from_compiled(std::sync::Arc::new(compiled.clone()));
+        let out = p.apply("fold.c", text).unwrap();
+        assert!(out.is_some(), "{uc}: the engine must rewrite the fold");
+        check(uc, &compiled, "fold.c", text);
+    }
+
     Runner::new("prefilter_never_prunes_a_matching_file")
         .cases(64)
         .run(|rng| {
@@ -237,28 +282,9 @@ fn prefilter_never_prunes_a_matching_file() {
             };
             let all = cocci_workloads::patches::ALL;
             let (uc, patch_text) = all[rng.gen_range(0..all.len())];
-            let patch = parse_semantic_patch(patch_text).unwrap_or_else(|e| panic!("{uc}: {e}"));
-            let compiled = CompiledPatch::compile(&patch).unwrap_or_else(|e| panic!("{uc}: {e}"));
+            let compiled = compile(uc, patch_text);
             for f in &files {
-                if compiled.may_match(&f.text) {
-                    continue; // not pruned; nothing to check
-                }
-                // Pruned: the full pipeline must agree there is nothing
-                // here. A parse error also means "no match possible".
-                let mut p = Patcher::from_compiled(std::sync::Arc::new(compiled.clone()));
-                if let Ok(out) = p.apply(&f.name, &f.text) {
-                    let matches: usize = p.last_stats.matches_per_rule.iter().sum();
-                    assert_eq!(
-                        matches, 0,
-                        "{uc}: prefilter pruned {} which matches {matches}x\n{}",
-                        f.name, f.text
-                    );
-                    assert!(
-                        out.is_none(),
-                        "{uc}: prefilter pruned {} which the engine changed",
-                        f.name
-                    );
-                }
+                check(uc, &compiled, &f.name, &f.text);
             }
         });
 }

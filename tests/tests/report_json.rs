@@ -118,7 +118,6 @@ fn fixture() -> ApplyReport {
             counters: pairs(&[("attempts", 9), ("files_parsed", 3)]),
             pool: Some(PoolMetrics {
                 workers: 2,
-                steals: 7,
                 idle_ns: 50_000_000,
                 queue_depth_max: 12,
             }),
@@ -176,7 +175,7 @@ fn report_json_bytes_are_pinned() {
   "resumed": 1,
   "total_seconds": 1.25e-1,
   "counts": {"pruned": 1, "unmatched": 0, "matched": 0, "changed": 1, "timeout": 1, "error": 1},
-  "metrics": {"phases": {"parse": {"count": 3, "ns": 1200000}, "tree_match": {"count": 5, "ns": 800000}}, "counters": {"attempts": 9, "files_parsed": 3}, "pool": {"workers": 2, "steals": 7, "idle_ns": 50000000, "queue_depth_max": 12}},
+  "metrics": {"phases": {"parse": {"count": 3, "ns": 1200000}, "tree_match": {"count": 5, "ns": 800000}}, "counters": {"attempts": 9, "files_parsed": 3}, "pool": {"workers": 2, "idle_ns": 50000000, "queue_depth_max": 12}},
   "lints": [{"path": "rules/old.cocci", "line": 1, "col": 5, "end_line": 1, "end_col": 17, "rule": "SPL01", "message": "rule r: metavariable `x` is declared but never used"}],
   "explain": {"attempts": [{"file": "src/a.c", "rule": "no-old-free", "stage": "anchor", "detail": "no anchor hit: q\"b\\s/n\nt\tr\rc\u0001\u001fé😀"}, {"file": "src/a.c", "rule": "use-new-api", "stage": "completed"}], "dropped": 3},
   "files": [
