@@ -114,8 +114,14 @@ gate FN_RATIO target/BENCH_uc_matrix.json '"id": "uc78_fn_cost_ratio", "value":'
 # the ratio grow with the file (~7 for the O(n*m) diff table).
 gate DENSE_RATIO target/BENCH_uc_matrix.json '"id": "dense_site_cost_ratio", "value":' 2.0 \
   "dense per-site cost ratio {} >= 2.0"
+# One gap over one function must cost the same per statement at 50,000
+# statements as at 5,000, on the CFG route and in the tree matcher's dots
+# and statement lists; re-folding or cloning the run at each length made
+# the tree shapes quadratic.
+gate GAP_RATIO target/BENCH_uc_matrix.json '"id": "long_gap_cost_ratio", "value":' 2.0 \
+  "long-gap per-statement cost ratio {} >= 2.0"
 trend_check uc_matrix
-echo "ok: target/BENCH_uc_matrix.json written (UC78 per-function cost ratio ${FN_RATIO}, dense per-site cost ratio ${DENSE_RATIO})"
+echo "ok: target/BENCH_uc_matrix.json written (UC78 per-function cost ratio ${FN_RATIO}, dense per-site cost ratio ${DENSE_RATIO}, long-gap per-statement cost ratio ${GAP_RATIO})"
 
 echo "== prefilter bench smoke (hit-rate trend, JSON to target/) =="
 cargo bench --bench prefilter --locked
@@ -124,14 +130,13 @@ grep -q prefilter_hit_rate target/BENCH_prefilter.json
 trend_check prefilter
 echo "ok: target/BENCH_prefilter.json written (hit rates recorded)"
 
-echo "== cfg_match bench smoke (tree vs CFG dots, JSON to target/) =="
+echo "== cfg_match bench smoke (CFG dots, JSON to target/) =="
 cargo bench --bench cfg_match --locked
 test -s target/BENCH_cfg_match.json
-grep -q cfg_overhead target/BENCH_cfg_match.json
 grep -q witnesses target/BENCH_cfg_match.json
 grep -q findings target/BENCH_cfg_match.json
 trend_check cfg_match
-echo "ok: target/BENCH_cfg_match.json written (overhead + witness + findings metrics recorded)"
+echo "ok: target/BENCH_cfg_match.json written (witness + findings metrics recorded)"
 
 echo "== scaling bench smoke (corpus thread sweep + alloc probe; JSON to target/) =="
 cargo bench --bench scaling --locked

@@ -1,16 +1,13 @@
-//! Tree-sequence vs CFG path matching of statement dots.
+//! CFG path matching of statement dots.
 //!
-//! Two corpora from the CFG workload family:
+//! Four corpora from the CFG workload family:
 //!
-//! * **linear** — straight-line probe pairs, the *dots-free-equivalent*
-//!   workload: tree and flow engines find exactly the same matches, so
-//!   the wall-clock ratio is the pure price of building CFGs and
-//!   walking paths. Recorded as the `cfg_overhead/linear` metric; the
-//!   engine is expected to stay within ~3× of the tree matcher here.
-//! * **branchy** — a rotation of join / early-return / loop shapes
-//!   where the two semantics *disagree*. The per-engine match counts
-//!   land as metrics (`matches/tree`, `matches/flow`) so the semantic
-//!   gap is visible in the trend data, alongside both timings.
+//! * **linear** — straight-line probe pairs: the price of building CFGs
+//!   and walking paths where every path is one line of code.
+//! * **branchy** — a rotation of join / early-return / loop shapes,
+//!   where all-paths dots refuse an escaping path and match a pair split
+//!   across both arms of a branch. The match total lands as the
+//!   `matches/flow` metric.
 //! * **forked** — every function binds a metavariable differently in
 //!   the two arms of a branch, so the path engine forks per-path
 //!   witnesses; the witness total lands as `witnesses/forked` and the
@@ -34,7 +31,6 @@ use cocci_workloads::gen::{
     branchy_codebase, forked_commit_codebase, linear_probe_codebase, report_scan_codebase,
     CodebaseSpec,
 };
-use std::time::Instant;
 
 const PROBE_PATCH: &str =
     "@@\nexpression b;\n@@\n- probe_begin(b);\n+ probe_enter(b);\n...\nprobe_end(b);\n";
@@ -75,50 +71,15 @@ fn main() {
         no_prefilter: true,
         ..Default::default()
     };
-    let tree = CorpusOptions {
-        no_flow: true,
-        ..flow.clone()
-    };
 
     let mut h = Harness::new("cfg_match").sample_size(10);
 
-    // Semantic comparison on the branch-heavy corpus: the tree engine
-    // over-matches (it absorbs early returns into the dots); the CFG
-    // engine refuses those and additionally matches cross-branch pairs.
-    let tree_out = run_set(&compiled, &branchy, &tree);
+    // The branch-heavy corpus: all-paths dots refuse early returns and
+    // match cross-branch pairs.
     let flow_out = run_set(&compiled, &branchy, &flow);
-    h.metric("matches", "tree", total_matches(&tree_out) as f64);
     h.metric("matches", "flow", total_matches(&flow_out) as f64);
 
-    // Overhead on the dots-free-equivalent corpus, where both engines
-    // agree: median-of-N wall-clock ratio.
     let bytes: usize = linear.iter().map(|(_, t)| t.len()).sum();
-    let samples = 9;
-    let time = |opts: &CorpusOptions| -> f64 {
-        let mut ts: Vec<f64> = (0..samples)
-            .map(|_| {
-                let t0 = Instant::now();
-                std::hint::black_box(run_set(&compiled, &linear, opts));
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        ts.sort_by(f64::total_cmp);
-        ts[samples / 2]
-    };
-    let tree_median = time(&tree);
-    let flow_median = time(&flow);
-    h.metric("cfg_overhead", "linear", flow_median / tree_median);
-
-    let agree = total_matches(&run_set(&compiled, &linear, &tree))
-        == total_matches(&run_set(&compiled, &linear, &flow));
-    h.metric("agreement", "linear", if agree { 1.0 } else { 0.0 });
-
-    h.bench(
-        "tree_dots",
-        "linear",
-        Throughput::Bytes(bytes as u64),
-        || run_set(&compiled, &linear, &tree),
-    );
     h.bench(
         "flow_dots",
         "linear",
@@ -126,12 +87,6 @@ fn main() {
         || run_set(&compiled, &linear, &flow),
     );
     let bbytes: usize = branchy.iter().map(|(_, t)| t.len()).sum();
-    h.bench(
-        "tree_dots",
-        "branchy",
-        Throughput::Bytes(bbytes as u64),
-        || run_set(&compiled, &branchy, &tree),
-    );
     h.bench(
         "flow_dots",
         "branchy",

@@ -37,14 +37,17 @@ fn build_set(spec: &RuleMatrixSpec, rules: usize) -> CompiledRuleSet {
     CompiledRuleSet::from_sources(&sources).expect("rule matrix compiles")
 }
 
-/// Median of five timed runs — the Harness keeps its samples private,
-/// so the ratio metric takes its own measurements.
-fn median_seconds<R>(mut f: impl FnMut() -> R) -> f64 {
+/// Median over five samples of the time per call of `f`, each sample
+/// timing `calls` calls — the Harness keeps its samples private, so the
+/// ratio metrics take their own measurements.
+fn median_seconds<R>(calls: u32, mut f: impl FnMut() -> R) -> f64 {
     let mut s: Vec<f64> = (0..5)
         .map(|_| {
             let t0 = std::time::Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_secs_f64()
+            for _ in 0..calls {
+                std::hint::black_box(f());
+            }
+            t0.elapsed().as_secs_f64() / f64::from(calls)
         })
         .collect();
     s.sort_by(f64::total_cmp);
@@ -98,7 +101,7 @@ fn main() {
         h.bench("scan", &label, Throughput::Bytes(bytes as u64), || {
             run_set(&set, &inputs, &opts)
         });
-        wall.push((n, median_seconds(|| run_set(&set, &inputs, &opts))));
+        wall.push((n, median_seconds(1, || run_set(&set, &inputs, &opts))));
     }
 
     // Sub-linear scaling headline: wall-clock ratio 50 rules : 1 rule
@@ -112,10 +115,11 @@ fn main() {
 
     // Lint-at-load overhead: statically analysing all 50 rules must be
     // noise next to scanning the corpus with them (CI gates the
-    // fraction at < 1% of the 50-rule scan).
+    // fraction at < 1% of the 50-rule scan). One lint takes tens of
+    // microseconds, so each sample times many and divides.
     let set = build_set(&spec, 50);
     let cfg = cocci_lint::LintConfig::default();
-    let lint_s = median_seconds(|| cocci_lint::lint_ruleset(&set, &cfg));
+    let lint_s = median_seconds(400, || cocci_lint::lint_ruleset(&set, &cfg));
     h.metric("lint_seconds", "50_rules", lint_s);
     if let Some((_, fifty)) = wall.iter().find(|(n, _)| *n == 50) {
         h.metric("lint_overhead_frac", "50_vs_scan", lint_s / fifty);

@@ -13,12 +13,27 @@
 //! at 25) stays near 1 only while each environment costs the roots it can
 //! reach rather than a walk of the whole file. CI gates it below 2.
 //!
-//! A write-path sweep closes it: a one-rule `old_api` → `new_api` apply
+//! A write-path sweep follows: a one-rule `old_api` → `new_api` apply
 //! plus the CLI's unified diff (compiled from its source, as
 //! perfbench's replay does) over files with one site per line, at 2,500
 //! and 20,000 sites. `dense_site_cost_ratio` (per-site time at 20,000
 //! over per-site time at 2,500) stays near 1 only while claims, edits
 //! and the diff each cost linear time in the sites. CI gates it below 2.
+//!
+//! A long-gap sweep closes it: one function of 5,000 and of 50,000
+//! statements, with one gap spanning them, in three shapes:
+//!
+//! * `flow` — `lock(x); ... unlock(x);` on the CFG route, over a
+//!   function that can return early, so the answer is no match at any
+//!   size;
+//! * `tree` — `lock(x); mark(); ... unlock(x);`, whose two leading
+//!   statements keep it on the tree matcher's dots;
+//! * `stmt_list` — `lock(x); SL unlock(x);` with `unlock` right after
+//!   `lock`, so the greedy statement list tries every longer run first.
+//!
+//! `long_gap_cost_ratio` (the largest per-statement time ratio, 50,000
+//! over 5,000, of the three) stays near 1 only while a gap costs linear
+//! time in its length. CI gates it below 2.
 
 /// The CLI's diff sink, compiled from the CLI's own source. Checking
 /// this bench under `cfg(test)` compiles the module's test imports
@@ -104,5 +119,53 @@ fn main() {
         "dense_site_cost_ratio",
         per_site[1] / per_site[0],
     );
+
+    let mut ratio: f64 = 0.0;
+    for (shape, rule, head, tail) in [
+        (
+            "flow",
+            "@@\nexpression x;\n@@\n- lock(x);\n+ lock2(x);\n...\nunlock(x);\n",
+            "if (c) return;\n    ",
+            "unlock(a);\n",
+        ),
+        (
+            "tree",
+            "@@\nexpression x;\n@@\n- lock(x);\n+ lock2(x);\nmark();\n...\nunlock(x);\n",
+            "mark();\n    ",
+            "unlock(a);\n",
+        ),
+        (
+            "stmt_list",
+            "@@\nexpression x;\nstatement list SL;\n@@\n- lock(x);\n+ lock2(x);\nSL\nunlock(x);\n",
+            "unlock(a);\n    ",
+            "",
+        ),
+    ] {
+        let patch = parse_semantic_patch(rule).expect(shape);
+        let mut patcher = Patcher::new(&patch).expect(shape);
+        let mut per_stmt = Vec::new();
+        for stmts in [5_000, 50_000] {
+            let mut text = format!("void f(int c) {{\n    lock(a);\n    {head}");
+            for i in 0..stmts {
+                text.push_str(&format!("pad({});\n    ", i % 64));
+            }
+            text.push_str(&format!("{tail}}}\n"));
+            let id = format!("{shape}_{stmts}_stmts");
+            h.bench(
+                "long_gap",
+                &id,
+                Throughput::Bytes(text.len() as u64),
+                || {
+                    let out = patcher.apply("gap.c", &text).unwrap();
+                    // The early return leaves no rewrite on the flow route.
+                    assert_eq!(out.is_some(), shape != "flow", "{id}");
+                    out
+                },
+            );
+            per_stmt.push(h.min_s("long_gap", &id).expect("recorded") / stmts as f64);
+        }
+        ratio = ratio.max(per_stmt[1] / per_stmt[0]);
+    }
+    h.metric("long_gap", "long_gap_cost_ratio", ratio);
     h.finish().expect("write BENCH_uc_matrix.json");
 }

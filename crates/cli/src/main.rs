@@ -23,7 +23,6 @@
 //!                       recorded with a `timeout` status
 //!   --ignore <PAT>      extra .gitignore-style exclusion (repeatable)
 //!   --no-prefilter      disable the literal-atom pre-scan
-//!   --no-flow           tree-sequence dots instead of CFG path matching
 //!   --trace-out <FILE>  write a Chrome trace-event JSON profile of the
 //!                       run (open in Perfetto / about:tracing)
 //!   --stats             print per-phase/per-rule aggregates, the match
@@ -51,8 +50,8 @@
 //! rules survive the merged prefilter, and findings merge into one
 //! report (text/JSON/SARIF) attributed per rule id. Scan never writes
 //! files. `--resume`, `-j`, `--ignore`, `--timeout-ms`,
-//! `--no-prefilter`, `--no-flow`, `--report`, and `--format` behave as
-//! in patch/report mode.
+//! `--no-prefilter`, `--report`, and `--format` behave as in
+//! patch/report mode.
 //!
 //! **Lint mode** (`spatch lint <patch.cocci|rules-dir>`) statically
 //! analyses the *rules themselves* (`cocci-lint`): unused or unbindable
@@ -126,7 +125,6 @@ struct Args {
     timeout_ms: Option<u64>,
     ignore: Vec<String>,
     no_prefilter: bool,
-    no_flow: bool,
     mode: Option<Mode>,
     format: Option<Format>,
     /// Chrome trace-event JSON destination (enables tracing).
@@ -142,10 +140,10 @@ fn usage() -> ! {
     eprintln!(
         "usage: spatch --sp-file <patch.cocci> [--mode patch|report] [--format text|json|sarif] \
          [--in-place] [-o FILE] [-j N] [--report FILE] \
-         [--resume FILE] [--timeout-ms N] [--ignore PAT]... [--no-prefilter] [--no-flow] \
+         [--resume FILE] [--timeout-ms N] [--ignore PAT]... [--no-prefilter] \
          [--trace-out FILE] [--stats] [--explain[=GLOB[:RULE]]] [--quiet] <files-or-dirs...>\n\
          \x20      spatch scan --rules <dir> [--format text|json|sarif] [-j N] [--report FILE] \
-         [--resume FILE] [--timeout-ms N] [--ignore PAT]... [--no-prefilter] [--no-flow] \
+         [--resume FILE] [--timeout-ms N] [--ignore PAT]... [--no-prefilter] \
          [--no-lint] [--deny ID]... [--warn ID]... [--allow ID]... \
          [--trace-out FILE] [--stats] [--explain[=GLOB[:RULE]]] [--quiet] <files-or-dirs...>\n\
          \x20      spatch lint [--format text|json|sarif] [--deny ID]... [--warn ID]... \
@@ -183,7 +181,6 @@ fn parse_args() -> Args {
     let mut timeout_ms = None;
     let mut ignore: Vec<String> = Vec::new();
     let mut no_prefilter = false;
-    let mut no_flow = false;
     let mut mode = None;
     let mut format = None;
     let mut trace_out = None;
@@ -259,7 +256,6 @@ fn parse_args() -> Args {
             }
             "--ignore" => ignore.push(it.next().unwrap_or_else(|| usage())),
             "--no-prefilter" => no_prefilter = true,
-            "--no-flow" => no_flow = true,
             "--trace-out" => trace_out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--stats" => stats = true,
             "--explain" if !lint => explain = Some(String::new()),
@@ -313,7 +309,6 @@ fn parse_args() -> Args {
         timeout_ms,
         ignore,
         no_prefilter,
-        no_flow,
         mode,
         format,
         trace_out,
@@ -727,7 +722,6 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
     let opts = CorpusOptions {
         threads: args.threads,
         no_prefilter: args.no_prefilter,
-        no_flow: args.no_flow,
         timeout_ms: args.timeout_ms,
         explain: explain_cfg.clone(),
         ..Default::default()
@@ -792,7 +786,7 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
     let mut report = match run {
         Ok(r) => r,
         Err(e) => {
-            // Run-level refusal (e.g. --no-flow vs `when exists` rules).
+            // A run-level error; per-file failures land in the report.
             eprintln!("spatch: {label}: {e}");
             return ExitCode::from(2);
         }

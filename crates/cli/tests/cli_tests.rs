@@ -439,11 +439,10 @@ const PROBE_PATCH: &str =
     "@@\nexpression b;\n@@\n- probe_begin(b);\n+ probe_enter(b);\n...\nprobe_end(b);\n";
 
 #[test]
-fn no_flow_flag_restores_tree_dots_semantics() {
-    // The disagreement file: an early return escapes the dots. The
-    // default (CFG) semantics refuses; --no-flow falls back to the
-    // tree-sequence reading and transforms it.
-    let dir = tmpdir("noflow");
+fn dots_refuse_a_path_that_returns_early() {
+    // An early return escapes the dots: the all-paths reading refuses,
+    // so diff mode prints nothing and exits 0.
+    let dir = tmpdir("early-return");
     let patch = dir.join("p.cocci");
     let file = dir.join("t.c");
     fs::write(&patch, PROBE_PATCH).unwrap();
@@ -459,17 +458,6 @@ fn no_flow_flag_restores_tree_dots_semantics() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.is_empty(), "CFG semantics must refuse: {stdout}");
-
-    let out = spatch()
-        .args(["--sp-file"])
-        .arg(&patch)
-        .arg("--no-flow")
-        .arg(&file)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("+    probe_enter(q);"), "{stdout}");
 }
 
 #[test]
@@ -743,7 +731,7 @@ fn output_flag_refuses_directory_and_multi_file_targets() {
 const SCAN_PATCH: &str = "@scan@\nexpression e;\nposition p;\n@@\nold_api(e)@p;\n";
 
 /// A flow-sensitive reporting patch (statement dots): positions bind at
-/// CFG match sites on the flow route, at tree sites under --no-flow.
+/// CFG match sites.
 const SCAN_DOTS_PATCH: &str =
     "@pair@\nexpression b;\nposition p;\n@@\nprobe_begin(b)@p;\n...\nprobe_end(b);\n";
 
@@ -956,10 +944,10 @@ fn report_formats_agree_on_the_finding_set() {
 }
 
 #[test]
-fn report_mode_works_under_no_flow() {
-    // A dots-free-equivalent file: tree and CFG routes must emit the
-    // identical finding set.
-    let dir = tmpdir("report-noflow");
+fn report_mode_reports_flow_rule_matches() {
+    // A reporting-only flow rule: the finding sits on the position's
+    // CFG match site.
+    let dir = tmpdir("report-flow");
     let patch = dir.join("p.cocci");
     fs::write(&patch, SCAN_DOTS_PATCH).unwrap();
     let file = dir.join("t.c");
@@ -969,22 +957,16 @@ fn report_mode_works_under_no_flow() {
     )
     .unwrap();
 
-    let run = |extra: &[&str]| -> Vec<(String, u32, u32)> {
-        let out = spatch()
-            .args(["--sp-file"])
-            .arg(&patch)
-            .args(extra)
-            .arg("--quiet")
-            .arg(&file)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "{extra:?}: {out:?}");
-        text_finding_set(&String::from_utf8(out.stdout).unwrap())
-    };
-    let flow = run(&[]);
-    let tree = run(&["--no-flow"]);
-    assert_eq!(flow, vec![("t.c".to_string(), 2, 5)]);
-    assert_eq!(flow, tree, "tree and flow routes agree on findings");
+    let out = spatch()
+        .args(["--sp-file"])
+        .arg(&patch)
+        .arg("--quiet")
+        .arg(&file)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let findings = text_finding_set(&String::from_utf8(out.stdout).unwrap());
+    assert_eq!(findings, vec![("t.c".to_string(), 2, 5)]);
 }
 
 #[test]
@@ -1345,39 +1327,6 @@ fn scan_resume_checks_ruleset_hash_and_skips_unchanged() {
     );
     let findings = text_finding_set(&String::from_utf8(out.stdout).unwrap());
     assert_eq!(findings.len(), 3, "carried findings");
-}
-
-#[test]
-fn scan_no_flow_refusal_names_the_rule() {
-    let dir = tmpdir("scan-noflow");
-    let rules = dir.join("rules");
-    fs::create_dir_all(&rules).unwrap();
-    fs::write(
-        rules.join("pair.cocci"),
-        "// spatch-rule: pair-exists\n@pair@\nexpression b;\nposition p;\n@@\n\
-         probe_begin(b)@p;\n... when exists\nprobe_end(b);\n",
-    )
-    .unwrap();
-    let tree = dir.join("tree");
-    fs::create_dir_all(&tree).unwrap();
-    fs::write(
-        tree.join("a.c"),
-        "void f(void) { probe_begin(1); probe_end(1); }\n",
-    )
-    .unwrap();
-
-    let out = spatch()
-        .arg("scan")
-        .arg("--rules")
-        .arg(&rules)
-        .arg("--no-flow")
-        .arg(&tree)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("pair-exists"), "{stderr}");
-    assert!(stderr.contains("when exists"), "{stderr}");
 }
 
 #[test]

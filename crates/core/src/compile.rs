@@ -373,19 +373,6 @@ impl CompiledPatch {
     pub fn is_report_only(&self) -> bool {
         self.patch.is_report_only()
     }
-
-    /// The name of the first rule that *requires* CFG path matching —
-    /// its dots carry an explicit `when exists`/`when strict` the tree
-    /// reading cannot honor. Drivers running with flow matching
-    /// disabled (`--no-flow`) refuse such a patch once, at run level,
-    /// instead of erroring on every file.
-    pub fn requires_flow(&self) -> Option<&str> {
-        self.rules
-            .iter()
-            .zip(&self.patch.rules)
-            .find(|(c, _)| c.flow.as_ref().is_some_and(|fp| fp.explicit_quant))
-            .map(|(_, r)| r.name().unwrap_or("<anonymous>"))
-    }
 }
 
 #[cfg(test)]
@@ -449,7 +436,6 @@ mod tests {
             parse_semantic_patch("@@ @@\n- a();\n+ a2();\n... when exists\nb();\n").unwrap();
         let c = CompiledPatch::compile(&patch).unwrap();
         assert!(c.rules[0].flow.is_some());
-        assert!(c.rules[0].flow.as_ref().unwrap().explicit_quant);
         // Plain nested dots (the LIKWID shape) stay fine on the tree
         // route.
         let patch =

@@ -348,9 +348,6 @@ pub struct CorpusOptions {
     /// Disable the compile-time prefilter (it is on by default — pruning
     /// is sound, see [`CompiledPatch::may_match`]).
     pub no_prefilter: bool,
-    /// Disable CFG path matching of statement dots (fall back to the
-    /// legacy tree-sequence reading; `spatch --no-flow`).
-    pub no_flow: bool,
     /// Per-file wall-clock budget in milliseconds, checked at rule
     /// boundaries; over-budget files are recorded with a `timeout`
     /// status instead of stalling the run.
@@ -570,39 +567,6 @@ mod tests {
         // And they survive the JSON round trip the CLI resume path uses.
         let back = ApplyReport::from_json(&second.to_json()).unwrap();
         assert_eq!(back.files[0].findings, first.files[0].findings);
-    }
-
-    #[test]
-    fn no_flow_corpus_run_refuses_quantified_patch_at_run_level() {
-        let patch =
-            parse_semantic_patch("@@ @@\n- a();\n+ a2();\n... when exists\nb();\n").unwrap();
-        let err = apply_to_corpus_resumed(
-            &patch,
-            &mut MemorySource::new(vec![(
-                "f.c".to_string(),
-                "void f(void) { a(); b(); }\n".into(),
-            )]),
-            &CorpusOptions {
-                no_flow: true,
-                ..Default::default()
-            },
-            None,
-            |_, _, _| {},
-        )
-        .unwrap_err();
-        assert!(err.message.contains("when exists"), "{err}");
-        // With flow on, the same patch runs.
-        assert!(apply_to_corpus_resumed(
-            &patch,
-            &mut MemorySource::new(vec![(
-                "f.c".to_string(),
-                "void f(void) { a(); b(); }\n".into()
-            )]),
-            &CorpusOptions::default(),
-            None,
-            |_, _, _| {},
-        )
-        .is_ok());
     }
 
     #[test]

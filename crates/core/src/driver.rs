@@ -303,7 +303,6 @@ fn run_rule(
 ) {
     let t0 = Instant::now();
     let mut patcher = Patcher::from_compiled(Arc::clone(&rule.compiled));
-    patcher.flow_enabled = !opts.no_flow;
     patcher.deadline = deadline;
     patcher.explain = opts.explain.clone();
     let res = catch_matcher_panics(&out.report.name, || patcher.apply_ctx(ctx));
@@ -518,29 +517,6 @@ mod tests {
         assert_eq!(r.status, FileStatus::Timeout);
         let err = r.error.as_deref().unwrap();
         assert!(err.contains("budget (1 ms)"), "{err}");
-    }
-
-    #[test]
-    fn flow_toggle_changes_dots_semantics() {
-        // Tree dots match across the early return; all-paths dots refuse.
-        let patch = "@@ @@\n- begin();\n+ begin2();\n...\nfinish();\n";
-        let files = vec![(
-            "f.c".to_string(),
-            "void f(int x) { begin(); if (x) return; finish(); }\n".to_string(),
-        )];
-        let opts = |no_flow| CorpusOptions {
-            no_prefilter: true,
-            no_flow,
-            ..Default::default()
-        };
-        let flow_on = run(patch, &files, opts(false));
-        assert!(flow_on[0].output.is_none(), "all-paths semantics refuses");
-        let flow_off = run(patch, &files, opts(true));
-        assert!(
-            flow_off[0].output.is_some(),
-            "tree semantics over-matches: {:?}",
-            flow_off[0].report.error
-        );
     }
 
     #[test]

@@ -218,6 +218,21 @@ pub struct SarifRule {
     pub description: String,
 }
 
+/// `path` as an RFC 3986 URI reference: every byte outside the
+/// unreserved set and `/` is percent-encoded, so a space, `#`, `%` or
+/// non-ASCII byte cannot end or change the reference.
+fn uri_reference(path: &str) -> String {
+    let mut out = String::with_capacity(path.len());
+    for b in path.bytes() {
+        if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'.' | b'_' | b'~' | b'/') {
+            out.push(char::from(b));
+        } else {
+            let _ = write!(out, "%{b:02X}");
+        }
+    }
+    out
+}
+
 /// Render every finding of a report as a SARIF 2.1.0 document, the
 /// interchange format CI systems (GitHub code scanning among them)
 /// ingest: one run, one rule entry per distinct rule id, one result per
@@ -226,7 +241,8 @@ pub struct SarifRule {
 /// loaded rule, so the tool section is complete — and byte-stable —
 /// even for rules with zero findings this run). Finding rule ids
 /// without a descriptor still get a generated entry, and their results
-/// sit at `note`.
+/// sit at `note`. Artifact URIs are percent-encoded paths; fingerprints
+/// hash the raw path.
 pub fn to_sarif_with(report: &ApplyReport, rules: &[SarifRule]) -> String {
     // Lint diagnostics ride along as ordinary results: their "rule" is
     // the lint id and their location points into the rule source file.
@@ -295,7 +311,7 @@ pub fn to_sarif_with(report: &ApplyReport, rules: &[SarifRule]) -> String {
             Str(&f.rule),
             level,
             Str(&f.message),
-            Str(&f.path),
+            Str(&uri_reference(&f.path)),
             f.line.max(1),
             f.col.max(1),
             f.end_line.max(1),
@@ -427,6 +443,41 @@ mod tests {
             .unwrap();
         assert_eq!(driver.get("name").unwrap().as_str(), Some("spatch"));
         assert_eq!(driver.get("rules").unwrap().as_array().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn sarif_uris_percent_encode_reserved_bytes() {
+        assert_eq!(uri_reference("src/a-b_c.~1.c"), "src/a-b_c.~1.c");
+        assert_eq!(uri_reference("sarif/a b#1%.c"), "sarif/a%20b%231%25.c");
+        assert_eq!(uri_reference("d\\é?.c"), "d%5C%C3%A9%3F.c");
+        let f = Finding {
+            path: "sarif/a b#1%.c".into(),
+            ..sample_finding()
+        };
+        let report = ApplyReport {
+            patch: "p.cocci".into(),
+            patch_hash: 1,
+            threads: 1,
+            prefilter: true,
+            resumed: 0,
+            total_seconds: 0.0,
+            metrics: None,
+            lints: vec![f.clone()],
+            explain: None,
+            files: Vec::new(),
+        };
+        let v = json::parse(&to_sarif_with(&report, &[])).unwrap();
+        let at = |v: &json::Value, key: &str| v.as_object().unwrap()[key].clone();
+        let first = |v: json::Value| v.as_array().unwrap()[0].clone();
+        let result = first(at(&first(at(&v, "runs")), "results"));
+        let location = at(&first(at(&result, "locations")), "physicalLocation");
+        let uri = at(&at(&location, "artifactLocation"), "uri");
+        assert_eq!(uri.as_str(), Some("sarif/a%20b%231%25.c"));
+        // The fingerprint and the text form keep the raw path.
+        let raw = crate::report::content_hash("sarif/a b#1%.c:3:5:r:matched");
+        let fingerprint = at(&at(&result, "partialFingerprints"), "spatchFinding/v1");
+        assert_eq!(fingerprint.as_str(), Some(format!("{raw:016x}").as_str()));
+        assert_eq!(f.text_line(), "sarif/a b#1%.c:3:5: r: matched");
     }
 
     #[test]

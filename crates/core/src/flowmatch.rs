@@ -42,55 +42,43 @@
 //! [`AttemptProbe`]: an anchor hit per attempt, and a gap kill or binding
 //! kill per attempt that dies, classified by its first failure.
 //!
-//! Functions whose CFG exceeds [`MAX_CFG_NODES`] fall back to the tree
-//! matcher for that function only (the windows of its blocks, tried
-//! through `treesearch`), so pathological inputs degrade to the old
-//! behaviour instead of blowing up.
+//! Every function takes this route, whatever its size: the CFG has one
+//! node per simple statement and branch, and each gap walk expands a node
+//! at most once, so a long function costs linear time per anchor attempt
+//! and never changes the reading of its dots.
 
 use crate::env::Env;
 use crate::explain::AttemptProbe;
 use crate::matcher::{self, MatchCtx, MatchState, Pair, PairKind};
-use crate::treesearch::{stmt_roots, try_root};
 use cocci_cast::ast::*;
 use cocci_cast::visit;
 use cocci_flow::{build_cfg, walk_gap, Cfg, NodeId, NodeKind, Quant};
-use cocci_smpl::Pattern;
 use cocci_source::Span;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// CFG size cap above which a function falls back to tree matching
-/// ("the CFG can't be built" guard for pathological inputs).
-pub const MAX_CFG_NODES: usize = 10_000;
-
 /// Cache of one text's built CFGs, keyed by function span. The graphs
 /// depend only on the text — not on the rule being matched — so each
 /// [`FileContext`](crate::FileContext) carries one of these and every
 /// flow-routed rule run on that text reuses the same graphs instead of
-/// rebuilding them. `None` records an over-budget function (so the
-/// budget check also happens once).
+/// rebuilding them.
 #[derive(Debug, Default)]
 pub struct CfgCache {
-    map: HashMap<Span, Option<Arc<Cfg>>>,
+    map: HashMap<Span, Arc<Cfg>>,
     builds: usize,
 }
 
 impl CfgCache {
     /// The cached CFG for `f`, building (and counting a build) on first
-    /// use. `None` means the function exceeds [`MAX_CFG_NODES`].
-    pub fn get_or_build(&mut self, f: &FunctionDef) -> Option<Arc<Cfg>> {
+    /// use.
+    pub fn get_or_build(&mut self, f: &FunctionDef) -> Arc<Cfg> {
         self.map
             .entry(f.span)
             .or_insert_with(|| {
                 self.builds += 1;
                 let _span = cocci_trace::span(cocci_trace::Phase::CfgBuild);
-                let cfg = build_cfg(f);
-                if cfg.len() > MAX_CFG_NODES {
-                    None
-                } else {
-                    Some(Arc::new(cfg))
-                }
+                Arc::new(build_cfg(f))
             })
             .clone()
     }
@@ -150,12 +138,6 @@ pub enum FlowStep {
 pub struct FlowPattern {
     /// The alternating steps (`Anchor, Gap, Anchor, [Gap, Anchor]…`).
     pub steps: Vec<FlowStep>,
-    /// Whether any gap carries an *explicit* `when exists`/`when strict`
-    /// quantifier. Such patterns never take the tree fallback for
-    /// over-budget CFGs — the tree reading would silently discard the
-    /// quantifier (over-matching for `strict`), so those functions are
-    /// conservatively skipped instead.
-    pub explicit_quant: bool,
 }
 
 impl FlowPattern {
@@ -229,7 +211,6 @@ pub fn lower_pattern(pats: &[Stmt]) -> Option<FlowPattern> {
         return None; // need at least `A ... B`
     }
     let mut steps = Vec::with_capacity(slice.len());
-    let mut explicit_quant = false;
     for (i, s) in slice.iter().enumerate() {
         let expect_anchor = i % 2 == 0;
         match s {
@@ -241,7 +222,6 @@ pub fn lower_pattern(pats: &[Stmt]) -> Option<FlowPattern> {
                 if expect_anchor {
                     return None; // consecutive dots
                 }
-                explicit_quant |= *quant != DotsQuant::Default;
                 steps.push(FlowStep::Gap {
                     when_not: when_not.clone(),
                     span: *span,
@@ -262,21 +242,15 @@ pub fn lower_pattern(pats: &[Stmt]) -> Option<FlowPattern> {
     if slice.len().is_multiple_of(2) {
         return None; // must end on an anchor
     }
-    Some(FlowPattern {
-        steps,
-        explicit_quant,
-    })
+    Some(FlowPattern { steps })
 }
 
 /// A lowered pattern prepared against one translation unit: every
 /// function's CFG and span→statement index looked up once, reusable
 /// across seed environments (a rule inheriting metavariables runs once
-/// per exported environment — the CFGs depend only on the text). The
-/// rule's tree pattern serves the per-function fallback when a CFG
-/// exceeds the node budget.
+/// per exported environment — the CFGs depend only on the text).
 pub struct FlowSearch<'t> {
     fp: &'t FlowPattern,
-    tree: &'t Pattern,
     fns: Vec<FnData<'t>>,
     /// Next [`MatchState::witness_group`] id — unique across every
     /// `find` call on this search, so sibling witnesses of one anchor
@@ -285,11 +259,9 @@ pub struct FlowSearch<'t> {
     next_group: u32,
 }
 
-/// Per-function precomputed matching substrate. `cfg` is `None` when
-/// the function is over the node budget (tree fallback).
+/// Per-function precomputed matching substrate.
 struct FnData<'t> {
-    f: &'t FunctionDef,
-    cfg: Option<Arc<Cfg>>,
+    cfg: Arc<Cfg>,
     by_span: HashMap<Span, &'t Stmt>,
 }
 
@@ -297,36 +269,23 @@ impl<'t> FlowSearch<'t> {
     /// Prepare `fp` against `tu`. CFGs come from (and land in) the
     /// text's [`CfgCache`]: N rules applied to the same parse build each
     /// function's graph once instead of N times. The span index is
-    /// rebuilt per search (it borrows this search's `tu`). `tree` is the
-    /// rule's statement pattern, which `fp` was lowered from.
-    pub fn with_cache(
-        fp: &'t FlowPattern,
-        tree: &'t Pattern,
-        tu: &'t TranslationUnit,
-        cache: &mut CfgCache,
-    ) -> Self {
+    /// rebuilt per search (it borrows this search's `tu`).
+    pub fn with_cache(fp: &'t FlowPattern, tu: &'t TranslationUnit, cache: &mut CfgCache) -> Self {
         let mut fns = Vec::new();
         visit::walk_functions(tu, &mut |f| {
-            let cfg = cache.get_or_build(f);
-            if cfg.is_none() {
-                fns.push(FnData {
-                    f,
-                    cfg: None,
-                    by_span: HashMap::new(),
-                });
-                return;
-            }
             let mut by_span = HashMap::new();
             for s in &f.body.stmts {
                 visit::walk_stmt(s, &mut |st| {
                     by_span.insert(st.span(), st);
                 });
             }
-            fns.push(FnData { f, cfg, by_span });
+            fns.push(FnData {
+                cfg: cache.get_or_build(f),
+                by_span,
+            });
         });
         FlowSearch {
             fp,
-            tree,
             fns,
             next_group: 1,
         }
@@ -344,32 +303,14 @@ impl<'t> FlowSearch<'t> {
     ) -> Vec<MatchState> {
         let mut out = Vec::new();
         for data in &self.fns {
-            match &data.cfg {
-                Some(cfg) => {
-                    let m = FnMatcher {
-                        ctx,
-                        fp: self.fp,
-                        cfg: cfg.as_ref(),
-                        by_span: &data.by_span,
-                        kill: Cell::new(KillClass::None),
-                    };
-                    m.run(seed, &mut self.next_group, probe, &mut out);
-                }
-                // Over-budget CFG: the tree fallback reads dots as plain
-                // sequence gaps, which would silently discard an
-                // explicit `when exists`/`when strict` — skip such
-                // functions (conservative: no match, never a wrong
-                // rewrite) and degrade only unquantified patterns to the
-                // tree matcher's windows over the function's blocks.
-                None if self.fp.explicit_quant => {}
-                None => {
-                    if let Pattern::Stmts(pats) = self.tree {
-                        stmt_roots(pats, &[data.f], &mut |root| {
-                            try_root(ctx, self.tree, root, seed, &mut out)
-                        });
-                    }
-                }
-            }
+            let m = FnMatcher {
+                ctx,
+                fp: self.fp,
+                cfg: &data.cfg,
+                by_span: &data.by_span,
+                kill: Cell::new(KillClass::None),
+            };
+            m.run(seed, &mut self.next_group, probe, &mut out);
         }
         out
     }
@@ -407,13 +348,15 @@ impl<'a> FnMatcher<'a> {
 
     /// The expressions a node evaluates, for `when !=` scans: a simple
     /// statement contributes its whole expression tree, a branch node
-    /// only its condition/scrutinee (the arms are separate nodes).
+    /// only its condition/scrutinee (the arms are separate nodes). A
+    /// `for` loop's init and step nodes share the loop's span, so each
+    /// contributes the header's expressions but never the body's.
     fn violates_when(&self, n: NodeId, when_not: &[Expr], st: &MatchState) -> bool {
         let check_expr =
             |e: &Expr| matcher::when_not_hit(self.ctx, when_not, st, |f| visit::walk_expr(e, f));
         match self.cfg.kind(n) {
             NodeKind::Stmt | NodeKind::Directive => self.stmt_at(n).is_some_and(|s| {
-                matcher::when_not_hit(self.ctx, when_not, st, |f| visit::deep_stmt_exprs(s, f))
+                matcher::when_not_hit(self.ctx, when_not, st, |f| visit::stmt_exprs(s, f))
             }),
             NodeKind::Branch => match self.by_span.get(&self.cfg.span(n)).copied() {
                 Some(Stmt::If { cond, .. })
@@ -466,8 +409,8 @@ impl<'a> FnMatcher<'a> {
             dedup_witnesses(&mut witnesses);
             // Every CFG witness gets its attempt's id — siblings share
             // it (downstream group handling), and a non-zero id is what
-            // marks a match as a path witness at all (tree-fallback
-            // matches keep 0).
+            // marks a match as a path witness at all (tree matches keep
+            // 0).
             if !witnesses.is_empty() {
                 if witnesses.len() > 1 {
                     // Siblings beyond the first are forked per-path
@@ -772,8 +715,7 @@ mod tests {
             decls: &ds,
             regexes: &regexes,
         };
-        let tree = Pattern::Stmts(pats);
-        FlowSearch::with_cache(&fp, &tree, &tu, &mut CfgCache::default()).find(
+        FlowSearch::with_cache(&fp, &tu, &mut CfgCache::default()).find(
             &ctx,
             &Env::new(),
             &mut AttemptProbe::default(),
@@ -971,23 +913,31 @@ mod tests {
     }
 
     #[test]
-    fn over_budget_function_skips_quantified_patterns() {
-        // A function whose CFG exceeds the node budget takes the tree
-        // fallback — but only for unquantified patterns; an explicit
-        // `when strict`/`when exists` must not silently become a plain
-        // sequence gap (over-matching, for strict).
-        let mut body = String::from("a(); if (x) return; ");
-        for i in 0..MAX_CFG_NODES {
-            body.push_str(&format!("f{}(); ", i % 7));
+    fn long_function_gets_the_short_function_answer() {
+        // Function size never changes what dots mean: 12,000 padding
+        // statements give the same answer as 100 under every quantifier,
+        // with and without a path that returns early.
+        let func = |escape: &str, pads: usize| {
+            let mut body = format!("a(); {escape}");
+            for i in 0..pads {
+                body.push_str(&format!("f{}(); ", i % 7));
+            }
+            format!("void f(int x) {{ {body}b(); }}")
+        };
+        for (escape, want) in [("if (x) return; ", [0, 0, 1]), ("", [1, 1, 1])] {
+            for (pattern, want) in [
+                "a(); ... b();",
+                "a(); ... when strict b();",
+                "a(); ... when exists b();",
+            ]
+            .into_iter()
+            .zip(want)
+            {
+                let short = flow_match(pattern, &func(escape, 100), vec![]).len();
+                let long = flow_match(pattern, &func(escape, 12_000), vec![]).len();
+                assert_eq!((short, long), (want, want), "{pattern} after {escape:?}");
+            }
         }
-        body.push_str("b();");
-        let src = format!("void f(int x) {{ {body} }}");
-        let ms = flow_match("a(); ... b();", &src, vec![]);
-        assert_eq!(ms.len(), 1, "unquantified pattern degrades to tree");
-        let ms = flow_match("a(); ... when strict b();", &src, vec![]);
-        assert!(ms.is_empty(), "strict must not take the tree reading");
-        let ms = flow_match("a(); ... when exists b();", &src, vec![]);
-        assert!(ms.is_empty(), "exists skips over-budget functions too");
     }
 
     #[test]
@@ -1038,6 +988,26 @@ mod tests {
             vec![],
         );
         assert_eq!(ms.len(), 1);
+    }
+
+    #[test]
+    fn when_not_skips_a_for_body_the_path_never_enters() {
+        // Every path from a() hits a b() before the loop body's g(): the
+        // loop's init and step nodes must not count the body against
+        // the gap.
+        let ms = flow_match(
+            "a(); ... when != g() b();",
+            "void f(int n) { int i; a(); for (i = 0; i < n; i++) { b(); g(); } b(); }",
+            vec![],
+        );
+        assert_eq!(ms.len(), 1);
+        // A `for` header still counts.
+        let ms = flow_match(
+            "a(); ... when != g() b();",
+            "void f(int n) { int i; a(); for (i = g(); i < n; i++) { s(); } b(); }",
+            vec![],
+        );
+        assert!(ms.is_empty());
     }
 
     #[test]

@@ -72,8 +72,7 @@ pub struct MatchState {
     /// Disjunction branch choices: (group pattern span, branch index).
     pub choices: Vec<(Span, usize)>,
     /// Witness family this match belongs to. `0` for tree-matcher
-    /// matches (including a flow-routed rule's per-function tree
-    /// fallback); every CFG path witness carries its anchor attempt's
+    /// matches; every CFG path witness carries its anchor attempt's
     /// non-zero id, shared by siblings forked from that attempt, so
     /// downstream overlap-claiming treats them as one match family
     /// (each witness rewrites its own source sites) instead of
@@ -1166,6 +1165,22 @@ pub(crate) fn when_not_hit<'a>(
     hit
 }
 
+/// The source span of the run `srcs[..k]` that dots or a statement list
+/// consumed; an empty run sits at the first statement, or at the end of
+/// the enclosing block when there is none.
+fn run_span(srcs: &[Stmt], k: usize, enclosing: Span) -> Span {
+    match &srcs[..k] {
+        [] => Span::empty(
+            srcs.first()
+                .map(|s| s.span().start)
+                .unwrap_or(enclosing.end.saturating_sub(1)),
+        ),
+        run => run
+            .iter()
+            .fold(Span::SYNTHETIC, |acc, s| acc.merge(s.span())),
+    }
+}
+
 /// Match a pattern statement sequence against source statements.
 ///
 /// With `require_full`, the pattern must consume every source statement
@@ -1185,6 +1200,9 @@ pub fn match_stmt_seq(
     let Some((p0, rest)) = pats.split_first() else {
         return !require_full || srcs.is_empty();
     };
+    // A dots or statement-list run gets its pair once the rest of the
+    // pattern accepts it (nothing reads pairs while matching), so the
+    // run's span is folded once per match, not once per run length.
     match p0 {
         // The path quantifier (`when exists` / `when strict`) is a CFG
         // notion; the tree-sequence reading of dots ignores it.
@@ -1202,24 +1220,13 @@ pub fn match_stmt_seq(
                     break;
                 }
                 let mut attempt = st.clone();
-                let consumed = &srcs[..k];
-                let src_span = if consumed.is_empty() {
-                    let anchor = srcs
-                        .first()
-                        .map(|s| s.span().start)
-                        .unwrap_or(enclosing.end.saturating_sub(1));
-                    Span::empty(anchor)
-                } else {
-                    consumed
-                        .iter()
-                        .fold(Span::SYNTHETIC, |acc, s| acc.merge(s.span()))
-                };
-                attempt.pairs.push(Pair {
-                    pat: *span,
-                    src: src_span,
-                    kind: PairKind::Dots,
-                });
                 if match_stmt_seq(ctx, rest, &srcs[k..], require_full, enclosing, &mut attempt) {
+                    let pair = Pair {
+                        pat: *span,
+                        src: run_span(srcs, k, enclosing),
+                        kind: PairKind::Dots,
+                    };
+                    attempt.pairs.insert(st.pairs.len(), pair);
                     *st = attempt;
                     return true;
                 }
@@ -1248,27 +1255,33 @@ pub fn match_stmt_seq(
                     st,
                 );
             }
+            // The run is cloned into its binding once accepted, unless
+            // the rest of the pattern names the list and must see it bound.
+            let rest_names_list = rest.iter().any(|p| {
+                let mut found = false;
+                visit::walk_stmt(p, &mut |s| {
+                    found |= matches!(s, Stmt::MetaStmtList { name: n, .. } if n == name)
+                });
+                found
+            });
+            let bind = |st: &mut MatchState, k: usize| {
+                st.env.bind(name, Value::StmtList(srcs[..k].to_vec()))
+            };
             for k in (0..=srcs.len()).rev() {
                 let mut attempt = st.clone();
-                let consumed = srcs[..k].to_vec();
-                let src_span = if consumed.is_empty() {
-                    Span::empty(
-                        srcs.first()
-                            .map(|s| s.span().start)
-                            .unwrap_or(enclosing.end.saturating_sub(1)),
-                    )
-                } else {
-                    consumed
-                        .iter()
-                        .fold(Span::SYNTHETIC, |acc, s| acc.merge(s.span()))
-                };
-                attempt.env.bind(name, Value::StmtList(consumed));
-                attempt.pairs.push(Pair {
-                    pat: *span,
-                    src: src_span,
-                    kind: PairKind::Dots,
-                });
+                if rest_names_list {
+                    bind(&mut attempt, k);
+                }
                 if match_stmt_seq(ctx, rest, &srcs[k..], require_full, enclosing, &mut attempt) {
+                    if !rest_names_list {
+                        bind(&mut attempt, k);
+                    }
+                    let pair = Pair {
+                        pat: *span,
+                        src: run_span(srcs, k, enclosing),
+                        kind: PairKind::Dots,
+                    };
+                    attempt.pairs.insert(st.pairs.len(), pair);
                     *st = attempt;
                     return true;
                 }
@@ -1768,6 +1781,37 @@ mod tests {
         assert!(!match_stmt_seq(
             &ctx2, &pats, &b2.stmts, true, b2.span, &mut st2
         ));
+    }
+
+    #[test]
+    fn statement_list_named_twice_binds_before_the_rest() {
+        // The run binds as the second `SL` is matched, so it must equal
+        // the first run; elsewhere the binding lands with the accepted run.
+        let ds = decls(&[("SL", MetaDeclKind::StatementList)]);
+        let pats = parse_statements(
+            "lock(); SL mid(); SL",
+            ParseOptions::pattern(),
+            &DeclsLookup(&ds),
+        )
+        .unwrap();
+        let regexes = HashMap::new();
+        for (text, bound) in [
+            ("{ lock(); x = 1; mid(); x = 1; tail(); }", Some("x = 1;")),
+            ("{ lock(); x = 1; mid(); y = 2; }", None),
+        ] {
+            let srcs = parse_statements(text, ParseOptions::c(), &NoMeta).unwrap();
+            let Stmt::Block(b) = &srcs[0] else { panic!() };
+            let ctx = MatchCtx {
+                file: "t.c",
+                src: text,
+                decls: &ds,
+                regexes: &regexes,
+            };
+            let mut st = MatchState::default();
+            let matched = match_stmt_seq(&ctx, &pats, &b.stmts, false, b.span, &mut st);
+            let got = matched.then(|| st.env.get("SL").unwrap().render(text));
+            assert_eq!(got.as_deref(), bound, "{text}");
+        }
     }
 
     #[test]

@@ -29,8 +29,7 @@ use cocci_cast::ast::*;
 use cocci_cast::parser::ParseOptions;
 use cocci_script::{Interp, PosInfo, Value as ScriptValue};
 use cocci_smpl::{
-    Constraint, DepExpr, FreshPart, MetaDeclKind, Pattern, Rule, ScriptRule, SemanticPatch,
-    TransformRule,
+    Constraint, DepExpr, FreshPart, MetaDeclKind, Rule, ScriptRule, SemanticPatch, TransformRule,
 };
 use cocci_source::Span;
 use std::collections::{BTreeMap, HashSet};
@@ -126,10 +125,6 @@ pub struct Patcher {
     compiled: Arc<CompiledPatch>,
     /// Statistics of the most recent `apply` call.
     pub last_stats: ApplyStats,
-    /// Route flow-sensitive rules (statement dots) through the CFG path
-    /// engine. On by default; `spatch --no-flow` and benchmarks clear it
-    /// to get the legacy tree-sequence reading of dots.
-    pub flow_enabled: bool,
     /// Per-file deadline, checked at rule boundaries. A file past it
     /// aborts with a timeout error instead of stalling the corpus run.
     pub(crate) deadline: Option<Deadline>,
@@ -155,7 +150,6 @@ impl Patcher {
         Patcher {
             compiled,
             last_stats: ApplyStats::default(),
-            flow_enabled: true,
             deadline: None,
             explain: None,
         }
@@ -293,9 +287,8 @@ impl Patcher {
                     // territory or export environments), so every match
                     // here is one whose edits landed in the returned
                     // set. A non-zero witness_group marks a CFG path
-                    // witness; a flow-routed rule's tree-fallback
-                    // matches (over-budget functions) keep 0 and are
-                    // not counted as witnesses.
+                    // witness; tree matches keep 0 and are not counted
+                    // as witnesses.
                     let (all_matches, new_streams, edits, probe) =
                         self.run_transform_rule(ri, t, &tu, cur, &streams)?;
                     let rule_label = t.name.as_deref().unwrap_or("<anonymous>");
@@ -617,35 +610,15 @@ impl Patcher {
         };
 
         // Flow-sensitive rules route through the CFG path engine
-        // (all-paths dots semantics); everything else — and every rule
-        // when `--no-flow` cleared `flow_enabled` — stays on the tree
+        // (all-paths dots semantics); everything else stays on the tree
         // matcher. The search (per-function CFGs + span indexes) is
-        // built once and reused across all seed environments.
-        //
-        // Exception: a rule whose dots carry an explicit `when exists`/
-        // `when strict` cannot take the tree reading at all — it would
-        // silently discard the quantifier and (for strict) over-match.
-        // With flow matching disabled that is a loud per-file error,
-        // not a degraded rewrite.
-        if !self.flow_enabled {
-            if let Some(fp) = &self.compiled.rules[ri].flow {
-                if fp.explicit_quant {
-                    return Err(aerr(format!(
-                        "rule {}: `when exists` / `when strict` require CFG path matching, \
-                         which is disabled (--no-flow)",
-                        t.name.as_deref().unwrap_or("<anonymous>")
-                    )));
-                }
-            }
-        }
-        let mut flow_search = match (&self.compiled.rules[ri].flow, &t.body.pattern) {
-            // The text's CFGs build once, no matter how many flow-routed
-            // rules (of how many patches) run on it.
-            (Some(fp), pattern @ Pattern::Stmts(_)) if self.flow_enabled => Some(
-                crate::flowmatch::FlowSearch::with_cache(fp, pattern, tu, cur.cfgs()),
-            ),
-            _ => None,
-        };
+        // built once and reused across all seed environments, and the
+        // text's CFGs build once, no matter how many flow-routed rules
+        // (of how many patches) run on it.
+        let mut flow_search = self.compiled.rules[ri]
+            .flow
+            .as_ref()
+            .map(|fp| crate::flowmatch::FlowSearch::with_cache(fp, tu, cur.cfgs()));
 
         let mut all_matches: Vec<MatchState> = Vec::new();
         let mut new_streams: Vec<ExportedEnv> = Vec::new();
@@ -970,6 +943,7 @@ use seed_check::reference_search;
 #[cfg(test)]
 pub(crate) mod seed_check {
     use super::*;
+    use cocci_smpl::Pattern;
     use std::cell::Cell;
 
     thread_local! {

@@ -248,16 +248,6 @@ impl CompiledRuleSet {
         self.sieve.surviving(text)
     }
 
-    /// The label (rule id, or inner rule name of a lone patch) of the
-    /// first rule requiring CFG path matching, if any — runs with
-    /// `--no-flow` refuse the set up front.
-    pub fn requires_flow(&self) -> Option<&str> {
-        self.rules.iter().find_map(|r| {
-            let inner = r.compiled.requires_flow()?;
-            Some(if r.has_id { r.meta.id.as_str() } else { inner })
-        })
-    }
-
     /// SARIF tool metadata for every rule with an id (none for an
     /// `--sp-file` patch, whose findings name their inner rules).
     pub fn sarif_rules(&self) -> Vec<SarifRule> {

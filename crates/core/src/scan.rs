@@ -107,6 +107,9 @@ impl RuleOutcome {
 /// callers must compare [`ApplyReport::patch_hash`] against
 /// [`CompiledRuleSet::hash`] before resuming (the returned report
 /// records it).
+///
+/// Per-file failures land in the report, so this never returns `Err`;
+/// the `Result` keeps the signature callers already handle.
 pub fn scan_corpus(
     set: &CompiledRuleSet,
     source: &mut dyn FileSource,
@@ -114,16 +117,6 @@ pub fn scan_corpus(
     previous: Option<&ApplyReport>,
     mut sink: impl FnMut(&str, &str, &FileOutcome),
 ) -> Result<ApplyReport, ApplyError> {
-    // `when exists`/`when strict` only exist on the CFG route — refuse
-    // once at run level rather than erroring identically on every file.
-    if opts.no_flow {
-        if let Some(rule) = set.requires_flow() {
-            return Err(ApplyError::new(format!(
-                "rule {rule}: `when exists` / `when strict` require CFG path matching, \
-                 which --no-flow disables"
-            )));
-        }
-    }
     // Hash 0 means "unknown" (unreadable file, pre-hash report): never a
     // skip candidate.
     let prev_by_name: HashMap<&str, &FileReport> = previous
@@ -614,31 +607,6 @@ pub(crate) mod tests {
         assert_eq!(sunk, 0, "unchanged file skipped");
         assert_eq!(second.files[0].rules, prior.files[0].rules);
         assert_eq!(second.files[0].findings, prior.files[0].findings);
-    }
-
-    #[test]
-    fn scan_corpus_refuses_no_flow_with_quantified_rules() {
-        let set = CompiledRuleSet::from_sources(&[src(
-            "needs-flow",
-            "@@ @@\n- a();\n+ a2();\n... when exists\nb();\n",
-        )])
-        .unwrap();
-        let err = scan_corpus(
-            &set,
-            &mut MemorySource::new(vec![(
-                "f.c".to_string(),
-                "void f(void) { a(); b(); }\n".into(),
-            )]),
-            &CorpusOptions {
-                no_flow: true,
-                ..Default::default()
-            },
-            None,
-            |_, _, _| {},
-        )
-        .unwrap_err();
-        assert!(err.message.contains("needs-flow"), "{err}");
-        assert!(err.message.contains("when exists"), "{err}");
     }
 
     /// Per-rule counterpart of the corpus determinism test: the

@@ -1,6 +1,8 @@
 //! The tree matcher's search: where a rule's pattern is tried, and how a
 //! rule that runs once per inherited environment avoids re-walking the
-//! file for each one.
+//! file for each one. A rule that lowers to a CFG pattern never comes
+//! here, whatever the size of the function: `flowmatch` tries it at CFG
+//! nodes.
 //!
 //! [`for_each_root`] is the only code that knows where a pattern is
 //! tried. It hands out every candidate root of a pattern in a text, each
@@ -133,7 +135,7 @@ pub(crate) fn for_each_root<'t>(
 /// The roots of statement pattern `pats` in the functions `fns`: those of
 /// every block (the function bodies, then every block nested in one),
 /// then, for a one-statement pattern, every statement no block lists.
-pub(crate) fn stmt_roots<'t>(pats: &[Stmt], fns: &[&'t FunctionDef], f: &mut dyn FnMut(Root<'t>)) {
+fn stmt_roots<'t>(pats: &[Stmt], fns: &[&'t FunctionDef], f: &mut dyn FnMut(Root<'t>)) {
     let mut blocks: Vec<&Block> = fns.iter().map(|func| &func.body).collect();
     for func in fns {
         for s in &func.body.stmts {
@@ -567,10 +569,9 @@ mod tests {
     /// reference loop (every seed through `find_matches`). Outputs and
     /// statistics — matches per rule, edits, findings, attempts with
     /// their `--explain` details — must agree exactly.
-    fn same_as_reference(patch: &str, files: &[(&str, &str)], flow: bool) -> Run {
+    fn same_as_reference(patch: &str, files: &[(&str, &str)]) -> Run {
         let patch = parse_semantic_patch(patch).unwrap();
         let mut patcher = Patcher::new(&patch).unwrap();
-        patcher.flow_enabled = flow;
         patcher.explain = Some(Arc::new(ExplainConfig::default()));
         let before = seed_check::counts();
         let mut outputs = Vec::new();
@@ -635,7 +636,7 @@ position r.p;
             .map(|f| (f.name.as_str(), f.text.as_str()))
             .collect();
         for patch in [UC7_CUDA_HIP, UC78_CUDA_HIP_FULL] {
-            let run = same_as_reference(patch, &files, true);
+            let run = same_as_reference(patch, &files);
             // `hfe` pins every seed after its first; `hte`'s seeds
             // repeat `c_t = __half`, `i = h`.
             assert!(run.pinned > 0, "{} pinned", run.pinned);
@@ -676,7 +677,7 @@ position r.p;
                 .iter()
                 .map(|f| (f.name.as_str(), f.text.as_str()))
                 .collect();
-            let run = same_as_reference(patch, &files, true);
+            let run = same_as_reference(patch, &files);
             assert!(run.outputs.iter().any(Option::is_some), "{uc}");
         }
     }
@@ -701,7 +702,7 @@ expression e;
 + gone()
 "#;
         let src = "void f(void) { bar(1); foo(1); foo(0); }\n";
-        let run = same_as_reference(patch, &[("d.c", src)], true);
+        let run = same_as_reference(patch, &[("d.c", src)]);
         assert_eq!(run.pinned, 0);
         let out = run.outputs[0].as_deref().unwrap();
         assert_eq!(out, "void f(void) { gone(); gone(); gone(); }\n");
@@ -724,7 +725,7 @@ position r.p;
 + h(e)
 "#;
         let src = "void f(int a, int b) { x = g(a) + g(b); y = k(g(a)); g(g(b)); }\n";
-        let run = same_as_reference(patch, &[("n.c", src)], true);
+        let run = same_as_reference(patch, &[("n.c", src)]);
         assert!(run.pinned > 0);
         let out = run.outputs[0].as_deref().unwrap();
         assert!(out.contains("x = h(a) + h(b); y = k(h(a));"), "{out}");
@@ -747,7 +748,7 @@ position r.p;
 - log(e)@p;
 + trace(e);
 "#;
-        let run = same_as_reference(on_call, &[("s.c", src)], true);
+        let run = same_as_reference(on_call, &[("s.c", src)]);
         assert!(run.pinned > 0);
         assert_eq!(
             run.outputs[0].as_deref(),
@@ -768,7 +769,7 @@ position u.p;
 - S@p;
 + wrapped();
 "#;
-        let run = same_as_reference(on_statement, &[("s.c", src)], true);
+        let run = same_as_reference(on_statement, &[("s.c", src)]);
         assert!(run.pinned > 0);
         let out = run.outputs[0].as_deref().unwrap();
         assert!(
@@ -859,7 +860,7 @@ identifier r.fn;
 ... when != zzz()
 "#;
         let src = "void a(void) { foo(); foo(); foo(); }\nvoid b(void) { }\n";
-        let run = same_as_reference(patch, &[("s.c", src)], false);
+        let run = same_as_reference(patch, &[("s.c", src)]);
         assert_eq!(run.duplicates, 0);
     }
 
@@ -879,7 +880,7 @@ constant k = {1, 2};
 + baz(e, k);
 "#;
         let src = "void f(void) { foo(x); foo(x); foo(y); bar(x, 1); bar(x, 2); bar(y, 2); bar(x, 3); }\n";
-        let run = same_as_reference(patch, &[("k.c", src)], true);
+        let run = same_as_reference(patch, &[("k.c", src)]);
         // Seeds (x,1) and (x,2) repeat once each.
         assert_eq!(run.duplicates, 2);
         let out = run.outputs[0].as_deref().unwrap();
@@ -914,7 +915,7 @@ expression r.e;
 + quux(e);
 "#;
         let src = "void f(void) { bar(a); baz(a); bar(a); baz(b); bar(b); baz(b); }\n";
-        let run = same_as_reference(patch, &[("m.c", src)], true);
+        let run = same_as_reference(patch, &[("m.c", src)]);
         assert_eq!(run.pinned, 0);
         assert!(run.duplicates > 0);
     }
@@ -924,7 +925,7 @@ expression r.e;
         let src = "__half g;\n__half g;\n__half h;\n\
                    void f(void) { __half h; double r; r = curand_uniform_double(s); }\n\
                    void k(void) { __half h; }\n";
-        let run = same_as_reference(UC7_CUDA_HIP, &[("g.cu", src)], true);
+        let run = same_as_reference(UC7_CUDA_HIP, &[("g.cu", src)]);
         assert!(run.duplicates > 0);
         let out = run.outputs[0].as_deref().unwrap();
         assert!(!out.contains("__half"), "{out}");
@@ -956,7 +957,7 @@ fn(...)
         patcher.apply("f.c", src).unwrap();
         let findings = patcher.last_stats.findings.len();
         assert!(findings > 0);
-        let run = same_as_reference(patch, &[("f.c", src)], true);
+        let run = same_as_reference(patch, &[("f.c", src)]);
         assert!(run.pinned > 0);
         assert!(run.duplicates > 0);
     }

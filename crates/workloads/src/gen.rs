@@ -282,9 +282,9 @@ pub fn librsb_codebase(spec: &CodebaseSpec) -> Vec<GeneratedFile> {
 /// * `linear` — straight-line filler then `probe_end(buf);` (both
 ///   engines match);
 /// * `join` — `probe_end` in **both** arms of an `if`/`else` (only the
-///   CFG engine matches);
-/// * `escape` — an early `return` before `probe_end` (only the tree
-///   engine matches — wrongly);
+///   all-paths reading matches);
+/// * `escape` — an early `return` before `probe_end` (only a
+///   tree-sequence reading would match — wrongly);
 /// * `loop` — a `for` loop between the probes (both match; the back
 ///   edge exercises loop cut-points).
 pub fn branchy_codebase(spec: &CodebaseSpec) -> Vec<GeneratedFile> {
@@ -355,7 +355,8 @@ pub fn forked_commit_codebase(spec: &CodebaseSpec) -> Vec<GeneratedFile> {
 
 /// CFG family, dots-free-equivalent slice: purely straight-line probe
 /// pairs, where tree-sequence and all-paths dots agree — the workload
-/// the `cfg_match` bench uses to price the CFG engine's overhead.
+/// the `cfg_match` bench uses to time the CFG route on straight-line
+/// code.
 pub fn linear_probe_codebase(spec: &CodebaseSpec) -> Vec<GeneratedFile> {
     let mut rng = SplitMix64::seed_from_u64(spec.seed);
     (0..spec.files)
@@ -387,7 +388,8 @@ pub fn linear_probe_codebase(spec: &CodebaseSpec) -> Vec<GeneratedFile> {
 /// * straight-line pair — one finding;
 /// * release in both branch arms — one finding (all paths covered);
 /// * early return before the release — **no** finding (all-paths
-///   semantics refuses; a tree-route `--no-flow` run disagrees here);
+///   semantics refuses; a tree-sequence reading of the dots would
+///   match here);
 /// * a resource leak (no release at all) — no finding.
 ///
 /// With `functions_per_file` a multiple of 4 the expected finding count

@@ -2,7 +2,7 @@
 //! use cases: ternary patterns, initializer lists, kernel-launch dots,
 //! expression disjunction with rewrites, switch/case matching, labels,
 //! C++ range-for patterns, and statement dots over control flow
-//! (all-paths CFG semantics vs the legacy tree-sequence reading).
+//! (all-paths CFG semantics).
 
 use cocci_core::Patcher;
 use cocci_smpl::parse_semantic_patch;
@@ -10,16 +10,6 @@ use cocci_smpl::parse_semantic_patch;
 fn apply(patch: &str, target: &str) -> Option<String> {
     let sp = parse_semantic_patch(patch).unwrap_or_else(|e| panic!("patch parse: {e}"));
     let mut p = Patcher::new(&sp).unwrap_or_else(|e| panic!("compile: {e}"));
-    p.apply("t.c", target)
-        .unwrap_or_else(|e| panic!("apply: {e}"))
-}
-
-/// Like [`apply`], but with CFG flow routing forced on or off — the
-/// tree/flow disagreement tests below use both sides.
-fn apply_flow(patch: &str, target: &str, flow: bool) -> Option<String> {
-    let sp = parse_semantic_patch(patch).unwrap_or_else(|e| panic!("patch parse: {e}"));
-    let mut p = Patcher::new(&sp).unwrap_or_else(|e| panic!("compile: {e}"));
-    p.flow_enabled = flow;
     p.apply("t.c", target)
         .unwrap_or_else(|e| panic!("apply: {e}"))
 }
@@ -37,33 +27,22 @@ probe_end(b);
 #[test]
 fn dots_match_across_if_else_join() {
     // probe_end sits in *both* arms of the branch: every path reaches
-    // it, so the CFG engine matches — the tree matcher cannot see a
-    // sequence [probe_begin; ...; probe_end] in any single block and
-    // wrongly refuses.
+    // it, so the CFG engine matches — a tree-sequence reading sees no
+    // [probe_begin; ...; probe_end] sequence in any single block.
     let src = "void f(int x, double *q) {\n    probe_begin(q);\n    if (x) {\n        work(q);\n        probe_end(q);\n    } else {\n        probe_end(q);\n    }\n    done();\n}\n";
     let out = apply(PROBE_PATCH, src).expect("all paths reach probe_end");
     assert!(out.contains("probe_enter(q);"), "{out}");
-    assert!(
-        apply_flow(PROBE_PATCH, src, false).is_none(),
-        "tree matcher misses the cross-branch pair"
-    );
 }
 
 #[test]
 fn dots_refuse_early_return_where_tree_overmatches() {
-    // The acceptance disagreement case: a path escapes through `return`
-    // without reaching probe_end. The tree matcher absorbs the whole
-    // `if (x) return;` into the dots and matches anyway — the CFG
-    // engine's refusal is the correct (all-paths) answer and is what
-    // the default configuration produces.
+    // A path escapes through `return` without reaching probe_end. A
+    // tree-sequence reading would absorb the whole `if (x) return;`
+    // into the dots and match anyway; the all-paths reading refuses.
     let src = "void f(int x, double *q) {\n    probe_begin(q);\n    if (x)\n        return;\n    probe_end(q);\n}\n";
     assert!(
         apply(PROBE_PATCH, src).is_none(),
-        "default (CFG) semantics must refuse the escaping path"
-    );
-    assert!(
-        apply_flow(PROBE_PATCH, src, false).is_some(),
-        "tree semantics over-matches, demonstrating the disagreement"
+        "all-paths semantics must refuse the escaping path"
     );
 }
 
@@ -139,9 +118,6 @@ begin();
     assert!(out.contains("commit_logged(b);"), "{out}");
     assert!(!out.contains("commit(a);"), "{out}");
     assert!(!out.contains("commit(b);"), "{out}");
-    // The tree reading sees no [begin; ...; commit] sequence in any
-    // single block and misses both.
-    assert!(apply_flow(patch, src, false).is_none());
 }
 
 #[test]
@@ -340,30 +316,6 @@ a(x);
         out.contains("b(1);"),
         "x=p attempt must drop atomically, leaving b(1) untouched: {out}"
     );
-}
-
-#[test]
-fn no_flow_refuses_quantified_rules_loudly() {
-    // `--no-flow` forces the tree reading, which has no path
-    // quantifiers; silently running `when strict` there would
-    // over-match (rewrite across an escaping path). It is a per-file
-    // error instead.
-    let patch = r#"
-@@
-expression b;
-@@
-- probe_begin(b);
-+ probe_enter(b);
-... when strict
-probe_end(b);
-"#;
-    let sp = parse_semantic_patch(patch).unwrap();
-    let mut p = Patcher::new(&sp).unwrap();
-    p.flow_enabled = false;
-    let src = "void f(int x, double *q) {\n    probe_begin(q);\n    if (x)\n        return;\n    probe_end(q);\n}\n";
-    let err = p.apply("t.c", src).unwrap_err();
-    assert!(err.message.contains("when exists"), "{}", err.message);
-    assert!(err.message.contains("no-flow"), "{}", err.message);
 }
 
 #[test]
@@ -621,12 +573,10 @@ SL
 
 // ---- position metavariables and the findings route ----
 
-/// Apply a reporting-only patch and return its findings (with the flow
-/// route forced on or off).
-fn findings_flow(patch: &str, target: &str, flow: bool) -> Vec<cocci_core::Finding> {
+/// Apply a reporting-only patch and return its findings.
+fn findings(patch: &str, target: &str) -> Vec<cocci_core::Finding> {
     let sp = parse_semantic_patch(patch).unwrap_or_else(|e| panic!("patch parse: {e}"));
     let mut p = Patcher::new(&sp).unwrap_or_else(|e| panic!("compile: {e}"));
-    p.flow_enabled = flow;
     let out = p
         .apply("t.c", target)
         .unwrap_or_else(|e| panic!("apply: {e}"));
@@ -649,7 +599,7 @@ fn position_on_calls_binds_at_cfg_match_sites() {
     // Flow route: the position pins the matched CFG node (the acquire
     // call) — line 3, column 5 of this file.
     let src = "void f(int n, double *buf) {\n    prep();\n    acquire(buf[0]);\n    work();\n    release(buf[0]);\n}\n";
-    let fs = findings_flow(SCAN_PAIR_PATCH, src, true);
+    let fs = findings(SCAN_PAIR_PATCH, src);
     assert_eq!(fs.len(), 1);
     assert_eq!((fs[0].line, fs[0].col), (3, 5));
     assert_eq!(fs[0].rule, "scan");
@@ -661,11 +611,9 @@ fn position_on_calls_binds_at_cfg_match_sites() {
     );
 
     // All-paths semantics: an early return between the pair kills the
-    // finding on the flow route; the tree reading (--no-flow) still
-    // reports it — the disagreement the CFG route exists to fix.
+    // finding.
     let escaping = "void f(int n, double *buf) {\n    acquire(buf[0]);\n    if (n)\n        return;\n    release(buf[0]);\n}\n";
-    assert!(findings_flow(SCAN_PAIR_PATCH, escaping, true).is_empty());
-    assert_eq!(findings_flow(SCAN_PAIR_PATCH, escaping, false).len(), 1);
+    assert!(findings(SCAN_PAIR_PATCH, escaping).is_empty());
 }
 
 #[test]
@@ -682,7 +630,7 @@ barrier();
 S@p
 "#;
     let src = "void f(double *q) {\n    barrier();\n    q[0] = 1.0;\n}\n";
-    let fs = findings_flow(patch, src, true);
+    let fs = findings(patch, src);
     assert_eq!(fs.len(), 1);
     assert_eq!((fs[0].line, fs[0].col), (3, 5));
 }
@@ -702,7 +650,7 @@ checkpoint();
 commit(e)@p;
 "#;
     let src = "void f(int n, double *buf) {\n    checkpoint();\n    if (n) {\n        commit(buf[1]);\n    } else {\n        commit(buf[2]);\n    }\n    wrap_up();\n}\n";
-    let mut fs = findings_flow(patch, src, true);
+    let mut fs = findings(patch, src);
     fs.sort_by_key(|f| (f.line, f.col));
     assert_eq!(fs.len(), 2, "one finding per forked witness: {fs:?}");
     assert_eq!((fs[0].line, fs[0].col), (4, 9));

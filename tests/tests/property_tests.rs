@@ -10,16 +10,21 @@
 //! * edit sets: applying disjoint edits commutes with order of insertion,
 //!   and output length is predictable;
 //! * engine: a rename patch rewrites exactly the call sites present and
-//!   is idempotent.
+//!   is idempotent;
+//! * flow route: on random small functions, `a(); ... b();` under every
+//!   dots reading matches exactly what the simple paths of the
+//!   function's CFG allow.
 
 use cocci_cast::eq::expr_eq;
 use cocci_cast::parser::{parse_expression, NoMeta, ParseOptions};
 use cocci_cast::render::render_expr;
 use cocci_cast::{lex, LexMode, TokenKind};
 use cocci_core::{EditSet, Patcher};
+use cocci_flow::{Cfg, NodeId, NodeKind};
 use cocci_smpl::parse_semantic_patch;
 use cocci_source::{Span, Symbol};
-use cocci_tests::{arb_expr_text, ident_soup_word, string_of_len, Runner};
+use cocci_tests::{arb_expr_text, ident_soup_word, string_of_len, Runner, SplitMix64};
+use std::collections::BTreeSet;
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
 
@@ -360,7 +365,7 @@ fn patched_output_still_parses() {
 
 /// The reporting rule the findings properties drive: pure context, a
 /// position metavariable on the opening call, statement dots to the
-/// close — flow-routed by default, tree-readable under `--no-flow`.
+/// close (flow-routed).
 const SCAN_DOTS: &str = "@scan@\nexpression r;\nposition p;\n@@\nacquire(r)@p;\n...\nrelease(r);\n";
 
 #[test]
@@ -408,45 +413,182 @@ fn findings_lie_within_file_bounds() {
         });
 }
 
-#[test]
-fn tree_and_flow_routes_emit_identical_findings_on_dots_free_rules() {
-    // On straight-line code the tree-sequence and all-paths readings of
-    // dots coincide, so the two routes must produce the *same finding
-    // set* — same files, same lines, same columns, same rules.
-    use cocci_workloads::gen::{linear_probe_codebase, CodebaseSpec};
+// ---- flow route vs a path oracle ----
 
-    let patch = parse_semantic_patch(
-        "@pair@\nexpression b;\nposition p;\n@@\nprobe_begin(b)@p;\n...\nprobe_end(b);\n",
-    )
-    .unwrap();
-    Runner::new("tree_and_flow_routes_emit_identical_findings")
-        .cases(16)
+/// A random statement list for [`flow_route_agrees_with_a_path_oracle`]:
+/// anchors `a();`, targets `b();`, forbidden calls `g();` and padding
+/// `s();`, mixed with `if`/`else`, `while` and `for` loops, `break`
+/// inside loops and early `return`.
+fn arb_flow_stmts(rng: &mut SplitMix64, depth: usize, in_loop: bool, out: &mut String) {
+    for _ in 0..rng.gen_range(1..4) {
+        match rng.gen_range(0..if depth == 0 { 8 } else { 13 }) {
+            0 | 1 => out.push_str("a(); "),
+            2 | 3 => out.push_str("b(); "),
+            4 => out.push_str("g(); "),
+            5 => out.push_str("s(); "),
+            6 if in_loop => out.push_str("break; "),
+            6 | 7 => out.push_str("if (c) return; "),
+            8 | 9 => {
+                out.push_str("if (c) { ");
+                arb_flow_stmts(rng, depth - 1, in_loop, out);
+                out.push_str("} ");
+                if rng.gen_bool(0.5) {
+                    out.push_str("else { ");
+                    arb_flow_stmts(rng, depth - 1, in_loop, out);
+                    out.push_str("} ");
+                }
+            }
+            10 | 11 => {
+                out.push_str("while (c) { ");
+                arb_flow_stmts(rng, depth - 1, true, out);
+                out.push_str("} ");
+            }
+            _ => {
+                out.push_str("for (i = 0; i < n; i++) { ");
+                arb_flow_stmts(rng, depth - 1, true, out);
+                out.push_str("} ");
+            }
+        }
+    }
+}
+
+/// What the simple paths from one anchor node end at.
+#[derive(Default)]
+struct PathEnds {
+    /// Start offsets of the `b();` nodes that end a path.
+    hits: BTreeSet<u32>,
+    /// Some path reaches the function exit first.
+    escape: bool,
+    /// Some path reaches a `g();` node first (counted only when the gap
+    /// forbids `g()`).
+    violation: bool,
+}
+
+/// Follow every simple path from `n`: a path ends at its first `b();`
+/// node, at the exit, at a `g();` node when `guard` is set, or where it
+/// would revisit a node (a cut, which ends nothing).
+fn simple_paths(
+    cfg: &Cfg,
+    is: &dyn Fn(NodeId, &str) -> bool,
+    n: NodeId,
+    guard: bool,
+    on_path: &mut [bool],
+    ends: &mut PathEnds,
+) {
+    for &m in cfg.succs(n) {
+        if on_path[m.index()] {
+            continue;
+        }
+        if is(m, "b();") {
+            ends.hits.insert(cfg.span(m).start);
+        } else if m == cfg.exit() {
+            ends.escape = true;
+        } else if guard && is(m, "g();") {
+            ends.violation = true;
+        } else {
+            on_path[m.index()] = true;
+            simple_paths(cfg, is, m, guard, on_path, ends);
+            on_path[m.index()] = false;
+        }
+    }
+}
+
+#[test]
+fn flow_route_agrees_with_a_path_oracle() {
+    // For each reading of `a(); ... b();`, the flow route must match
+    // exactly the anchors the simple paths of the function's CFG allow,
+    // with exactly the `b();` nodes those paths end at as hits.
+    use cocci_cast::parser::{parse_statements, parse_translation_unit};
+    use cocci_core::explain::AttemptProbe;
+    use cocci_core::flowmatch::lower_pattern;
+    use cocci_core::{CfgCache, Env, FlowSearch, MatchCtx, PairKind};
+    use std::cell::Cell;
+    use std::collections::{BTreeMap, HashMap};
+
+    // (pattern, all paths must hit, gap forbids g())
+    const READINGS: [(&str, bool, bool); 5] = [
+        ("a(); ... b();", true, false),
+        ("a(); ... when strict b();", true, false),
+        ("a(); ... when exists b();", false, false),
+        ("a(); ... when != g() b();", true, true),
+        ("a(); ... when != g() when exists b();", false, true),
+    ];
+    let matched = [(); 5].map(|_| Cell::new(0usize));
+    let refused = [(); 5].map(|_| Cell::new(0usize));
+    Runner::new("flow_route_agrees_with_a_path_oracle")
+        .cases(256)
         .run(|rng| {
-            let spec = CodebaseSpec {
-                files: 2,
-                functions_per_file: rng.gen_range(1..8),
-                seed: rng.next_u64(),
+            let mut body = String::new();
+            arb_flow_stmts(rng, 2, false, &mut body);
+            if !body.contains("a();") {
+                body.insert_str(0, "a(); ");
+            }
+            let src = format!("void f(int c, int n) {{ int i; {body}}}\n");
+            let tu = parse_translation_unit(&src, ParseOptions::c(), &NoMeta).unwrap();
+            let cocci_cast::Item::Function(func) = &tu.items[0] else {
+                panic!("{src}");
             };
-            for f in linear_probe_codebase(&spec) {
-                let keys = |flow: bool| {
-                    let mut p = Patcher::new(&patch).unwrap();
-                    p.flow_enabled = flow;
-                    p.apply(&f.name, &f.text).unwrap();
-                    let mut ks: Vec<_> = p
-                        .last_stats
-                        .findings
-                        .iter()
-                        .map(cocci_core::Finding::key)
-                        .collect();
-                    ks.sort();
-                    ks
-                };
-                let flow = keys(true);
-                let tree = keys(false);
-                assert!(!flow.is_empty(), "{}: linear pairs must match", f.name);
-                assert_eq!(flow, tree, "{}: routes disagree", f.name);
+            let mut cache = CfgCache::default();
+            let cfg = cache.get_or_build(func);
+            let is = |m: NodeId, text: &str| {
+                let sp = cfg.span(m);
+                cfg.kind(m) == NodeKind::Stmt && &src[sp.start as usize..sp.end as usize] == text
+            };
+            let regexes = HashMap::new();
+            let ctx = MatchCtx {
+                file: "f.c",
+                src: &src,
+                decls: &[],
+                regexes: &regexes,
+            };
+            for (r, &(pattern, forall, guard)) in READINGS.iter().enumerate() {
+                // The reference: anchor start -> hit starts, for every
+                // anchor the paths allow.
+                let mut want = BTreeMap::new();
+                for n in cfg.nodes().filter(|&n| is(n, "a();")) {
+                    let mut on_path = vec![false; cfg.len()];
+                    on_path[n.index()] = true;
+                    let mut ends = PathEnds::default();
+                    simple_paths(&cfg, &is, n, guard, &mut on_path, &mut ends);
+                    let clean = !forall || !(ends.escape || ends.violation);
+                    if clean && !ends.hits.is_empty() {
+                        want.insert(cfg.span(n).start, ends.hits);
+                    }
+                }
+
+                let pats = parse_statements(pattern, ParseOptions::pattern(), &NoMeta).unwrap();
+                let fp = lower_pattern(&pats).expect("pattern lowers");
+                let (a_pat, b_pat) = (pats[0].span(), pats[2].span());
+                let mut got: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+                let witnesses = FlowSearch::with_cache(&fp, &tu, &mut cache).find(
+                    &ctx,
+                    &Env::new(),
+                    &mut AttemptProbe::default(),
+                );
+                for w in &witnesses {
+                    let stmt_srcs = |pat| {
+                        w.pairs
+                            .iter()
+                            .filter(move |p| p.pat == pat && p.kind == PairKind::Stmt)
+                            .map(|p| p.src.start)
+                    };
+                    let anchor = stmt_srcs(a_pat).next().expect("anchor pair");
+                    got.entry(anchor).or_default().extend(stmt_srcs(b_pat));
+                }
+                assert_eq!(got, want, "{pattern} over\n{src}");
+                matched[r].set(matched[r].get() + want.len());
+                refused[r].set(refused[r].get() + usize::from(want.is_empty()));
             }
         });
+    // Every reading both matched and refused somewhere.
+    for (r, (pattern, ..)) in READINGS.iter().enumerate() {
+        assert!(
+            matched[r].get() > 0 && refused[r].get() > 0,
+            "{pattern}: {} matched, {} refused",
+            matched[r].get(),
+            refused[r].get()
+        );
+    }
 }
 
 // ---- string interner ----
