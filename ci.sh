@@ -114,14 +114,15 @@ gate FN_RATIO target/BENCH_uc_matrix.json '"id": "uc78_fn_cost_ratio", "value":'
 # the ratio grow with the file (~7 for the O(n*m) diff table).
 gate DENSE_RATIO target/BENCH_uc_matrix.json '"id": "dense_site_cost_ratio", "value":' 2.0 \
   "dense per-site cost ratio {} >= 2.0"
-# One gap over one function must cost the same per statement at 50,000
-# statements as at 5,000, on the CFG route and in the tree matcher's dots
-# and statement lists; re-folding or cloning the run at each length made
-# the tree shapes quadratic.
+# One gap must cost the same per element at 50,000 elements as at 5,000:
+# over a function's statements on the CFG route and in the tree matcher's
+# dots and statement lists, and over one call's arguments in its dots and
+# expression lists. Re-folding or cloning the run at each length made the
+# tree shapes quadratic.
 gate GAP_RATIO target/BENCH_uc_matrix.json '"id": "long_gap_cost_ratio", "value":' 2.0 \
-  "long-gap per-statement cost ratio {} >= 2.0"
+  "long-gap per-element cost ratio {} >= 2.0"
 trend_check uc_matrix
-echo "ok: target/BENCH_uc_matrix.json written (UC78 per-function cost ratio ${FN_RATIO}, dense per-site cost ratio ${DENSE_RATIO}, long-gap per-statement cost ratio ${GAP_RATIO})"
+echo "ok: target/BENCH_uc_matrix.json written (UC78 per-function cost ratio ${FN_RATIO}, dense per-site cost ratio ${DENSE_RATIO}, long-gap per-element cost ratio ${GAP_RATIO})"
 
 echo "== prefilter bench smoke (hit-rate trend, JSON to target/) =="
 cargo bench --bench prefilter --locked

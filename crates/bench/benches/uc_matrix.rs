@@ -20,8 +20,8 @@
 //! over per-site time at 2,500) stays near 1 only while claims, edits
 //! and the diff each cost linear time in the sites. CI gates it below 2.
 //!
-//! A long-gap sweep closes it: one function of 5,000 and of 50,000
-//! statements, with one gap spanning them, in three shapes:
+//! A long-gap sweep closes it: one gap of 5,000 and of 50,000 elements,
+//! in five shapes. Three span the statements of one function:
 //!
 //! * `flow` — `lock(x); ... unlock(x);` on the CFG route, over a
 //!   function that can return early, so the answer is no match at any
@@ -31,9 +31,17 @@
 //! * `stmt_list` — `lock(x); SL unlock(x);` with `unlock` right after
 //!   `lock`, so the greedy statement list tries every longer run first.
 //!
-//! `long_gap_cost_ratio` (the largest per-statement time ratio, 50,000
-//! over 5,000, of the three) stays near 1 only while a gap costs linear
-//! time in its length. CI gates it below 2.
+//! Two span the arguments of one call:
+//!
+//! * `args_dots` — `big(...)` with the callee renamed, which rewrites;
+//! * `args_list` — `big(el, 0)` with `el` an expression list, whose last
+//!   argument is never `0`, so the greedy list tries every run and the
+//!   answer is no match at any size.
+//!
+//! `long_gap_cost_ratio` (the largest per-element time ratio, 50,000
+//! over 5,000, of the five) stays near 1 only while a gap costs linear
+//! time in its length, in statement sequences and argument lists alike.
+//! CI gates it below 2.
 
 /// The CLI's diff sink, compiled from the CLI's own source. Checking
 /// this bench under `cfg(test)` compiles the module's test imports
@@ -48,6 +56,25 @@ use cocci_core::{apply_to_files, Patcher};
 use cocci_smpl::parse_semantic_patch;
 use cocci_workloads::gen::{cuda_codebase, CodebaseSpec};
 use cocci_workloads::patches;
+
+/// The text of a file with one gap of `n` elements.
+type GapText = dyn Fn(usize) -> String;
+
+/// A function whose `n` statements sit between `lock(a);` and `head`,
+/// followed by `tail`.
+fn stmts(head: &str, tail: &str, n: usize) -> String {
+    let mut text = format!("void f(int c) {{\n    lock(a);\n    {head}");
+    for i in 0..n {
+        text.push_str(&format!("pad({});\n    ", i % 64));
+    }
+    text + &format!("{tail}}}\n")
+}
+
+/// A function with one call of `n` arguments, none of them `0`.
+fn args(n: usize) -> String {
+    let list: Vec<String> = (0..n).map(|i| (i % 64 + 1).to_string()).collect();
+    format!("void f(int c) {{\n    big({});\n}}\n", list.join(", "))
+}
 
 fn main() {
     let mut h = Harness::new("uc_matrix").sample_size(20);
@@ -120,51 +147,66 @@ fn main() {
         per_site[1] / per_site[0],
     );
 
-    let mut ratio: f64 = 0.0;
-    for (shape, rule, head, tail) in [
+    // (shape, rule, element unit, rewrites, file with a gap of n elements)
+    let shapes: [(&str, &str, &str, bool, &GapText); 5] = [
         (
             "flow",
             "@@\nexpression x;\n@@\n- lock(x);\n+ lock2(x);\n...\nunlock(x);\n",
-            "if (c) return;\n    ",
-            "unlock(a);\n",
+            "stmts",
+            // The early return leaves no rewrite on the flow route.
+            false,
+            &|n| stmts("if (c) return;\n    ", "unlock(a);\n", n),
         ),
         (
             "tree",
             "@@\nexpression x;\n@@\n- lock(x);\n+ lock2(x);\nmark();\n...\nunlock(x);\n",
-            "mark();\n    ",
-            "unlock(a);\n",
+            "stmts",
+            true,
+            &|n| stmts("mark();\n    ", "unlock(a);\n", n),
         ),
         (
             "stmt_list",
             "@@\nexpression x;\nstatement list SL;\n@@\n- lock(x);\n+ lock2(x);\nSL\nunlock(x);\n",
-            "unlock(a);\n    ",
-            "",
+            "stmts",
+            true,
+            &|n| stmts("unlock(a);\n    ", "", n),
         ),
-    ] {
+        (
+            "args_dots",
+            "@@\n@@\n- big\n+ big2\n  (...);\n",
+            "args",
+            true,
+            &args,
+        ),
+        (
+            "args_list",
+            "@@\nexpression list el;\n@@\n- big\n+ big2\n  (el, 0);\n",
+            "args",
+            false,
+            &args,
+        ),
+    ];
+    let mut ratio: f64 = 0.0;
+    for (shape, rule, unit, rewrites, text_of) in shapes {
         let patch = parse_semantic_patch(rule).expect(shape);
         let mut patcher = Patcher::new(&patch).expect(shape);
-        let mut per_stmt = Vec::new();
-        for stmts in [5_000, 50_000] {
-            let mut text = format!("void f(int c) {{\n    lock(a);\n    {head}");
-            for i in 0..stmts {
-                text.push_str(&format!("pad({});\n    ", i % 64));
-            }
-            text.push_str(&format!("{tail}}}\n"));
-            let id = format!("{shape}_{stmts}_stmts");
+        let mut per_elem = Vec::new();
+        for n in [5_000, 50_000] {
+            let text = text_of(n);
+            let id = format!("{shape}_{n}_{unit}");
             h.bench(
                 "long_gap",
                 &id,
                 Throughput::Bytes(text.len() as u64),
                 || {
                     let out = patcher.apply("gap.c", &text).unwrap();
-                    // The early return leaves no rewrite on the flow route.
-                    assert_eq!(out.is_some(), shape != "flow", "{id}");
+                    assert_eq!(out.is_some(), rewrites, "{id}");
                     out
                 },
             );
-            per_stmt.push(h.min_s("long_gap", &id).expect("recorded") / stmts as f64);
+            per_elem.push(h.min_s("long_gap", &id).expect("recorded") / n as f64);
         }
-        ratio = ratio.max(per_stmt[1] / per_stmt[0]);
+        ratio = ratio.max(per_elem[1] / per_elem[0]);
     }
     h.metric("long_gap", "long_gap_cost_ratio", ratio);
     h.finish().expect("write BENCH_uc_matrix.json");

@@ -399,14 +399,15 @@ fn declarator_eq(a: &Declarator, b: &Declarator) -> bool {
         }
 }
 
-/// Structural equality of parameter lists: same length, and each
-/// parameter with an equal type and the same name.
+/// Structural equality of parameter lists: same length, and pairwise
+/// [`param_eq`].
 pub fn params_eq(a: &[Param], b: &[Param]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            type_eq(&x.ty, &y.ty)
-                && x.name.as_ref().map(|n| n.name) == y.name.as_ref().map(|n| n.name)
-        })
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| param_eq(x, y))
+}
+
+/// Structural equality of parameters: an equal type and the same name.
+pub fn param_eq(a: &Param, b: &Param) -> bool {
+    type_eq(&a.ty, &b.ty) && a.name.as_ref().map(|n| n.name) == b.name.as_ref().map(|n| n.name)
 }
 
 #[cfg(test)]

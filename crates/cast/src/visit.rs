@@ -133,16 +133,8 @@ pub fn stmt_exprs<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Expr)) {
         Stmt::For {
             init, cond, step, ..
         } => {
-            match init.as_deref() {
-                Some(ForInit::Expr(e)) => walk_expr(e, f),
-                Some(ForInit::Decl(d)) => {
-                    for dr in &d.declarators {
-                        if let Some(i) = &dr.init {
-                            walk_expr(i, f);
-                        }
-                    }
-                }
-                _ => {}
+            if let Some(i) = init {
+                for_init_exprs(i, f);
             }
             if let Some(c) = cond {
                 walk_expr(c, f);
@@ -156,6 +148,21 @@ pub fn stmt_exprs<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Expr)) {
         Stmt::Switch { scrutinee, .. } => walk_expr(scrutinee, f),
         Stmt::Case { value: Some(v), .. } => walk_expr(v, f),
         _ => {}
+    }
+}
+
+/// Call `f` on every expression a `for` loop's init clause evaluates.
+pub fn for_init_exprs<'a>(init: &'a ForInit, f: &mut dyn FnMut(&'a Expr)) {
+    match init {
+        ForInit::Expr(e) => walk_expr(e, f),
+        ForInit::Decl(d) => {
+            for dr in &d.declarators {
+                if let Some(i) = &dr.init {
+                    walk_expr(i, f);
+                }
+            }
+        }
+        ForInit::Dots { .. } => {}
     }
 }
 

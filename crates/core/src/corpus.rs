@@ -20,7 +20,7 @@
 
 use crate::compile::CompiledPatch;
 use crate::driver::FileOutcome;
-use crate::explain::ExplainConfig;
+use crate::explain::{self, ExplainConfig};
 use crate::orchestrate::ApplyError;
 use crate::report::ApplyReport;
 use crate::ruleset::CompiledRuleSet;
@@ -309,28 +309,16 @@ impl IgnoreSet {
     }
 }
 
-/// Match a gitignore-style glob against a `/`-separated path. `*` and `?`
-/// do not cross separators; `**` does.
+/// Match a gitignore-style glob against a `/`-separated path, segment
+/// by segment with [`explain::glob_match`](crate::explain): `*` and `?`
+/// do not cross separators; a `**` segment spans any number of segments.
 fn glob_match(glob: &str, path: &str) -> bool {
-    fn seg_match(pat: &[u8], s: &[u8]) -> bool {
-        match (pat.first(), s.first()) {
-            (None, None) => true,
-            (Some(b'*'), _) => {
-                seg_match(&pat[1..], s) || (!s.is_empty() && seg_match(pat, &s[1..]))
-            }
-            (Some(b'?'), Some(_)) => seg_match(&pat[1..], &s[1..]),
-            (Some(p), Some(c)) if p == c => seg_match(&pat[1..], &s[1..]),
-            _ => false,
-        }
-    }
     fn segs_match(pats: &[&str], segs: &[&str]) -> bool {
         match pats.first() {
             None => segs.is_empty(),
             Some(&"**") => (0..=segs.len()).any(|k| segs_match(&pats[1..], &segs[k..])),
             Some(p) => match segs.first() {
-                Some(s) if seg_match(p.as_bytes(), s.as_bytes()) => {
-                    segs_match(&pats[1..], &segs[1..])
-                }
+                Some(s) if explain::glob_match(p, s) => segs_match(&pats[1..], &segs[1..]),
                 _ => false,
             },
         }
@@ -438,6 +426,29 @@ mod tests {
         assert!(!set.is_ignored("deep/keep.tmp", false)); // negation wins (last match)
         assert!(set.is_ignored("docs/x.c", false)); // anchored
         assert!(!set.is_ignored("other/docs/x.c", false)); // anchored ≠ nested
+    }
+
+    #[test]
+    fn ignore_globs_do_not_backtrack_per_star() {
+        // Twelve stars against a 48-character name with no final `b`:
+        // retrying every split at each star would take hours.
+        let set = IgnoreSet::new([format!("{}*b", "*a".repeat(11)).as_str()]);
+        let name = "a".repeat(48);
+        let t0 = std::time::Instant::now();
+        assert!(!set.is_ignored(&name, false));
+        assert!(set.is_ignored(&format!("deep/{name}b"), false));
+        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    #[test]
+    fn ignore_glob_question_mark_is_one_character() {
+        // `?` stands for one character of a name, however many bytes it
+        // takes in UTF-8.
+        let set = IgnoreSet::new(["?.c", "d?t/"]);
+        assert!(set.is_ignored("é.c", false));
+        assert!(set.is_ignored("src/ß.c", false));
+        assert!(!set.is_ignored("éé.c", false));
+        assert!(set.is_ignored("dät", true));
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! One pass of the set's merged prefilter decides which rules may match
 //! the text at all; the survivors share one [`FileContext`] (parse tree,
 //! CFG cache, line table, suppression index — built once) and each runs
-//! through [`Patcher::apply_ctx`] with matcher panics caught. Results
-//! are then attributed (a rules-directory rule relabels its findings and
-//! attempts to its id — before suppression filtering, since
-//! `// spatch-ignore <id>` matches on the label), suppressed findings are
-//! dropped, and every (file × rule) attempt records its kill stage. The
-//! context dies when the function returns, so a corpus run holds at most
-//! one parse tree per worker.
+//! through [`Patcher::apply_ctx`] with matcher panics caught. A
+//! rules-directory rule's patcher labels its findings and attempts with
+//! the rule's id as it makes them, so the `--explain` filter and
+//! `// spatch-ignore <id>` both match on the id. Suppressed findings
+//! are then dropped, and every (file × rule) attempt records its kill
+//! stage. The context dies when the function returns, so a corpus run
+//! holds at most one parse tree per worker.
 //!
 //! The streaming driver around it is [`scan_corpus`](crate::scan_corpus);
 //! [`apply_to_files`] is its in-memory shorthand for one patch.
@@ -305,24 +305,17 @@ fn run_rule(
     let mut patcher = Patcher::from_compiled(Arc::clone(&rule.compiled));
     patcher.deadline = deadline;
     patcher.explain = opts.explain.clone();
+    if rule.has_id {
+        // The id keys the merged report, the explain filter and the
+        // suppression markers, and the message override wins.
+        patcher.id = Some(rule.meta.id.clone());
+        patcher.message = rule.meta.message.clone();
+    }
     let res = catch_matcher_panics(&out.report.name, || patcher.apply_ctx(ctx));
     // Timeout and parse failures store their attempts before erroring;
     // other errors leave none and stay out of the funnel.
     let mut attempts = std::mem::take(&mut patcher.last_stats.attempts);
-    let mut findings = std::mem::take(&mut patcher.last_stats.findings);
-    if rule.has_id {
-        // The id keys the merged report and the message override wins —
-        // relabelled before suppression, whose markers name ids.
-        for a in &mut attempts {
-            a.rule = rule.meta.id.clone();
-        }
-        for f in &mut findings {
-            f.rule = rule.meta.id.clone();
-            if let Some(m) = &rule.meta.message {
-                f.message = m.clone();
-            }
-        }
-    }
+    let findings = std::mem::take(&mut patcher.last_stats.findings);
     let (status, matches, kept, suppressed) = match res {
         Ok(output) => {
             let matches: usize = patcher.last_stats.matches_per_rule.iter().sum();

@@ -359,7 +359,9 @@ impl ExplainBlock {
 pub struct ExplainConfig {
     /// File filter (glob), `None` for all files.
     pub file_glob: Option<String>,
-    /// Rule filter (exact id/name), `None` for all rules.
+    /// Rule filter, `None` for all rules: the exact label attempts carry,
+    /// a rules-directory rule's id or an `--sp-file` patch's SMPL rule
+    /// name.
     pub rule: Option<String>,
 }
 
@@ -398,22 +400,24 @@ impl ExplainConfig {
     }
 }
 
-/// Minimal glob matcher: `*` matches any run (including `/`), `?` one
-/// character, everything else literally.
-fn glob_match(pat: &str, name: &str) -> bool {
+/// The one glob matcher (the explain filter's, and per path segment the
+/// ignore sets'): `*` matches any run (including `/`), `?` one
+/// character, everything else literally. A mismatch backtracks only to
+/// the last `*`, which takes one more character, so a match costs at
+/// most pattern length × name length steps, however many stars.
+pub(crate) fn glob_match(pat: &str, name: &str) -> bool {
     let p: Vec<char> = pat.chars().collect();
     let n: Vec<char> = name.chars().collect();
-    // Iterative backtracking over the last `*`.
     let (mut pi, mut ni) = (0usize, 0usize);
     let (mut star, mut mark) = (usize::MAX, 0usize);
     while ni < n.len() {
-        if pi < p.len() && (p[pi] == '?' || p[pi] == n[ni]) {
-            pi += 1;
-            ni += 1;
-        } else if pi < p.len() && p[pi] == '*' {
+        if pi < p.len() && p[pi] == '*' {
             star = pi;
             mark = ni;
             pi += 1;
+        } else if pi < p.len() && (p[pi] == '?' || p[pi] == n[ni]) {
+            pi += 1;
+            ni += 1;
         } else if star != usize::MAX {
             pi = star + 1;
             mark += 1;

@@ -338,34 +338,38 @@ impl<'a> FnMatcher<'a> {
 
     /// The source statement a CFG node stands for, when it stands for
     /// exactly one (entry/exit/join nodes stand for none, branch nodes
-    /// for a compound construct anchors never pin).
+    /// for a compound construct anchors never pin). A `for` loop's init
+    /// and step nodes stand for the loop.
     fn stmt_at(&self, n: NodeId) -> Option<&'a Stmt> {
         match self.cfg.kind(n) {
-            NodeKind::Stmt | NodeKind::Directive => self.by_span.get(&self.cfg.span(n)).copied(),
+            NodeKind::Stmt | NodeKind::Directive | NodeKind::ForInit | NodeKind::ForStep => {
+                self.by_span.get(&self.cfg.span(n)).copied()
+            }
             _ => None,
         }
     }
 
     /// The expressions a node evaluates, for `when !=` scans: a simple
     /// statement contributes its whole expression tree, a branch node
-    /// only its condition/scrutinee (the arms are separate nodes). A
-    /// `for` loop's init and step nodes share the loop's span, so each
-    /// contributes the header's expressions but never the body's.
+    /// only its condition/scrutinee (the arms are separate nodes), and a
+    /// `for` loop's init and step nodes only their own clause.
     fn violates_when(&self, n: NodeId, when_not: &[Expr], st: &MatchState) -> bool {
-        let check_expr =
-            |e: &Expr| matcher::when_not_hit(self.ctx, when_not, st, |f| visit::walk_expr(e, f));
-        match self.cfg.kind(n) {
-            NodeKind::Stmt | NodeKind::Directive => self.stmt_at(n).is_some_and(|s| {
+        let stmt = self.by_span.get(&self.cfg.span(n)).copied();
+        match (self.cfg.kind(n), stmt) {
+            (NodeKind::Stmt | NodeKind::Directive, Some(s)) => {
                 matcher::when_not_hit(self.ctx, when_not, st, |f| visit::stmt_exprs(s, f))
-            }),
-            NodeKind::Branch => match self.by_span.get(&self.cfg.span(n)).copied() {
-                Some(Stmt::If { cond, .. })
-                | Some(Stmt::While { cond, .. })
-                | Some(Stmt::DoWhile { cond, .. }) => check_expr(cond),
-                Some(Stmt::For { cond, .. }) => cond.as_ref().map(&check_expr).unwrap_or(false),
-                Some(Stmt::Switch { scrutinee, .. }) => check_expr(scrutinee),
-                _ => false,
-            },
+            }
+            (NodeKind::ForInit, Some(Stmt::For { init: Some(i), .. })) => {
+                matcher::when_not_hit(self.ctx, when_not, st, |f| visit::for_init_exprs(i, f))
+            }
+            (NodeKind::ForStep, Some(Stmt::For { step: Some(e), .. }))
+            | (NodeKind::Branch, Some(Stmt::For { cond: Some(e), .. }))
+            | (NodeKind::Branch, Some(Stmt::If { cond: e, .. }))
+            | (NodeKind::Branch, Some(Stmt::While { cond: e, .. }))
+            | (NodeKind::Branch, Some(Stmt::DoWhile { cond: e, .. }))
+            | (NodeKind::Branch, Some(Stmt::Switch { scrutinee: e, .. })) => {
+                matcher::when_not_hit(self.ctx, when_not, st, |f| visit::walk_expr(e, f))
+            }
             _ => false,
         }
     }
@@ -1005,6 +1009,32 @@ mod tests {
         let ms = flow_match(
             "a(); ... when != g() b();",
             "void f(int n) { int i; a(); for (i = g(); i < n; i++) { s(); } b(); }",
+            vec![],
+        );
+        assert!(ms.is_empty());
+    }
+
+    #[test]
+    fn when_not_checks_each_for_clause_at_its_own_node() {
+        // Every path from a() reaches a b() before the step `i = g()`
+        // runs, so only the init and condition are on the gap.
+        let pat = "a(); ... when != g() b();";
+        let ms = flow_match(
+            pat,
+            "void f(int n) { int i; a(); for (i = 0; i < n; i = g()) { b(); } b(); }",
+            vec![],
+        );
+        assert_eq!(ms.len(), 1);
+        // The init and the condition run before any b().
+        for header in ["i = g(); i < n; i++", "i = 0; g(); i++"] {
+            let src = format!("void f(int n) {{ int i; a(); for ({header}) {{ b(); }} b(); }}");
+            assert!(flow_match(pat, &src, vec![]).is_empty(), "{header}");
+        }
+        // A step the gap walks through counts: the path to the b() after
+        // the loop runs the body, then the step.
+        let ms = flow_match(
+            pat,
+            "void f(int n) { int i; for (i = 0; i < n; i = g()) { a(); } b(); }",
             vec![],
         );
         assert!(ms.is_empty());

@@ -4,7 +4,8 @@
 //!
 //! * first occurrence of a metavariable **binds**, later occurrences must
 //!   match a structurally equal term (span-insensitive);
-//! * `...` dots match any run of statements/arguments (shortest-first);
+//! * `...` dots match any run of list elements, shortest first; a list
+//!   metavariable matches its bound run, or else binds one, longest first;
 //! * `\( … \| … \)` disjunction tries branches in order;
 //! * `\( … \& … \)` conjunction requires all branches to match the *same*
 //!   statement — an expression branch matches when the statement
@@ -19,6 +20,11 @@
 //!
 //! Every successful sub-match records a *correspondence pair* (pattern
 //! span → source span) that the rewriter uses to anchor edits.
+//!
+//! Statement sequences, expression lists and parameter lists share one
+//! list loop behind [`match_stmt_seq`], [`match_expr_list`] and
+//! [`match_params`]: a run is paired, and cloned into its binding, once
+//! the rest of the pattern accepts it, so a long run costs linear time.
 
 use crate::env::{Env, Value};
 use cocci_cast::ast::*;
@@ -167,13 +173,9 @@ pub(crate) fn value_eq(a: &Value, b: &Value) -> bool {
             },
         ) => fx == fy && sx == sy,
         (Value::Pragma(x), Value::Pragma(y)) => x == y,
-        (Value::ExprList(x), Value::ExprList(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| eq::expr_eq(p, q))
-        }
-        (Value::StmtList(x), Value::StmtList(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| eq::stmt_eq(p, q))
-        }
-        (Value::Params(x), Value::Params(y)) => eq::params_eq(x, y),
+        (Value::ExprList(x), Value::ExprList(y)) => list_eq(x, y),
+        (Value::StmtList(x), Value::StmtList(y)) => list_eq(x, y),
+        (Value::Params(x), Value::Params(y)) => list_eq(x, y),
         // Cross-representation comparisons (script outputs, sizeof text).
         (Value::Ident { name, .. }, Value::Text(t))
         | (Value::Text(t), Value::Ident { name, .. }) => name.as_str() == t,
@@ -555,85 +557,6 @@ fn match_expr_inner(ctx: &MatchCtx, pat: &Expr, src: &Expr, st: &mut MatchState)
     }
 }
 
-/// Match a pattern expression list (arguments, launch config, indices)
-/// against a source list, honouring `...` and `expression list`
-/// metavariables.
-pub fn match_expr_list(ctx: &MatchCtx, pats: &[Expr], srcs: &[Expr], st: &mut MatchState) -> bool {
-    fn list_span(srcs: &[Expr]) -> Span {
-        srcs.iter()
-            .fold(Span::SYNTHETIC, |acc, e| acc.merge(e.span()))
-    }
-    fn go(ctx: &MatchCtx, pats: &[Expr], srcs: &[Expr], st: &mut MatchState) -> bool {
-        let Some((p0, rest)) = pats.split_first() else {
-            return srcs.is_empty();
-        };
-        match p0.unparen() {
-            Expr::Dots { span } => {
-                for k in 0..=srcs.len() {
-                    let mut attempt = st.clone();
-                    let consumed = &srcs[..k];
-                    let src_span = if consumed.is_empty() {
-                        Span::empty(srcs.first().map(|e| e.span().start).unwrap_or(u32::MAX))
-                    } else {
-                        list_span(consumed)
-                    };
-                    attempt.pairs.push(Pair {
-                        pat: *span,
-                        src: src_span,
-                        kind: PairKind::Dots,
-                    });
-                    if go(ctx, rest, &srcs[k..], &mut attempt) {
-                        *st = attempt;
-                        return true;
-                    }
-                }
-                false
-            }
-            Expr::Ident(id) if ctx.kind(id.name) == Some(&MetaDeclKind::ExpressionList) => {
-                // Bound: must match exactly that run length.
-                if let Some(Value::ExprList(bound)) =
-                    st.env.get(id.name).map(|v| v.structural().clone())
-                {
-                    if bound.len() > srcs.len() {
-                        return false;
-                    }
-                    for (b, s) in bound.iter().zip(srcs) {
-                        if !eq::expr_eq(b, s) {
-                            return false;
-                        }
-                    }
-                    return go(ctx, rest, &srcs[bound.len()..], st);
-                }
-                for k in (0..=srcs.len()).rev() {
-                    // Greedy: an expression-list metavariable usually
-                    // captures "all the remaining arguments".
-                    let mut attempt = st.clone();
-                    attempt
-                        .env
-                        .bind(id.name, Value::ExprList(srcs[..k].to_vec()));
-                    if go(ctx, rest, &srcs[k..], &mut attempt) {
-                        *st = attempt;
-                        return true;
-                    }
-                }
-                false
-            }
-            _ => {
-                let Some((s0, srest)) = srcs.split_first() else {
-                    return false;
-                };
-                let mut attempt = st.clone();
-                if match_expr(ctx, p0, s0, &mut attempt) && go(ctx, rest, srest, &mut attempt) {
-                    *st = attempt;
-                    return true;
-                }
-                false
-            }
-        }
-    }
-    go(ctx, pats, srcs, st)
-}
-
 // ---- types ----
 
 /// Match a type pattern against a source type.
@@ -960,7 +883,7 @@ pub fn match_stmt(ctx: &MatchCtx, pat: &Stmt, src: &Stmt, st: &mut MatchState) -
         },
         Stmt::Empty { .. } => matches!(src, Stmt::Empty { .. }),
         Stmt::Dots { .. } | Stmt::MetaStmtList { .. } => {
-            unreachable!("sequence elements handled in match_stmt_seq")
+            unreachable!("sequence elements handled by the list loop")
         }
     };
     if matched {
@@ -1165,21 +1088,7 @@ pub(crate) fn when_not_hit<'a>(
     hit
 }
 
-/// The source span of the run `srcs[..k]` that dots or a statement list
-/// consumed; an empty run sits at the first statement, or at the end of
-/// the enclosing block when there is none.
-fn run_span(srcs: &[Stmt], k: usize, enclosing: Span) -> Span {
-    match &srcs[..k] {
-        [] => Span::empty(
-            srcs.first()
-                .map(|s| s.span().start)
-                .unwrap_or(enclosing.end.saturating_sub(1)),
-        ),
-        run => run
-            .iter()
-            .fold(Span::SYNTHETIC, |acc, s| acc.merge(s.span())),
-    }
-}
+// ---- lists ----
 
 /// Match a pattern statement sequence against source statements.
 ///
@@ -1197,114 +1106,16 @@ pub fn match_stmt_seq(
     enclosing: Span,
     st: &mut MatchState,
 ) -> bool {
-    let Some((p0, rest)) = pats.split_first() else {
-        return !require_full || srcs.is_empty();
-    };
-    // A dots or statement-list run gets its pair once the rest of the
-    // pattern accepts it (nothing reads pairs while matching), so the
-    // run's span is folded once per match, not once per run length.
-    match p0 {
-        // The path quantifier (`when exists` / `when strict`) is a CFG
-        // notion; the tree-sequence reading of dots ignores it.
-        Stmt::Dots { span, when_not, .. } => {
-            for k in 0..=srcs.len() {
-                // `when != e`: no skipped statement may contain e.
-                // Shorter runs passed, so only the statement this run
-                // adds can fail, and then every longer run fails too.
-                if k > 0
-                    && !when_not.is_empty()
-                    && when_not_hit(ctx, when_not, st, |f| {
-                        visit::deep_stmt_exprs(&srcs[k - 1], f)
-                    })
-                {
-                    break;
-                }
-                let mut attempt = st.clone();
-                if match_stmt_seq(ctx, rest, &srcs[k..], require_full, enclosing, &mut attempt) {
-                    let pair = Pair {
-                        pat: *span,
-                        src: run_span(srcs, k, enclosing),
-                        kind: PairKind::Dots,
-                    };
-                    attempt.pairs.insert(st.pairs.len(), pair);
-                    *st = attempt;
-                    return true;
-                }
-            }
-            false
-        }
-        Stmt::MetaStmtList { name, span } => {
-            // Bound: must match that exact run; else try runs
-            // (greedy — a statement-list metavariable usually captures
-            // "the whole body").
-            if let Some(Value::StmtList(bound)) = st.env.get(name).map(|v| v.structural().clone()) {
-                if bound.len() > srcs.len() {
-                    return false;
-                }
-                for (b, s) in bound.iter().zip(srcs) {
-                    if !eq::stmt_eq(b, s) {
-                        return false;
-                    }
-                }
-                return match_stmt_seq(
-                    ctx,
-                    rest,
-                    &srcs[bound.len()..],
-                    require_full,
-                    enclosing,
-                    st,
-                );
-            }
-            // The run is cloned into its binding once accepted, unless
-            // the rest of the pattern names the list and must see it bound.
-            let rest_names_list = rest.iter().any(|p| {
-                let mut found = false;
-                visit::walk_stmt(p, &mut |s| {
-                    found |= matches!(s, Stmt::MetaStmtList { name: n, .. } if n == name)
-                });
-                found
-            });
-            let bind = |st: &mut MatchState, k: usize| {
-                st.env.bind(name, Value::StmtList(srcs[..k].to_vec()))
-            };
-            for k in (0..=srcs.len()).rev() {
-                let mut attempt = st.clone();
-                if rest_names_list {
-                    bind(&mut attempt, k);
-                }
-                if match_stmt_seq(ctx, rest, &srcs[k..], require_full, enclosing, &mut attempt) {
-                    if !rest_names_list {
-                        bind(&mut attempt, k);
-                    }
-                    let pair = Pair {
-                        pat: *span,
-                        src: run_span(srcs, k, enclosing),
-                        kind: PairKind::Dots,
-                    };
-                    attempt.pairs.insert(st.pairs.len(), pair);
-                    *st = attempt;
-                    return true;
-                }
-            }
-            false
-        }
-        _ => {
-            let Some((s0, srest)) = srcs.split_first() else {
-                return false;
-            };
-            let mut attempt = st.clone();
-            if match_stmt(ctx, p0, s0, &mut attempt)
-                && match_stmt_seq(ctx, rest, srest, require_full, enclosing, &mut attempt)
-            {
-                *st = attempt;
-                return true;
-            }
-            false
-        }
-    }
+    let end = enclosing.end.saturating_sub(1);
+    match_list(ctx, pats, srcs, require_full, end, st)
 }
 
-// ---- parameters ----
+/// Match a pattern expression list (arguments, launch config, indices)
+/// against a source list, honouring `...` and `expression list`
+/// metavariables.
+pub fn match_expr_list(ctx: &MatchCtx, pats: &[Expr], srcs: &[Expr], st: &mut MatchState) -> bool {
+    match_list(ctx, pats, srcs, true, u32::MAX, st)
+}
 
 /// Match pattern parameters (with `parameter list` metavariables and the
 /// pattern-mode `(...)` any-params form) against source parameters.
@@ -1320,59 +1131,257 @@ pub fn match_params(
     if pats.is_empty() && pat_varargs {
         return true;
     }
-    fn go(ctx: &MatchCtx, pats: &[Param], srcs: &[Param], st: &mut MatchState) -> bool {
-        let Some((p0, rest)) = pats.split_first() else {
-            return srcs.is_empty();
-        };
-        if p0.meta_list {
-            let name = p0
-                .name
-                .as_ref()
-                .map(|n| n.name)
-                .unwrap_or_else(|| Symbol::intern(""));
-            if let Some(Value::Params(bound)) = st.env.get(name).map(|v| v.structural().clone()) {
-                let n = bound.len();
-                if n > srcs.len() || !eq::params_eq(&bound, &srcs[..n]) {
-                    return false;
-                }
-                return go(ctx, rest, &srcs[n..], st);
-            }
-            for k in (0..=srcs.len()).rev() {
-                let mut attempt = st.clone();
-                attempt.env.bind(name, Value::Params(srcs[..k].to_vec()));
-                if go(ctx, rest, &srcs[k..], &mut attempt) {
-                    *st = attempt;
-                    return true;
-                }
-            }
-            return false;
-        }
-        let Some((s0, srest)) = srcs.split_first() else {
-            return false;
-        };
-        let mut attempt = st.clone();
-        if !match_type(ctx, &p0.ty, &s0.ty, &mut attempt) {
-            return false;
-        }
-        match (&p0.name, &s0.name) {
-            (None, _) => {}
-            (Some(pn), Some(sn)) => {
-                if !match_ident(ctx, pn, sn, &mut attempt) {
-                    return false;
-                }
-            }
-            (Some(_), None) => return false,
-        }
-        if go(ctx, rest, srest, &mut attempt) {
-            *st = attempt;
-            return true;
-        }
-        false
-    }
     if pat_varargs != src_varargs && !pat_varargs {
         return false;
     }
-    go(ctx, pats, srcs, st)
+    match_list(ctx, pats, srcs, true, u32::MAX, st)
+}
+
+/// What the list loop does with one pattern element.
+enum Arm {
+    /// `...`: takes a run of source elements, shortest first.
+    Dots(Span),
+    /// A list metavariable: matches the run it is bound to, or else takes
+    /// a run, longest first. `pair` is the pattern span of a statement
+    /// list, whose run records a pair.
+    List { name: Symbol, pair: Option<Span> },
+    /// Matches exactly one source element.
+    One,
+}
+
+/// An element of the lists [`match_list`] matches: a statement, an
+/// expression or a parameter.
+trait ListElem: Clone {
+    /// The value that binds a list metavariable to a run.
+    const LIST: fn(Vec<Self>) -> Value;
+    /// Span-insensitive equality.
+    const SAME: fn(&Self, &Self) -> bool;
+    /// The element's source span.
+    const SPAN: fn(&Self) -> Span;
+    /// Match one pattern element against one source element.
+    const ONE: fn(&MatchCtx, &Self, &Self, &mut MatchState) -> bool;
+    /// The arm this pattern element takes.
+    fn arm(&self, ctx: &MatchCtx) -> Arm;
+    /// The run a list metavariable is bound to, when `v` is a list of
+    /// this element.
+    fn bound(v: &Value) -> Option<&[Self]>;
+    /// Whether matching `rest` may read list metavariable `name`.
+    fn names(rest: &[Self], name: Symbol) -> bool;
+    /// Whether these dots may skip source element `s`.
+    fn may_skip(&self, _: &MatchCtx, _s: &Self, _: &MatchState) -> bool {
+        true
+    }
+}
+
+/// Span-insensitive equality of two lists.
+fn list_eq<E: ListElem>(a: &[E], b: &[E]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| E::SAME(x, y))
+}
+
+/// The one list loop: match pattern elements `pats` against source
+/// elements `srcs`. With `require_full`, the pattern must consume every
+/// source element; an empty run with no element after it sits at `end`.
+///
+/// A run that dots or an unbound list metavariable takes is accepted
+/// once the rest of the pattern matches the elements after it. Only
+/// then is its pair inserted at its old index, with its span folded
+/// once, and only then is the run cloned into its binding, unless the
+/// rest of the pattern names the list and must see it bound. So one
+/// long run costs linear time, not a fold and a copy per run length.
+fn match_list<E: ListElem>(
+    ctx: &MatchCtx,
+    pats: &[E],
+    srcs: &[E],
+    require_full: bool,
+    end: u32,
+    st: &mut MatchState,
+) -> bool {
+    let Some((p0, rest)) = pats.split_first() else {
+        return !require_full || srcs.is_empty();
+    };
+    let go = |after: &[E], st: &mut MatchState| match_list(ctx, rest, after, require_full, end, st);
+    let (list, pair) = match p0.arm(ctx) {
+        Arm::Dots(span) => (None, Some(span)),
+        Arm::List { name, pair } => {
+            if let Some(run) = st.env.get(name).map(Value::structural).and_then(E::bound) {
+                let n = run.len();
+                return n <= srcs.len() && list_eq(run, &srcs[..n]) && go(&srcs[n..], st);
+            }
+            (Some(name), pair)
+        }
+        Arm::One => {
+            let Some((s0, srest)) = srcs.split_first() else {
+                return false;
+            };
+            let mut attempt = st.clone();
+            let ok = E::ONE(ctx, p0, s0, &mut attempt) && go(srest, &mut attempt);
+            if ok {
+                *st = attempt;
+            }
+            return ok;
+        }
+    };
+    let early = list.filter(|&name| E::names(rest, name));
+    for i in 0..=srcs.len() {
+        let n = if list.is_some() { srcs.len() - i } else { i };
+        // Dots: shorter runs passed, so only the element this run adds
+        // can fail, and then every longer run fails too.
+        if list.is_none() && n > 0 && !p0.may_skip(ctx, &srcs[n - 1], st) {
+            break;
+        }
+        let mut attempt = st.clone();
+        if let Some(name) = early {
+            attempt.env.bind(name, E::LIST(srcs[..n].to_vec()));
+        }
+        if go(&srcs[n..], &mut attempt) {
+            if let Some(name) = list.filter(|_| early.is_none()) {
+                attempt.env.bind(name, E::LIST(srcs[..n].to_vec()));
+            }
+            if let Some(pat) = pair {
+                let src = match &srcs[..n] {
+                    [] => Span::empty(srcs.first().map_or(end, |s| E::SPAN(s).start)),
+                    run => run
+                        .iter()
+                        .fold(Span::SYNTHETIC, |acc, s| acc.merge(E::SPAN(s))),
+                };
+                let pair = Pair {
+                    pat,
+                    src,
+                    kind: PairKind::Dots,
+                };
+                attempt.pairs.insert(st.pairs.len(), pair);
+            }
+            *st = attempt;
+            return true;
+        }
+    }
+    false
+}
+
+impl ListElem for Stmt {
+    const LIST: fn(Vec<Stmt>) -> Value = Value::StmtList;
+    const SAME: fn(&Stmt, &Stmt) -> bool = eq::stmt_eq;
+    const SPAN: fn(&Stmt) -> Span = Stmt::span;
+    const ONE: fn(&MatchCtx, &Stmt, &Stmt, &mut MatchState) -> bool = match_stmt;
+
+    fn arm(&self, _: &MatchCtx) -> Arm {
+        match self {
+            // The path quantifier (`when exists` / `when strict`) is a
+            // CFG notion; the tree-sequence reading of dots ignores it.
+            Stmt::Dots { span, .. } => Arm::Dots(*span),
+            Stmt::MetaStmtList { name, span } => Arm::List {
+                name: *name,
+                pair: Some(*span),
+            },
+            _ => Arm::One,
+        }
+    }
+
+    fn bound(v: &Value) -> Option<&[Stmt]> {
+        match v {
+            Value::StmtList(run) => Some(run),
+            _ => None,
+        }
+    }
+
+    fn names(rest: &[Stmt], name: Symbol) -> bool {
+        rest.iter().any(|p| {
+            let mut found = false;
+            visit::walk_stmt(p, &mut |s| {
+                found |= matches!(s, Stmt::MetaStmtList { name: n, .. } if *n == name)
+            });
+            found
+        })
+    }
+
+    /// `when != e`: no skipped statement may contain e.
+    fn may_skip(&self, ctx: &MatchCtx, s: &Stmt, st: &MatchState) -> bool {
+        let Stmt::Dots { when_not, .. } = self else {
+            return true;
+        };
+        when_not.is_empty() || !when_not_hit(ctx, when_not, st, |f| visit::deep_stmt_exprs(s, f))
+    }
+}
+
+impl ListElem for Expr {
+    const LIST: fn(Vec<Expr>) -> Value = Value::ExprList;
+    const SAME: fn(&Expr, &Expr) -> bool = eq::expr_eq;
+    const SPAN: fn(&Expr) -> Span = Expr::span;
+    const ONE: fn(&MatchCtx, &Expr, &Expr, &mut MatchState) -> bool = match_expr;
+
+    fn arm(&self, ctx: &MatchCtx) -> Arm {
+        match self.unparen() {
+            Expr::Dots { span } => Arm::Dots(*span),
+            Expr::Ident(id) if ctx.kind(id.name) == Some(&MetaDeclKind::ExpressionList) => {
+                Arm::List {
+                    name: id.name,
+                    pair: None,
+                }
+            }
+            _ => Arm::One,
+        }
+    }
+
+    fn bound(v: &Value) -> Option<&[Expr]> {
+        match v {
+            Value::ExprList(run) => Some(run),
+            _ => None,
+        }
+    }
+
+    /// A nested list, a plain use (`el + 1`) and a `sizeof` operand all
+    /// read the binding.
+    fn names(rest: &[Expr], name: Symbol) -> bool {
+        let mut found = false;
+        for p in rest {
+            visit::walk_expr(p, &mut |e| {
+                found |= match e {
+                    Expr::Ident(id) => id.name == name,
+                    Expr::Sizeof { arg, .. } => *arg == name,
+                    _ => false,
+                }
+            });
+        }
+        found
+    }
+}
+
+impl ListElem for Param {
+    const LIST: fn(Vec<Param>) -> Value = Value::Params;
+    const SAME: fn(&Param, &Param) -> bool = eq::param_eq;
+    const SPAN: fn(&Param) -> Span = |p| p.span;
+    /// A parameter matches by type, and by name when the pattern names
+    /// it.
+    const ONE: fn(&MatchCtx, &Param, &Param, &mut MatchState) -> bool = |ctx, p, s, st| {
+        match_type(ctx, &p.ty, &s.ty, st)
+            && match (&p.name, &s.name) {
+                (None, _) => true,
+                (Some(pn), Some(sn)) => match_ident(ctx, pn, sn, st),
+                (Some(_), None) => false,
+            }
+    };
+
+    fn arm(&self, _: &MatchCtx) -> Arm {
+        match &self.name {
+            Some(id) if self.meta_list => Arm::List {
+                name: id.name,
+                pair: None,
+            },
+            _ => Arm::One,
+        }
+    }
+
+    fn bound(v: &Value) -> Option<&[Param]> {
+        match v {
+            Value::Params(run) => Some(run),
+            _ => None,
+        }
+    }
+
+    fn names(rest: &[Param], name: Symbol) -> bool {
+        rest.iter()
+            .any(|p| p.meta_list && p.name.as_ref().is_some_and(|n| n.name == name))
+    }
 }
 
 // ---- attributes, functions, items ----
@@ -1811,6 +1820,76 @@ mod tests {
             let matched = match_stmt_seq(&ctx, &pats, &b.stmts, false, b.span, &mut st);
             let got = matched.then(|| st.env.get("SL").unwrap().render(text));
             assert_eq!(got.as_deref(), bound, "{text}");
+        }
+    }
+
+    #[test]
+    fn expression_list_named_twice_binds_one_run() {
+        let ds = decls(&[("el", MetaDeclKind::ExpressionList)]);
+        let src = "f(a, b, a, b)";
+        let st = try_match("f(el, el)", src, ds.clone()).unwrap();
+        assert_eq!(st.env.get("el").unwrap().render(src), "a, b");
+        assert!(try_match("f(el, el)", "f(a, b, a, c)", ds).is_none());
+    }
+
+    #[test]
+    fn parameter_list_named_twice_binds_one_run() {
+        let ds = decls(&[("PL", MetaDeclKind::ParameterList)]);
+        let pats =
+            parse_statements("int f(PL, PL);", ParseOptions::pattern(), &DeclsLookup(&ds)).unwrap();
+        let regexes = HashMap::new();
+        for (text, bound) in [
+            (
+                "int f(int a, char *b, int a, char *b);",
+                Some("int a, char *b"),
+            ),
+            ("int f(int a, char *b, int a, char *c);", None),
+        ] {
+            let srcs = parse_statements(text, ParseOptions::c(), &NoMeta).unwrap();
+            let ctx = MatchCtx {
+                file: "t.c",
+                src: text,
+                decls: &ds,
+                regexes: &regexes,
+            };
+            let mut st = MatchState::default();
+            let matched = match_stmt(&ctx, &pats[0], &srcs[0], &mut st);
+            let got = matched.then(|| st.env.get("PL").unwrap().render(text));
+            assert_eq!(got.as_deref(), bound, "{text}");
+        }
+    }
+
+    #[test]
+    fn expression_list_is_bound_where_the_rest_of_its_list_uses_it() {
+        // A later element that reads the list, in a nested list or as a
+        // plain expression, sees the run bound, as it did when every run
+        // bound before the rest of the list.
+        let ds = decls(&[
+            ("el", MetaDeclKind::ExpressionList),
+            ("x", MetaDeclKind::Expression),
+        ]);
+        let src = "f(a, g(a))";
+        let st = try_match("f(el, g(el))", src, ds.clone()).unwrap();
+        assert_eq!(st.env.get("el").unwrap().render(src), "a");
+        assert!(try_match("f(el, g(el))", "f(a, g(b))", ds.clone()).is_none());
+        // A bound list never equals a plain expression, so a plain use
+        // after the list refuses instead of binding `el` afresh.
+        assert!(try_match("f(el, el + 1)", "f(a, a + 1)", ds.clone()).is_none());
+        assert!(try_match("f(el, x + 1)", "f(a, a + 1)", ds).is_some());
+    }
+
+    #[test]
+    fn empty_argument_dots_rewrite_without_arguments() {
+        // The dots of an empty argument list pair with an empty run, so
+        // the re-rendered call copies no argument text.
+        let patch = cocci_smpl::parse_semantic_patch("@@\n@@\n- f\n+ g\n  (...);\n").unwrap();
+        let mut patcher = crate::Patcher::new(&patch).unwrap();
+        for (text, want) in [
+            ("void h(void) { f(); }\n", "void h(void) { g(); }\n"),
+            ("void h(void) { f(1, 2); }\n", "void h(void) { g(1, 2); }\n"),
+        ] {
+            let out = patcher.apply("t.c", text).unwrap();
+            assert_eq!(out.as_deref(), Some(want));
         }
     }
 

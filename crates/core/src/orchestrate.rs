@@ -27,7 +27,7 @@ use crate::rewrite;
 use crate::treesearch::{DistinctSeeds, TreeSearch};
 use cocci_cast::ast::*;
 use cocci_cast::parser::ParseOptions;
-use cocci_script::{Interp, PosInfo, Value as ScriptValue};
+use cocci_script::{Interp, PosInfo, Report, Value as ScriptValue};
 use cocci_smpl::{
     Constraint, DepExpr, FreshPart, MetaDeclKind, Rule, ScriptRule, SemanticPatch, TransformRule,
 };
@@ -132,6 +132,13 @@ pub struct Patcher {
     /// attempt, its [`RuleAttempt`] carries a human-readable detail
     /// (the always-on half records only the stage).
     pub explain: Option<Arc<ExplainConfig>>,
+    /// The id of a rules-directory rule: its attempts and findings carry
+    /// it in place of the inner SMPL rule names, and the explain filter
+    /// matches it. `None` keeps the inner names.
+    pub(crate) id: Option<String>,
+    /// The rule's `// spatch-message:` override, which replaces the
+    /// message of each of its findings.
+    pub(crate) message: Option<String>,
 }
 
 impl Patcher {
@@ -152,6 +159,8 @@ impl Patcher {
             last_stats: ApplyStats::default(),
             deadline: None,
             explain: None,
+            id: None,
+            message: None,
         }
     }
 
@@ -215,7 +224,7 @@ impl Patcher {
             if let Some(Deadline { start, budget }) = self.deadline {
                 if start.elapsed() >= budget {
                     cocci_trace::count(cocci_trace::Counter::Timeouts, 1);
-                    let rule_label = rule.name().unwrap_or("<anonymous>");
+                    let rule_label = self.label(rule.name().unwrap_or("<anonymous>"));
                     stats.attempts.push(RuleAttempt {
                         rule: rule_label.to_string(),
                         stage: KillStage::Timeout,
@@ -247,15 +256,24 @@ impl Patcher {
                     if !deps_ok(s.depends.as_ref(), &matched) {
                         continue;
                     }
-                    Self::run_script_rule(
-                        s,
-                        &mut interp,
-                        &mut streams,
-                        &mut matched,
-                        cur,
-                        &mut stats.findings,
-                        &mut scripts_reporting,
-                    )?;
+                    let reports =
+                        Self::run_script_rule(s, &mut interp, &mut streams, &mut matched, cur)?;
+                    // `coccilib.report.print_report` calls become findings,
+                    // attributed to this script rule.
+                    if let (Some(n), false) = (&s.name, reports.is_empty()) {
+                        scripts_reporting.insert(n.clone());
+                    }
+                    let rule_label = self.label(s.name.as_deref().unwrap_or("<script>"));
+                    stats.findings.extend(reports.into_iter().map(|r| Finding {
+                        path: r.pos.file,
+                        line: r.pos.line.max(0) as u32,
+                        col: r.pos.column.max(0) as u32,
+                        end_line: r.pos.line_end.max(0) as u32,
+                        end_col: r.pos.column_end.max(0) as u32,
+                        rule: rule_label.to_string(),
+                        message: self.message.clone().unwrap_or(r.message),
+                        bindings: Vec::new(),
+                    }));
                 }
                 Rule::Transform(t) => {
                     if !deps_ok(t.depends.as_ref(), &matched) {
@@ -271,7 +289,7 @@ impl Patcher {
                             } else {
                                 format!("cannot parse target: {e}")
                             };
-                            let rule_label = t.name.as_deref().unwrap_or("<anonymous>");
+                            let rule_label = self.label(t.name.as_deref().unwrap_or("<anonymous>"));
                             stats.attempts.push(RuleAttempt {
                                 rule: rule_label.to_string(),
                                 stage: KillStage::Parse,
@@ -291,7 +309,7 @@ impl Patcher {
                     // as witnesses.
                     let (all_matches, new_streams, edits, probe) =
                         self.run_transform_rule(ri, t, &tu, cur, &streams)?;
-                    let rule_label = t.name.as_deref().unwrap_or("<anonymous>");
+                    let rule_label = self.label(t.name.as_deref().unwrap_or("<anonymous>"));
                     let stage = probe.stage(!all_matches.is_empty());
                     stats.attempts.push(RuleAttempt {
                         rule: rule_label.to_string(),
@@ -312,13 +330,17 @@ impl Patcher {
                         let r = cur.resolver();
                         let mut auto = Vec::with_capacity(all_matches.len());
                         for m in &all_matches {
-                            auto.push(findings::finding_for_match(
-                                rule_name,
+                            let mut f = findings::finding_for_match(
+                                rule_label,
                                 &t.metavars,
                                 m,
                                 &r,
                                 cur.text(),
-                            ));
+                            );
+                            if let Some(msg) = &self.message {
+                                f.message = msg.clone();
+                            }
+                            auto.push(f);
                         }
                         let feeds_script = t
                             .name
@@ -381,6 +403,12 @@ impl Patcher {
         Ok(rewritten.map(|c| c.text().to_string()))
     }
 
+    /// The label the attempts and findings of inner rule `inner` carry:
+    /// the rule's id when it has one, else `inner`.
+    fn label<'s>(&'s self, inner: &'s str) -> &'s str {
+        self.id.as_deref().unwrap_or(inner)
+    }
+
     /// Whether the `--explain` filter is set and matches this
     /// (file, rule) attempt — i.e. whether details should be kept.
     pub fn explain_wants(&self, file: &str, rule: &str) -> bool {
@@ -404,15 +432,17 @@ impl Patcher {
         }
     }
 
+    /// Run script rule `s` once per environment of `streams` that has
+    /// its inputs. Returns its `coccilib.report.print_report` calls, in
+    /// order.
     fn run_script_rule(
         s: &ScriptRule,
         interp: &mut Interp,
         streams: &mut Vec<ExportedEnv>,
         matched: &mut HashSet<String>,
         cur: &mut FileContext,
-        findings: &mut Vec<Finding>,
-        scripts_reporting: &mut HashSet<String>,
-    ) -> Result<(), ApplyError> {
+    ) -> Result<Vec<Report>, ApplyError> {
+        let mut reports = Vec::new();
         let mut new_streams = Vec::new();
         let mut any = false;
         // The current text's resolver is built lazily (most script rules
@@ -477,23 +507,7 @@ impl Patcher {
             let run = interp
                 .run_script(&s.code, &inputs)
                 .map_err(|e| aerr(format!("{}: script rule: {e}", cur.name())))?;
-            // `coccilib.report.print_report` calls become findings,
-            // attributed to this script rule.
-            for r in interp.take_reports() {
-                if let Some(n) = &s.name {
-                    scripts_reporting.insert(n.clone());
-                }
-                findings.push(Finding {
-                    path: r.pos.file,
-                    line: r.pos.line.max(0) as u32,
-                    col: r.pos.column.max(0) as u32,
-                    end_line: r.pos.line_end.max(0) as u32,
-                    end_col: r.pos.column_end.max(0) as u32,
-                    rule: s.name.clone().unwrap_or_else(|| "<script>".to_string()),
-                    message: r.message,
-                    bindings: Vec::new(),
-                });
-            }
+            reports.extend(interp.take_reports());
             match run {
                 Some(outputs) => {
                     let mut ex2 = ex.clone();
@@ -519,7 +533,7 @@ impl Patcher {
         // the rest survive only if the script kept them (a script that
         // drops every environment leaves none).
         *streams = new_streams;
-        Ok(())
+        Ok(reports)
     }
 
     /// Run one transformation rule over all seed environments. Returns

@@ -11,8 +11,8 @@
 //! parse tree dies before its worker takes the next file.
 //!
 //! Findings of a rules-directory rule are attributed to it: each
-//! finding's `rule` field is rewritten to the rule's id and its message
-//! honours the rule's `// spatch-message:` override, so one merged
+//! finding's `rule` field is the rule's id and its message honours the
+//! rule's `// spatch-message:` override, so one merged
 //! report (or SARIF run) stays navigable at fifty rules. Such rules never
 //! write files: a transform rule that *would* change a file records a
 //! `changed` per-rule outcome and its match count, and nothing else.
@@ -308,6 +308,7 @@ fn batch_tail(held: &VecDeque<usize>, opts: &BatchOptions) -> usize {
 pub(crate) mod tests {
     use super::*;
     use crate::corpus::MemorySource;
+    use crate::explain::ExplainConfig;
     use crate::findings::Finding;
     use crate::orchestrate::Patcher;
 
@@ -447,6 +448,37 @@ pub(crate) mod tests {
         assert_eq!(report.suppressed, 1);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, "r-beta");
+    }
+
+    #[test]
+    fn explain_rule_filter_names_the_rule_id() {
+        // A rules-directory rule's attempts carry its id from the start,
+        // so a filter naming the id keeps their detail, and the inner
+        // SMPL rule name matches nothing.
+        let set = CompiledRuleSet::from_sources(&[src(
+            "r-alpha",
+            "@scan@\nexpression e;\n@@\nalpha(e);\n...\nomega(e);\n",
+        )])
+        .unwrap();
+        let files = vec![(
+            "g.c".to_string(),
+            "void f(int c) { alpha(1); if (c) return; omega(1); }\n".to_string(),
+        )];
+        let died = "1 of 1 anchor attempt(s) died in gap walks";
+        for (filter, detail) in [
+            ("*:r-alpha", Some(died)),
+            ("", Some(died)),
+            ("*:scan", None),
+        ] {
+            let opts = CorpusOptions {
+                explain: Some(Arc::new(ExplainConfig::parse(filter))),
+                ..unfiltered(1)
+            };
+            let outcomes = collect(&set, &files, &opts);
+            let a = &outcomes[0].attempts[0];
+            assert_eq!((a.rule.as_str(), a.stage), ("r-alpha", KillStage::GapWalk));
+            assert_eq!(a.detail.as_deref(), detail, "--explain={filter}");
+        }
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl Builder {
                 ..
             } => {
                 let cur = match init {
-                    Some(_) => self.node(NodeKind::Stmt, *span, pred),
+                    Some(_) => self.node(NodeKind::ForInit, *span, pred),
                     None => pred,
                 };
                 let header = self.node(NodeKind::Branch, *span, cur);
@@ -145,7 +145,7 @@ impl Builder {
                 if cond.is_some() {
                     self.g.edge(header, exit);
                 }
-                let step = self.g.add(NodeKind::Stmt, *span);
+                let step = self.g.add(NodeKind::ForStep, *span);
                 let b_end = self.loop_body(body, header, exit, step);
                 self.connect(b_end, step);
                 self.g.edge(step, header);

@@ -22,6 +22,10 @@ pub enum NodeKind {
     Exit,
     /// A simple statement (expression, declaration, return, …).
     Stmt,
+    /// A `for` loop's init clause; its span is the loop's.
+    ForInit,
+    /// A `for` loop's step expression; its span is the loop's.
+    ForStep,
     /// A branching construct's decision point (`if`, `while`, `for`
     /// condition, `switch` scrutinee).
     Branch,

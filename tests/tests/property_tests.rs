@@ -444,7 +444,20 @@ fn arb_flow_stmts(rng: &mut SplitMix64, depth: usize, in_loop: bool, out: &mut S
                 out.push_str("} ");
             }
             _ => {
-                out.push_str("for (i = 0; i < n; i++) { ");
+                // `g()` may sit in any clause of the header.
+                let mut clause = |plain: &'static str, with_g: &'static str| {
+                    if rng.gen_range(0..3) == 0 {
+                        with_g
+                    } else {
+                        plain
+                    }
+                };
+                let (init, cond, step) = (
+                    clause("i = 0", "i = g()"),
+                    clause("i < n", "g()"),
+                    clause("i++", "i = g()"),
+                );
+                out.push_str(&format!("for ({init}; {cond}; {step}) {{ "));
                 arb_flow_stmts(rng, depth - 1, true, out);
                 out.push_str("} ");
             }
@@ -459,19 +472,18 @@ struct PathEnds {
     hits: BTreeSet<u32>,
     /// Some path reaches the function exit first.
     escape: bool,
-    /// Some path reaches a `g();` node first (counted only when the gap
-    /// forbids `g()`).
+    /// Some path reaches a `forbidden` node first.
     violation: bool,
 }
 
 /// Follow every simple path from `n`: a path ends at its first `b();`
-/// node, at the exit, at a `g();` node when `guard` is set, or where it
-/// would revisit a node (a cut, which ends nothing).
+/// node, at the exit, at a `forbidden` node, or where it would revisit a
+/// node (a cut, which ends nothing).
 fn simple_paths(
     cfg: &Cfg,
     is: &dyn Fn(NodeId, &str) -> bool,
     n: NodeId,
-    guard: bool,
+    forbidden: &dyn Fn(NodeId) -> bool,
     on_path: &mut [bool],
     ends: &mut PathEnds,
 ) {
@@ -483,11 +495,11 @@ fn simple_paths(
             ends.hits.insert(cfg.span(m).start);
         } else if m == cfg.exit() {
             ends.escape = true;
-        } else if guard && is(m, "g();") {
+        } else if forbidden(m) {
             ends.violation = true;
         } else {
             on_path[m.index()] = true;
-            simple_paths(cfg, is, m, guard, on_path, ends);
+            simple_paths(cfg, is, m, forbidden, on_path, ends);
             on_path[m.index()] = false;
         }
     }
@@ -534,6 +546,26 @@ fn flow_route_agrees_with_a_path_oracle() {
                 let sp = cfg.span(m);
                 cfg.kind(m) == NodeKind::Stmt && &src[sp.start as usize..sp.end as usize] == text
             };
+            // Whether node `m` evaluates `g()`: a `g();` statement, or the
+            // one `for` header clause the node stands for (init, condition
+            // or step; the text of all three is the loop's).
+            let calls_g = |m: NodeId| {
+                let sp = cfg.span(m);
+                let text = &src[sp.start as usize..sp.end as usize];
+                let clause = |k: usize| {
+                    let header = text
+                        .strip_prefix("for (")
+                        .and_then(|h| h.split(") {").next());
+                    header.is_some_and(|h| h.split("; ").nth(k).unwrap().contains("g()"))
+                };
+                match cfg.kind(m) {
+                    NodeKind::Stmt => text == "g();",
+                    NodeKind::ForInit => clause(0),
+                    NodeKind::Branch => clause(1),
+                    NodeKind::ForStep => clause(2),
+                    _ => false,
+                }
+            };
             let regexes = HashMap::new();
             let ctx = MatchCtx {
                 file: "f.c",
@@ -549,7 +581,8 @@ fn flow_route_agrees_with_a_path_oracle() {
                     let mut on_path = vec![false; cfg.len()];
                     on_path[n.index()] = true;
                     let mut ends = PathEnds::default();
-                    simple_paths(&cfg, &is, n, guard, &mut on_path, &mut ends);
+                    let forbidden = |m| guard && calls_g(m);
+                    simple_paths(&cfg, &is, n, &forbidden, &mut on_path, &mut ends);
                     let clean = !forall || !(ends.escape || ends.violation);
                     if clean && !ends.hits.is_empty() {
                         want.insert(cfg.span(n).start, ends.hits);
