@@ -23,7 +23,7 @@ pub mod visit;
 pub use ast::*;
 pub use lexer::{lex, LexError, LexMode};
 pub use parser::{
-    parse_expression, parse_int, parse_statements, parse_translation_unit, Lang, MetaKind,
-    MetaLookup, NoMeta, ParseErr, ParseOptions,
+    parse_expression, parse_int, parse_statements, parse_translation_unit, parse_with_idents, Lang,
+    MetaKind, MetaLookup, NoMeta, ParseErr, ParseOptions,
 };
 pub use token::{Punct, Token, TokenKind};

@@ -144,6 +144,38 @@ pub fn parse_translation_unit(
     opts: ParseOptions,
     meta: &dyn MetaLookup,
 ) -> Result<TranslationUnit, ParseErr> {
+    parse_unit(src, opts, meta, |_| ())
+}
+
+/// Parse a full translation unit and hand over its identifier tokens:
+/// the symbol and start offset of every [`TokenKind::Ident`] token
+/// (keywords included), in source order. The parser holds its token
+/// vector anyway, so a caller that indexes a text's identifiers does not
+/// lex it a second time. Comments, string literals and directives hold
+/// no identifier tokens.
+pub fn parse_with_idents(
+    src: &str,
+    opts: ParseOptions,
+    meta: &dyn MetaLookup,
+) -> Result<(TranslationUnit, Vec<(Symbol, u32)>), ParseErr> {
+    let mut idents = Vec::new();
+    let tu = parse_unit(src, opts, meta, |toks| {
+        idents = toks
+            .iter()
+            .filter_map(|t| Some((t.sym?, t.span.start)))
+            .collect();
+    })?;
+    Ok((tu, idents))
+}
+
+/// Parse a translation unit, then show `tokens` the token vector (inside
+/// the parse's trace span).
+fn parse_unit(
+    src: &str,
+    opts: ParseOptions,
+    meta: &dyn MetaLookup,
+    tokens: impl FnOnce(&[Token]),
+) -> Result<TranslationUnit, ParseErr> {
     // Pattern snippets (SMPL compilation) are not target files: only
     // whole-file parses count toward the run's lex/parse telemetry.
     let _span = if opts.pattern {
@@ -153,7 +185,9 @@ pub fn parse_translation_unit(
         cocci_trace::span(cocci_trace::Phase::Parse)
     };
     let mut p = Parser::new(src, opts, meta)?;
-    p.translation_unit()
+    let tu = p.translation_unit()?;
+    tokens(&p.toks);
+    Ok(tu)
 }
 
 /// Parse a statement sequence (used for SMPL statement-level patterns).

@@ -188,29 +188,38 @@ pub fn walk_functions<'a>(tu: &'a TranslationUnit, f: &mut dyn FnMut(&'a Functio
 }
 
 /// Call `f` on every expression in the unit (function bodies and
-/// initializers).
+/// initializers), item by item in source order.
 pub fn walk_all_exprs<'a>(tu: &'a TranslationUnit, f: &mut dyn FnMut(&'a Expr)) {
     fn rec<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a Expr)) {
         for it in items {
             match it {
-                Item::Function(fd) => {
-                    for st in &fd.body.stmts {
-                        deep_stmt_exprs(st, f);
-                    }
-                }
-                Item::Decl(d) => {
-                    for dr in &d.declarators {
-                        if let Some(init) = &dr.init {
-                            walk_expr(init, f);
-                        }
-                    }
-                }
                 Item::Namespace { items, .. } | Item::ExternBlock { items, .. } => rec(items, f),
-                Item::Directive(_) => {}
+                _ => item_exprs(it, f),
             }
         }
     }
     rec(&tu.items, f);
+}
+
+/// Call `f` on every expression [`walk_all_exprs`] visits in one item
+/// (a function body or a declaration's initializers), in the same order.
+/// Namespaces and extern blocks are not entered.
+pub fn item_exprs<'a>(item: &'a Item, f: &mut dyn FnMut(&'a Expr)) {
+    match item {
+        Item::Function(fd) => {
+            for st in &fd.body.stmts {
+                deep_stmt_exprs(st, f);
+            }
+        }
+        Item::Decl(d) => {
+            for dr in &d.declarators {
+                if let Some(init) = &dr.init {
+                    walk_expr(init, f);
+                }
+            }
+        }
+        Item::Namespace { .. } | Item::ExternBlock { .. } | Item::Directive(_) => {}
+    }
 }
 
 #[cfg(test)]

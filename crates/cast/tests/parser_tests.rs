@@ -581,3 +581,21 @@ fn adversarial_names_in_strings_and_comments() {
     assert!(idents.iter().any(|i| *i == "printf"));
     assert!(!idents.iter().any(|i| *i == "curand_uniform_double"));
 }
+
+#[test]
+fn parse_hands_over_identifier_tokens_in_source_order() {
+    let src = "#define N curand_x\n\
+               void log_it(int n) {\n\
+               // curand_x in a comment\n\
+               printf(\"curand_x %d\", n);\n\
+               }";
+    let (t, idents) = cocci_cast::parse_with_idents(src, ParseOptions::c(), &NoMeta).unwrap();
+    assert_eq!(t.items.len(), 2);
+    let words: Vec<&str> = idents.iter().map(|(sym, _)| sym.as_str()).collect();
+    // Keywords are identifier tokens; directives, comments and string
+    // literals hold none.
+    assert_eq!(words, ["void", "log_it", "int", "n", "printf", "n"]);
+    for (sym, at) in &idents {
+        assert!(src[*at as usize..].starts_with(sym.as_str()));
+    }
+}

@@ -13,9 +13,11 @@
 
 use crate::flowmatch::{self, FlowPattern};
 use crate::orchestrate::ApplyError;
+use crate::treesearch;
 use cocci_cast::DotsQuant;
 use cocci_rex::{MultiLiteral, Regex};
 use cocci_smpl::{prefilter, Constraint, Pattern, Rule, SemanticPatch};
+use cocci_source::Symbol;
 use std::collections::{HashMap, HashSet};
 
 /// One prefilterable unit for [`AtomSieve::build`] — a patch (or a scan
@@ -161,6 +163,11 @@ pub struct CompiledRule {
     /// Prefilter atoms — `Some` for transform rules (possibly empty =
     /// "cannot prefilter"), `None` for script/initialize/finalize rules.
     pub atoms: Option<Vec<String>>,
+    /// The prefilter atoms every match holds as one whole identifier
+    /// token inside its root, for a tree-route rule whose pattern is an
+    /// expression or one statement: the tree search tries only the roots
+    /// holding the rarest of them (see `treesearch`). Empty otherwise.
+    pub token_atoms: Vec<Symbol>,
     /// Lowered CFG path pattern — `Some` for flow-sensitive transform
     /// rules (statement dots) the path engine can route; `None` keeps
     /// the rule on the tree matcher.
@@ -215,6 +222,7 @@ impl CompiledPatch {
         for rule in &patch.rules {
             let mut regexes = HashMap::new();
             let mut atoms = None;
+            let mut token_atoms = Vec::new();
             let mut flow = None;
             let mut report_only = false;
             match rule {
@@ -239,11 +247,8 @@ impl CompiledPatch {
                     }
                     // Reuse the regexes compiled above (the prefilter only
                     // reads their guaranteed literal factors).
-                    atoms = Some(prefilter::pattern_atoms(
-                        &t.body.pattern,
-                        &t.metavars,
-                        Some(&regexes),
-                    ));
+                    let tagged =
+                        prefilter::pattern_atoms(&t.body.pattern, &t.metavars, Some(&regexes));
                     // Flow-sensitive rules (statement dots) are lowered
                     // once here; rules the path engine cannot express
                     // stay on the tree matcher.
@@ -252,6 +257,14 @@ impl CompiledPatch {
                             flow = flowmatch::lower_pattern(pats);
                         }
                     }
+                    if flow.is_none() && treesearch::pinnable(&t.body.pattern) {
+                        token_atoms = tagged
+                            .iter()
+                            .filter(|a| a.token)
+                            .map(|a| Symbol::intern(&a.text))
+                            .collect();
+                    }
+                    atoms = Some(tagged.into_iter().map(|a| a.text).collect());
                     // Dots carrying an explicit path quantifier must end
                     // up on the CFG route — an unroutable top-level
                     // pattern, or dots nested inside sub-blocks that
@@ -271,6 +284,17 @@ impl CompiledPatch {
                             "rule {}: `when exists` / `when strict` need a CFG-routable \
                              pattern (simple statement anchors around top-level dots)",
                             t.name.as_deref().unwrap_or("<anonymous>")
+                        )));
+                    }
+                    // A `...` on a `+` line is never tied to what dots
+                    // matched, so it would be copied verbatim.
+                    if let Some(line) = t.body.plus_dots_line(&t.metavars, patch.lang) {
+                        return Err(ApplyError::new(format!(
+                            "rule {}: `...` on the `+` line `{}` would be copied verbatim, \
+                             which is not C; to keep a call's arguments, put them on a \
+                             context line: `- f` / `+ g` / `(...);`",
+                            t.name.as_deref().unwrap_or("<anonymous>"),
+                            t.body.raw.split('\n').nth(line).unwrap_or("").trim()
                         )));
                     }
                     if let Some(name) = &t.name {
@@ -315,6 +339,7 @@ impl CompiledPatch {
             rules.push(CompiledRule {
                 regexes,
                 atoms,
+                token_atoms,
                 flow,
                 report_only,
             });
@@ -441,6 +466,34 @@ mod tests {
         let patch =
             parse_semantic_patch("@@ @@\n#pragma omp ...\n{\n+ START();\n...\n}\n").unwrap();
         assert!(CompiledPatch::compile(&patch).is_ok());
+    }
+
+    #[test]
+    fn dots_on_a_plus_line_refuse_at_compile() {
+        for (patch, line) in [
+            ("@@\n@@\n- f(...);\n+ g(...);\n", "+ g(...);"),
+            (
+                "@@\nexpression e;\n@@\n- f(e, ...);\n+ g(e, ...);\n",
+                "+ g(e, ...);",
+            ),
+            ("@r@\n@@\n  a();\n+ ...\n  b();\n", "+ ..."),
+            ("@@\n@@\n- f(\n+ g(1,\n+ ...,\n  x);\n", "+ ...,"),
+        ] {
+            let patch = parse_semantic_patch(patch).unwrap();
+            let err = CompiledPatch::compile(&patch).unwrap_err();
+            assert!(err.message.contains(&format!("`{line}`")), "{err}");
+            assert!(err.message.contains("`- f` / `+ g` / `(...);`"), "{err}");
+        }
+        // Varargs closing a `+` parameter list stay legal, whole or cut
+        // across lines, and so do dots on context lines.
+        for patch in [
+            "@@\n@@\n  void h(void) {\n+ int logf(const char *fmt, ...);\n  ...\n  }\n",
+            "@@\n@@\n- int f(int a)\n+ int f(int a, ...)\n  { ... }\n",
+            "@@\n@@\n- f\n+ g\n  (...);\n",
+        ] {
+            let patch = parse_semantic_patch(patch).unwrap();
+            CompiledPatch::compile(&patch).unwrap();
+        }
     }
 
     #[test]

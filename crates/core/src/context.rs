@@ -16,29 +16,80 @@
 //! [`cfg_builds`] counters exist so tests can assert the "exactly once"
 //! property instead of trusting it.
 //!
+//! The parse also leaves a table of the text's identifier tokens: each
+//! one's symbol and offset, handed over by the parser, which holds the
+//! tokens anyway. The tree search asks it where a rule's token atoms
+//! occur (see the `treesearch` module); the offsets of one
+//! symbol are gathered the first time a rule asks for it, so a symbol no
+//! rule names costs nothing. With the table comes a dense span array of
+//! the text's root-holding items, built on first use, so an occurrence
+//! finds its item by binary search.
+//!
+//! Whatever a context builds for every rule — the parse and its tables,
+//! the line table, the suppression index, the CFGs — is built by
+//! whichever rule asks first. [`shared_time`] adds up that time, so the
+//! scan driver charges it to no rule: a rule's reported seconds are its
+//! own matching.
+//!
 //! [`parses`]: FileContext::parses
 //! [`cfg_builds`]: FileContext::cfg_builds
+//! [`shared_time`]: FileContext::shared_time
 
 use crate::findings::Resolver;
 use crate::flowmatch::CfgCache;
 use crate::suppress::SuppressionIndex;
+use crate::treesearch::RootItems;
 use cocci_cast::ast::TranslationUnit;
-use cocci_cast::parser::{parse_translation_unit, NoMeta, ParseOptions};
+use cocci_cast::parser::{parse_with_idents, NoMeta, ParseOptions};
 use cocci_cast::Lang;
+use cocci_source::Symbol;
+use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Per-text state built once and shared by every rule run on the text.
 /// See the module docs.
 pub struct FileContext {
     name: String,
     text: Arc<str>,
-    parsed: Option<(Lang, Arc<TranslationUnit>)>,
+    parsed: Option<Parsed>,
     parse_err: Option<(Lang, String)>,
     resolver: Option<Arc<Resolver>>,
     suppress: Option<Arc<SuppressionIndex>>,
     cfgs: CfgCache,
     parses: usize,
+    /// Time spent building the state above, CFGs aside (the cache keeps
+    /// their time).
+    built: Duration,
 }
+
+/// One parse of the text and the tables that come with it.
+struct Parsed {
+    lang: Lang,
+    tu: Arc<TranslationUnit>,
+    /// Every identifier token's symbol and start offset, in source order.
+    idents: Vec<(Symbol, u32)>,
+    /// The offsets of each symbol asked for so far, ascending.
+    occurrences: HashMap<Symbol, Vec<u32>>,
+    /// The root-holding items, built on first use (`None` inside when the
+    /// items' spans do not allow the array).
+    items: Option<Option<Arc<RootItems>>>,
+}
+
+/// Where the tree search tries a rule that pins by token atom: the
+/// offsets of its rarest token atom in the text, and the text's
+/// root-holding items.
+pub(crate) struct AtomPin {
+    /// Identifier-token offsets of the rarest atom, ascending.
+    pub(crate) offsets: Vec<u32>,
+    /// The items that hold roots, as a dense span array.
+    pub(crate) items: Arc<RootItems>,
+}
+
+/// A rule pins by token atom only when its rarest atom is at most one in
+/// this many of the text's identifier tokens. Denser atoms sit in most
+/// items, so enumerating their holders would cost as much as walking.
+const PIN_MAX_SHARE: usize = 16;
 
 impl FileContext {
     /// A fresh context over one file's text.
@@ -52,6 +103,7 @@ impl FileContext {
             suppress: None,
             cfgs: CfgCache::default(),
             parses: 0,
+            built: Duration::ZERO,
         }
     }
 
@@ -76,10 +128,10 @@ impl FileContext {
     /// rules over an unparsable file report one error each without
     /// re-lexing it fifty times.
     pub fn parse(&mut self, opts: ParseOptions) -> Result<Arc<TranslationUnit>, String> {
-        if let Some((lang, tu)) = &self.parsed {
-            if *lang == opts.lang {
+        if let Some(p) = &self.parsed {
+            if p.lang == opts.lang {
                 cocci_trace::count(cocci_trace::Counter::ParseCacheHits, 1);
-                return Ok(Arc::clone(tu));
+                return Ok(Arc::clone(&p.tu));
             }
         }
         if let Some((lang, e)) = &self.parse_err {
@@ -89,10 +141,19 @@ impl FileContext {
             }
         }
         self.parses += 1;
-        match parse_translation_unit(&self.text, opts, &NoMeta) {
-            Ok(tu) => {
+        let t0 = Instant::now();
+        let parsed = parse_with_idents(&self.text, opts, &NoMeta);
+        self.built += t0.elapsed();
+        match parsed {
+            Ok((tu, idents)) => {
                 let tu = Arc::new(tu);
-                self.parsed = Some((opts.lang, Arc::clone(&tu)));
+                self.parsed = Some(Parsed {
+                    lang: opts.lang,
+                    tu: Arc::clone(&tu),
+                    idents,
+                    occurrences: HashMap::new(),
+                    items: None,
+                });
                 Ok(tu)
             }
             Err(e) => {
@@ -103,12 +164,27 @@ impl FileContext {
         }
     }
 
+    /// Where to try a rule whose matches each hold every one of `atoms` as
+    /// an identifier token inside their root: the offsets of the atom with
+    /// the fewest occurrences in the last parse, with the text's
+    /// root-holding items. `None` when there is no atom, no parse, or
+    /// the rarest atom is too common to pin (the search then walks). An
+    /// atom that never occurs gives no offsets: nothing can match.
+    pub(crate) fn atom_pin(&mut self, atoms: &[Symbol]) -> Option<AtomPin> {
+        let t0 = Instant::now();
+        let pin = self.parsed.as_mut().and_then(|p| p.atom_pin(atoms));
+        self.built += t0.elapsed();
+        pin
+    }
+
     /// The line/col resolver for the text, built on first use.
     pub fn resolver(&mut self) -> Arc<Resolver> {
         match &self.resolver {
             Some(r) => Arc::clone(r),
             None => {
+                let t0 = Instant::now();
                 let r = Arc::new(Resolver::new(&self.name, &self.text));
+                self.built += t0.elapsed();
                 self.resolver = Some(Arc::clone(&r));
                 r
             }
@@ -120,11 +196,21 @@ impl FileContext {
         match &self.suppress {
             Some(s) => Arc::clone(s),
             None => {
+                let t0 = Instant::now();
                 let s = Arc::new(SuppressionIndex::parse(&self.text));
+                self.built += t0.elapsed();
                 self.suppress = Some(Arc::clone(&s));
                 s
             }
         }
+    }
+
+    /// Time spent so far building state every rule shares: parses, the
+    /// identifier and item tables, the line table, the suppression index
+    /// and the CFGs. The rule that asks first pays for these, so the
+    /// scan driver subtracts what this grew by during a rule's run.
+    pub fn shared_time(&self) -> Duration {
+        self.built + self.cfgs.build_time()
     }
 
     /// The text's per-function CFG cache.
@@ -142,6 +228,35 @@ impl FileContext {
     /// How many per-function CFGs were built through this context.
     pub fn cfg_builds(&self) -> usize {
         self.cfgs.builds()
+    }
+}
+
+impl Parsed {
+    fn atom_pin(&mut self, atoms: &[Symbol]) -> Option<AtomPin> {
+        let idents = &self.idents;
+        for &atom in atoms {
+            self.occurrences.entry(atom).or_insert_with(|| {
+                idents
+                    .iter()
+                    .filter(|(sym, _)| *sym == atom)
+                    .map(|&(_, at)| at)
+                    .collect()
+            });
+        }
+        let offsets = atoms
+            .iter()
+            .map(|atom| &self.occurrences[atom])
+            .min_by_key(|offsets| offsets.len())?;
+        if offsets.len() * PIN_MAX_SHARE > idents.len() {
+            return None;
+        }
+        let offsets = offsets.to_vec();
+        let tu = &self.tu;
+        let items = self
+            .items
+            .get_or_insert_with(|| RootItems::new(tu).map(Arc::new))
+            .clone()?;
+        Some(AtomPin { offsets, items })
     }
 }
 
@@ -173,6 +288,32 @@ mod tests {
         let e2 = ctx.parse(opts).unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!(ctx.parses(), 1);
+    }
+
+    #[test]
+    fn atom_pin_gathers_each_asked_symbol_once_and_keeps_dense_atoms_walking() {
+        let mut text = String::from("/* rare(0) */ void f(void) { rare(1); common(2); }\n");
+        for i in 0..40 {
+            text.push_str(&format!("void g{i}(int a) {{ common(a); }}\n"));
+        }
+        let mut ctx = FileContext::new("a.c", text.as_str());
+        let (rare, common) = (Symbol::intern("rare"), Symbol::intern("common"));
+        // No parse yet: nothing to pin.
+        assert!(ctx.atom_pin(&[rare]).is_none());
+        ctx.parse(ParseOptions::c()).unwrap();
+        let pin = ctx.atom_pin(&[common, rare]).unwrap();
+        // The rarest atom's identifier tokens (the comment holds none).
+        let at = text.find("rare(1)").unwrap() as u32;
+        assert_eq!(pin.offsets, [at]);
+        let parsed = ctx.parsed.as_ref().unwrap();
+        assert_eq!(parsed.occurrences.len(), 2);
+        assert_eq!(parsed.occurrences[&common].len(), 41);
+        // `common` is one in six identifier tokens: too dense to pin.
+        assert!(ctx.atom_pin(&[common]).is_none());
+        // An atom that never occurs pins to nothing.
+        let pin = ctx.atom_pin(&[Symbol::intern("absent")]).unwrap();
+        assert!(pin.offsets.is_empty());
+        assert!(ctx.shared_time() > Duration::ZERO);
     }
 
     #[test]

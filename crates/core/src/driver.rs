@@ -301,7 +301,10 @@ fn run_rule(
     deadline: Option<Deadline>,
     out: &mut FileOutcome,
 ) {
+    // The rule's own time: what the context builds for every rule (the
+    // parse above all) is charged to none.
     let t0 = Instant::now();
+    let shared0 = ctx.shared_time();
     let mut patcher = Patcher::from_compiled(Arc::clone(&rule.compiled));
     patcher.deadline = deadline;
     patcher.explain = opts.explain.clone();
@@ -349,13 +352,14 @@ fn run_rule(
     };
     record_attempts(ctx.name(), &attempts);
     if rule.has_id {
+        let shared = ctx.shared_time() - shared0;
         out.report.rules.push(RuleOutcome {
             id: rule.meta.id.clone(),
             status,
             matches,
             findings: kept.len(),
             suppressed,
-            seconds: t0.elapsed().as_secs_f64(),
+            seconds: t0.elapsed().saturating_sub(shared).as_secs_f64(),
             kill_stage: attempts.iter().map(|a| a.stage).max(),
         });
     }

@@ -24,6 +24,7 @@ use crate::report::json::{self, Fields, Str};
 use crate::report::ApplyReport;
 use cocci_smpl::{MetaDecl, MetaDeclKind};
 use cocci_source::Span;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 /// One diagnostic produced by a reporting-only rule (or by a script
@@ -259,11 +260,18 @@ pub fn to_sarif_with(report: &ApplyReport, rules: &[SarifRule]) -> String {
                 .flat_map(|f| f.findings.iter().map(|fd| (fd, f.kill_stage))),
         )
         .collect();
-    let mut rule_ids: Vec<&str> = findings.iter().map(|(f, _)| f.rule.as_str()).collect();
-    rule_ids.extend(rules.iter().map(|r| r.id.as_str()));
-    rule_ids.sort_unstable();
-    rule_ids.dedup();
-    let meta = |id: &str| rules.iter().find(|r| r.id == id);
+    // Each id's descriptor (the first one given wins), indexed once; the
+    // distinct ids in sorted order.
+    let mut by_id: HashMap<&str, &SarifRule> = HashMap::with_capacity(rules.len());
+    for r in rules {
+        by_id.entry(r.id.as_str()).or_insert(r);
+    }
+    let rule_ids: BTreeSet<&str> = findings
+        .iter()
+        .map(|(f, _)| f.rule.as_str())
+        .chain(by_id.keys().copied())
+        .collect();
+    let meta = |id: &str| by_id.get(id).copied();
 
     let mut out = String::from("{\n");
     out.push_str("  \"version\": \"2.1.0\",\n");

@@ -57,6 +57,7 @@ use cocci_source::Span;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Cache of one text's built CFGs, keyed by function span. The graphs
 /// depend only on the text — not on the rule being matched — so each
@@ -67,6 +68,7 @@ use std::sync::Arc;
 pub struct CfgCache {
     map: HashMap<Span, Arc<Cfg>>,
     builds: usize,
+    build_time: Duration,
 }
 
 impl CfgCache {
@@ -78,7 +80,10 @@ impl CfgCache {
             .or_insert_with(|| {
                 self.builds += 1;
                 let _span = cocci_trace::span(cocci_trace::Phase::CfgBuild);
-                Arc::new(build_cfg(f))
+                let t0 = Instant::now();
+                let cfg = Arc::new(build_cfg(f));
+                self.build_time += t0.elapsed();
+                cfg
             })
             .clone()
     }
@@ -86,6 +91,11 @@ impl CfgCache {
     /// How many CFGs were actually built (cache misses).
     pub fn builds(&self) -> usize {
         self.builds
+    }
+
+    /// Time spent building them.
+    pub fn build_time(&self) -> Duration {
+        self.build_time
     }
 }
 

@@ -131,24 +131,30 @@ impl<'a> MatchCtx<'a> {
         self.decls.iter().find(|d| d.name == name).map(|d| &d.kind)
     }
 
-    /// Check the declaration constraint of `name` against bound text.
-    fn check_constraint(&self, name: &str, text: &str) -> bool {
-        let Some(decl) = self.decls.iter().find(|d| d.name == name) else {
+    /// Check the declaration constraint of `name`, if it has one,
+    /// against the text `value` renders to (rendered only then).
+    fn check_constraint(&self, name: &str, value: &Value) -> bool {
+        let Some(constraint) = self
+            .decls
+            .iter()
+            .find(|d| d.name == name)
+            .and_then(|d| d.constraint.as_ref())
+        else {
             return true;
         };
-        match &decl.constraint {
-            None => true,
-            Some(Constraint::Regex(_)) => self
+        let text = value.render(self.src);
+        match constraint {
+            Constraint::Regex(_) => self
                 .regexes
                 .get(name)
-                .map(|re| re.is_match(text))
+                .map(|re| re.is_match(&text))
                 .unwrap_or(false),
-            Some(Constraint::NotRegex(_)) => self
+            Constraint::NotRegex(_) => self
                 .regexes
                 .get(name)
-                .map(|re| !re.is_match(text))
+                .map(|re| !re.is_match(&text))
                 .unwrap_or(true),
-            Some(Constraint::Set(vals)) => vals.iter().any(|v| v == text),
+            Constraint::Set(vals) => vals.contains(&text),
         }
     }
 }
@@ -197,8 +203,7 @@ fn bind_or_check(
     if let Some(existing) = st.env.get(name) {
         return value_eq(existing, &value);
     }
-    let text = value.render(ctx.src);
-    if !ctx.check_constraint(name.as_str(), &text) {
+    if !ctx.check_constraint(name.as_str(), &value) {
         return false;
     }
     st.env.bind(name, value);

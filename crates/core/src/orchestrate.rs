@@ -653,9 +653,11 @@ impl Patcher {
             }
             Ok(set)
         };
-        // Tree route, second seed on: pinned searches and duplicate
-        // seeds (see `treesearch`). The first seed, and so every
-        // single-seed rule, walks the file directly.
+        // Tree route: a rule with token atoms tries only the roots that
+        // hold its rarest one, and from the second seed on, pinned
+        // positions and duplicate seeds narrow or skip the search (see
+        // `treesearch`).
+        let token_atoms = &self.compiled.rules[ri].token_atoms;
         let mut tree = TreeSearch::new(&t.body.pattern, tu);
         let mut distinct = (flow_search.is_none() && seeds.len() > 1 && !reference_search())
             .then(DistinctSeeds::default);
@@ -667,6 +669,9 @@ impl Patcher {
                 }
                 None => {
                     let _span = cocci_trace::span_with(cocci_trace::Phase::TreeMatch, rule_label);
+                    if si == 0 && !token_atoms.is_empty() && !reference_search() {
+                        tree.pin_atoms(cur.atom_pin(token_atoms));
+                    }
                     if let Some(n) = distinct.as_mut().and_then(|d| d.twin(seed, src)) {
                         // An equal earlier seed matched at these roots,
                         // and each is now claimed or blocked: count what
@@ -685,8 +690,14 @@ impl Patcher {
                     };
                     #[cfg(test)]
                     seed_check::pinned(&ctx, &t.body.pattern, tu, seed, pinned.as_deref());
-                    let found =
-                        pinned.unwrap_or_else(|| find_matches(&ctx, &t.body.pattern, tu, seed));
+                    let found = pinned
+                        .or_else(|| {
+                            let held = tree.atom_pinned(&ctx, seed);
+                            #[cfg(any(test, debug_assertions))]
+                            check_atom_pinned(&ctx, &t.body.pattern, tu, seed, held.as_deref());
+                            held
+                        })
+                        .unwrap_or_else(|| find_matches(&ctx, &t.body.pattern, tu, seed));
                     if let Some(d) = &mut distinct {
                         d.searched(
                             found.len(),
@@ -942,6 +953,31 @@ fn overlaps(a: Span, b: Span) -> bool {
     a.start < b.end && b.start < a.end
 }
 
+/// Debug builds (and so every debug test run, whichever crate drives the
+/// engine) and this crate's own tests check that an atom-pinned search
+/// returned exactly what the full walk returns: the same roots in the
+/// same order, with the same pairs and bindings.
+#[cfg(any(test, debug_assertions))]
+fn check_atom_pinned(
+    ctx: &MatchCtx,
+    pattern: &cocci_smpl::Pattern,
+    tu: &TranslationUnit,
+    seed: &Env,
+    held: Option<&[MatchState]>,
+) {
+    if let Some(found) = held {
+        let expected = find_matches(ctx, pattern, tu, seed);
+        assert_eq!(
+            format!("{found:?}"),
+            format!("{expected:?}"),
+            "atom-pinned search differs from the walk in {}",
+            ctx.file
+        );
+        #[cfg(test)]
+        seed_check::atom_pinned();
+    }
+}
+
 /// Whether to run the reference loop (every tree seed through
 /// [`find_matches`], no pins or duplicate skipping): only ever in tests.
 #[cfg(not(test))]
@@ -964,6 +1000,7 @@ pub(crate) mod seed_check {
         static REFERENCE: Cell<bool> = const { Cell::new(false) };
         static PINNED: Cell<usize> = const { Cell::new(0) };
         static DUPLICATES: Cell<usize> = const { Cell::new(0) };
+        static ATOM_PINNED: Cell<usize> = const { Cell::new(0) };
     }
 
     /// Whether this thread runs the reference loop.
@@ -980,6 +1017,16 @@ pub(crate) mod seed_check {
     /// far.
     pub(crate) fn counts() -> (usize, usize) {
         (PINNED.with(Cell::get), DUPLICATES.with(Cell::get))
+    }
+
+    /// Atom-pinned searches checked on this thread so far.
+    pub(crate) fn atom_pins() -> usize {
+        ATOM_PINNED.with(Cell::get)
+    }
+
+    /// Count one atom-pinned search checked against `find_matches`.
+    pub(super) fn atom_pinned() {
+        ATOM_PINNED.with(|c| c.set(c.get() + 1));
     }
 
     /// A pinned search returned exactly what `find_matches` returns.

@@ -426,8 +426,12 @@ impl<'a> Rewriter<'a> {
             if sp.start >= g.anchor {
                 if let Some(pair) = self.st.pairs.iter().find(|p| p.pat == sp) {
                     let src_span = pair.src;
-                    let mid_line = src_span.start > 0
-                        && self.src.as_bytes().get(src_span.start as usize - 1) != Some(&b'\n');
+                    // Code before the region on its line; indentation does
+                    // not count (a body's dots start at their first
+                    // statement, after it).
+                    let at = (src_span.start as usize).min(self.src.len());
+                    let line_head = &self.src[line_start(self.src, at as u32) as usize..at];
+                    let mid_line = !line_head.trim().is_empty();
                     if pair.kind == PairKind::Dots && mid_line {
                         // A dots region that begins right after the
                         // preceding statement's semicolon (the CFG

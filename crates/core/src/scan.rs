@@ -44,7 +44,11 @@ pub struct RuleOutcome {
     pub findings: usize,
     /// Findings dropped by `// spatch-ignore` markers.
     pub suppressed: usize,
-    /// Wall-clock seconds this rule spent on this file — recorded for
+    /// Wall-clock seconds this rule spent on this file, less what the
+    /// file's context built for every rule while it ran (the parse and
+    /// its tables, line table, suppression index, CFGs; see
+    /// [`FileContext::shared_time`](crate::FileContext::shared_time)) —
+    /// so the first rule to run is not charged the parse. Recorded for
     /// *every* status, including `timeout` and `error`, so slow-rule
     /// accounting (`--stats`) covers quarantined work too.
     pub seconds: f64,
@@ -339,6 +343,39 @@ pub(crate) mod tests {
 
     fn report_rule(callee: &str) -> String {
         format!("@scan@\nexpression e;\nposition p;\n@@\n{callee}(e)@p;\n")
+    }
+
+    #[test]
+    fn a_rule_is_not_charged_the_parse() {
+        // Parsing 2,000 functions dominates the file; neither rule
+        // matches, and the first one to run is the one that parses.
+        let mut text = String::from("// alpha(0); beta(0);\n");
+        for i in 0..2000 {
+            text.push_str(&format!("void f{i}(int a) {{ a = a + {i}; }}\n"));
+        }
+        let set = CompiledRuleSet::from_sources(&[
+            src("r-alpha", &report_rule("alpha")),
+            src("r-beta", &report_rule("beta")),
+        ])
+        .unwrap();
+        let t0 = std::time::Instant::now();
+        cocci_cast::parse_translation_unit(
+            &text,
+            cocci_cast::ParseOptions::c(),
+            &cocci_cast::NoMeta,
+        )
+        .unwrap();
+        let parse = t0.elapsed().as_secs_f64();
+        let outcome = &collect(&set, &[("p.c".into(), text)], &unfiltered(1))[0];
+        assert_eq!(outcome.parses, 1);
+        let rules = &outcome.report.rules;
+        assert_eq!(rules.len(), 2);
+        assert!(rules.iter().all(|r| r.status == FileStatus::Unmatched));
+        assert!(
+            rules[0].seconds < parse / 2.0,
+            "first rule {} s, parse {parse} s",
+            rules[0].seconds
+        );
     }
 
     fn set3() -> CompiledRuleSet {

@@ -38,6 +38,34 @@
 //! text; only the internal probe counts of anchor hits and blocked groups
 //! lose the duplicates.
 //!
+//! Most roots cannot match: a rule that rewrites `api_3(e, 1)` names
+//! `api_3`, and a file holds it in a few of its statements. An
+//! expression or one-statement pattern matches inside the root it is
+//! tried at, so a match holds each of the rule's *token atoms* (the
+//! prefilter atoms that must equal one whole identifier token, see
+//! `cocci_smpl::prefilter`) inside its root's span. [`TreeSearch`] pins
+//! such a rule by its rarest token atom:
+//!
+//! * the text's [`FileContext`](crate::FileContext) lists the offsets of
+//!   that atom's identifier tokens, taken from the parser's tokens, so
+//!   comments and string literals hold none;
+//! * [`RootItems`], a dense sorted array of the text's root-holding items
+//!   (functions and initialized top-level declarations, namespaces and
+//!   extern blocks entered), maps each offset to its item;
+//! * only those items' roots are enumerated, by the same walks
+//!   [`for_each_root`] uses, so the roots keep their relative order, and
+//!   only the roots whose span holds an offset are tried. An atom that
+//!   never occurs leaves no root: no match, which is what the full walk
+//!   finds too.
+//!
+//! A rule pins only when its rarest atom is a small share of the text's
+//! identifier tokens. A denser atom sits in most items, enumerating them
+//! would cost what the walk costs, and the search walks. Multi-statement
+//! windows, item patterns, the top-level block and the flow route always
+//! walk. Debug builds, and this crate's tests in any profile, compare
+//! every atom-pinned search with [`find_matches`]: same roots, order,
+//! pairs and bindings.
+//!
 //! A rule that inherits from earlier rules runs once per seed, so walking
 //! per seed makes its cost seeds × file size. Two exact shortcuts bring it
 //! down to the distinct seeds and the roots each can reach:
@@ -47,11 +75,13 @@
 //!   equals the bound span, so only roots whose subtree covers that span
 //!   can match. A span index over the roots, built the first time a
 //!   pinned seed needs it, finds them, and they are tried in walk order:
-//!   the matches come out exactly as the full walk returns them.
+//!   the matches come out exactly as the full walk returns them. These
+//!   position pins take precedence over atom pins.
 //! * [`DistinctSeeds`] recognises a seed whose bindings equal an earlier
 //!   seed's. Such a seed finds the same roots again, which the caller's
 //!   claims already cover (see `Patcher::run_transform_rule`).
 
+use crate::context::AtomPin;
 use crate::env::{Env, Value};
 use crate::matcher::{self, value_eq, MatchCtx, MatchState, Pair, PairKind};
 use cocci_cast::ast::*;
@@ -73,8 +103,20 @@ pub fn find_matches(
     for_each_root(pattern, tu, &mut |root| {
         try_root(ctx, pattern, root, seed, &mut out)
     });
-    // Directive- and declaration-only patterns also match the top level
-    // (the include-insertion and API-translation rules need this).
+    try_top_level(ctx, pattern, tu, seed, &mut out);
+    out
+}
+
+/// Directive- and declaration-only patterns also match the top level
+/// (the include-insertion and API-translation rules need this): try
+/// them at a block of owned clones of the items.
+fn try_top_level(
+    ctx: &MatchCtx,
+    pattern: &Pattern,
+    tu: &TranslationUnit,
+    seed: &Env,
+    out: &mut Vec<MatchState>,
+) {
     if let Pattern::Stmts(pats) = pattern {
         let only_toplevel_shapes = pats
             .iter()
@@ -93,11 +135,10 @@ pub fn find_matches(
                 span: tu.span,
             };
             block_roots(pats, &pseudo, &mut |root| {
-                try_root(ctx, pattern, root, seed, &mut out)
+                try_root(ctx, pattern, root, seed, out)
             });
         }
     }
-    out
 }
 
 /// A place a pattern is tried.
@@ -191,6 +232,16 @@ fn unlisted_stmts<'t>(s: &'t Stmt, f: &mut dyn FnMut(Root<'t>)) {
 /// the statement it starts at.
 fn single_stmt(pats: &[Stmt]) -> bool {
     pats.len() == 1 && !matches!(pats[0], Stmt::Dots { .. } | Stmt::MetaStmtList { .. })
+}
+
+/// Whether a pattern can pin by token atom: an expression or one
+/// statement, which matches inside the root it is tried at.
+pub(crate) fn pinnable(pattern: &Pattern) -> bool {
+    match pattern {
+        Pattern::Expr(_) => true,
+        Pattern::Stmts(pats) => single_stmt(pats),
+        Pattern::Items(_) => false,
+    }
 }
 
 /// The item windows of `items`, then those of each namespace and extern
@@ -405,9 +456,150 @@ impl<'a> RootIndex<'a> {
     }
 }
 
+/// The items of a text that hold the roots of expression and
+/// one-statement patterns: function definitions and top-level
+/// declarations with an initializer, in walk order (namespaces and
+/// extern blocks are entered where they stand). Their spans form a dense
+/// sorted array, so the item holding an offset is a binary search away.
+pub(crate) struct RootItems {
+    /// Each item's span, ascending and disjoint.
+    spans: Vec<Span>,
+    /// Where each item sits: the indices of the namespaces and extern
+    /// blocks around it, then its own index in their item list. Item
+    /// `i`'s path is `path[ends[i - 1]..ends[i]]`.
+    path: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl RootItems {
+    /// The table of `tu`; `None` when an item's span is synthetic or out
+    /// of order, so that an offset could not find its item.
+    pub(crate) fn new(tu: &TranslationUnit) -> Option<RootItems> {
+        let mut table = RootItems {
+            spans: Vec::new(),
+            path: Vec::new(),
+            ends: Vec::new(),
+        };
+        table.add(&tu.items, &mut Vec::new()).then_some(table)
+    }
+
+    fn add(&mut self, items: &[Item], around: &mut Vec<u32>) -> bool {
+        for (i, it) in items.iter().enumerate() {
+            let holds_roots = match it {
+                Item::Function(_) => true,
+                Item::Decl(d) => d.declarators.iter().any(|dr| dr.init.is_some()),
+                Item::Namespace { items, .. } | Item::ExternBlock { items, .. } => {
+                    around.push(i as u32);
+                    let ok = self.add(items, around);
+                    around.pop();
+                    if !ok {
+                        return false;
+                    }
+                    false
+                }
+                Item::Directive(_) => false,
+            };
+            if holds_roots {
+                let span = it.span();
+                if span.is_synthetic() || self.spans.last().is_some_and(|s| s.end > span.start) {
+                    return false;
+                }
+                self.spans.push(span);
+                self.path.extend_from_slice(around);
+                self.path.push(i as u32);
+                self.ends.push(self.path.len() as u32);
+            }
+        }
+        true
+    }
+
+    /// The items holding one of `offsets` (ascending), ascending, each
+    /// once.
+    fn holding(&self, offsets: &[u32]) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::new();
+        for &at in offsets {
+            if out.last().is_some_and(|&i| at < self.spans[i].end) {
+                continue;
+            }
+            let after = self.spans.partition_point(|s| s.start <= at);
+            if after > 0 && at < self.spans[after - 1].end {
+                out.push(after - 1);
+            }
+        }
+        out
+    }
+
+    /// Item `i`, found in `tu` by its path.
+    fn item<'t>(&self, tu: &'t TranslationUnit, i: usize) -> &'t Item {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        let (last, around) = self.path[start..self.ends[i] as usize]
+            .split_last()
+            .expect("every item has a path");
+        let mut items = &tu.items;
+        for &k in around {
+            items = match &items[k as usize] {
+                Item::Namespace { items, .. } | Item::ExternBlock { items, .. } => items,
+                _ => unreachable!("paths pass through namespaces and extern blocks"),
+            };
+        }
+        &items[*last as usize]
+    }
+}
+
+/// The roots of pinnable `pattern` in `tu` whose span holds one of the
+/// pin's offsets, in [`for_each_root`] order. Only the items holding an
+/// offset are enumerated, each as the full walk enumerates it, so the
+/// roots keep their relative order.
+fn held_roots<'t>(pattern: &Pattern, tu: &'t TranslationUnit, pin: &AtomPin) -> Vec<Root<'t>> {
+    let items: Vec<&Item> = pin
+        .items
+        .holding(&pin.offsets)
+        .into_iter()
+        .map(|i| pin.items.item(tu, i))
+        .collect();
+    let offsets = &pin.offsets;
+    // A root holds an occurrence when one starts inside its span. A root
+    // without a real span is always tried.
+    let holds = |span: Span| {
+        let at = offsets.partition_point(|&o| o < span.start);
+        span.is_synthetic() || offsets.get(at).is_some_and(|&o| o < span.end)
+    };
+    let mut roots = Vec::new();
+    match pattern {
+        Pattern::Expr(_) => {
+            for it in items {
+                visit::item_exprs(it, &mut |e| {
+                    if holds(e.span()) {
+                        roots.push(Root::Expr(e));
+                    }
+                });
+            }
+        }
+        Pattern::Stmts(pats) => {
+            let fns: Vec<&FunctionDef> = items
+                .iter()
+                .filter_map(|it| match it {
+                    Item::Function(fd) => Some(fd),
+                    _ => None,
+                })
+                .collect();
+            stmt_roots(pats, &fns, &mut |root| {
+                if let Root::Stmt(s) = root {
+                    if holds(s.span()) {
+                        roots.push(root);
+                    }
+                }
+            });
+        }
+        Pattern::Items(_) => unreachable!("item patterns do not pin"),
+    }
+    roots
+}
+
 /// The tree route's pinned search for one rule over one text: a seed
 /// that binds a required position from this file is tried only at the
-/// roots covering it.
+/// roots covering it; otherwise, a rule pinned by token atom is tried
+/// only at the roots holding its rarest atom.
 pub(crate) struct TreeSearch<'a> {
     pattern: &'a Pattern,
     tu: &'a TranslationUnit,
@@ -415,6 +607,10 @@ pub(crate) struct TreeSearch<'a> {
     pins: Option<Vec<Symbol>>,
     /// Candidate roots by span (for the first pinned seed).
     index: Option<RootIndex<'a>>,
+    /// Where the rule's rarest token atom occurs, when it pins by atom.
+    atoms: Option<AtomPin>,
+    /// The roots holding it (for the first seed that needs them).
+    held: Option<Vec<Root<'a>>>,
 }
 
 impl<'a> TreeSearch<'a> {
@@ -425,7 +621,31 @@ impl<'a> TreeSearch<'a> {
             tu,
             pins: None,
             index: None,
+            atoms: None,
+            held: None,
         }
+    }
+
+    /// Pin the search by token atom where `atoms` says.
+    pub(crate) fn pin_atoms(&mut self, atoms: Option<AtomPin>) {
+        self.atoms = atoms;
+    }
+
+    /// The matches of `seed` when the rule pins by token atom in this
+    /// text: exactly what [`find_matches`] returns, in the same order.
+    /// `None` when it does not (search the whole file).
+    pub(crate) fn atom_pinned(&mut self, ctx: &MatchCtx, seed: &Env) -> Option<Vec<MatchState>> {
+        let pin = self.atoms.as_ref()?;
+        let (pattern, tu) = (self.pattern, self.tu);
+        let held = self
+            .held
+            .get_or_insert_with(|| held_roots(pattern, tu, pin));
+        let mut out = Vec::new();
+        for &root in held.iter() {
+            try_root(ctx, pattern, root, seed, &mut out);
+        }
+        try_top_level(ctx, pattern, tu, seed, &mut out);
+        Some(out)
     }
 
     /// The matches of `seed` when it binds a required position in this
@@ -561,6 +781,8 @@ mod tests {
         /// against `find_matches` as it ran.
         pinned: usize,
         duplicates: usize,
+        /// Searches pinned by token atom, each checked the same way.
+        atom_pinned: usize,
         /// The rewritten text of each file.
         outputs: Vec<Option<String>>,
     }
@@ -574,6 +796,7 @@ mod tests {
         let mut patcher = Patcher::new(&patch).unwrap();
         patcher.explain = Some(Arc::new(ExplainConfig::default()));
         let before = seed_check::counts();
+        let atom_before = seed_check::atom_pins();
         let mut outputs = Vec::new();
         for (name, text) in files {
             let mut run = |reference: bool| {
@@ -592,8 +815,230 @@ mod tests {
         Run {
             pinned: after.0 - before.0,
             duplicates: after.1 - before.1,
+            atom_pinned: seed_check::atom_pins() - atom_before,
             outputs,
         }
+    }
+
+    /// `src` followed by `n` functions of plain arithmetic, so that a
+    /// rule's atoms become a small share of the identifier tokens.
+    fn padded(src: &str, n: usize) -> String {
+        let mut out = src.to_string();
+        for i in 0..n {
+            out.push_str(&format!(
+                "void pad_{i}(int a, int b) {{ a = b + a; b = a * 2; }}\n"
+            ));
+        }
+        out
+    }
+
+    /// Apply `patch` to `src` padded to a sparse share, pinned and walked
+    /// (see [`same_as_reference`]); returns the run and the output.
+    fn pinned_run(patch: &str, src: &str) -> (Run, String) {
+        let text = padded(src, 40);
+        let run = same_as_reference(patch, &[("p.c", &text)]);
+        let out = run.outputs[0].clone().unwrap_or_else(|| text.clone());
+        (run, out[..out.find("void pad_0").unwrap()].to_string())
+    }
+
+    fn token_atoms(patch: &str) -> Vec<String> {
+        let patch = parse_semantic_patch(patch).unwrap();
+        let compiled = crate::CompiledPatch::compile(&patch).unwrap();
+        compiled.rules[0]
+            .token_atoms
+            .iter()
+            .map(|a| a.as_str().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn atom_in_every_disjunction_branch_pins() {
+        let patch = "@@\nexpression e;\n@@\n- \\( foo(e) \\| foo(e, 1) \\)\n+ bar(e)\n";
+        assert_eq!(token_atoms(patch), ["foo"]);
+        let src = "void f(int x) { foo(x); y = foo(x, 1) + foo(x, 2); }\n";
+        let (run, out) = pinned_run(patch, src);
+        assert!(run.atom_pinned > 0);
+        assert_eq!(out, "void f(int x) { bar(x); y = bar(x) + foo(x, 2); }\n");
+        // No identifier common to the branches: nothing pins.
+        let patch = "@@\nexpression e;\n@@\n- \\( foo(e) \\| baz(e) \\)\n+ bar(e)\n";
+        assert!(token_atoms(patch).is_empty());
+        let (run, out) = pinned_run(patch, "void f(int x) { foo(x); baz(x); }\n");
+        assert_eq!(run.atom_pinned, 0);
+        assert_eq!(out, "void f(int x) { bar(x); bar(x); }\n");
+    }
+
+    #[test]
+    fn atom_only_in_a_when_clause_does_not_pin() {
+        // `zap` constrains the dots without being matched: loops without
+        // it match too. `spin` is matched by every match, and pins.
+        let patch = "@r@\nexpression c;\n@@\n\
+                     while (c) { ... when != zap(); spin(); }\n";
+        assert_eq!(token_atoms(patch), ["spin"]);
+        let src = "void f(int a) { while (a) { a--; spin(); } while (a) { zap(); spin(); } }\n\
+                   void g(int b) { while (b) { b--; spin(); } }\n";
+        let (run, _) = pinned_run(patch, src);
+        assert!(run.atom_pinned > 0);
+        let patch = "@r@\nexpression c;\n@@\n- while (c) { ... when != zap() }\n+ idle(c);\n";
+        assert!(token_atoms(patch).is_empty());
+        let (run, out) = pinned_run(patch, "void f(int a) { while (a) { a--; } }\n");
+        assert_eq!(run.atom_pinned, 0);
+        assert_eq!(out, "void f(int a) { idle(a); }\n");
+    }
+
+    #[test]
+    fn atom_in_comments_and_strings_is_no_occurrence() {
+        let patch = "@@\nexpression e;\n@@\n- foo(e);\n+ bar(e);\n";
+        // One real call among comments and strings naming it.
+        let src = "/* foo(1); foo(2); */\n\
+                   void f(void) { puts(\"foo(3);\"); foo(4); // foo(5);\n}\n";
+        let (run, out) = pinned_run(patch, src);
+        assert!(run.atom_pinned > 0);
+        assert_eq!(
+            out,
+            "/* foo(1); foo(2); */\n\
+             void f(void) { puts(\"foo(3);\"); bar(4); // foo(5);\n}\n"
+        );
+        // Only in comments and strings: the prefilter keeps the file, and
+        // the pinned search finds no occurrence, so no match.
+        let src = "/* foo(1); */\nvoid f(void) { puts(\"foo(2);\"); }\n";
+        let (run, out) = pinned_run(patch, src);
+        assert!(run.atom_pinned > 0);
+        assert_eq!(out, src);
+    }
+
+    #[test]
+    fn atom_inside_sizeof_pins() {
+        let patch = "@@\n@@\n- sizeof(big_t)\n+ BIG_SIZE\n";
+        assert_eq!(token_atoms(patch), ["big_t"]);
+        let src = "void f(int n) { n = sizeof(big_t) * 2; g(sizeof( big_t ), sizeof(small_t)); }\n";
+        let (run, out) = pinned_run(patch, src);
+        assert!(run.atom_pinned > 0);
+        assert_eq!(
+            out,
+            "void f(int n) { n = BIG_SIZE * 2; g(BIG_SIZE, sizeof(small_t)); }\n"
+        );
+    }
+
+    #[test]
+    fn type_name_atom_pins_a_declaration_pattern() {
+        let patch = "@@\nidentifier v;\n@@\n- __half v;\n+ rocblas_half v;\n";
+        assert_eq!(token_atoms(patch), ["__half"]);
+        // Function-local declarations are pinned roots; the top-level one
+        // is found by the walk of the top level that every search keeps.
+        let src = "__half g;\nvoid f(void) { __half h; double r; }\nvoid k(void) { if (1) { __half q; } }\n";
+        let (run, out) = pinned_run(patch, src);
+        assert!(run.atom_pinned > 0);
+        assert_eq!(
+            out,
+            "rocblas_half g;\nvoid f(void) { rocblas_half h; double r; }\n\
+             void k(void) { if (1) { rocblas_half q; } }\n"
+        );
+    }
+
+    #[test]
+    fn occurrences_in_namespaces_extern_blocks_and_initializers_pin() {
+        // The inner `foo(4)` overlaps the outer call's claim.
+        let patch = "#spatch --c++\n@@\nexpression e;\n@@\n- foo(e)\n+ bar(e)\n";
+        let src = "int t = foo(1) + 2;\nint u;\nnamespace N { void f(void) { x = foo(2); } }\n\
+                   extern \"C\" { int w = foo(3); void g(void) { foo(foo(4)); } }\n";
+        let text = padded(src, 40);
+        let run = same_as_reference(patch, &[("p.cc", &text)]);
+        assert!(run.atom_pinned > 0);
+        let out = run.outputs[0].as_deref().unwrap();
+        assert!(
+            out.starts_with(
+                "int t = bar(1) + 2;\nint u;\nnamespace N { void f(void) { x = bar(2); } }\n\
+                 extern \"C\" { int w = bar(3); void g(void) { bar(foo(4)); } }\n"
+            ),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn unlisted_statements_pin() {
+        // Unbraced branches and bodies and labelled statements are roots
+        // that no block lists.
+        let patch = "@@\nexpression e;\n@@\n- foo(e);\n+ bar(e);\n";
+        let src = "void f(int x) {\n  if (x) foo(1); else foo(2);\n  L: foo(3);\n  \
+                   while (x) foo(4);\n  switch (x) { case 1: foo(5); }\n}\n";
+        let (run, out) = pinned_run(patch, src);
+        assert!(run.atom_pinned > 0);
+        assert_eq!(out, src.replace("foo(", "bar("));
+    }
+
+    #[test]
+    fn dense_atom_takes_the_walk() {
+        let patch = "@@\nexpression e;\n@@\n- foo(e);\n+ bar(e);\n";
+        let mut src = String::from("void f(int x) {\n");
+        for i in 0..50 {
+            src.push_str(&format!("  foo({i});\n"));
+        }
+        src.push_str("}\n");
+        let run = same_as_reference(patch, &[("d.c", &src)]);
+        assert_eq!(run.atom_pinned, 0);
+        assert_eq!(
+            run.outputs[0].as_deref(),
+            Some(src.replace("foo(", "bar(").as_str())
+        );
+    }
+
+    #[test]
+    fn rule_matrix_rules_give_the_same_result_pinned_as_walked() {
+        use cocci_workloads::rule_matrix::{
+            rule_matrix_codebase, rule_matrix_rules, RuleMatrixSpec,
+        };
+        for seed in [1, 7, 0xC0CC1] {
+            let spec = RuleMatrixSpec {
+                rules: 12,
+                files: 4,
+                functions_per_file: 96,
+                overlap: 3,
+                seed,
+            };
+            let files = rule_matrix_codebase(&spec);
+            let files: Vec<(&str, &str)> = files
+                .iter()
+                .map(|f| (f.name.as_str(), f.text.as_str()))
+                .collect();
+            let mut pinned = 0;
+            for rule in rule_matrix_rules(&spec) {
+                pinned += same_as_reference(&rule.text, &files).atom_pinned;
+            }
+            assert!(pinned > 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn root_items_find_the_item_holding_an_offset() {
+        let src = "#include <a.h>\nint t = w(1);\nint u;\n\
+                   namespace N { void f(void) { g(); } namespace M { int v = g(); } }\n\
+                   extern \"C\" { void h(void) { g(); } }\nvoid e(void) { }\n";
+        let tu = parse_translation_unit(src, ParseOptions::cpp(), &NoMeta).unwrap();
+        let items = RootItems::new(&tu).unwrap();
+        let text = |it: &Item| &src[it.span().start as usize..it.span().end as usize];
+        let all: Vec<&str> = (0..items.spans.len())
+            .map(|i| text(items.item(&tu, i)))
+            .collect();
+        assert_eq!(
+            all,
+            [
+                "int t = w(1);",
+                "void f(void) { g(); }",
+                "int v = g();",
+                "void h(void) { g(); }",
+                "void e(void) { }"
+            ]
+        );
+        let offsets: Vec<u32> = src.match_indices("g()").map(|(at, _)| at as u32).collect();
+        assert_eq!(items.holding(&offsets), [1, 2, 3]);
+        // Offsets outside every item (the directive, `int u;`, a
+        // namespace's own tokens) hold nothing.
+        let outside = [
+            0,
+            src.find("int u").unwrap() as u32,
+            src.find("N {").unwrap() as u32,
+        ];
+        assert!(items.holding(&outside).is_empty());
     }
 
     fn rule<'p>(patch: &'p SemanticPatch, name: &str) -> &'p TransformRule {

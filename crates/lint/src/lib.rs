@@ -38,6 +38,7 @@ use std::fmt;
 
 use cocci_cast::render::{render_expr, render_stmt};
 use cocci_cast::{visit, DotsQuant, Expr, Item, Stmt};
+use cocci_core::compile::CompiledRule;
 use cocci_core::findings::{Finding, SarifRule};
 use cocci_core::{flowmatch, CompiledRuleSet};
 use cocci_smpl::prefilter;
@@ -215,45 +216,26 @@ fn is_word(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Word-boundary occurrences of `needle` in `hay`.
+/// Word-boundary occurrences of `needle` in `hay`. Rule lines and
+/// metavariable names are short, so a plain byte scan beats setting up a
+/// substring searcher per call.
 fn word_count(hay: &str, needle: &str) -> usize {
-    if needle.is_empty() {
+    let (hay, needle) = (hay.as_bytes(), needle.as_bytes());
+    let Some(&first) = needle.first() else {
+        return 0;
+    };
+    if needle.len() > hay.len() {
         return 0;
     }
-    let bytes = hay.as_bytes();
-    let mut n = 0;
-    let mut start = 0;
-    while let Some(pos) = hay[start..].find(needle) {
-        let abs = start + pos;
-        let end = abs + needle.len();
-        let before_ok = abs == 0 || !is_word(bytes[abs - 1]);
-        let after_ok = end >= bytes.len() || !is_word(bytes[end]);
-        if before_ok && after_ok {
-            n += 1;
-        }
-        start = abs + 1;
-    }
-    n
-}
-
-/// 1-based line of the rule's `@…@` header in `text` (best effort: the
-/// first line starting with `@` whose first header word is `name`).
-fn rule_header_line(text: Option<&str>, name: Option<&str>) -> u32 {
-    let (Some(text), Some(name)) = (text, name) else {
-        return 1;
-    };
-    for (i, line) in text.lines().enumerate() {
-        let lt = line.trim_start();
-        if let Some(rest) = lt.strip_prefix('@') {
-            let rest = rest.trim_start();
-            if let Some(after) = rest.strip_prefix(name) {
-                if !after.as_bytes().first().copied().is_some_and(is_word) {
-                    return (i + 1) as u32;
-                }
-            }
-        }
-    }
-    1
+    (0..=hay.len() - needle.len())
+        .filter(|&at| {
+            let end = at + needle.len();
+            hay[at] == first
+                && &hay[at..end] == needle
+                && (at == 0 || !is_word(hay[at - 1]))
+                && hay.get(end).is_none_or(|&b| !is_word(b))
+        })
+        .count()
 }
 
 fn mk(id: &'static str, level: LintLevel, source: &str, line: u32, message: String) -> Lint {
@@ -381,6 +363,12 @@ fn push_decl(sig: &mut String, m: &cocci_smpl::MetaDecl) {
 /// the patch has no transform rule (nothing to deduplicate).
 pub fn patch_signature(patch: &SemanticPatch) -> Option<String> {
     let mut sig = String::with_capacity(256);
+    write_signature(patch, &mut sig).then_some(sig)
+}
+
+/// Append [`patch_signature`]'s text to `sig`; `false` when the patch
+/// has no transform rule.
+fn write_signature(patch: &SemanticPatch, sig: &mut String) -> bool {
     let mut transforms = 0usize;
     for rule in &patch.rules {
         if let Rule::Transform(t) = rule {
@@ -389,11 +377,11 @@ pub fn patch_signature(patch: &SemanticPatch) -> Option<String> {
                 sig.push('\u{1f}');
             }
             if let Some(d) = &t.depends {
-                push_dep(&mut sig, d);
+                push_dep(sig, d);
             }
             sig.push('|');
             for m in &t.metavars {
-                push_decl(&mut sig, m);
+                push_decl(sig, m);
             }
             sig.push('|');
             for l in &t.body.lines {
@@ -419,11 +407,17 @@ pub fn patch_signature(patch: &SemanticPatch) -> Option<String> {
             }
         }
     }
-    if transforms == 0 {
-        None
-    } else {
-        Some(sig)
-    }
+    transforms > 0
+}
+
+/// A 64-bit hash of a signature text: one multiply-rotate round per
+/// 8-byte word.
+fn sig_hash(sig: &str) -> u64 {
+    sig.as_bytes().chunks(8).fold(sig.len() as u64, |h, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
 /// Lint one parsed patch (classes SPL01–SPL07). `source` names the rule
@@ -439,7 +433,7 @@ pub fn lint_patch(
     lint_patch_impl(patch, source, text, cfg, None)
 }
 
-/// Worker behind [`lint_patch`] and [`lint_ruleset`]. `atoms_empty`, when
+/// Worker behind [`lint_patch`] and [`lint_ruleset`]. `compiled`, when
 /// given, is aligned with `patch.rules` and answers SPL06's "does this
 /// transform rule export prefilter atoms?" from the compile-time cache,
 /// sparing a second pattern walk per rule.
@@ -448,7 +442,7 @@ fn lint_patch_impl(
     source: &str,
     text: Option<&str>,
     cfg: &LintConfig,
-    atoms_empty: Option<&[Option<bool>]>,
+    compiled: Option<&[CompiledRule]>,
 ) -> Vec<Lint> {
     let mut out = Vec::new();
     let mut emit = |id: &'static str, line: u32, message: String| {
@@ -504,7 +498,8 @@ fn lint_patch_impl(
 
     for (ri, rule) in patch.rules.iter().enumerate() {
         let rn = rule.name().unwrap_or("<anonymous>");
-        let line = rule_header_line(text, rule.name());
+        // The parser recorded where the rule's header sits in `text`.
+        let line = text.map_or(1, |_| rule.header_line() as u32);
 
         // SPL04: dependency edges, for transform and script rules alike.
         let depends = match rule {
@@ -546,7 +541,9 @@ fn lint_patch_impl(
 
         match rule {
             Rule::Transform(t) => {
-                let no_atoms = atoms_empty.and_then(|cache| cache.get(ri).copied().flatten());
+                let no_atoms = compiled
+                    .and_then(|rules| rules.get(ri)?.atoms.as_ref())
+                    .map(|atoms| atoms.is_empty());
                 lint_transform(t, rn, line, &external, no_atoms, &mut emit);
                 if any_script {
                     if let Some(name) = &t.name {
@@ -709,8 +706,11 @@ fn lint_transform(
         }
     }
 
-    // SPL05: dead disjunction branches.
-    lint_disjunctions(t, rn, line, emit);
+    // SPL05: dead disjunction branches. Every disjunction opens with a
+    // `\(` token, so a body without that text has none.
+    if t.body.raw.contains("\\(") {
+        lint_disjunctions(t, rn, line, emit);
+    }
 
     // SPL06: no guaranteed literal atoms — the corpus prefilter cannot
     // prune a single file for this rule, forcing a parse of everything.
@@ -878,31 +878,48 @@ pub fn lint_duplicates(entries: &[(&str, &str, &SemanticPatch)], cfg: &LintConfi
     if level == LintLevel::Allow {
         return Vec::new();
     }
-    let mut seen: HashMap<String, usize> = HashMap::new();
+    // Signatures are compared by hash, written one after another into one
+    // buffer, and equal hashes are confirmed by comparing the texts.
+    let mut sig = String::new();
+    let mut keyed: Vec<(u64, usize)> = Vec::with_capacity(entries.len());
+    for (i, (_, _, patch)) in entries.iter().enumerate() {
+        sig.clear();
+        if write_signature(patch, &mut sig) {
+            keyed.push((sig_hash(&sig), i));
+        }
+    }
+    keyed.sort_unstable();
+    // (later entry, first entry with its signature) in entry order.
+    let mut twins: Vec<(usize, usize)> = Vec::new();
+    for same_hash in keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|run| run.len() > 1)
+    {
+        let mut firsts: Vec<(usize, Option<String>)> = Vec::new();
+        for &(_, i) in same_hash {
+            let sig = patch_signature(entries[i].2);
+            match firsts.iter().find(|(_, s)| *s == sig) {
+                Some(&(fi, _)) => twins.push((i, fi)),
+                None => firsts.push((i, sig)),
+            }
+        }
+    }
+    twins.sort_unstable();
     let mut out = Vec::new();
-    for (i, (id, source, patch)) in entries.iter().enumerate() {
-        let Some(sig) = patch_signature(patch) else {
-            continue;
-        };
-        match seen.get(&sig) {
-            Some(&fi) => {
-                let (first_id, first_src, _) = entries[fi];
-                if first_id != *id {
-                    out.push(mk(
-                        "SPL08",
-                        level,
-                        source,
-                        1,
-                        format!(
-                            "rule `{id}` duplicates rule `{first_id}` ({first_src}): \
-                             identical normalized pattern under a second id"
-                        ),
-                    ));
-                }
-            }
-            None => {
-                seen.insert(sig, i);
-            }
+    for (i, fi) in twins {
+        let (id, source, _) = entries[i];
+        let (first_id, first_src, _) = entries[fi];
+        if first_id != id {
+            out.push(mk(
+                "SPL08",
+                level,
+                source,
+                1,
+                format!(
+                    "rule `{id}` duplicates rule `{first_id}` ({first_src}): \
+                     identical normalized pattern under a second id"
+                ),
+            ));
         }
     }
     out
@@ -916,18 +933,12 @@ pub fn lint_ruleset(set: &CompiledRuleSet, cfg: &LintConfig) -> Vec<Lint> {
     for r in &set.rules {
         // SPL06 reads the prefilter atoms the compiler already extracted
         // instead of re-walking each rule's pattern.
-        let atoms_empty: Vec<Option<bool>> = r
-            .compiled
-            .rules
-            .iter()
-            .map(|cr| cr.atoms.as_ref().map(|a| a.is_empty()))
-            .collect();
         out.extend(lint_patch_impl(
             &r.compiled.patch,
             &r.meta.source,
             Some(&r.meta.text),
             cfg,
-            Some(&atoms_empty),
+            Some(&r.compiled.rules),
         ));
     }
     let entries: Vec<(&str, &str, &SemanticPatch)> = set
@@ -1160,6 +1171,17 @@ mod tests {
         assert_eq!(ids(&l), vec!["SPL08"]);
         assert!(l[0].finding.message.contains("duplicates rule `first`"));
         assert_eq!(l[0].finding.path, "rules/second.cocci");
+    }
+
+    #[test]
+    fn every_rule_anchors_at_its_own_header() {
+        // An anonymous rule and a script rule anchor where the parser
+        // read their headers.
+        let src = "// leading comment\n@@\nexpression e, dead;\n@@\n- f(e);\n+ g(e);\n\n\
+                   @script:python s depends on nope@\n@@\nprint(1)\n";
+        let l = lint_src(src);
+        let at: Vec<(&str, u32)> = l.iter().map(|l| (l.id, l.finding.line)).collect();
+        assert_eq!(at, [("SPL01", 2), ("SPL04", 8)]);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use cocci_cast::lexer::{lex, LexMode};
 use cocci_cast::parser::{
     parse_expression, parse_statements, parse_translation_unit, MetaKind, MetaLookup, ParseOptions,
 };
-use cocci_cast::{visit, DotsQuant, Expr, Item, Lang, Stmt, Token, TokenKind};
+use cocci_cast::{visit, DotsQuant, Expr, ForInit, Item, Lang, Punct, Stmt, Token, TokenKind};
 
 /// Per-line annotation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,12 +285,102 @@ impl RuleBody {
         })
     }
 
+    /// The index of the first `+` line whose `...` stands for code: an
+    /// argument, expression or statement run. The rewriter ties dots to
+    /// what they matched only on context and `-` lines, so such a line
+    /// would be copied verbatim, which is not C. Varargs `...` closing a
+    /// parameter list is legal. Each `+` group holding a `...` is parsed
+    /// on its own (with `metavars` in scope); a group that does not
+    /// parse alone allows only the `, ...)` of a parameter list.
+    pub fn plus_dots_line(&self, metavars: &[MetaDecl], lang: Lang) -> Option<usize> {
+        let is_dots = |t: &Token| t.kind == TokenKind::Punct(Punct::Ellipsis);
+        self.plus_groups.iter().find_map(|g| {
+            let lines = &self.lines[g.lines.0..g.lines.1];
+            let tokens: Vec<&Token> = lines.iter().flat_map(|l| &l.tokens).collect();
+            if !tokens.iter().any(|t| is_dots(t)) {
+                return None;
+            }
+            let text: Vec<&str> = lines.iter().map(|l| l.text.as_str()).collect();
+            let base = lines[0].start;
+            let at = match classify_body(&text.join("\n"), lang, &DeclLookup(metavars)) {
+                Ok(pattern) => code_dots(&pattern).map(|at| base + at),
+                Err(_) => tokens.iter().enumerate().find_map(|(i, t)| {
+                    let param_end = i > 0
+                        && matches!(
+                            tokens[i - 1].kind,
+                            TokenKind::Punct(Punct::Comma | Punct::LParen)
+                        )
+                        && tokens
+                            .get(i + 1)
+                            .is_some_and(|n| n.kind == TokenKind::Punct(Punct::RParen));
+                    (is_dots(t) && !param_end).then_some(t.span.start)
+                }),
+            };
+            at.map(|at| self.line_of_offset(at))
+        })
+    }
+
     /// Whether any `+` group's anchor falls strictly inside `span`.
     pub fn span_has_interior_plus(&self, span: cocci_source::Span) -> bool {
         self.plus_groups
             .iter()
             .any(|g| g.anchor > span.start && g.anchor < span.end)
     }
+}
+
+/// The offset of the first `...` in `pattern` that stands for code:
+/// statement dots, expression dots (arguments, initializers, operands)
+/// and `for` header dots. Varargs is a parameter list's flag, no node.
+fn code_dots(pattern: &Pattern) -> Option<u32> {
+    let mut at = Vec::new();
+    match pattern {
+        Pattern::Expr(e) => expr_dots(e, &mut at),
+        Pattern::Stmts(stmts) => stmts.iter().for_each(|s| stmt_dots(s, &mut at)),
+        Pattern::Items(items) => {
+            for it in items {
+                match it {
+                    Item::Function(f) => f.body.stmts.iter().for_each(|s| stmt_dots(s, &mut at)),
+                    Item::Decl(d) => {
+                        for dr in &d.declarators {
+                            let exprs = dr.array.iter().flatten().chain(&dr.init);
+                            exprs.for_each(|e| expr_dots(e, &mut at));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    at.into_iter().min()
+}
+
+fn expr_dots(e: &Expr, at: &mut Vec<u32>) {
+    visit::walk_expr(e, &mut |x| {
+        if let Expr::Dots { span } = x {
+            at.push(span.start);
+        }
+    });
+}
+
+fn stmt_dots(s: &Stmt, at: &mut Vec<u32>) {
+    visit::walk_stmt(s, &mut |st| {
+        match st {
+            Stmt::Dots { span, .. } => at.push(span.start),
+            Stmt::For {
+                init: Some(init), ..
+            } => {
+                if let ForInit::Dots { span } = &**init {
+                    at.push(span.start);
+                }
+            }
+            _ => {}
+        }
+        visit::stmt_exprs(st, &mut |e| {
+            if let Expr::Dots { span } = e {
+                at.push(span.start);
+            }
+        });
+    });
 }
 
 /// Determine the annotation of a raw body line and produce its display

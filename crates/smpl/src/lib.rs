@@ -87,6 +87,15 @@ impl Rule {
             Rule::Initialize(_) | Rule::Finalize(_) => None,
         }
     }
+
+    /// The 1-based line of the rule's `@…@` header in the patch source.
+    pub fn header_line(&self) -> usize {
+        match self {
+            Rule::Transform(t) => t.header_line,
+            Rule::Script(s) => s.header_line,
+            Rule::Initialize(b) | Rule::Finalize(b) => b.header_line,
+        }
+    }
 }
 
 /// Dependency expression in `depends on …`.
@@ -113,6 +122,8 @@ pub struct TransformRule {
     pub metavars: Vec<MetaDecl>,
     /// The annotated body.
     pub body: RuleBody,
+    /// 1-based line of the `@…@` header in the patch source.
+    pub header_line: usize,
 }
 
 impl TransformRule {
@@ -237,6 +248,8 @@ pub struct ScriptRule {
     pub outputs: Vec<String>,
     /// The script source.
     pub code: String,
+    /// 1-based line of the `@…@` header in the patch source.
+    pub header_line: usize,
 }
 
 /// An initialize/finalize block.
@@ -246,6 +259,8 @@ pub struct ScriptBlock {
     pub lang: String,
     /// The script source.
     pub code: String,
+    /// 1-based line of the `@…@` header in the patch source.
+    pub header_line: usize,
 }
 
 #[cfg(test)]

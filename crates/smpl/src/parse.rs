@@ -137,6 +137,7 @@ pub fn parse_semantic_patch(src: &str) -> Result<SemanticPatch, SmplError> {
             rules.push(Rule::Initialize(ScriptBlock {
                 lang: lang_tag,
                 code: body_text,
+                header_line: header_line_idx + 1,
             }));
             continue;
         }
@@ -145,6 +146,7 @@ pub fn parse_semantic_patch(src: &str) -> Result<SemanticPatch, SmplError> {
             rules.push(Rule::Finalize(ScriptBlock {
                 lang: lang_tag,
                 code: body_text,
+                header_line: header_line_idx + 1,
             }));
             continue;
         }
@@ -165,6 +167,7 @@ pub fn parse_semantic_patch(src: &str) -> Result<SemanticPatch, SmplError> {
                 inputs,
                 outputs,
                 code: body_text,
+                header_line: header_line_idx + 1,
             }));
             continue;
         }
@@ -180,6 +183,7 @@ pub fn parse_semantic_patch(src: &str) -> Result<SemanticPatch, SmplError> {
             depends,
             metavars,
             body,
+            header_line: header_line_idx + 1,
         }));
     }
 

@@ -45,9 +45,38 @@ use std::collections::HashMap;
 /// prefiltered.
 pub fn rule_atoms(rule: &TransformRule) -> Vec<String> {
     pattern_atoms(&rule.body.pattern, &rule.metavars, None)
+        .into_iter()
+        .map(|a| a.text)
+        .collect()
 }
 
-/// Required atoms for a classified pattern with `metavars` in scope.
+/// One required atom of a pattern.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Atom {
+    /// The literal text every file a match is found in contains.
+    pub text: String,
+    /// Whether every match also holds the atom as one whole identifier
+    /// token inside the node it matched at: a non-metavariable
+    /// identifier, type or field name, or a `symbol` metavariable, on a
+    /// path every match walks. String and float literals, `::` segments
+    /// and multi-word names, keywords, directive words and `=~` factors
+    /// are text only.
+    pub token: bool,
+}
+
+impl Atom {
+    /// A text-only atom.
+    fn text(text: impl Into<String>) -> Atom {
+        Atom {
+            text: text.into(),
+            token: false,
+        }
+    }
+}
+
+/// Required atoms for a classified pattern with `metavars` in scope,
+/// sorted by text and deduplicated (an atom is a token atom when any of
+/// its required occurrences is one).
 ///
 /// `regexes` lets a caller that has already compiled the rule's `=~`
 /// constraints (keyed by metavariable name) share them; without it, any
@@ -57,7 +86,7 @@ pub fn pattern_atoms(
     pattern: &Pattern,
     metavars: &[MetaDecl],
     regexes: Option<&HashMap<String, Regex>>,
-) -> Vec<String> {
+) -> Vec<Atom> {
     let cx = Cx { metavars, regexes };
     let mut out = Vec::new();
     match pattern {
@@ -69,9 +98,10 @@ pub fn pattern_atoms(
             }
         }
     }
-    out.retain(|a| !a.is_empty());
-    out.sort();
-    out.dedup();
+    out.retain(|a| !a.text.is_empty());
+    // Token occurrences sort first, so the one kept holds the flag.
+    out.sort_by(|a, b| a.text.cmp(&b.text).then(b.token.cmp(&a.token)));
+    out.dedup_by(|later, kept| later.text == kept.text);
     out
 }
 
@@ -91,20 +121,20 @@ impl Cx<'_> {
 
     /// Atoms guaranteed by a bound identifier-kind metavariable: the
     /// literal factors of its `=~` constraint, if any.
-    fn regex_atoms(&self, name: &str, out: &mut Vec<String>) {
+    fn regex_atoms(&self, name: &str, out: &mut Vec<Atom>) {
         if let Some(compiled) = self.regexes.and_then(|m| m.get(name)) {
             if matches!(
                 self.decl(name).and_then(|d| d.constraint.as_ref()),
                 Some(Constraint::Regex(_))
             ) {
-                out.extend(compiled.required_literals().iter().cloned());
+                out.extend(compiled.required_literals().iter().map(Atom::text));
             }
             return;
         }
         if let Some(decl) = self.decl(name) {
             if let Some(Constraint::Regex(re)) = &decl.constraint {
                 if let Ok(re) = Regex::new(re) {
-                    out.extend(re.required_literals().iter().cloned());
+                    out.extend(re.required_literals().iter().map(Atom::text));
                 }
             }
         }
@@ -112,7 +142,7 @@ impl Cx<'_> {
 
     /// An identifier occurrence that, per `match_ident`, either binds an
     /// identifier-kind metavariable or must appear literally.
-    fn ident(&self, id: &Ident, out: &mut Vec<String>) {
+    fn ident(&self, id: &Ident, out: &mut Vec<Atom>) {
         match self.kind(id.name.as_str()) {
             Some(
                 MetaDeclKind::Identifier
@@ -124,7 +154,7 @@ impl Cx<'_> {
         }
     }
 
-    fn expr(&self, e: &Expr, out: &mut Vec<String>) {
+    fn expr(&self, e: &Expr, out: &mut Vec<Atom>) {
         match e {
             Expr::Ident(id) => match self.kind(id.name.as_str()) {
                 Some(
@@ -147,7 +177,7 @@ impl Cx<'_> {
             // `'a'` ≘ `97`).
             Expr::IntLit { .. } | Expr::CharLit { .. } => {}
             Expr::FloatLit { raw, .. } | Expr::StrLit { raw, .. } => {
-                out.push(raw.as_str().to_string())
+                out.push(Atom::text(raw.as_str()))
             }
             Expr::Paren { inner, .. } => self.expr(inner, out),
             Expr::Unary { expr, .. } => self.expr(expr, out),
@@ -187,7 +217,7 @@ impl Cx<'_> {
             } => {
                 // Kernel launches never const-fold, so the launch marker
                 // itself is a required (and highly selective) atom.
-                out.push("<<<".to_string());
+                out.push(Atom::text("<<<"));
                 self.expr(callee, out);
                 self.expr_list(config, out);
                 self.expr_list(args, out);
@@ -208,10 +238,15 @@ impl Cx<'_> {
                 self.expr(expr, out);
             }
             Expr::Sizeof { arg, .. } => {
-                out.push("sizeof".to_string());
+                out.push(Atom::text("sizeof"));
                 if self.kind(arg.as_str()).is_none() && !arg.as_str().contains(char::is_whitespace)
                 {
-                    out.push(arg.as_str().to_string());
+                    // The operand is compared as raw text: one identifier
+                    // is one token of the source operand.
+                    out.push(Atom {
+                        text: arg.as_str().to_string(),
+                        token: is_identifier(arg.as_str()),
+                    });
                 }
             }
             Expr::InitList { elems, .. } => self.expr_list(elems, out),
@@ -226,13 +261,13 @@ impl Cx<'_> {
         }
     }
 
-    fn expr_list(&self, list: &[Expr], out: &mut Vec<String>) {
+    fn expr_list(&self, list: &[Expr], out: &mut Vec<Atom>) {
         for e in list {
             self.expr(e, out);
         }
     }
 
-    fn ty(&self, t: &Type, out: &mut Vec<String>) {
+    fn ty(&self, t: &Type, out: &mut Vec<Atom>) {
         match &t.kind {
             TypeKind::Named { name, .. } => {
                 if matches!(self.kind(name.as_str()), Some(MetaDeclKind::Identifier)) {
@@ -242,28 +277,28 @@ impl Cx<'_> {
                 }
             }
             TypeKind::Record { keyword, name, .. } => {
-                out.push(keyword.as_str().to_string());
+                out.push(Atom::text(keyword.as_str()));
                 if let Some(n) = name {
                     push_name(n.as_str(), out);
                 }
             }
             TypeKind::Ptr(inner) | TypeKind::Ref(inner) => self.ty(inner, out),
             TypeKind::Qualified { quals, inner } => {
-                out.extend(quals.iter().map(|q| q.as_str().to_string()));
+                out.extend(quals.iter().map(|q| Atom::text(q.as_str())));
                 self.ty(inner, out);
             }
             TypeKind::Meta { .. } => {}
         }
     }
 
-    fn directive(&self, d: &Directive, out: &mut Vec<String>) {
+    fn directive(&self, d: &Directive, out: &mut Vec<Atom>) {
         match d.kind {
             DirectiveKind::Include => {
-                out.push("include".to_string());
-                out.push(d.payload.clone());
+                out.push(Atom::text("include"));
+                out.push(Atom::text(d.payload.as_str()));
             }
             DirectiveKind::Pragma => {
-                out.push("pragma".to_string());
+                out.push(Atom::text("pragma"));
                 for word in d.payload.split_whitespace() {
                     if word == "..." {
                         continue;
@@ -271,17 +306,17 @@ impl Cx<'_> {
                     match self.kind(word) {
                         Some(MetaDeclKind::Identifier) => self.regex_atoms(word, out),
                         Some(_) => {}
-                        None => out.push(word.to_string()),
+                        None => out.push(Atom::text(word)),
                     }
                 }
             }
             // Define/Other match by exact raw-text equality, so every word
             // is required (metavariables are *not* substituted there).
-            _ => out.extend(d.raw.split_whitespace().map(str::to_string)),
+            _ => out.extend(d.raw.split_whitespace().map(Atom::text)),
         }
     }
 
-    fn decl_atoms(&self, d: &Declaration, out: &mut Vec<String>) {
+    fn decl_atoms(&self, d: &Declaration, out: &mut Vec<Atom>) {
         for s in &d.specifiers {
             push_name(s.name.as_str(), out);
         }
@@ -303,8 +338,8 @@ impl Cx<'_> {
         }
     }
 
-    fn attr(&self, a: &Attribute, out: &mut Vec<String>) {
-        out.push("__attribute__".to_string());
+    fn attr(&self, a: &Attribute, out: &mut Vec<Atom>) {
+        out.push(Atom::text("__attribute__"));
         for item in &a.items {
             self.ident(&item.name, out);
             if let Some(args) = &item.args {
@@ -313,7 +348,7 @@ impl Cx<'_> {
         }
     }
 
-    fn params(&self, params: &[Param], out: &mut Vec<String>) {
+    fn params(&self, params: &[Param], out: &mut Vec<Atom>) {
         for p in params {
             if p.meta_list {
                 continue;
@@ -325,13 +360,13 @@ impl Cx<'_> {
         }
     }
 
-    fn stmt_seq(&self, stmts: &[Stmt], out: &mut Vec<String>) {
+    fn stmt_seq(&self, stmts: &[Stmt], out: &mut Vec<Atom>) {
         for s in stmts {
             self.stmt(s, out);
         }
     }
 
-    fn stmt(&self, s: &Stmt, out: &mut Vec<String>) {
+    fn stmt(&self, s: &Stmt, out: &mut Vec<Atom>) {
         match s {
             Stmt::Expr { expr, .. } => self.expr(expr, out),
             Stmt::Decl(d) => self.decl_atoms(d, out),
@@ -342,22 +377,22 @@ impl Cx<'_> {
                 else_branch,
                 ..
             } => {
-                out.push("if".to_string());
+                out.push(Atom::text("if"));
                 self.expr(cond, out);
                 self.stmt(then_branch, out);
                 if let Some(e) = else_branch {
-                    out.push("else".to_string());
+                    out.push(Atom::text("else"));
                     self.stmt(e, out);
                 }
             }
             Stmt::While { cond, body, .. } => {
-                out.push("while".to_string());
+                out.push(Atom::text("while"));
                 self.expr(cond, out);
                 self.stmt(body, out);
             }
             Stmt::DoWhile { body, cond, .. } => {
-                out.push("do".to_string());
-                out.push("while".to_string());
+                out.push(Atom::text("do"));
+                out.push(Atom::text("while"));
                 self.expr(cond, out);
                 self.stmt(body, out);
             }
@@ -368,7 +403,7 @@ impl Cx<'_> {
                 body,
                 ..
             } => {
-                out.push("for".to_string());
+                out.push(Atom::text("for"));
                 match init.as_deref() {
                     Some(ForInit::Decl(d)) => self.decl_atoms(d, out),
                     Some(ForInit::Expr(e)) => self.expr(e, out),
@@ -385,20 +420,20 @@ impl Cx<'_> {
                 body,
                 ..
             } => {
-                out.push("for".to_string());
+                out.push(Atom::text("for"));
                 self.ty(ty, out);
                 self.ident(var, out);
                 self.expr(range, out);
                 self.stmt(body, out);
             }
             Stmt::Return { value, .. } => {
-                out.push("return".to_string());
+                out.push(Atom::text("return"));
                 self.opt_expr(value.as_ref(), out);
             }
-            Stmt::Break { .. } => out.push("break".to_string()),
-            Stmt::Continue { .. } => out.push("continue".to_string()),
+            Stmt::Break { .. } => out.push(Atom::text("break")),
+            Stmt::Continue { .. } => out.push(Atom::text("continue")),
             Stmt::Goto { label, .. } => {
-                out.push("goto".to_string());
+                out.push(Atom::text("goto"));
                 self.ident(label, out);
             }
             Stmt::Label { label, stmt, .. } => {
@@ -408,17 +443,17 @@ impl Cx<'_> {
             Stmt::Switch {
                 scrutinee, body, ..
             } => {
-                out.push("switch".to_string());
+                out.push(Atom::text("switch"));
                 self.expr(scrutinee, out);
                 self.stmt(body, out);
             }
             Stmt::Case { value, stmt, .. } => {
                 match value {
                     Some(v) => {
-                        out.push("case".to_string());
+                        out.push(Atom::text("case"));
                         self.expr(v, out);
                     }
-                    None => out.push("default".to_string()),
+                    None => out.push(Atom::text("default")),
                 }
                 self.stmt(stmt, out);
             }
@@ -442,7 +477,7 @@ impl Cx<'_> {
         }
     }
 
-    fn opt_expr(&self, e: Option<&Expr>, out: &mut Vec<String>) {
+    fn opt_expr(&self, e: Option<&Expr>, out: &mut Vec<Atom>) {
         // `...` in an optional slot matches presence *or* absence.
         if let Some(e) = e {
             if !matches!(e, Expr::Dots { .. }) {
@@ -451,7 +486,7 @@ impl Cx<'_> {
         }
     }
 
-    fn item(&self, it: &Item, out: &mut Vec<String>) {
+    fn item(&self, it: &Item, out: &mut Vec<Atom>) {
         match it {
             Item::Directive(d) => self.directive(d, out),
             Item::Function(f) => {
@@ -473,7 +508,7 @@ impl Cx<'_> {
         }
     }
 
-    fn atoms_of(&self, f: impl FnOnce(&mut Vec<String>)) -> Vec<String> {
+    fn atoms_of(&self, f: impl FnOnce(&mut Vec<Atom>)) -> Vec<Atom> {
         let mut v = Vec::new();
         f(&mut v);
         v
@@ -481,25 +516,49 @@ impl Cx<'_> {
 }
 
 /// Push a (possibly `::`-qualified, possibly multi-word) name as its
-/// contiguous segments.
-fn push_name(name: &str, out: &mut Vec<String>) {
+/// contiguous segments. A name that is one identifier word is a token
+/// atom: the matcher compares it by equality with a node the parser built
+/// from one identifier token.
+fn push_name(name: &str, out: &mut Vec<Atom>) {
+    if is_identifier(name) {
+        out.push(Atom {
+            text: name.to_string(),
+            token: true,
+        });
+        return;
+    }
     for word in name.split_whitespace() {
         for seg in word.split("::") {
             if !seg.is_empty() {
-                out.push(seg.to_string());
+                out.push(Atom::text(seg));
             }
         }
     }
 }
 
+/// Whether `s` is one C identifier (ASCII letters, digits and `_`, not
+/// starting with a digit).
+fn is_identifier(s: &str) -> bool {
+    s.bytes().next().is_some_and(|b| !b.is_ascii_digit())
+        && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
+}
+
 /// Extend `out` with the intersection of the branch atom sets: only an
-/// atom required by *every* branch is required by the disjunction.
-fn intersect_branches(out: &mut Vec<String>, branches: impl Iterator<Item = Vec<String>>) {
-    let mut common: Option<Vec<String>> = None;
+/// atom required by *every* branch is required by the disjunction, and it
+/// is a token atom only when every branch holds it as one.
+fn intersect_branches(out: &mut Vec<Atom>, branches: impl Iterator<Item = Vec<Atom>>) {
+    let mut common: Option<Vec<Atom>> = None;
     for b in branches {
         common = Some(match common {
             None => b,
-            Some(prev) => prev.into_iter().filter(|a| b.contains(a)).collect(),
+            Some(prev) => prev
+                .into_iter()
+                .filter(|a| b.iter().any(|x| x.text == a.text))
+                .map(|mut a| {
+                    a.token &= b.iter().any(|x| x.text == a.text && x.token);
+                    a
+                })
+                .collect(),
         });
     }
     if let Some(c) = common {
@@ -522,6 +581,60 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// The token atoms of each transform rule of a patch.
+    fn token_atoms_of_patch(src: &str) -> Vec<Vec<String>> {
+        let sp = parse_semantic_patch(src).unwrap();
+        sp.rules
+            .iter()
+            .filter_map(|r| match r {
+                Rule::Transform(t) => Some(
+                    pattern_atoms(&t.body.pattern, &t.metavars, None)
+                        .into_iter()
+                        .filter(|a| a.token)
+                        .map(|a| a.text)
+                        .collect(),
+                ),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn token_atoms_are_whole_identifiers() {
+        // Callee, field and type names are tokens; the string literal and
+        // the statement keyword are text only.
+        let a = token_atoms_of_patch(
+            "@@\nexpression e;\n@@\n- if (p->len) log_it(\"x\", (size_t)e);\n+ f(e);\n",
+        );
+        assert_eq!(a, [["len", "log_it", "p", "size_t"]]);
+        // `::` segments and multi-word type names stay text only.
+        let a = token_atoms_of_patch(
+            "#spatch --c++\n@@\nidentifier v;\n@@\n- unsigned long v = ns::get();\n+ auto v = get();\n",
+        );
+        assert_eq!(a, [Vec::<String>::new()]);
+        // A `symbol` is a token; an `=~` factor is text only.
+        let a =
+            token_atoms_of_patch("@@\nsymbol a;\nidentifier f =~ \"^cu\";\n@@\n- f(a)\n+ g(a)\n");
+        assert_eq!(a, [["a"]]);
+    }
+
+    #[test]
+    fn disjunction_keeps_a_token_only_if_every_branch_has_it() {
+        // `a` is a token in the first branch and only a regex factor in
+        // the second: the disjunction requires the text, not the token.
+        let src = "@@\nidentifier f =~ \"a\";\n@@\n- \\( foo(a) \\| foo(f) \\)\n+ bar()\n";
+        let sp = parse_semantic_patch(src).unwrap();
+        let Rule::Transform(t) = &sp.rules[0] else {
+            unreachable!()
+        };
+        let atoms = pattern_atoms(&t.body.pattern, &t.metavars, None);
+        let tagged: Vec<(&str, bool)> = atoms.iter().map(|a| (a.text.as_str(), a.token)).collect();
+        assert_eq!(tagged, [("a", false), ("foo", true)]);
+        // Within one branch, one token occurrence makes the atom a token.
+        let a = token_atoms_of_patch("@@\n@@\n- foo(\"foo\", foo)\n+ bar()\n");
+        assert_eq!(a, [["foo"]]);
     }
 
     #[test]

@@ -584,3 +584,40 @@ v = checked_init(e);
     let blocked = "void f(void) { x = checked_init(0); log(x); use_raw(x); }\n";
     assert!(apply(patch, blocked).is_none());
 }
+
+// ---- `+` lines and dots ----
+
+const BRACE_TARGET: &str = "void h(void) {\n    f(1, 2);\n    f();\n}\n";
+
+#[test]
+fn plus_line_after_an_opening_brace_gets_its_own_line() {
+    let patch = "@@\n@@\n  void h(void) {\n+ init();\n  ...\n  }\n";
+    assert_eq!(
+        apply(patch, BRACE_TARGET).as_deref(),
+        Some("void h(void) {\n    init();\n    f(1, 2);\n    f();\n}\n")
+    );
+    // A varargs prototype is C, and inserts the same way.
+    let patch = "@@\n@@\n  void h(void) {\n+ int logf(const char *fmt, ...);\n  ...\n  }\n";
+    assert_eq!(
+        apply(patch, BRACE_TARGET).as_deref(),
+        Some("void h(void) {\n    int logf(const char *fmt, ...);\n    f(1, 2);\n    f();\n}\n")
+    );
+}
+
+#[test]
+fn dots_on_a_plus_line_are_a_compile_error() {
+    for patch in [
+        "@@\n@@\n- f(...);\n+ g(...);\n",
+        "@@\nexpression e;\n@@\n- f(e, ...);\n+ g(e, ...);\n",
+    ] {
+        let sp = parse_semantic_patch(patch).unwrap();
+        let err = Patcher::new(&sp).err().expect("refused at compile time");
+        assert!(err.message.contains("`- f` / `+ g` / `(...);`"), "{err}");
+    }
+    // The context spelling keeps each call's arguments.
+    let patch = "@@\n@@\n- f\n+ g\n  (...);\n";
+    assert_eq!(
+        apply(patch, BRACE_TARGET).as_deref(),
+        Some("void h(void) {\n    g(1, 2);\n    g();\n}\n")
+    );
+}
