@@ -41,7 +41,8 @@
 //! `long_gap_cost_ratio` (the largest per-element time ratio, 50,000
 //! over 5,000, of the five) stays near 1 only while a gap costs linear
 //! time in its length, in statement sequences and argument lists alike.
-//! CI gates it below 2.
+//! Each shape times its two sizes alternately, sample by sample, so a
+//! swing in host load hits both sides of the ratio. CI gates it below 2.
 
 /// The CLI's diff sink, compiled from the CLI's own source. Checking
 /// this bench under `cfg(test)` compiles the module's test imports
@@ -190,22 +191,23 @@ fn main() {
     for (shape, rule, unit, rewrites, text_of) in shapes {
         let patch = parse_semantic_patch(rule).expect(shape);
         let mut patcher = Patcher::new(&patch).expect(shape);
-        let mut per_elem = Vec::new();
-        for n in [5_000, 50_000] {
-            let text = text_of(n);
-            let id = format!("{shape}_{n}_{unit}");
-            h.bench(
-                "long_gap",
-                &id,
-                Throughput::Bytes(text.len() as u64),
-                || {
-                    let out = patcher.apply("gap.c", &text).unwrap();
-                    assert_eq!(out.is_some(), rewrites, "{id}");
-                    out
-                },
-            );
-            per_elem.push(h.min_s("long_gap", &id).expect("recorded") / n as f64);
-        }
+        let sizes = [5_000, 50_000];
+        let texts = sizes.map(text_of);
+        let ids = sizes.map(|n| format!("{shape}_{n}_{unit}"));
+        // The two sizes alternate sample by sample, so a swing in host
+        // load moves both sides of the ratio.
+        h.bench_pair(
+            "long_gap",
+            [&ids[0], &ids[1]],
+            [0, 1].map(|i| Throughput::Bytes(texts[i].len() as u64)),
+            |i| {
+                let out = patcher.apply("gap.c", &texts[i]).unwrap();
+                assert_eq!(out.is_some(), rewrites, "{}", ids[i]);
+                out
+            },
+        );
+        let per_elem =
+            [0, 1].map(|i| h.min_s("long_gap", &ids[i]).expect("recorded") / sizes[i] as f64);
         ratio = ratio.max(per_elem[1] / per_elem[0]);
     }
     h.metric("long_gap", "long_gap_cost_ratio", ratio);

@@ -174,6 +174,40 @@ impl Harness {
         });
     }
 
+    /// Time `f(0)` and `f(1)` alternately, sample by sample, and record
+    /// them under `group/ids[0]` and `group/ids[1]`. A swing in host load
+    /// then slows both sides alike, so a ratio of their best samples
+    /// stays steady where timing one after the other lets it drift.
+    pub fn bench_pair<R>(
+        &mut self,
+        group: &str,
+        ids: [&str; 2],
+        throughput: [Throughput; 2],
+        mut f: impl FnMut(usize) -> R,
+    ) {
+        let samples = self.effective_samples();
+        for _ in 0..self.warmup {
+            black_box(f(0));
+            black_box(f(1));
+        }
+        let mut samples_s = [Vec::with_capacity(samples), Vec::with_capacity(samples)];
+        for _ in 0..samples {
+            for (side, out) in samples_s.iter_mut().enumerate() {
+                let t0 = Instant::now();
+                black_box(f(side));
+                out.push(t0.elapsed().as_secs_f64());
+            }
+        }
+        for ((id, throughput), samples_s) in ids.into_iter().zip(throughput).zip(samples_s) {
+            self.records.push(Record {
+                group: group.to_string(),
+                id: id.to_string(),
+                throughput,
+                samples_s,
+            });
+        }
+    }
+
     /// Print the table and write `BENCH_<experiment>.json`. Returns the
     /// JSON path.
     pub fn finish(mut self) -> std::io::Result<PathBuf> {
@@ -334,6 +368,23 @@ mod tests {
         assert!(json.contains("\"value\": 7.5e-1"));
         assert!(json.contains("\"id\": \"peak_rss_bytes\""));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pair_samples_alternate() {
+        let mut h = Harness::new("pairtest").sample_size(3);
+        let mut calls = Vec::new();
+        h.bench_pair("g", ["a", "b"], [Throughput::None; 2], |side| {
+            calls.push(side);
+        });
+        let n = h.effective_samples();
+        let want: Vec<usize> = (0..h.warmup + n).flat_map(|_| [0, 1]).collect();
+        assert_eq!(calls, want);
+        for id in ["a", "b"] {
+            let r = h.records.iter().find(|r| r.id == id).unwrap();
+            assert_eq!(r.samples_s.len(), n);
+        }
+        assert!(h.min_s("g", "b").is_some());
     }
 
     #[test]

@@ -13,13 +13,20 @@
 //! registry of known type names seeded with builtins, extended by
 //! `typedef`s encountered, type metavariables, and the `ident ident`
 //! / `ident * ident ;` lookahead patterns.
+//!
+//! Those heuristics ask the same questions of every identifier token: is
+//! it a keyword, a builtin type word, a `_t` name, a declaration
+//! specifier, a qualifier, `struct`/`union`/`enum`, or a keyword that is
+//! an expression (`true`, `nullptr`, ...)? The parser answers them once
+//! per token when it is built, from the token's symbol and text, as a set
+//! of class flags; the heuristics then test bits. Typedef names are kept
+//! by symbol, and a one-word type name reuses its token's symbol, so
+//! recognising a type resolves no symbol and builds no string.
 
 use crate::ast::*;
 use crate::lexer::{lex, LexError, LexMode};
-use crate::token::{
-    is_decl_specifier_sym, is_keyword, is_keyword_sym, Punct, Token, TokenKind, DECL_SPECIFIERS,
-};
-use cocci_source::{Span, Symbol};
+use crate::token::{Class, Punct, Token, TokenKind};
+use cocci_source::{FnvBuild, Span, Symbol};
 use std::collections::HashSet;
 
 /// Metavariable kinds a [`MetaLookup`] can report. Mirrors the SMPL
@@ -219,52 +226,15 @@ pub fn parse_expression(
     Ok(e)
 }
 
-/// Builtin type names recognized without registration.
-const BUILTIN_TYPES: &[&str] = &[
-    "void",
-    "char",
-    "short",
-    "int",
-    "long",
-    "float",
-    "double",
-    "signed",
-    "unsigned",
-    "bool",
-    "size_t",
-    "ssize_t",
-    "ptrdiff_t",
-    "intptr_t",
-    "uintptr_t",
-    "int8_t",
-    "int16_t",
-    "int32_t",
-    "int64_t",
-    "uint8_t",
-    "uint16_t",
-    "uint32_t",
-    "uint64_t",
-    "wchar_t",
-    "FILE",
-    "va_list",
-    "dim3",
-    "cudaStream_t",
-    "cudaError_t",
-    "hipStream_t",
-    "hipError_t",
-    "__half",
-    "rocblas_half",
-    "curandState_t",
-    "auto",
-];
-
 struct Parser<'a> {
     src: &'a str,
     toks: Vec<Token>,
+    /// The class of each token (empty for non-identifiers).
+    classes: Vec<Class>,
     pos: usize,
     opts: ParseOptions,
     meta: &'a dyn MetaLookup,
-    typedefs: HashSet<String>,
+    typedefs: HashSet<Symbol, FnvBuild>,
 }
 
 impl<'a> Parser<'a> {
@@ -275,13 +245,21 @@ impl<'a> Parser<'a> {
             LexMode::C
         };
         let toks = lex(src, mode)?;
+        let classes = toks
+            .iter()
+            .map(|t| {
+                t.sym
+                    .map_or(Class::default(), |sym| Class::of(sym, t.text(src)))
+            })
+            .collect();
         Ok(Parser {
             src,
             toks,
+            classes,
             pos: 0,
             opts,
             meta,
-            typedefs: HashSet::new(),
+            typedefs: HashSet::default(),
         })
     }
 
@@ -293,6 +271,11 @@ impl<'a> Parser<'a> {
 
     fn peek_at(&self, n: usize) -> Token {
         self.toks[(self.pos + n).min(self.toks.len() - 1)]
+    }
+
+    /// The class of the token [`peek_at`](Self::peek_at) returns.
+    fn class_at(&self, n: usize) -> Class {
+        self.classes[(self.pos + n).min(self.toks.len() - 1)]
     }
 
     fn text(&self, t: Token) -> &'a str {
@@ -364,7 +347,7 @@ impl<'a> Parser<'a> {
 
     fn ident(&mut self) -> Result<Ident, ParseErr> {
         let t = self.peek();
-        if t.kind == TokenKind::Ident && !is_keyword_sym(t.ident_sym()) {
+        if t.kind == TokenKind::Ident && !self.class_at(0).is(Class::KEYWORD) {
             self.bump();
             Ok(Ident {
                 name: t.ident_sym(),
@@ -399,18 +382,13 @@ impl<'a> Parser<'a> {
 
     // ---- type recognition ----
 
-    fn is_type_name(&self, name: &str) -> bool {
-        BUILTIN_TYPES.contains(&name)
-            || self.typedefs.contains(name)
-            || name.ends_with("_t")
-            || self.meta.kind(name) == Some(MetaKind::Type)
-    }
-
-    fn is_qualifier(name: &str) -> bool {
-        matches!(
-            name,
-            "const" | "volatile" | "restrict" | "__restrict__" | "__restrict"
-        )
+    /// Whether the token [`peek_at(n)`](Self::peek_at) names a type.
+    fn is_type_name(&self, n: usize) -> bool {
+        let t = self.peek_at(n);
+        t.kind == TokenKind::Ident
+            && (self.class_at(n).is(Class::BUILTIN | Class::T_SUFFIX)
+                || self.typedefs.contains(&t.ident_sym())
+                || self.meta.kind(self.text(t)) == Some(MetaKind::Type))
     }
 
     /// Does a declaration plausibly start at the current position?
@@ -422,15 +400,15 @@ impl<'a> Parser<'a> {
             if t.kind != TokenKind::Ident {
                 return false;
             }
-            let s = self.text(t);
-            if DECL_SPECIFIERS.contains(&s) || Self::is_qualifier(s) {
+            let class = self.class_at(i);
+            if class.is(Class::SPECIFIER | Class::QUALIFIER) {
                 i += 1;
                 continue;
             }
-            if s == "struct" || s == "union" || s == "enum" {
+            if class.is(Class::RECORD) {
                 return true;
             }
-            if self.is_type_name(s) {
+            if self.is_type_name(i) {
                 // Multi-word builtins keep consuming below; single check
                 // suffices: type name followed by declarator-ish token.
                 break;
@@ -440,7 +418,7 @@ impl<'a> Parser<'a> {
             let t1 = self.peek_at(i + 1);
             let t2 = self.peek_at(i + 2);
             if t1.kind == TokenKind::Ident
-                && !is_keyword(self.text(t1))
+                && !self.class_at(i + 1).is(Class::KEYWORD)
                 && self.meta.kind(self.text(t1)) != Some(MetaKind::Stmt)
                 && matches!(
                     t2.kind,
@@ -453,7 +431,7 @@ impl<'a> Parser<'a> {
             }
             if (t1.is(Punct::Star) || (t1.is(Punct::Amp) && self.opts.lang == Lang::Cpp))
                 && t2.kind == TokenKind::Ident
-                && !is_keyword(self.text(t2))
+                && !self.class_at(i + 2).is(Class::KEYWORD)
             {
                 let t3 = self.peek_at(i + 3);
                 return matches!(
@@ -473,9 +451,7 @@ impl<'a> Parser<'a> {
         // Known type name at position i: check what follows.
         let mut j = i + 1;
         // Skip further type words (unsigned long long) and template args.
-        while self.peek_at(j).kind == TokenKind::Ident
-            && self.is_type_name(self.text(self.peek_at(j)))
-        {
+        while self.is_type_name(j) {
             j += 1;
         }
         if self.peek_at(j).is(Punct::Lt) {
@@ -486,7 +462,7 @@ impl<'a> Parser<'a> {
             let t = self.peek_at(j);
             match t.kind {
                 TokenKind::Punct(Punct::Star) | TokenKind::Punct(Punct::Amp) => j += 1,
-                TokenKind::Ident if !is_keyword(self.text(t)) => return true,
+                TokenKind::Ident if !self.class_at(j).is(Class::KEYWORD) => return true,
                 // Abstract: `int;` is silly but `int f(void)` prototypes
                 // in casts are handled elsewhere.
                 _ => return false,
@@ -500,22 +476,14 @@ impl<'a> Parser<'a> {
     fn type_specifier(&mut self) -> Result<Type, ParseErr> {
         let start = self.peek().span;
         let mut quals: Vec<Symbol> = Vec::new();
-        loop {
-            let t = self.peek();
-            if t.kind == TokenKind::Ident && Self::is_qualifier(self.text(t)) {
-                quals.push(t.ident_sym());
-                self.bump();
-            } else {
-                break;
-            }
-        }
+        self.qualifiers(&mut quals);
         let t = self.peek();
         if t.kind != TokenKind::Ident {
             return Err(self.err_here("expected type name"));
         }
         let first_sym = t.ident_sym();
-        let first = first_sym.as_str();
-        let base = if first == "struct" || first == "union" || first == "enum" {
+        let class = self.class_at(0);
+        let base = if class.is(Class::RECORD) {
             self.bump();
             let name = if self.peek().kind == TokenKind::Ident {
                 Some(self.ident()?.name)
@@ -539,9 +507,9 @@ impl<'a> Parser<'a> {
             } else {
                 let name = name.ok_or_else(|| self.err_here("expected struct/union/enum tag"))?;
                 let end = self.toks[self.pos - 1].span;
-                Type::named(format!("{first} {name}"), start.merge(end))
+                Type::named(format!("{} {name}", self.text(t)), start.merge(end))
             }
-        } else if self.meta.kind(first) == Some(MetaKind::Type) {
+        } else if self.meta.kind(self.text(t)) == Some(MetaKind::Type) {
             self.bump();
             Type {
                 kind: TypeKind::Meta { name: first_sym },
@@ -549,22 +517,30 @@ impl<'a> Parser<'a> {
             }
         } else {
             // Multi-word builtin or single named type (possibly :: path).
-            let mut words: Vec<&str> = Vec::new();
-            let mut end = t.span;
-            if BUILTIN_TYPES.contains(&first) {
-                while self.peek().kind == TokenKind::Ident
-                    && BUILTIN_TYPES.contains(&self.text(self.peek()))
-                {
-                    let w = self.bump();
-                    words.push(w.ident_sym().as_str());
-                    end = w.span;
+            let (name, mut end) = if class.is(Class::BUILTIN) {
+                let from = self.pos;
+                while self.peek().kind == TokenKind::Ident && self.class_at(0).is(Class::BUILTIN) {
+                    self.bump();
                 }
+                let words = &self.toks[from..self.pos];
+                let name = match words {
+                    [one] => one.ident_sym(),
+                    _ => {
+                        let mut name = String::new();
+                        for w in words {
+                            if !name.is_empty() {
+                                name.push(' ');
+                            }
+                            name.push_str(self.text(*w));
+                        }
+                        Symbol::intern(&name)
+                    }
+                };
+                (name, self.toks[self.pos - 1].span)
             } else {
                 let id = self.ident_path()?;
-                end = id.span;
-                words.push(id.as_str());
-            }
-            let mut name = words.join(" ");
+                (id.name, id.span)
+            };
             // Template arguments: capture raw balanced <...> in C++.
             let template_args = if self.opts.lang == Lang::Cpp
                 && self.peek().is(Punct::Lt)
@@ -578,12 +554,9 @@ impl<'a> Parser<'a> {
             } else {
                 None
             };
-            if name == "auto" {
-                name = "auto".to_string();
-            }
             Type {
                 kind: TypeKind::Named {
-                    name: Symbol::intern(&name),
+                    name,
                     template_args,
                 },
                 span: start.merge(end),
@@ -591,15 +564,7 @@ impl<'a> Parser<'a> {
         };
         // Trailing qualifiers: `double const`.
         let mut ty = base;
-        loop {
-            let t = self.peek();
-            if t.kind == TokenKind::Ident && Self::is_qualifier(self.text(t)) {
-                quals.push(t.ident_sym());
-                self.bump();
-            } else {
-                break;
-            }
-        }
+        self.qualifiers(&mut quals);
         if !quals.is_empty() {
             // Sort by name, not by symbol id: qualifier order is
             // user-visible through the renderer.
@@ -615,6 +580,14 @@ impl<'a> Parser<'a> {
             };
         }
         Ok(ty)
+    }
+
+    /// Consume the qualifiers at the current position, pushing each onto
+    /// `quals`.
+    fn qualifiers(&mut self, quals: &mut Vec<Symbol>) {
+        while self.peek().kind == TokenKind::Ident && self.class_at(0).is(Class::QUALIFIER) {
+            quals.push(self.bump().ident_sym());
+        }
     }
 
     /// Heuristic: `<` begins template arguments (rather than comparison)
@@ -847,7 +820,7 @@ impl<'a> Parser<'a> {
         let mut specs = Vec::new();
         loop {
             let t = self.peek();
-            if t.kind == TokenKind::Ident && is_decl_specifier_sym(t.ident_sym()) {
+            if t.kind == TokenKind::Ident && self.class_at(0).is(Class::SPECIFIER) {
                 specs.push(Ident {
                     name: t.ident_sym(),
                     span: t.span,
@@ -976,9 +949,8 @@ impl<'a> Parser<'a> {
         }
         let end = self.expect(Punct::Semi)?.span;
         if specifiers.iter().any(|s| s.name == "typedef") {
-            for d in &declarators {
-                self.typedefs.insert(d.name.as_str().to_string());
-            }
+            self.typedefs
+                .extend(declarators.iter().map(|d| d.name.name));
         }
         Ok(Item::Decl(Declaration {
             attrs,
@@ -1095,7 +1067,7 @@ impl<'a> Parser<'a> {
             }
             let ty = self.full_type()?;
             let (name, span) =
-                if self.peek().kind == TokenKind::Ident && !is_keyword(self.text(self.peek())) {
+                if self.peek().kind == TokenKind::Ident && !self.class_at(0).is(Class::KEYWORD) {
                     let id = self.ident()?;
                     let mut sp = ty.span.merge(id.span);
                     // Array suffix on parameter.
@@ -1136,11 +1108,7 @@ impl<'a> Parser<'a> {
                     span: sp,
                 };
                 // `* const`
-                while self.peek().kind == TokenKind::Ident
-                    && Self::is_qualifier(self.text(self.peek()))
-                {
-                    self.bump();
-                }
+                self.qualifiers(&mut Vec::new());
             } else if self.peek().is(Punct::Amp) && self.opts.lang == Lang::Cpp {
                 let s = self.bump().span;
                 let sp = ty.span.merge(s);
@@ -1310,7 +1278,7 @@ impl<'a> Parser<'a> {
                         if self.opts.pattern {
                             match self.meta.kind(kw) {
                                 Some(MetaKind::Stmt) => {
-                                    let name = Symbol::intern(kw);
+                                    let name = t.ident_sym();
                                     self.bump();
                                     let mut span = t.span;
                                     let pos = if self.eat(Punct::At) {
@@ -1327,7 +1295,7 @@ impl<'a> Parser<'a> {
                                     return Ok(Stmt::MetaStmt { name, pos, span });
                                 }
                                 Some(MetaKind::StmtList) => {
-                                    let name = Symbol::intern(kw);
+                                    let name = t.ident_sym();
                                     self.bump();
                                     return Ok(Stmt::MetaStmtList { name, span: t.span });
                                 }
@@ -1337,7 +1305,7 @@ impl<'a> Parser<'a> {
                         // Label?
                         if self.peek_at(1).is(Punct::Colon)
                             && !self.peek_at(2).is(Punct::Colon)
-                            && !is_keyword(kw)
+                            && !self.class_at(0).is(Class::KEYWORD)
                         {
                             let label = self.ident()?;
                             self.bump(); // :
@@ -1789,12 +1757,8 @@ impl<'a> Parser<'a> {
             if t.kind != TokenKind::Ident {
                 return Ok(None);
             }
-            let name = self.text(t);
-            let starts_type = self.is_type_name(name)
-                || name == "struct"
-                || name == "union"
-                || name == "enum"
-                || Self::is_qualifier(name);
+            let starts_type =
+                self.is_type_name(0) || self.class_at(0).is(Class::RECORD | Class::QUALIFIER);
             if !starts_type {
                 return Ok(None);
             }
@@ -1809,7 +1773,9 @@ impl<'a> Parser<'a> {
             // Must be followed by something that can start a unary expr.
             let next = self.peek();
             let ok = match next.kind {
-                TokenKind::Ident => !is_keyword(self.text(next)) || self.text(next) == "sizeof",
+                TokenKind::Ident => {
+                    !self.class_at(0).is(Class::KEYWORD) || self.text(next) == "sizeof"
+                }
                 TokenKind::IntLit
                 | TokenKind::FloatLit
                 | TokenKind::StrLit
@@ -2017,15 +1983,16 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Punct(Punct::LBrace) => self.init_list(),
             TokenKind::Ident => {
-                let name = self.text(t);
-                if matches!(name, "true" | "false" | "nullptr" | "this") {
+                let class = self.class_at(0);
+                if class.is(Class::LITERAL) {
                     self.bump();
                     return Ok(Expr::Ident(Ident {
                         name: t.ident_sym(),
                         span: t.span,
                     }));
                 }
-                if is_keyword(name) {
+                if class.is(Class::KEYWORD) {
+                    let name = self.text(t);
                     return Err(self.err_here(format!("unexpected keyword `{name}`")));
                 }
                 let id = self.ident_path()?;
@@ -2042,7 +2009,15 @@ impl<'a> Parser<'a> {
 /// Parse a C integer literal (decimal/hex/octal/binary, suffixes
 /// stripped).
 pub fn parse_int(raw: &str) -> Option<i128> {
-    let s = raw.trim_end_matches(['u', 'U', 'l', 'L']).replace('_', "");
+    let s = raw.trim_end_matches(['u', 'U', 'l', 'L']);
+    if s.contains('_') {
+        return parse_digits(&s.replace('_', ""));
+    }
+    parse_digits(s)
+}
+
+/// Parse the digits of an integer literal, with its base prefix.
+fn parse_digits(s: &str) -> Option<i128> {
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         i128::from_str_radix(hex, 16).ok()
     } else if let Some(bin) = s.strip_prefix("0b").or_else(|| s.strip_prefix("0B")) {

@@ -5,7 +5,8 @@
 //! set, CUDA's `<<<`/`>>>` kernel-launch chevrons, C++ `::`, and the
 //! ellipsis `...` (varargs in C, "dots" in SMPL).
 
-use cocci_source::{Span, Symbol};
+use cocci_source::{FnvBuild, Span, Symbol};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -289,57 +290,6 @@ pub fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s)
 }
 
-/// Interned, id-sorted copy of a keyword table, built once on first use.
-/// Membership is then a binary search over ~50 `u32`s instead of a
-/// linear scan of string compares.
-fn sym_set(table: &[&str], cell: &'static OnceLock<Vec<Symbol>>) -> &'static [Symbol] {
-    cell.get_or_init(|| {
-        let mut v: Vec<Symbol> = table.iter().map(|s| Symbol::intern(s)).collect();
-        v.sort_unstable();
-        v
-    })
-}
-
-/// Whether `sym` is a C/C++ keyword ([`KEYWORDS`], interned form).
-pub fn is_keyword_sym(sym: Symbol) -> bool {
-    static CELL: OnceLock<Vec<Symbol>> = OnceLock::new();
-    sym_set(KEYWORDS, &CELL).binary_search(&sym).is_ok()
-}
-
-/// Whether `sym` is in [`TYPE_KEYWORDS`] (interned form).
-pub fn is_type_keyword_sym(sym: Symbol) -> bool {
-    static CELL: OnceLock<Vec<Symbol>> = OnceLock::new();
-    sym_set(TYPE_KEYWORDS, &CELL).binary_search(&sym).is_ok()
-}
-
-/// Whether `sym` is in [`DECL_SPECIFIERS`] (interned form).
-pub fn is_decl_specifier_sym(sym: Symbol) -> bool {
-    static CELL: OnceLock<Vec<Symbol>> = OnceLock::new();
-    sym_set(DECL_SPECIFIERS, &CELL).binary_search(&sym).is_ok()
-}
-
-/// Builtin type-ish keywords that may begin a declaration specifier.
-pub const TYPE_KEYWORDS: &[&str] = &[
-    "void",
-    "char",
-    "short",
-    "int",
-    "long",
-    "float",
-    "double",
-    "signed",
-    "unsigned",
-    "bool",
-    "const",
-    "volatile",
-    "restrict",
-    "struct",
-    "union",
-    "enum",
-    "auto",
-    "constexpr",
-];
-
 /// Storage/function specifiers that may prefix a declaration.
 pub const DECL_SPECIFIERS: &[&str] = &[
     "static",
@@ -350,6 +300,110 @@ pub const DECL_SPECIFIERS: &[&str] = &[
     "virtual",
     "constexpr",
 ];
+
+/// Builtin type names recognized without registration.
+pub(crate) const BUILTIN_TYPES: &[&str] = &[
+    "void",
+    "char",
+    "short",
+    "int",
+    "long",
+    "float",
+    "double",
+    "signed",
+    "unsigned",
+    "bool",
+    "size_t",
+    "ssize_t",
+    "ptrdiff_t",
+    "intptr_t",
+    "uintptr_t",
+    "int8_t",
+    "int16_t",
+    "int32_t",
+    "int64_t",
+    "uint8_t",
+    "uint16_t",
+    "uint32_t",
+    "uint64_t",
+    "wchar_t",
+    "FILE",
+    "va_list",
+    "dim3",
+    "cudaStream_t",
+    "cudaError_t",
+    "hipStream_t",
+    "hipError_t",
+    "__half",
+    "rocblas_half",
+    "curandState_t",
+    "auto",
+];
+
+/// Type qualifiers, which may precede or follow a type specifier.
+pub(crate) const QUALIFIERS: &[&str] = &[
+    "const",
+    "volatile",
+    "restrict",
+    "__restrict__",
+    "__restrict",
+];
+
+/// What an identifier token's word is to the parser: a set of flags,
+/// worked out once per token from its symbol and text (see the parser's
+/// module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Class(u8);
+
+impl Class {
+    /// A C/C++ keyword ([`KEYWORDS`]): never an identifier.
+    pub(crate) const KEYWORD: u8 = 1;
+    /// A builtin type word ([`BUILTIN_TYPES`]).
+    pub(crate) const BUILTIN: u8 = 1 << 1;
+    /// A name ending in `_t`, taken for a type.
+    pub(crate) const T_SUFFIX: u8 = 1 << 2;
+    /// A storage or function specifier ([`DECL_SPECIFIERS`]).
+    pub(crate) const SPECIFIER: u8 = 1 << 3;
+    /// A type qualifier ([`QUALIFIERS`]).
+    pub(crate) const QUALIFIER: u8 = 1 << 4;
+    /// `struct`, `union` or `enum`.
+    pub(crate) const RECORD: u8 = 1 << 5;
+    /// A keyword that is an expression on its own.
+    pub(crate) const LITERAL: u8 = 1 << 6;
+
+    /// The class of an identifier token with symbol `sym` and text `text`.
+    pub(crate) fn of(sym: Symbol, text: &str) -> Class {
+        static WORDS: OnceLock<HashMap<Symbol, u8, FnvBuild>> = OnceLock::new();
+        let words = WORDS.get_or_init(|| {
+            let tables: [(&[&str], u8); 6] = [
+                (KEYWORDS, Class::KEYWORD),
+                (BUILTIN_TYPES, Class::BUILTIN),
+                (DECL_SPECIFIERS, Class::SPECIFIER),
+                (QUALIFIERS, Class::QUALIFIER),
+                (&["struct", "union", "enum"], Class::RECORD),
+                (&["true", "false", "nullptr", "this"], Class::LITERAL),
+            ];
+            let mut words = HashMap::default();
+            for (table, flag) in tables {
+                for w in table {
+                    *words.entry(Symbol::intern(w)).or_default() |= flag;
+                }
+            }
+            words
+        });
+        let suffix = if text.ends_with("_t") {
+            Class::T_SUFFIX
+        } else {
+            0
+        };
+        Class(words.get(&sym).copied().unwrap_or(0) | suffix)
+    }
+
+    /// Whether the word has any of `flags`.
+    pub(crate) fn is(self, flags: u8) -> bool {
+        self.0 & flags != 0
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -365,16 +419,29 @@ mod tests {
 
     #[test]
     fn keyword_sym_tables_agree_with_string_tables() {
-        for s in ["for", "restrict", "kernel", "expression", "static", "int"] {
-            let sym = Symbol::intern(s);
-            assert_eq!(is_keyword_sym(sym), is_keyword(s), "{s}");
-            assert_eq!(is_type_keyword_sym(sym), TYPE_KEYWORDS.contains(&s), "{s}");
+        for s in [
+            "for",
+            "restrict",
+            "kernel",
+            "expression",
+            "static",
+            "int",
+            "size_t",
+            "struct",
+            "nullptr",
+            "__restrict",
+        ] {
+            let class = Class::of(Symbol::intern(s), s);
+            assert_eq!(class.is(Class::KEYWORD), is_keyword(s), "{s}");
             assert_eq!(
-                is_decl_specifier_sym(sym),
+                class.is(Class::SPECIFIER),
                 DECL_SPECIFIERS.contains(&s),
                 "{s}"
             );
+            assert_eq!(class.is(Class::BUILTIN), BUILTIN_TYPES.contains(&s), "{s}");
+            assert_eq!(class.is(Class::QUALIFIER), QUALIFIERS.contains(&s), "{s}");
         }
+        assert!(Class::of(Symbol::intern("my_t"), "my_t").is(Class::T_SUFFIX));
     }
 
     #[test]

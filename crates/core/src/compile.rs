@@ -12,10 +12,12 @@
 //! [`Patcher`](crate::Patcher).
 
 use crate::flowmatch::{self, FlowPattern};
+use crate::matcher::Metavars;
 use crate::orchestrate::ApplyError;
 use crate::treesearch;
 use cocci_cast::DotsQuant;
 use cocci_rex::{MultiLiteral, Regex};
+use cocci_script::{Program, ScriptError};
 use cocci_smpl::{prefilter, Constraint, Pattern, Rule, SemanticPatch};
 use cocci_source::Symbol;
 use std::collections::{HashMap, HashSet};
@@ -160,6 +162,9 @@ impl AtomSieve {
 pub struct CompiledRule {
     /// Compiled `=~` / `!~` regexes keyed by metavariable name.
     pub regexes: HashMap<String, Regex>,
+    /// The rule's metavariables keyed by symbol, with their constraints,
+    /// for the matcher (empty for script/initialize/finalize rules).
+    pub metavars: Metavars,
     /// Prefilter atoms — `Some` for transform rules (possibly empty =
     /// "cannot prefilter"), `None` for script/initialize/finalize rules.
     pub atoms: Option<Vec<String>>,
@@ -176,6 +181,20 @@ pub struct CompiledRule {
     /// route to findings instead of edits. Always `false` for
     /// script/initialize/finalize rules.
     pub report_only: bool,
+    /// The parsed code of a script/initialize/finalize rule, or why it
+    /// does not parse (reported each time the rule runs, as a script
+    /// error). `None` for transform rules.
+    pub script: Option<Result<Program, ScriptError>>,
+}
+
+impl CompiledRule {
+    /// The program of a script/initialize/finalize rule.
+    pub(crate) fn program(&self) -> Result<&Program, ScriptError> {
+        match &self.script {
+            Some(parsed) => parsed.as_ref().map_err(Clone::clone),
+            None => unreachable!("only script, initialize and finalize rules run a program"),
+        }
+    }
 }
 
 /// A semantic patch compiled once per run.
@@ -186,8 +205,9 @@ pub struct CompiledPatch {
     /// Compiled artifacts, one per rule (same indexing as `patch.rules`).
     pub rules: Vec<CompiledRule>,
     /// Rule names that later rules inherit from (metavariables or script
-    /// inputs) — only these export environments.
-    pub inherited_from: HashSet<String>,
+    /// inputs), each with the variables they read: only these rules
+    /// export environments, and only these variables.
+    pub inherited_from: HashMap<String, Vec<Symbol>>,
     /// Rule names whose bindings feed a *script* rule. A reporting-only
     /// rule in this set does not auto-emit its generic `matched`
     /// findings: the script authors the real message per site (via
@@ -210,7 +230,14 @@ impl CompiledPatch {
     /// the inheritance set, and extract per-rule prefilter atoms.
     pub fn compile(patch: &SemanticPatch) -> Result<Self, ApplyError> {
         let mut rules = Vec::with_capacity(patch.rules.len());
-        let mut inherited_from = HashSet::new();
+        let mut inherited_from: HashMap<String, Vec<Symbol>> = HashMap::new();
+        let mut inherit = |from: &str, var: &str| {
+            let vars = inherited_from.entry(from.to_string()).or_default();
+            let var = Symbol::intern(var);
+            if !vars.contains(&var) {
+                vars.push(var);
+            }
+        };
         let mut script_inherited_from = HashSet::new();
         let mut has_transform = false;
         let mut has_script = false;
@@ -221,10 +248,12 @@ impl CompiledPatch {
         let mut exported: HashMap<&str, HashSet<&str>> = HashMap::new();
         for rule in &patch.rules {
             let mut regexes = HashMap::new();
+            let mut metavars = Metavars::default();
             let mut atoms = None;
             let mut token_atoms = Vec::new();
             let mut flow = None;
             let mut report_only = false;
+            let mut script = None;
             match rule {
                 Rule::Transform(t) => {
                     has_transform = true;
@@ -242,9 +271,10 @@ impl CompiledPatch {
                             regexes.insert(mv.name.clone(), compiled);
                         }
                         if let Some(from) = &mv.inherited_from {
-                            inherited_from.insert(from.clone());
+                            inherit(from, &mv.name);
                         }
                     }
+                    metavars = Metavars::new(&t.metavars, &regexes);
                     // Reuse the regexes compiled above (the prefilter only
                     // reads their guaranteed literal factors).
                     let tagged =
@@ -306,6 +336,7 @@ impl CompiledPatch {
                 }
                 Rule::Script(s) => {
                     has_script = true;
+                    script = Some(Program::parse(&s.code));
                     let script_name = s.name.as_deref().unwrap_or("<anonymous>");
                     for (local, from, var) in &s.inputs {
                         match exported.get(from.as_str()) {
@@ -324,7 +355,7 @@ impl CompiledPatch {
                             }
                             Some(_) => {}
                         }
-                        inherited_from.insert(from.clone());
+                        inherit(from, var);
                         script_inherited_from.insert(from.clone());
                     }
                     if let Some(name) = &s.name {
@@ -334,14 +365,19 @@ impl CompiledPatch {
                             .extend(s.outputs.iter().map(String::as_str));
                     }
                 }
-                _ => has_script = true,
+                Rule::Initialize(b) | Rule::Finalize(b) => {
+                    has_script = true;
+                    script = Some(Program::parse(&b.code));
+                }
             }
             rules.push(CompiledRule {
                 regexes,
+                metavars,
                 atoms,
                 token_atoms,
                 flow,
                 report_only,
+                script,
             });
         }
         let prunable = has_transform && !has_script;

@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 /// Per-text state built once and shared by every rule run on the text.
 /// See the module docs.
 pub struct FileContext {
-    name: String,
+    name: Arc<str>,
     text: Arc<str>,
     parsed: Option<Parsed>,
     parse_err: Option<(Lang, String)>,
@@ -95,7 +95,7 @@ impl FileContext {
     /// A fresh context over one file's text.
     pub fn new(name: impl Into<String>, text: impl Into<Arc<str>>) -> FileContext {
         FileContext {
-            name: name.into(),
+            name: name.into().into(),
             text: text.into(),
             parsed: None,
             parse_err: None,
@@ -110,6 +110,11 @@ impl FileContext {
     /// The file's (display) name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// A cheap shared handle on the name (position bindings carry it).
+    pub fn name_arc(&self) -> Arc<str> {
+        Arc::clone(&self.name)
     }
 
     /// The text.

@@ -1,9 +1,18 @@
 //! Metavariable binding environments.
+//!
+//! Both environments are flat: a short vector of bindings in the order
+//! they were made, searched linearly. A rule binds a handful of
+//! metavariables, and a rule chain exports a handful more, so comparing a
+//! few `u32` keys costs less than walking a tree, and a small environment
+//! is one small allocation, where a B-tree map allocates an eleven-slot
+//! leaf (2 KB here) for its first entry, and most tries fail and drop it.
+//! Binding order also makes backtracking cheap: while a try runs its
+//! bindings only grow, so the matcher undoes a failed alternative by
+//! truncating to the length it had before (see `matcher`).
 
 use cocci_cast::ast::{Expr, Param, Stmt, Type};
 use cocci_cast::render;
 use cocci_source::{Span, Symbol};
-use std::collections::BTreeMap;
 
 /// The value bound to a metavariable.
 #[derive(Debug, Clone)]
@@ -12,8 +21,9 @@ pub enum Value {
     Expr(Expr),
     /// A bound expression list (argument run).
     ExprList(Vec<Expr>),
-    /// A bound statement.
-    Stmt(Stmt),
+    /// A bound statement (boxed, so that a binding slot is no larger
+    /// than an expression).
+    Stmt(Box<Stmt>),
     /// A bound statement list.
     StmtList(Vec<Stmt>),
     /// A bound type.
@@ -166,13 +176,15 @@ pub struct ResolvedPos {
 /// matched.
 ///
 /// Keyed by interned [`Symbol`], so every lookup during matching is a
-/// handful of `u32` compares instead of string comparisons. Symbol ids
+/// handful of `u32` compares instead of string comparisons. Lookups search
+/// from the newest binding, so a binding pushed over an older one of the
+/// same name hides it until a rollback truncates it away. Symbol ids
 /// reflect interning order (which varies with thread scheduling), so
-/// [`Env::iter`] re-sorts by resolved name — user-visible binding order
-/// stays alphabetical and deterministic.
+/// [`Env::iter`] sorts by resolved name: user-visible binding order stays
+/// alphabetical and deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
-    map: BTreeMap<Symbol, Value>,
+    slots: Vec<(Symbol, Value)>,
 }
 
 impl Env {
@@ -183,34 +195,70 @@ impl Env {
 
     /// Look up a binding.
     pub fn get(&self, name: impl Into<Symbol>) -> Option<&Value> {
-        self.map.get(&name.into())
+        let name = name.into();
+        self.slots
+            .iter()
+            .rev()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| v)
     }
 
-    /// Insert a binding.
+    /// Insert a binding, replacing the newest binding of `name` if there
+    /// is one.
     pub fn bind(&mut self, name: impl Into<Symbol>, value: Value) {
-        self.map.insert(name.into(), value);
+        let name = name.into();
+        match self.slots.iter_mut().rev().find(|(k, _)| *k == name) {
+            Some((_, slot)) => *slot = value,
+            None => self.slots.push((name, value)),
+        }
+    }
+
+    /// Append a binding of `name` without looking for an older one: the
+    /// caller knows `name` is unbound, or means to hide its binding until
+    /// a rollback.
+    pub(crate) fn push(&mut self, name: Symbol, value: Value) {
+        self.slots.push((name, value));
+    }
+
+    /// Number of slots, bindings and hidden ones alike: a rollback mark.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Drop every slot from `len` on.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.slots.truncate(len);
     }
 
     /// Whether `name` is bound.
     pub fn is_bound(&self, name: impl Into<Symbol>) -> bool {
-        self.map.contains_key(&name.into())
+        self.get(name).is_some()
+    }
+
+    /// The visible bindings (the newest of each name), in binding order.
+    fn visible(&self) -> impl Iterator<Item = (Symbol, &Value)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(i, (k, _))| !self.slots[i + 1..].iter().any(|(later, _)| later == k))
+            .map(|(_, (k, v))| (*k, v))
     }
 
     /// Iterate bindings in name (alphabetical) order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &Value)> {
-        let mut v: Vec<(Symbol, &Value)> = self.map.iter().map(|(k, val)| (*k, val)).collect();
+        let mut v: Vec<(Symbol, &Value)> = self.visible().collect();
         v.sort_by_key(|(k, _)| k.as_str());
         v.into_iter()
     }
 
     /// Number of bindings.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.visible().count()
     }
 
     /// Whether there are no bindings.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 }
 
@@ -218,7 +266,7 @@ impl Env {
 /// qualified by rule name, as visible to later rules via `rule.var`.
 #[derive(Debug, Clone, Default)]
 pub struct ExportedEnv {
-    map: BTreeMap<(Symbol, Symbol), Value>,
+    slots: Vec<((Symbol, Symbol), Value)>,
 }
 
 impl ExportedEnv {
@@ -229,12 +277,17 @@ impl ExportedEnv {
 
     /// Look up `rule.var`.
     pub fn get(&self, rule: impl Into<Symbol>, var: impl Into<Symbol>) -> Option<&Value> {
-        self.map.get(&(rule.into(), var.into()))
+        let key = (rule.into(), var.into());
+        self.slots.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// Record `rule.var = value`.
     pub fn bind(&mut self, rule: impl Into<Symbol>, var: impl Into<Symbol>, value: Value) {
-        self.map.insert((rule.into(), var.into()), value);
+        let key = (rule.into(), var.into());
+        match self.slots.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, slot)) => *slot = value,
+            None => self.slots.push((key, value)),
+        }
     }
 
     /// Merge a rule's local bindings under its name.
@@ -247,12 +300,12 @@ impl ExportedEnv {
 
     /// Number of qualified bindings.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// Whether empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 }
 
@@ -306,6 +359,28 @@ mod tests {
         assert!(env.is_bound("T"));
         assert_eq!(env.get("T").unwrap().render(""), "double");
         assert!(!env.is_bound("U"));
+    }
+
+    #[test]
+    fn env_push_hides_until_truncated() {
+        let mut env = Env::new();
+        env.bind("el", Value::Text("a".into()));
+        env.bind("T", Value::Text("double".into()));
+        let mark = env.slots();
+        env.push(Symbol::intern("el"), Value::Int(7));
+        assert_eq!(env.get("el").unwrap().render(""), "7");
+        assert_eq!(env.len(), 2);
+        let seen: Vec<String> = env
+            .iter()
+            .map(|(k, v)| format!("{k}={}", v.render("")))
+            .collect();
+        assert_eq!(seen, ["T=double", "el=7"]);
+        // `bind` replaces the newest binding of a name.
+        env.bind("el", Value::Int(8));
+        assert_eq!(env.get("el").unwrap().render(""), "8");
+        env.truncate(mark);
+        assert_eq!(env.get("el").unwrap().render(""), "a");
+        assert_eq!(env.len(), 2);
     }
 
     #[test]

@@ -686,6 +686,7 @@ fn dedup_witnesses(witnesses: &mut Vec<MatchState>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matcher::Metavars;
     use cocci_cast::parser::{
         parse_statements, parse_translation_unit, MetaKind, MetaLookup, NoMeta, ParseOptions,
     };
@@ -723,12 +724,8 @@ mod tests {
         let fp = lower_pattern(&pats).expect("pattern lowers");
         let tu = parse_translation_unit(src, ParseOptions::c(), &NoMeta).unwrap();
         let regexes = Map::new();
-        let ctx = MatchCtx {
-            file: "t.c",
-            src,
-            decls: &ds,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&ds, &regexes);
+        let ctx = MatchCtx::new("t.c", src, &metavars);
         FlowSearch::with_cache(&fp, &tu, &mut CfgCache::default()).find(
             &ctx,
             &Env::new(),

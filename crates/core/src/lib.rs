@@ -68,7 +68,7 @@ pub use env::{Env, ExportedEnv, Value};
 pub use explain::{AttemptTrace, ExplainBlock, ExplainConfig, KillStage};
 pub use findings::{to_sarif_with, Finding, SarifRule};
 pub use flowmatch::{CfgCache, FlowPattern, FlowSearch, FlowStep};
-pub use matcher::{MatchCtx, MatchState, Pair, PairKind};
+pub use matcher::{MatchCtx, MatchState, Metavars, Pair, PairKind};
 pub use orchestrate::{ApplyError, Patcher};
 pub use pool::{resolve_threads, ResultSlots, WorkQueue};
 pub use report::{content_hash, ApplyReport, FileReport, FileStatus, PoolMetrics, RunMetrics};

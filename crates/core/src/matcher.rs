@@ -25,6 +25,28 @@
 //! list loop behind [`match_stmt_seq`], [`match_expr_list`] and
 //! [`match_params`]: a run is paired, and cloned into its binding, once
 //! the rest of the pattern accepts it, so a long run costs linear time.
+//!
+//! **The trail.** While a try runs, its [`MatchState`] only grows:
+//! `bind_or_check` binds only names that are unbound, a list
+//! metavariable binds only where it is unbound (or pushes a binding that
+//! hides an older, non-list one), and pairs and choices are only pushed,
+//! or inserted after the point where an alternative began. So an
+//! alternative that fails is undone by truncating the bindings, pairs and
+//! choices to the lengths noted before it (`MatchState::mark` and
+//! `MatchState::rollback`), not by trying it on a clone of the whole
+//! state. Each list element and run length, each disjunction branch,
+//! each conjunction branch and containment probe, each attribute and each
+//! `when !=` probe costs what it adds, not a copy of everything bound so
+//! far. A sub-match that fails leaves what it bound in place, as before:
+//! only the caller that tries an alternative rolls back, so the
+//! const-fold and additive fallbacks of [`match_expr`] read the state
+//! exactly as a failed structural match left it. Debug builds
+//! fingerprint the state at every mark and assert that each rollback
+//! restores it, so every debug test checks the invariant.
+//!
+//! A pattern identifier's metavariable kind and constraint come from the
+//! rule's [`Metavars`] table, built once per compiled rule and searched by
+//! symbol.
 
 use crate::env::{Env, Value};
 use cocci_cast::ast::*;
@@ -35,6 +57,7 @@ use cocci_rex::Regex;
 use cocci_smpl::{Constraint, MetaDecl, MetaDeclKind};
 use cocci_source::{Span, Symbol};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// What a correspondence pair refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,53 +131,166 @@ impl MatchState {
             .find(|(s, _)| *s == span)
             .map(|(_, i)| *i)
     }
+
+    /// Note where the state stands before trying an alternative.
+    pub(crate) fn mark(&self) -> Mark {
+        Mark {
+            env: self.env.slots(),
+            pairs: self.pairs.len(),
+            choices: self.choices.len(),
+            #[cfg(debug_assertions)]
+            snapshot: self.fingerprint(),
+        }
+    }
+
+    /// Undo everything the alternative tried since `mark` added.
+    pub(crate) fn rollback(&mut self, mark: &Mark) {
+        self.env.truncate(mark.env);
+        self.pairs.truncate(mark.pairs);
+        self.choices.truncate(mark.choices);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.fingerprint(),
+            mark.snapshot,
+            "a rollback must restore the state its mark saw: {self:?}"
+        );
+    }
+
+    /// A hash of the state's `Debug` text, taken without allocating (so
+    /// the check leaves allocation counts alone).
+    #[cfg(debug_assertions)]
+    fn fingerprint(&self) -> u64 {
+        use std::fmt::Write;
+        use std::hash::Hasher;
+        struct Fingerprint(std::collections::hash_map::DefaultHasher);
+        impl Write for Fingerprint {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                self.0.write(s.as_bytes());
+                Ok(())
+            }
+        }
+        let mut h = Fingerprint(Default::default());
+        write!(h, "{self:?}").expect("hashing cannot fail");
+        h.0.finish()
+    }
 }
 
-/// Matching context: the rule's metavariable declarations, compiled regex
-/// constraints, and the target source text.
+/// The lengths of a [`MatchState`]'s bindings, pairs and choices before an
+/// alternative (see the module docs on the trail).
+pub(crate) struct Mark {
+    env: usize,
+    pairs: usize,
+    choices: usize,
+    /// The whole state's fingerprint, to check that the rollback
+    /// restores it.
+    #[cfg(debug_assertions)]
+    snapshot: u64,
+}
+
+/// A rule's metavariable declarations keyed by interned name, with their
+/// constraints' regexes compiled. Built once per compiled rule: the
+/// matcher looks each pattern identifier up by symbol, a few `u32`
+/// compares, instead of resolving the symbol through the interner's lock
+/// and comparing strings.
+#[derive(Debug, Clone, Default)]
+pub struct Metavars {
+    decls: Vec<Metavar>,
+}
+
+#[derive(Debug, Clone)]
+struct Metavar {
+    name: Symbol,
+    kind: MetaDeclKind,
+    check: Check,
+}
+
+/// A declaration's constraint on the text its value renders to.
+#[derive(Debug, Clone)]
+enum Check {
+    None,
+    /// `=~`: the text must match (without a compiled regex, nothing does).
+    Regex(Option<Regex>),
+    /// `!~`: the text must not match (without a compiled regex, all pass).
+    NotRegex(Option<Regex>),
+    /// `= { ... }`: the text must be one of these.
+    Set(Vec<String>),
+}
+
+impl Metavars {
+    /// The table of `decls`; `regexes` holds the compiled `=~` / `!~`
+    /// constraints keyed by metavariable name. A name declared twice
+    /// resolves to its first declaration.
+    pub fn new(decls: &[MetaDecl], regexes: &HashMap<String, Regex>) -> Metavars {
+        let decls = decls
+            .iter()
+            .map(|d| Metavar {
+                name: Symbol::intern(&d.name),
+                kind: d.kind.clone(),
+                check: match &d.constraint {
+                    None => Check::None,
+                    Some(Constraint::Regex(_)) => Check::Regex(regexes.get(&d.name).cloned()),
+                    Some(Constraint::NotRegex(_)) => Check::NotRegex(regexes.get(&d.name).cloned()),
+                    Some(Constraint::Set(vals)) => Check::Set(vals.clone()),
+                },
+            })
+            .collect();
+        Metavars { decls }
+    }
+
+    fn find(&self, name: Symbol) -> Option<&Metavar> {
+        self.decls.iter().find(|d| d.name == name)
+    }
+}
+
+/// Matching context: the rule's metavariables and the target file.
 pub struct MatchCtx<'a> {
     /// Target file name — the identity recorded into position bindings
-    /// so inherited positions compare correctly across a corpus.
-    pub file: &'a str,
+    /// so inherited positions compare correctly across a corpus. Every
+    /// position binding shares this one allocation.
+    pub(crate) file: Arc<str>,
     /// Target file text (for constraint checks on source slices).
-    pub src: &'a str,
-    /// Metavariable declarations of the rule being matched.
-    pub decls: &'a [MetaDecl],
-    /// Compiled `=~` / `!~` regexes keyed by metavariable name.
-    pub regexes: &'a HashMap<String, Regex>,
+    pub(crate) src: &'a str,
+    /// The metavariables of the rule being matched.
+    metavars: &'a Metavars,
 }
 
 impl<'a> MatchCtx<'a> {
+    /// A context for matching the rule whose metavariables are `metavars`
+    /// against `src`, the text of file `file`.
+    pub fn new(file: impl Into<Arc<str>>, src: &'a str, metavars: &'a Metavars) -> Self {
+        MatchCtx {
+            file: file.into(),
+            src,
+            metavars,
+        }
+    }
+
     /// Kind of metavariable `name`, if declared.
-    pub fn kind(&self, name: impl AsRef<str>) -> Option<&MetaDeclKind> {
-        let name = name.as_ref();
-        self.decls.iter().find(|d| d.name == name).map(|d| &d.kind)
+    pub fn kind(&self, name: Symbol) -> Option<&MetaDeclKind> {
+        self.metavars.find(name).map(|d| &d.kind)
     }
 
     /// Check the declaration constraint of `name`, if it has one,
     /// against the text `value` renders to (rendered only then).
-    fn check_constraint(&self, name: &str, value: &Value) -> bool {
-        let Some(constraint) = self
-            .decls
-            .iter()
-            .find(|d| d.name == name)
-            .and_then(|d| d.constraint.as_ref())
-        else {
+    fn check_constraint(&self, name: Symbol, value: &Value) -> bool {
+        let Some(d) = self.metavars.find(name) else {
             return true;
         };
-        let text = value.render(self.src);
-        match constraint {
-            Constraint::Regex(_) => self
-                .regexes
-                .get(name)
-                .map(|re| re.is_match(&text))
-                .unwrap_or(false),
-            Constraint::NotRegex(_) => self
-                .regexes
-                .get(name)
-                .map(|re| !re.is_match(&text))
-                .unwrap_or(true),
-            Constraint::Set(vals) => vals.contains(&text),
+        let text = || value.render(self.src);
+        match &d.check {
+            Check::None => true,
+            Check::Regex(re) => re.as_ref().is_some_and(|re| re.is_match(&text())),
+            Check::NotRegex(re) => re.as_ref().is_none_or(|re| !re.is_match(&text())),
+            Check::Set(vals) => vals.contains(&text()),
+        }
+    }
+
+    /// A position binding of `span` in this file.
+    fn pos(&self, span: Span) -> Value {
+        Value::Pos {
+            file: Arc::clone(&self.file),
+            span,
+            resolved: None,
         }
     }
 }
@@ -203,10 +339,10 @@ fn bind_or_check(
     if let Some(existing) = st.env.get(name) {
         return value_eq(existing, &value);
     }
-    if !ctx.check_constraint(name.as_str(), &value) {
+    if !ctx.check_constraint(name, &value) {
         return false;
     }
-    st.env.bind(name, value);
+    st.env.push(name, value);
     true
 }
 
@@ -341,13 +477,13 @@ fn match_additive(ctx: &MatchCtx, pat: &Expr, src: &Expr, st: &mut MatchState) -
     if pat_const != src_const || pat_residue.len() != src_residue.len() {
         return false;
     }
-    let mut attempt = st.clone();
+    let mark = st.mark();
     for ((ps, pe), (ss, se)) in pat_residue.iter().zip(&src_residue) {
-        if ps != ss || !match_expr(ctx, pe, se, &mut attempt) {
+        if ps != ss || !match_expr(ctx, pe, se, st) {
+            st.rollback(&mark);
             return false;
         }
     }
-    *st = attempt;
     true
 }
 
@@ -358,29 +494,17 @@ fn match_expr_inner(ctx: &MatchCtx, pat: &Expr, src: &Expr, st: &mut MatchState)
         Expr::Dots { .. } => true,
         Expr::Disj { branches, span } => {
             for (i, b) in branches.iter().enumerate() {
-                let mut attempt = st.clone();
-                if match_expr(ctx, b, src, &mut attempt) {
-                    attempt.choices.push((*span, i));
-                    *st = attempt;
+                let mark = st.mark();
+                if match_expr(ctx, b, src, st) {
+                    st.choices.push((*span, i));
                     return true;
                 }
+                st.rollback(&mark);
             }
             false
         }
         Expr::PosAnn { inner, pos, .. } => {
-            if !match_expr(ctx, inner, src, st) {
-                return false;
-            }
-            bind_or_check(
-                ctx,
-                st,
-                pos,
-                Value::Pos {
-                    file: ctx.file.into(),
-                    span: src.span(),
-                    resolved: None,
-                },
-            )
+            match_expr(ctx, inner, src, st) && bind_or_check(ctx, st, pos, ctx.pos(src.span()))
         }
         Expr::Ident(id) => match ctx.kind(id.name) {
             Some(MetaDeclKind::Expression) | Some(MetaDeclKind::ExpressionList) => {
@@ -546,7 +670,7 @@ fn match_expr_inner(ctx: &MatchCtx, pat: &Expr, src: &Expr, st: &mut MatchState)
             Expr::Sizeof { arg: sa, .. } => {
                 // The operand is kept as raw text; a metavariable name as
                 // the whole operand binds/checks against it.
-                if ctx.kind(arg).is_some() {
+                if ctx.kind(*arg).is_some() {
                     bind_or_check(ctx, st, arg, Value::Text(sa.as_str().to_string()))
                 } else {
                     sa == arg
@@ -587,7 +711,7 @@ pub fn match_type(ctx: &MatchCtx, pat: &Type, src: &Type, st: &mut MatchState) -
         ) => {
             // A type-metavariable name cannot appear here (handled by
             // Meta); identifier metavariables as type names bind.
-            if let Some(MetaDeclKind::Identifier) = ctx.kind(pn) {
+            if let Some(MetaDeclKind::Identifier) = ctx.kind(*pn) {
                 return pt.is_none()
                     && bind_or_check(
                         ctx,
@@ -668,14 +792,15 @@ fn match_pragma_words(ctx: &MatchCtx, pats: &[&str], srcs: &[&str], st: &mut Mat
         // Dots: match the rest of the payload (must be final).
         return rest.is_empty();
     }
-    if let Some(MetaDeclKind::PragmaInfo) = ctx.kind(p0) {
+    let kind = ctx.kind(Symbol::intern(p0));
+    if let Some(MetaDeclKind::PragmaInfo) = kind {
         // Binds the remainder of the payload; must be final.
         if !rest.is_empty() {
             return false;
         }
         return bind_or_check(ctx, st, *p0, Value::Pragma(srcs.join(" ")));
     }
-    if let Some(MetaDeclKind::Identifier) = ctx.kind(p0) {
+    if let Some(MetaDeclKind::Identifier) = kind {
         let Some((s0, srest)) = srcs.split_first() else {
             return false;
         };
@@ -701,22 +826,8 @@ fn match_pragma_words(ctx: &MatchCtx, pats: &[&str], srcs: &[&str], st: &mut Mat
 pub fn match_stmt(ctx: &MatchCtx, pat: &Stmt, src: &Stmt, st: &mut MatchState) -> bool {
     let matched = match pat {
         Stmt::MetaStmt { name, pos, .. } => {
-            if !bind_or_check(ctx, st, name, Value::Stmt(src.clone())) {
-                false
-            } else if let Some(p) = pos {
-                bind_or_check(
-                    ctx,
-                    st,
-                    p,
-                    Value::Pos {
-                        file: ctx.file.into(),
-                        span: src.span(),
-                        resolved: None,
-                    },
-                )
-            } else {
-                true
-            }
+            bind_or_check(ctx, st, name, Value::Stmt(Box::new(src.clone())))
+                && pos.is_none_or(|p| bind_or_check(ctx, st, p, ctx.pos(src.span())))
         }
         Stmt::PatGroup {
             conj,
@@ -731,13 +842,13 @@ pub fn match_stmt(ctx: &MatchCtx, pat: &Stmt, src: &Stmt, st: &mut MatchState) -
                     if b.len() != 1 {
                         continue;
                     }
-                    let mut attempt = st.clone();
-                    if match_stmt(ctx, &b[0], src, &mut attempt) {
-                        attempt.choices.push((*span, i));
-                        *st = attempt;
+                    let mark = st.mark();
+                    if match_stmt(ctx, &b[0], src, st) {
+                        st.choices.push((*span, i));
                         ok = true;
                         break;
                     }
+                    st.rollback(&mark);
                 }
                 ok
             }
@@ -909,41 +1020,40 @@ fn match_conj(ctx: &MatchCtx, branches: &[Vec<Stmt>], src: &Stmt, st: &mut Match
         if b.len() != 1 {
             return false;
         }
-        let mut attempt = st.clone();
-        if match_stmt(ctx, &b[0], src, &mut attempt) {
-            *st = attempt;
+        let mark = st.mark();
+        if match_stmt(ctx, &b[0], src, st) {
             continue;
         }
+        st.rollback(&mark);
         // Containment fallback for expression branches.
         if let Stmt::Expr { expr: pat_e, .. } = &b[0] {
             let mut found = Vec::new();
-            let mut working = st.clone();
             visit::deep_stmt_exprs(src, &mut |se| {
                 // Top-level occurrences only: skip when an enclosing
                 // occurrence already matched (e.g. `i+1` inside `a[i+1]`
                 // matches once, not per-subtree — handled by span overlap
                 // check below).
-                let mut attempt = working.clone();
-                if match_expr(ctx, pat_e, se, &mut attempt) {
+                let mark = st.mark();
+                if match_expr(ctx, pat_e, se, st) {
                     let span = se.span();
                     let overlaps = found
                         .iter()
                         .any(|s: &Span| s.contains(span) || span.contains(*s));
                     if !overlaps {
                         found.push(span);
-                        working = attempt;
-                        working.pairs.push(Pair {
+                        st.pairs.push(Pair {
                             pat: pat_e.span(),
                             src: span,
                             kind: PairKind::Expr,
                         });
+                        return;
                     }
                 }
+                st.rollback(&mark);
             });
             if found.is_empty() {
                 return false;
             }
-            *st = working;
             continue;
         }
         return false;
@@ -1076,19 +1186,23 @@ pub fn match_block(ctx: &MatchCtx, pat: &Block, src: &Block, st: &mut MatchState
 
 /// `when != e`: whether any `forbidden` expression matches an expression
 /// that `walk` visits, under `st`'s bindings (a probe never binds into
-/// `st`).
+/// `st`: the probes share one copy of it, rolled back after each).
 pub(crate) fn when_not_hit<'a>(
     ctx: &MatchCtx,
     forbidden: &[Expr],
     st: &MatchState,
     walk: impl FnOnce(&mut dyn FnMut(&'a Expr)),
 ) -> bool {
+    let mut probe = st.clone();
+    let mark = probe.mark();
     let mut hit = false;
     walk(&mut |sub| {
         hit = hit
-            || forbidden
-                .iter()
-                .any(|f| match_expr(ctx, f, sub, &mut st.clone()));
+            || forbidden.iter().any(|f| {
+                let matched = match_expr(ctx, f, sub, &mut probe);
+                probe.rollback(&mark);
+                matched
+            });
     });
     hit
 }
@@ -1218,12 +1332,12 @@ fn match_list<E: ListElem>(
             let Some((s0, srest)) = srcs.split_first() else {
                 return false;
             };
-            let mut attempt = st.clone();
-            let ok = E::ONE(ctx, p0, s0, &mut attempt) && go(srest, &mut attempt);
-            if ok {
-                *st = attempt;
+            let mark = st.mark();
+            if E::ONE(ctx, p0, s0, st) && go(srest, st) {
+                return true;
             }
-            return ok;
+            st.rollback(&mark);
+            return false;
         }
     };
     let early = list.filter(|&name| E::names(rest, name));
@@ -1234,13 +1348,15 @@ fn match_list<E: ListElem>(
         if list.is_none() && n > 0 && !p0.may_skip(ctx, &srcs[n - 1], st) {
             break;
         }
-        let mut attempt = st.clone();
+        // A name bound to a value of another kind is hidden by the run's
+        // binding (pushed, so the rollback uncovers it again).
+        let mark = st.mark();
         if let Some(name) = early {
-            attempt.env.bind(name, E::LIST(srcs[..n].to_vec()));
+            st.env.push(name, E::LIST(srcs[..n].to_vec()));
         }
-        if go(&srcs[n..], &mut attempt) {
+        if go(&srcs[n..], st) {
             if let Some(name) = list.filter(|_| early.is_none()) {
-                attempt.env.bind(name, E::LIST(srcs[..n].to_vec()));
+                st.env.push(name, E::LIST(srcs[..n].to_vec()));
             }
             if let Some(pat) = pair {
                 let src = match &srcs[..n] {
@@ -1254,11 +1370,11 @@ fn match_list<E: ListElem>(
                     src,
                     kind: PairKind::Dots,
                 };
-                attempt.pairs.insert(st.pairs.len(), pair);
+                st.pairs.insert(mark.pairs, pair);
             }
-            *st = attempt;
             return true;
         }
+        st.rollback(&mark);
     }
     false
 }
@@ -1445,14 +1561,13 @@ pub fn match_function(
     for pattr in &pat.attrs {
         let mut matched = false;
         while sa < src.attrs.len() {
-            let mut attempt = st.clone();
-            if match_attribute(ctx, pattr, &src.attrs[sa], &mut attempt) {
-                *st = attempt;
-                sa += 1;
+            let mark = st.mark();
+            sa += 1;
+            if match_attribute(ctx, pattr, &src.attrs[sa - 1], st) {
                 matched = true;
                 break;
             }
-            sa += 1;
+            st.rollback(&mark);
         }
         if !matched {
             return false;
@@ -1535,12 +1650,8 @@ mod tests {
         let p = pat_expr(pat, &ds);
         let s = src_expr(src);
         let regexes = HashMap::new();
-        let ctx = MatchCtx {
-            file: "t.c",
-            src,
-            decls: &ds,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&ds, &regexes);
+        let ctx = MatchCtx::new("t.c", src, &metavars);
         let mut st = MatchState::default();
         if match_expr(&ctx, &p, &s, &mut st) {
             Some(st)
@@ -1597,12 +1708,8 @@ mod tests {
         let p = pat_expr("i+k-1 < l", &with_k);
         let s = src_expr("i+3 < n");
         let regexes = HashMap::new();
-        let ctx = MatchCtx {
-            file: "t.c",
-            src: "i+3 < n",
-            decls: &with_k,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&with_k, &regexes);
+        let ctx = MatchCtx::new("t.c", "i+3 < n", &metavars);
         let mut st = MatchState::default();
         st.env.bind("k", Value::Int(4));
         assert!(match_expr(&ctx, &p, &s, &mut st));
@@ -1672,12 +1779,8 @@ mod tests {
         let p = pat_expr("fn@p(el)", &ds);
         let s = src_expr(src);
         let regexes = HashMap::new();
-        let ctx = MatchCtx {
-            file: "t.c",
-            src,
-            decls: &ds,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&ds, &regexes);
+        let ctx = MatchCtx::new("t.c", src, &metavars);
         let mut st = MatchState::default();
         assert!(match_expr(&ctx, &p, &s, &mut st));
         match st.env.get("p").unwrap() {
@@ -1702,12 +1805,8 @@ mod tests {
         let p = pat_expr("fn@p(el)", &ds);
         let s = src_expr(src);
         let regexes = HashMap::new();
-        let ctx = MatchCtx {
-            file: "t.c",
-            src,
-            decls: &ds,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&ds, &regexes);
+        let ctx = MatchCtx::new("t.c", src, &metavars);
         let mut st = MatchState::default();
         st.env.bind(
             "p",
@@ -1752,12 +1851,8 @@ mod tests {
         let srcs = parse_statements(src_text, ParseOptions::c(), &NoMeta).unwrap();
         let Stmt::Block(b) = &srcs[0] else { panic!() };
         let regexes = HashMap::new();
-        let ctx = MatchCtx {
-            file: "t.c",
-            src: src_text,
-            decls: &ds,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&ds, &regexes);
+        let ctx = MatchCtx::new("t.c", src_text, &metavars);
         let mut st = MatchState::default();
         assert!(match_stmt_seq(
             &ctx, &pats, &b.stmts, false, b.span, &mut st
@@ -1773,24 +1868,16 @@ mod tests {
         let srcs = parse_statements(same, ParseOptions::c(), &NoMeta).unwrap();
         let Stmt::Block(b) = &srcs[0] else { panic!() };
         let regexes = HashMap::new();
-        let ctx = MatchCtx {
-            file: "t.c",
-            src: same,
-            decls: &ds,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&ds, &regexes);
+        let ctx = MatchCtx::new("t.c", same, &metavars);
         let mut st = MatchState::default();
         assert!(match_stmt_seq(&ctx, &pats, &b.stmts, true, b.span, &mut st));
 
         let diff = "{ x = f(1); x = f(2); }";
         let srcs2 = parse_statements(diff, ParseOptions::c(), &NoMeta).unwrap();
         let Stmt::Block(b2) = &srcs2[0] else { panic!() };
-        let ctx2 = MatchCtx {
-            file: "t.c",
-            src: diff,
-            decls: &ds,
-            regexes: &regexes,
-        };
+        let metavars2 = Metavars::new(&ds, &regexes);
+        let ctx2 = MatchCtx::new("t.c", diff, &metavars2);
         let mut st2 = MatchState::default();
         assert!(!match_stmt_seq(
             &ctx2, &pats, &b2.stmts, true, b2.span, &mut st2
@@ -1815,17 +1902,33 @@ mod tests {
         ] {
             let srcs = parse_statements(text, ParseOptions::c(), &NoMeta).unwrap();
             let Stmt::Block(b) = &srcs[0] else { panic!() };
-            let ctx = MatchCtx {
-                file: "t.c",
-                src: text,
-                decls: &ds,
-                regexes: &regexes,
-            };
+            let metavars = Metavars::new(&ds, &regexes);
+            let ctx = MatchCtx::new("t.c", text, &metavars);
             let mut st = MatchState::default();
             let matched = match_stmt_seq(&ctx, &pats, &b.stmts, false, b.span, &mut st);
             let got = matched.then(|| st.env.get("SL").unwrap().render(text));
             assert_eq!(got.as_deref(), bound, "{text}");
         }
+    }
+
+    #[test]
+    fn failed_runs_roll_back_to_the_binding_they_hid() {
+        // `el` is already bound to an expression, so each run the first
+        // `el` tries is pushed over that binding for the second `el` to
+        // read; every run fails there, and the rollbacks leave the old
+        // binding as it was.
+        let ds = decls(&[("el", MetaDeclKind::ExpressionList)]);
+        let src = "f(b, c)";
+        let p = pat_expr("f(el, el)", &ds);
+        let regexes = HashMap::new();
+        let metavars = Metavars::new(&ds, &regexes);
+        let ctx = MatchCtx::new("t.c", src, &metavars);
+        let mut st = MatchState::default();
+        st.env.bind("el", Value::Expr(src_expr("a")));
+        let before = format!("{st:?}");
+        assert!(!match_expr(&ctx, &p, &src_expr(src), &mut st));
+        assert_eq!(format!("{st:?}"), before);
+        assert_eq!(st.env.get("el").unwrap().render(""), "a");
     }
 
     #[test]
@@ -1851,12 +1954,8 @@ mod tests {
             ("int f(int a, char *b, int a, char *c);", None),
         ] {
             let srcs = parse_statements(text, ParseOptions::c(), &NoMeta).unwrap();
-            let ctx = MatchCtx {
-                file: "t.c",
-                src: text,
-                decls: &ds,
-                regexes: &regexes,
-            };
+            let metavars = Metavars::new(&ds, &regexes);
+            let ctx = MatchCtx::new("t.c", text, &metavars);
             let mut st = MatchState::default();
             let matched = match_stmt(&ctx, &pats[0], &srcs[0], &mut st);
             let got = matched.then(|| st.env.get("PL").unwrap().render(text));
@@ -1913,12 +2012,8 @@ mod tests {
         let src_text = "y[i+1] = a * x[i+1];";
         let srcs = parse_statements(src_text, ParseOptions::c(), &NoMeta).unwrap();
         let regexes = HashMap::new();
-        let ctx = MatchCtx {
-            file: "t.c",
-            src: src_text,
-            decls: &ds,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&ds, &regexes);
+        let ctx = MatchCtx::new("t.c", src_text, &metavars);
         let mut st = MatchState::default();
         assert!(match_stmt(&ctx, &pats[0], &srcs[0], &mut st));
         // Both occurrences of i+1 recorded.
@@ -1941,12 +2036,8 @@ mod tests {
             payload: payload.to_string(),
             span: Span::new(0, 1),
         };
-        let ctx = MatchCtx {
-            file: "t.c",
-            src: "",
-            decls: &ds,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&ds, &regexes);
+        let ctx = MatchCtx::new("t.c", "", &metavars);
         // dots form
         let pat = mk("omp ...");
         let mut st = MatchState::default();
@@ -1983,23 +2074,15 @@ mod tests {
         let src = "my_kernel_fn(1)";
         let p = pat_expr("f(1)", &ds);
         let s = src_expr(src);
-        let ctx = MatchCtx {
-            file: "t.c",
-            src,
-            decls: &ds,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&ds, &regexes);
+        let ctx = MatchCtx::new("t.c", src, &metavars);
         let mut st = MatchState::default();
         assert!(match_expr(&ctx, &p, &s, &mut st));
 
         let src2 = "other_fn(1)";
         let s2 = src_expr(src2);
-        let ctx2 = MatchCtx {
-            file: "t.c",
-            src: src2,
-            decls: &ds,
-            regexes: &regexes,
-        };
+        let metavars2 = Metavars::new(&ds, &regexes);
+        let ctx2 = MatchCtx::new("t.c", src2, &metavars2);
         let mut st2 = MatchState::default();
         assert!(!match_expr(&ctx2, &p, &s2, &mut st2));
     }

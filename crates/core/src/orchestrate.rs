@@ -27,7 +27,7 @@ use crate::rewrite;
 use crate::treesearch::{DistinctSeeds, TreeSearch};
 use cocci_cast::ast::*;
 use cocci_cast::parser::ParseOptions;
-use cocci_script::{Interp, PosInfo, Report, Value as ScriptValue};
+use cocci_script::{Interp, PosInfo, Program, Report, ScriptError, Value as ScriptValue};
 use cocci_smpl::{
     Constraint, DepExpr, FreshPart, MetaDeclKind, Rule, ScriptRule, SemanticPatch, TransformRule,
 };
@@ -245,19 +245,26 @@ impl Patcher {
             }
             let edited = rewritten.is_some();
             let cur = rewritten.as_mut().unwrap_or(&mut *ctx);
+            let program = || compiled.rules[ri].program();
             match rule {
-                Rule::Initialize(b) => {
-                    interp
-                        .run_block(&b.code)
+                Rule::Initialize(_) => {
+                    program()
+                        .and_then(|p| interp.run_block_program(p))
                         .map_err(|e| aerr(format!("{name}: initialize block: {e}")))?;
                 }
-                Rule::Finalize(b) => finalizers.push(b.code.clone()),
+                Rule::Finalize(_) => finalizers.push(ri),
                 Rule::Script(s) => {
                     if !deps_ok(s.depends.as_ref(), &matched) {
                         continue;
                     }
-                    let reports =
-                        Self::run_script_rule(s, &mut interp, &mut streams, &mut matched, cur)?;
+                    let reports = Self::run_script_rule(
+                        s,
+                        program(),
+                        &mut interp,
+                        &mut streams,
+                        &mut matched,
+                        cur,
+                    )?;
                     // `coccilib.report.print_report` calls become findings,
                     // attributed to this script rule.
                     if let (Some(n), false) = (&s.name, reports.is_empty()) {
@@ -394,9 +401,10 @@ impl Patcher {
                 stats.findings.extend(auto);
             }
         }
-        for code in finalizers {
-            interp
-                .run_block(&code)
+        for ri in finalizers {
+            compiled.rules[ri]
+                .program()
+                .and_then(|p| interp.run_block_program(p))
                 .map_err(|e| aerr(format!("{name}: finalize block: {e}")))?;
         }
         self.last_stats = stats;
@@ -432,11 +440,12 @@ impl Patcher {
         }
     }
 
-    /// Run script rule `s` once per environment of `streams` that has
-    /// its inputs. Returns its `coccilib.report.print_report` calls, in
-    /// order.
+    /// Run script rule `s`, whose parsed body is `program`, once per
+    /// environment of `streams` that has its inputs. Returns its
+    /// `coccilib.report.print_report` calls, in order.
     fn run_script_rule(
         s: &ScriptRule,
+        program: Result<&Program, ScriptError>,
         interp: &mut Interp,
         streams: &mut Vec<ExportedEnv>,
         matched: &mut HashSet<String>,
@@ -504,8 +513,9 @@ impl Patcher {
                 new_streams.push(ex.clone());
                 continue;
             }
-            let run = interp
-                .run_script(&s.code, &inputs)
+            let run = program
+                .clone()
+                .and_then(|p| interp.run_program(p, inputs))
                 .map_err(|e| aerr(format!("{}: script rule: {e}", cur.name())))?;
             reports.extend(interp.take_reports());
             match run {
@@ -558,11 +568,12 @@ impl Patcher {
         ),
         ApplyError,
     > {
-        let exports_needed = t
+        // The variables later rules read from this one: a match exports
+        // only those.
+        let exports = t
             .name
             .as_ref()
-            .map(|n| self.compiled.inherited_from.contains(n))
-            .unwrap_or(false);
+            .and_then(|n| self.compiled.inherited_from.get(n));
         let has_inherited = t.metavars.iter().any(|m| m.inherited_from.is_some());
 
         // Build seeds: one per stream env when inheriting, else a single
@@ -613,15 +624,9 @@ impl Patcher {
             }
         }
 
-        let file = cur.name().to_string();
         let text = cur.text_arc();
         let src: &str = &text;
-        let ctx = MatchCtx {
-            file: &file,
-            src,
-            decls: &t.metavars,
-            regexes: &self.compiled.rules[ri].regexes,
-        };
+        let ctx = MatchCtx::new(cur.name_arc(), src, &self.compiled.rules[ri].metavars);
 
         // Flow-sensitive rules route through the CFG path engine
         // (all-paths dots semantics); everything else stays on the tree
@@ -830,10 +835,10 @@ impl Patcher {
                     if !root.is_synthetic() {
                         claimed.insert(root, m.witness_group);
                     }
-                    if exports_needed {
+                    if let Some(vars) = exports {
                         let mut ex2 = ex.map(|e| (*e).clone()).unwrap_or_default();
                         let mut detached = Env::new();
-                        for (k, v) in m.env.iter() {
+                        for (k, v) in vars.iter().filter_map(|&k| Some((k, m.env.get(k)?))) {
                             let dv = match v {
                                 // Freshly bound positions resolve now,
                                 // against the text this rule matched
@@ -872,7 +877,7 @@ impl Patcher {
                 }
             }
         }
-        let streams_out = if exports_needed && !new_streams.is_empty() {
+        let streams_out = if exports.is_some() && !new_streams.is_empty() {
             Some(new_streams)
         } else {
             None
@@ -1067,6 +1072,44 @@ pub(crate) mod seed_check {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocci_smpl::parse_semantic_patch;
+
+    #[test]
+    fn unparsable_scripts_fail_each_file_they_run_on() {
+        // A body parses once per compiled patch; its parse error is kept
+        // and fails every file the rule runs on, with the message a parse
+        // per run gave.
+        let patch = parse_semantic_patch(
+            "@r@\nexpression e;\n@@\nalpha(e);\n\n@script:python s@\nx << r.e;\n@@\ny = x $ 1\n",
+        )
+        .unwrap();
+        let mut patcher = Patcher::new(&patch).unwrap();
+        for name in ["a.c", "b.c"] {
+            let err = patcher
+                .apply(name, "void f(void) { alpha(1); }\n")
+                .unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("{name}: script rule: script error: unexpected character `$` in script")
+            );
+        }
+        // Where no environment reaches the script, it never runs.
+        let out = patcher.apply("c.c", "void f(void) { beta(1); }\n");
+        assert_eq!(out.unwrap(), None);
+        let patch =
+            parse_semantic_patch("@initialize:python@ @@\nN = $\n\n@@ @@\n- alpha();\n+ beta();\n")
+                .unwrap();
+        let mut patcher = Patcher::new(&patch).unwrap();
+        for name in ["a.c", "b.c"] {
+            let err = patcher.apply(name, "void f(void) {}\n").unwrap_err();
+            assert_eq!(
+                err.message,
+                format!(
+                    "{name}: initialize block: script error: unexpected character `$` in script"
+                )
+            );
+        }
+    }
 
     #[test]
     fn claim_index_answers_like_the_scan() {

@@ -41,12 +41,29 @@ impl SuppressionIndex {
     /// Scan `text` for `// spatch-ignore` (also accepted inside block
     /// comments and after other trailing content). Rule ids after the
     /// marker are whitespace/comma separated.
+    ///
+    /// One search runs over the whole text; line numbers are counted only
+    /// up to each hit. Only a line's first marker counts.
     pub fn parse(text: &str) -> SuppressionIndex {
         let mut lines = HashMap::new();
-        for (i, line) in text.lines().enumerate() {
-            let Some(at) = line.find(MARKER) else {
+        // The line number of the text from `counted` on.
+        let (mut counted, mut line_no) = (0, 1);
+        // Where the last line holding a marker ends.
+        let mut line_end = 0;
+        for (hit, _) in text.match_indices(MARKER) {
+            if hit < line_end {
                 continue;
-            };
+            }
+            let start = text[..hit].rfind('\n').map_or(0, |nl| nl + 1);
+            line_no += text.as_bytes()[counted..start]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+            counted = start;
+            line_end = text[hit..].find('\n').map_or(text.len(), |nl| hit + nl + 1);
+            // The line as `str::lines` yields it (its `\r\n` stripped).
+            let line = text[start..line_end].lines().next().unwrap_or("");
+            let at = hit - start;
             // Require a comment introducer before the marker so the
             // string literal "spatch-ignore" in ordinary code does not
             // suppress anything.
@@ -69,7 +86,7 @@ impl SuppressionIndex {
             } else {
                 Scope::Rules(ids)
             };
-            lines.insert((i + 1) as u32, scope);
+            lines.insert(line_no as u32, scope);
         }
         SuppressionIndex { lines }
     }
@@ -162,6 +179,58 @@ mod tests {
         assert_eq!(suppressed, 1);
         assert_eq!(kept.len(), 2);
         assert!(kept.iter().all(|f| !(f.rule == "r1" && f.line == 1)));
+    }
+
+    /// The line-by-line reading the one-search scan replaces.
+    fn per_line(text: &str) -> HashMap<u32, Scope> {
+        let mut lines = HashMap::new();
+        for (i, line) in text.lines().enumerate() {
+            let Some(at) = line.find(MARKER) else {
+                continue;
+            };
+            let before = &line[..at];
+            if !before.contains("//") && !before.contains("/*") {
+                continue;
+            }
+            let rest = line[at + MARKER.len()..]
+                .trim_end_matches("*/")
+                .trim()
+                .trim_matches(':')
+                .trim();
+            let ids: Vec<String> = rest
+                .split([' ', '\t', ','])
+                .filter(|s| !s.is_empty())
+                .map(|s| s.to_string())
+                .collect();
+            let scope = if ids.is_empty() {
+                Scope::All
+            } else {
+                Scope::Rules(ids)
+            };
+            lines.insert((i + 1) as u32, scope);
+        }
+        lines
+    }
+
+    #[test]
+    fn one_search_reads_lines_like_the_per_line_scan() {
+        for text in [
+            "",
+            "spatch-ignore",
+            "// spatch-ignore",
+            "a; // spatch-ignore r1 /* spatch-ignore r2 */\nb;\n",
+            "\"spatch-ignore\" // spatch-ignore r3\n",
+            "x;\r\n/* spatch-ignore r4 */\r\ny; // spatch-ignore\r\n",
+            "\n\n\n  // spatch-ignore: a,b\tc\n\n// spatch-ignore",
+            "/* spatch-ignore r5 */\r",
+            "héllo // spatch-ignore r6\nwörld /* spatch-ignorespatch-ignore */\n",
+        ] {
+            assert_eq!(
+                SuppressionIndex::parse(text).lines,
+                per_line(text),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

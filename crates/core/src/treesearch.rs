@@ -767,6 +767,7 @@ fn same_bindings(a: &Env, b: &Env) -> bool {
 mod tests {
     use super::*;
     use crate::explain::ExplainConfig;
+    use crate::matcher::Metavars;
     use crate::orchestrate::seed_check;
     use crate::Patcher;
     use cocci_cast::parser::{parse_translation_unit, NoMeta, ParseOptions};
@@ -1230,12 +1231,8 @@ position u.p;
         let src = "void f(void) { foo(1); foo(2); }\n";
         let tu = parse_translation_unit(src, ParseOptions::c(), &NoMeta).unwrap();
         let regexes = HashMap::new();
-        let ctx = MatchCtx {
-            file: "this.c",
-            src,
-            decls: &t.metavars,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&t.metavars, &regexes);
+        let ctx = MatchCtx::new("this.c", src, &metavars);
         let second = src.rfind("foo").unwrap() as u32;
         for (file, pins) in [("this.c", true), ("other.c", false)] {
             let mut seed = Env::new();
@@ -1274,12 +1271,8 @@ position u.p;
         let src = "void f(int x) { foo(1); if (x) foo(2); { foo(3); } }\n";
         let tu = parse_translation_unit(src, ParseOptions::c(), &NoMeta).unwrap();
         let regexes = HashMap::new();
-        let ctx = MatchCtx {
-            file: "once.c",
-            src,
-            decls: &r.metavars,
-            regexes: &regexes,
-        };
+        let metavars = Metavars::new(&r.metavars, &regexes);
+        let ctx = MatchCtx::new("once.c", src, &metavars);
         // The body's statements, the nested block's, then the unbraced
         // branch that no block lists.
         let bound: Vec<String> = find_matches(&ctx, &r.body.pattern, &tu, &Env::new())

@@ -113,6 +113,22 @@ impl fmt::Display for ScriptError {
 
 impl std::error::Error for ScriptError {}
 
+/// A parsed script body. A patch parses each of its script bodies once
+/// and runs the program for every file and environment.
+#[derive(Debug, Clone)]
+pub struct Program {
+    stmts: Vec<StmtNode>,
+}
+
+impl Program {
+    /// Parse `code`.
+    pub fn parse(code: &str) -> Result<Program, ScriptError> {
+        Ok(Program {
+            stmts: parse_program(code)?,
+        })
+    }
+}
+
 fn serr(message: impl Into<String>) -> ScriptError {
     ScriptError {
         message: message.into(),
@@ -145,13 +161,12 @@ impl Interp {
         std::mem::take(&mut self.reports)
     }
 
-    /// Run an `@initialize@` block: statements execute against the global
-    /// environment.
-    pub fn run_block(&mut self, code: &str) -> Result<(), ScriptError> {
-        let stmts = parse_program(code)?;
+    /// Run an `@initialize@` (or `@finalize@`) block: statements execute
+    /// against the global environment.
+    pub fn run_block_program(&mut self, program: &Program) -> Result<(), ScriptError> {
         let mut locals = BTreeMap::new();
         let mut outputs = BTreeMap::new();
-        for s in &stmts {
+        for s in &program.stmts {
             self.exec(s, &mut locals, &mut outputs, true)?;
         }
         Ok(())
@@ -160,15 +175,14 @@ impl Interp {
     /// Run a script rule body with `inputs` as local bindings. Returns the
     /// `coccinelle.<name>` assignments. `Ok(None)` means the environment
     /// should be skipped (dict-miss idiom).
-    pub fn run_script(
+    pub fn run_program(
         &mut self,
-        code: &str,
-        inputs: &BTreeMap<String, Value>,
+        program: &Program,
+        inputs: BTreeMap<String, Value>,
     ) -> Result<Option<BTreeMap<String, Value>>, ScriptError> {
-        let stmts = parse_program(code)?;
-        let mut locals = inputs.clone();
+        let mut locals = inputs;
         let mut outputs = BTreeMap::new();
-        for s in &stmts {
+        for s in &program.stmts {
             match self.exec(s, &mut locals, &mut outputs, false) {
                 Ok(()) => {}
                 Err(e) if e.skip_env => return Ok(None),
@@ -688,6 +702,30 @@ fn parse_program(code: &str) -> Result<Vec<StmtNode>, ScriptError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parse and run in one step, as the tests' texts need.
+    trait RunText {
+        fn run_block(&mut self, code: &str) -> Result<(), ScriptError>;
+        fn run_script(
+            &mut self,
+            code: &str,
+            inputs: &BTreeMap<String, Value>,
+        ) -> Result<Option<BTreeMap<String, Value>>, ScriptError>;
+    }
+
+    impl RunText for Interp {
+        fn run_block(&mut self, code: &str) -> Result<(), ScriptError> {
+            self.run_block_program(&Program::parse(code)?)
+        }
+
+        fn run_script(
+            &mut self,
+            code: &str,
+            inputs: &BTreeMap<String, Value>,
+        ) -> Result<Option<BTreeMap<String, Value>>, ScriptError> {
+            self.run_program(&Program::parse(code)?, inputs.clone())
+        }
+    }
 
     fn inputs(pairs: &[(&str, &str)]) -> BTreeMap<String, Value> {
         pairs

@@ -513,9 +513,9 @@ fn flow_route_agrees_with_a_path_oracle() {
     use cocci_cast::parser::{parse_statements, parse_translation_unit};
     use cocci_core::explain::AttemptProbe;
     use cocci_core::flowmatch::lower_pattern;
-    use cocci_core::{CfgCache, Env, FlowSearch, MatchCtx, PairKind};
+    use cocci_core::{CfgCache, Env, FlowSearch, MatchCtx, Metavars, PairKind};
     use std::cell::Cell;
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::BTreeMap;
 
     // (pattern, all paths must hit, gap forbids g())
     const READINGS: [(&str, bool, bool); 5] = [
@@ -566,13 +566,8 @@ fn flow_route_agrees_with_a_path_oracle() {
                     _ => false,
                 }
             };
-            let regexes = HashMap::new();
-            let ctx = MatchCtx {
-                file: "f.c",
-                src: &src,
-                decls: &[],
-                regexes: &regexes,
-            };
+            let metavars = Metavars::default();
+            let ctx = MatchCtx::new("f.c", &src, &metavars);
             for (r, &(pattern, forall, guard)) in READINGS.iter().enumerate() {
                 // The reference: anchor start -> hit starts, for every
                 // anchor the paths allow.
