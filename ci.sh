@@ -213,16 +213,29 @@ rm -rf "$SCAN_ROOT"
 # engine_tests::n_rule_scan_equals_union_of_one_rule_scans.)
 cargo run --release -q -p cocci-examples --example scan_matrix --locked -- "$SCAN_ROOT"
 for fmt in text json sarif; do
-  "$SPATCH" scan --rules "$SCAN_ROOT/rules" --format "$fmt" \
+  "$SPATCH" scan --rules "$SCAN_ROOT/rules" --format "$fmt" --report "$SCAN_ROOT/report.$fmt.json" \
     --quiet "$SCAN_ROOT/corpus" > "$SCAN_ROOT/scan.$fmt"
   test -s "$SCAN_ROOT/scan.$fmt"
 done
+# `--format json` prints the very report `--report` writes.
+cmp "$SCAN_ROOT/scan.json" "$SCAN_ROOT/report.json.json"
+# All three formats must agree on the (file,line,col,rule) finding set.
+sed -E 's/^([^:]*):([0-9]+):([0-9]+): ([^:]*): .*/\1:\2:\3:\4/' "$SCAN_ROOT/scan.text" \
+  | sort > "$SCAN_ROOT/set.text"
+test -s "$SCAN_ROOT/set.text"
+grep -o '"path": "[^"]*", "line": [0-9]*, "col": [0-9]*, "end_line": [0-9]*, "end_col": [0-9]*, "rule": "[^"]*"' "$SCAN_ROOT/scan.json" \
+  | sed -E 's/"path": "([^"]*)", "line": ([0-9]*), "col": ([0-9]*), .*"rule": "([^"]*)"/\1:\2:\3:\4/' \
+  | sort > "$SCAN_ROOT/set.json"
+sed -n -E 's/^ *\{"ruleId": "([^"]*)".*"uri": "([^"]*)"\}, "region": \{"startLine": ([0-9]+), "startColumn": ([0-9]+).*/\2:\3:\4:\1/p' \
+  "$SCAN_ROOT/scan.sarif" | sort > "$SCAN_ROOT/set.sarif"
+diff "$SCAN_ROOT/set.text" "$SCAN_ROOT/set.json"
+diff "$SCAN_ROOT/set.text" "$SCAN_ROOT/set.sarif"
 # SARIF sanity on the merged run: one run, required keys, per-rule ids.
 for key in '"version": "2.1.0"' '"$schema"' '"runs"' '"results"' '"ruleId"' '"defaultConfiguration"' '"artifactLocation"'; do
   grep -qF "$key" "$SCAN_ROOT/scan.sarif" || { echo "scan SARIF missing $key"; exit 1; }
 done
 cp "$SCAN_ROOT/scan.sarif" target/SCAN_matrix.sarif
-echo "ok: $(wc -l < "$SCAN_ROOT/scan.text") findings in the merged scan (SARIF at target/SCAN_matrix.sarif)"
+echo "ok: $(wc -l < "$SCAN_ROOT/set.text") findings agree across text/json/sarif in the merged scan (SARIF at target/SCAN_matrix.sarif)"
 
 echo "== traced scan e2e (Chrome trace + stats + metrics reconcile) =="
 TRACE_ROOT="target/trace-e2e"

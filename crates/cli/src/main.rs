@@ -71,12 +71,16 @@ mod telemetry;
 
 use cocci_core::{
     scan_corpus, ApplyError, ApplyReport, CompiledPatch, CompiledRuleSet, CorpusOptions,
-    ExplainConfig, FileOutcome, FileStatus, RunMetrics, WalkSource,
+    ExplainConfig, FileOutcome, FileReport, FileStatus, RunMetrics, SarifIndex, WalkSource,
+    JSON_TAIL, SARIF_TAIL,
 };
 use cocci_lint::{
     has_deny, lint_duplicates, lint_patch, lint_ruleset, Lint, LintConfig, LintLevel,
 };
 use cocci_smpl::{parse_semantic_patch, SemanticPatch};
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -735,13 +739,25 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
         }
     };
 
-    // The sink runs while each batch's text is still in memory: print the
-    // diff / rewrite the file immediately, then let the text drop. Write
-    // failures are collected so the report can be corrected afterwards
-    // (the driver outcome says "changed", but the change never landed).
+    // The sink runs while each file's text is still in memory: print the
+    // diff / rewrite the file immediately, then let the text drop. It
+    // also renders the file's pieces of every output the run ends with,
+    // as the file arrives, so the end of the run is one write of each.
     let quiet = args.quiet;
+    let format = (mode != Mode::Patch).then(|| args.format.unwrap_or(Format::Text));
+    let sarif_rules = set.sarif_rules();
+    let index = SarifIndex::new(&sarif_rules);
+    let mut rendered = Rendered {
+        rows: (args.report.is_some() || format == Some(Format::Json)).then(Pieces::default),
+        sarif: (format == Some(Format::Sarif)).then(Pieces::default),
+        text: (format == Some(Format::Text)).then(Pieces::default),
+        index: &index,
+        rule_ids: BTreeSet::new(),
+    };
+    // Each file the sink saw, in walk order, with the message of a
+    // rewrite that failed to land.
+    let mut sunk: Vec<(String, Option<String>)> = Vec::new();
     let mut changed = 0usize;
-    let mut write_errors: Vec<(String, String)> = Vec::new();
     let mut heartbeat = telemetry::Heartbeat::new(source.remaining(), quiet);
     let run = scan_corpus(
         &set,
@@ -760,26 +776,44 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
                     eprintln!("spatch: explain: {name}: {}", attempt_line(a));
                 }
             }
-            if r.error.is_some() {
-                return; // reported once, from the report below
-            }
-            if mode != Mode::Scan {
+            let failed_write = if r.error.is_some() {
+                None // reported once, from the report below
+            } else if mode != Mode::Scan {
                 match apply_file(args, mode, name, original, outcome) {
-                    Ok(wrote) => changed += usize::from(wrote),
-                    Err(e) => write_errors.push((name.to_string(), e)),
+                    Ok(wrote) => {
+                        changed += usize::from(wrote);
+                        None
+                    }
+                    Err(e) => Some(e),
                 }
-            } else if !quiet {
-                let (ran, pruned) = (r.rules.len(), r.rules_pruned);
-                if r.findings.is_empty() && r.suppressed == 0 {
-                    eprintln!("spatch: {name}: no findings ({ran} rule(s) ran, {pruned} pruned)");
-                } else {
-                    eprintln!(
-                        "spatch: {name}: {} finding(s), {} suppressed ({ran} rule(s) ran, {pruned} pruned)",
-                        r.findings.len(),
-                        r.suppressed
-                    );
+            } else {
+                if !quiet {
+                    let (ran, pruned) = (r.rules.len(), r.rules_pruned);
+                    if r.findings.is_empty() && r.suppressed == 0 {
+                        eprintln!(
+                            "spatch: {name}: no findings ({ran} rule(s) ran, {pruned} pruned)"
+                        );
+                    } else {
+                        eprintln!(
+                            "spatch: {name}: {} finding(s), {} suppressed ({ran} rule(s) ran, {pruned} pruned)",
+                            r.findings.len(),
+                            r.suppressed
+                        );
+                    }
                 }
+                None
+            };
+            // A file whose rewrite failed to land is an error, not a
+            // change: its row says so.
+            match &failed_write {
+                Some(msg) => rendered.render(&FileReport {
+                    status: FileStatus::Error,
+                    error: Some(msg.clone()),
+                    ..r.clone()
+                }),
+                None => rendered.render(r),
             }
+            sunk.push((name.to_string(), failed_write));
         },
     );
     heartbeat.finish();
@@ -804,12 +838,28 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
         telemetry::print_stats(&report);
     }
 
-    // A file whose rewrite failed to land is an error, not a change —
-    // downgrade its report entry before anything consumes it.
-    for (name, msg) in write_errors {
-        if let Some(f) = report.files.iter_mut().find(|f| f.name == name) {
-            f.status = FileStatus::Error;
-            f.error = Some(msg);
+    // Resumed and unreadable files never reached the sink: render their
+    // pieces now, after the sink's, and note each file's piece in walk
+    // order. The sink's files are the report's in order, less those. A
+    // failed write downgrades the report's entry too, before the counts,
+    // the summary and the exit code read it.
+    let mut placed: Vec<usize> = Vec::with_capacity(report.files.len());
+    let mut next_piece = sunk.len();
+    let mut sunk = sunk.into_iter().enumerate().peekable();
+    for f in &mut report.files {
+        match sunk.next_if(|(_, (name, _))| *name == f.name) {
+            Some((i, (_, failed_write))) => {
+                if let Some(msg) = failed_write {
+                    f.status = FileStatus::Error;
+                    f.error = Some(msg);
+                }
+                placed.push(i);
+            }
+            None => {
+                rendered.render(f);
+                placed.push(next_piece);
+                next_piece += 1;
+            }
         }
     }
 
@@ -843,8 +893,17 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
                 .unwrap_or_default()
         );
     }
-    if let Some(path) = &args.report {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
+    // The report's head reads the whole run (counts, metrics, explain),
+    // so it is written last, ahead of the rows rendered as files arrived.
+    let json = rendered.rows.is_some().then(|| {
+        let mut head = String::new();
+        report.write_json_head(&mut head);
+        (head, in_walk_order(&placed, &rendered.rows))
+    });
+    if let (Some(path), Some((head, rows))) = (&args.report, &json) {
+        let written = std::fs::File::create(path)
+            .and_then(|file| write_document(file, head, ",", rows, JSON_TAIL));
+        if let Err(e) = written {
             eprintln!("spatch: cannot write report {}: {e}", path.display());
             failures += 1;
         } else if !quiet {
@@ -858,18 +917,36 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
     // listing every rule with an id — findingless rules keep the output
     // shape stable run over run. Resumed files kept their findings in
     // the report, so every format sees the full set on incremental runs.
-    if mode != Mode::Patch {
-        match args.format.unwrap_or(Format::Text) {
-            Format::Text => {
-                for f in &report.files {
-                    for fd in &f.findings {
-                        println!("{}", fd.text_line());
-                    }
-                }
-            }
-            Format::Json => print!("{}", report.to_json()),
-            Format::Sarif => print!("{}", cocci_core::to_sarif_with(&report, &set.sarif_rules())),
+    let stdout = std::io::stdout();
+    let printed = match format {
+        None => Ok(()),
+        Some(Format::Text) => write_document(
+            stdout.lock(),
+            "",
+            "",
+            &in_walk_order(&placed, &rendered.text),
+            "",
+        ),
+        Some(Format::Json) => {
+            let (head, rows) = json.as_ref().expect("rows rendered for --format json");
+            write_document(stdout.lock(), head, ",", rows, JSON_TAIL)
         }
+        Some(Format::Sarif) => {
+            // The rule lints lead the results.
+            let mut lints = String::new();
+            index.write_results(&mut lints, &report.lints, None);
+            let mut results = vec![lints.as_str()];
+            results.extend(in_walk_order(&placed, &rendered.sarif));
+            let ids = (report.lints.iter().map(|l| l.rule.as_str()))
+                .chain(rendered.rule_ids.iter().map(String::as_str));
+            let mut head = String::new();
+            index.write_head(&mut head, ids);
+            write_document(stdout.lock(), &head, ",", &results, SARIF_TAIL)
+        }
+    };
+    if let Err(e) = printed {
+        eprintln!("spatch: cannot write to stdout: {e}");
+        failures += 1;
     }
     if !quiet {
         let total_findings: usize = report.files.iter().map(|f| f.findings.len()).sum();
@@ -896,11 +973,101 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
             ),
         }
     }
+    // Every output is flushed. Freeing the report, most of it its
+    // findings, and the rendered outputs took 42–60 ms at exit after a
+    // 92,698-finding scan of 16 MB (2-core host); the process ends
+    // instead.
+    drop(json);
+    std::mem::forget((report, rendered, previous));
     if failures > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// One output's pieces, one per file, back to back in `text`; piece `i`
+/// ends at `ends[i]`.
+#[derive(Default)]
+struct Pieces {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Pieces {
+    /// Piece `i`.
+    fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+}
+
+/// The outputs a run ends with, rendered file by file: report rows
+/// (`--report`, `--format json`), SARIF results and grep-style finding
+/// lines, each only when the run writes it.
+struct Rendered<'r> {
+    rows: Option<Pieces>,
+    sarif: Option<Pieces>,
+    text: Option<Pieces>,
+    /// The SARIF rule descriptors, which set each result's level.
+    index: &'r SarifIndex<'r>,
+    /// Distinct rule ids of the findings in `sarif`, which the SARIF head
+    /// lists.
+    rule_ids: BTreeSet<String>,
+}
+
+impl Rendered<'_> {
+    /// Render `row`'s piece of each output.
+    fn render(&mut self, row: &FileReport) {
+        if let Some(rows) = &mut self.rows {
+            row.write_json(&mut rows.text);
+            rows.ends.push(rows.text.len());
+        }
+        if let Some(results) = &mut self.sarif {
+            self.index
+                .write_results(&mut results.text, &row.findings, row.kill_stage);
+            results.ends.push(results.text.len());
+            for f in &row.findings {
+                if !self.rule_ids.contains(&f.rule) {
+                    self.rule_ids.insert(f.rule.clone());
+                }
+            }
+        }
+        if let Some(lines) = &mut self.text {
+            for f in &row.findings {
+                let _ = writeln!(lines.text, "{f}");
+            }
+            lines.ends.push(lines.text.len());
+        }
+    }
+}
+
+/// The pieces of one output in walk order: `placed` gives each file's
+/// piece.
+fn in_walk_order<'a>(placed: &[usize], pieces: &'a Option<Pieces>) -> Vec<&'a str> {
+    let pieces = pieces.as_ref().expect("rendered for this run");
+    placed.iter().map(|&i| pieces.get(i)).collect()
+}
+
+/// Write `head`, the non-empty `pieces` joined by `sep`, and `tail`
+/// through one buffered writer, and flush it.
+fn write_document(
+    out: impl std::io::Write,
+    head: &str,
+    sep: &str,
+    pieces: &[&str],
+    tail: &str,
+) -> std::io::Result<()> {
+    let mut out = std::io::BufWriter::with_capacity(1 << 16, out);
+    out.write_all(head.as_bytes())?;
+    for (i, piece) in pieces.iter().filter(|p| !p.is_empty()).enumerate() {
+        if i > 0 {
+            out.write_all(sep.as_bytes())?;
+        }
+        out.write_all(piece.as_bytes())?;
+    }
+    out.write_all(tail.as_bytes())?;
+    out.flush()
 }
 
 fn main() -> ExitCode {

@@ -2256,3 +2256,111 @@ fn explain_filter_narrows_annotations_to_file_and_rule() {
         "only the filtered (file, rule) attempt is annotated"
     );
 }
+
+#[test]
+fn failed_output_write_is_an_error_row() {
+    let dir = tmpdir("write-fail");
+    fs::write(dir.join("q.cocci"), "@@ @@\n- old_api(1);\n+ new_api(1);\n").unwrap();
+    fs::write(dir.join("u.c"), "void f(void) {\n    old_api(1);\n}\n").unwrap();
+    let out = spatch()
+        .current_dir(&dir)
+        .args(["--sp-file", "q.cocci", "-o", "no-such-dir/out.c"])
+        .args(["--report", "r.json", "u.c"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let message = "cannot write no-such-dir/out.c: ";
+    assert!(
+        stderr.contains(&format!("spatch: u.c: {message}")),
+        "{stderr}"
+    );
+    let text = fs::read_to_string(dir.join("r.json")).unwrap();
+    assert!(
+        text.contains(
+            r#""counts": {"pruned": 0, "unmatched": 0, "matched": 0, "changed": 0, "timeout": 0, "error": 1}"#
+        ),
+        "{text}"
+    );
+    let report = cocci_core::ApplyReport::from_json(&text).unwrap();
+    let row = &report.files[0];
+    assert_eq!(row.status, cocci_core::FileStatus::Error);
+    assert!(
+        row.error.as_deref().unwrap().starts_with(message),
+        "{:?}",
+        row.error
+    );
+}
+
+#[test]
+fn unreadable_and_resumed_files_keep_their_walk_order_place() {
+    use cocci_core::{to_sarif_with, ApplyReport, CompiledRuleSet};
+
+    let dir = tmpdir("walk-order");
+    let rules = write_rules_dir(&dir);
+    let tree = dir.join("tree");
+    fs::create_dir_all(&tree).unwrap();
+    fs::write(tree.join("a.c"), "void f(void) {\n    alpha(1);\n}\n").unwrap();
+    // Not UTF-8: the walker cannot read it.
+    fs::write(tree.join("b.c"), b"void g(void) {\n    alpha(\xff);\n}\n").unwrap();
+    fs::write(tree.join("c.c"), "void h(void) {\n    gamma(3);\n}\n").unwrap();
+    fs::write(tree.join("d.c"), "void k(void) {\n    alpha(4);\n}\n").unwrap();
+    let scan = |extra: &[&str]| {
+        let out = spatch()
+            .current_dir(&dir)
+            .args(["scan", "--rules", "rules", "--quiet"])
+            .args(extra)
+            .arg("tree")
+            .output()
+            .unwrap();
+        // The unreadable file is a failure.
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    scan(&["--report", "first.json"]);
+    // `c.c` is unchanged and resumes; `a.c` and `d.c` run again.
+    for name in ["a.c", "d.c"] {
+        let text = fs::read_to_string(tree.join(name)).unwrap();
+        fs::write(
+            tree.join(name),
+            format!("{text}void gamma_user(void) {{ gamma(9); }}\n"),
+        )
+        .unwrap();
+    }
+    // The `-j 1` output, equal to the `-j 4` one but for timings and the
+    // thread count.
+    let run = |format: &str| {
+        let outputs: Vec<String> = ["1", "4"]
+            .iter()
+            .map(|jobs| scan(&["--resume", "first.json", "--format", format, "-j", jobs]))
+            .collect();
+        let [one, four] = [&outputs[0], &outputs[1]]
+            .map(|out| zero_values(out, &["seconds", "total_seconds", "threads"]));
+        assert_eq!(one, four, "--format {format}: -j 1 vs -j 4");
+        outputs[0].clone()
+    };
+    let (text, json, sarif) = (run("text"), run("json"), run("sarif"));
+
+    let report = ApplyReport::from_json(&json).unwrap();
+    let names: Vec<&str> = report.files.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["tree/a.c", "tree/b.c", "tree/c.c", "tree/d.c"]);
+    assert_eq!(report.resumed, 1);
+    assert_eq!(report.files[1].status, cocci_core::FileStatus::Error);
+    // Each output is the one the report's own writers give, in row order.
+    assert_eq!(report.to_json(), json);
+    let lines: String = report
+        .files
+        .iter()
+        .flat_map(|f| &f.findings)
+        .map(|fd| format!("{}\n", fd.text_line()))
+        .collect();
+    assert_eq!(lines, text);
+    let files: Vec<&str> = text.lines().map(|l| l.split(':').next().unwrap()).collect();
+    assert_eq!(
+        files,
+        ["tree/a.c", "tree/a.c", "tree/c.c", "tree/d.c", "tree/d.c"]
+    );
+    let set = CompiledRuleSet::load_dir(&rules).unwrap();
+    assert_eq!(to_sarif_with(&report, &set.sarif_rules()), sarif);
+}

@@ -3,10 +3,11 @@
 //! A GADGET-scale tree does not fit in memory. [`FileSource`] streams
 //! files in **bounded-memory batches**: a source yields at most
 //! [`BatchOptions::max_files`] files / `max_bytes` bytes of text per
-//! call, the driver ([`scan_corpus`]) runs the batch in parallel and
-//! records outcomes into an [`ApplyReport`], dropping each file's text
-//! once it is sunk. It reads the next batch only when what is read but
-//! not yet sunk fits in one batch, so at most two batches of text are in
+//! call. The driver ([`scan_corpus`]) asks for one file at a time,
+//! queues it for the workers and records outcomes into an
+//! [`ApplyReport`], dropping each file's text once it is sunk. It reads
+//! the next file only when what is read but not yet sunk fits in one
+//! batch, so at most one batch of text, plus the file being read, is in
 //! memory however far the workers lag.
 //!
 //! Two sources are provided:
@@ -110,7 +111,9 @@ pub const SOURCE_EXTENSIONS: [&str; 10] = [
 /// caller. Explicitly listed files bypass both the extension filter and
 /// the ignore set (you asked for them by name).
 pub struct WalkSource {
-    pending: VecDeque<PathBuf>,
+    /// Files to read, in walk order, with each path the walk could not
+    /// find or list in its place, as a `(name, message)` failure.
+    pending: VecDeque<Result<PathBuf, (String, String)>>,
     errors: Vec<(String, String)>,
 }
 
@@ -132,12 +135,12 @@ impl WalkSource {
                 }
                 src.walk_dir(p, Path::new(""), &ignore);
             } else if p.exists() {
-                src.pending.push_back(p.clone());
+                src.pending.push_back(Ok(p.clone()));
             } else {
-                src.errors.push((
+                src.pending.push_back(Err((
                     p.display().to_string(),
                     "no such file or directory".to_string(),
-                ));
+                )));
             }
         }
         src
@@ -145,7 +148,7 @@ impl WalkSource {
 
     /// Number of files discovered and still queued.
     pub fn remaining(&self) -> usize {
-        self.pending.len()
+        self.pending.iter().filter(|p| p.is_ok()).count()
     }
 
     fn walk_dir(&mut self, abs: &Path, rel: &Path, ignore: &IgnoreSet) {
@@ -159,7 +162,8 @@ impl WalkSource {
                 })
                 .collect(),
             Err(e) => {
-                self.errors.push((abs.display().to_string(), e.to_string()));
+                self.pending
+                    .push_back(Err((abs.display().to_string(), e.to_string())));
                 return;
             }
         };
@@ -184,7 +188,7 @@ impl WalkSource {
                     .extension()
                     .map(|e| e.to_string_lossy().to_ascii_lowercase());
                 if matches!(&ext, Some(e) if SOURCE_EXTENSIONS.contains(&e.as_str())) {
-                    self.pending.push_back(path);
+                    self.pending.push_back(Ok(path));
                 }
             }
         }
@@ -195,14 +199,23 @@ impl FileSource for WalkSource {
     fn next_batch(&mut self, opts: &BatchOptions) -> Vec<(String, String)> {
         let mut batch: Vec<(String, String)> = Vec::new();
         let mut bytes = 0usize;
-        while let Some(path) = self.pending.front() {
-            let size = std::fs::metadata(path)
-                .map(|m| m.len() as usize)
-                .unwrap_or(0);
+        while let Some(next) = self.pending.front() {
+            // A failed path waits while the batch is full, so that its
+            // error comes after the files walked before it.
+            let size = match next {
+                Ok(path) => std::fs::metadata(path).map_or(0, |m| m.len() as usize),
+                Err(_) => 0,
+            };
             if opts.full(batch.len(), bytes, size) {
                 break;
             }
-            let path = self.pending.pop_front().unwrap();
+            let path = match self.pending.pop_front().expect("front is some") {
+                Ok(path) => path,
+                Err(failed) => {
+                    self.errors.push(failed);
+                    continue;
+                }
+            };
             let name = path.display().to_string();
             match std::fs::read_to_string(&path) {
                 Ok(text) => {
@@ -674,6 +687,40 @@ mod tests {
         assert!(src.next_batch(&BatchOptions::default()).is_empty());
         let errs = src.take_errors();
         assert_eq!(errs.len(), 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn unreadable_paths_keep_their_walk_order_place() {
+        let root = std::env::temp_dir().join(format!("cocci-walk-order-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("dir")).unwrap();
+        let text = "void f(void) { old_api(1); }\n";
+        for name in ["a.c", "c.c", "dir/d.c"] {
+            std::fs::write(root.join(name), text).unwrap();
+        }
+        // Not UTF-8: found by the walk, but not readable as text.
+        std::fs::write(root.join("dir/b.c"), b"void f(void) { old_api(\xff); }\n").unwrap();
+        let targets = ["a.c", "missing.c", "dir", "c.c"].map(|t| root.join(t));
+        let mut src = WalkSource::discover(&targets, &[]);
+        assert_eq!(src.remaining(), 4);
+        let patch = parse_semantic_patch("@@ @@\n- old_api(1);\n+ new_api(1);\n").unwrap();
+        let report = apply_to_corpus_resumed(
+            &patch,
+            &mut src,
+            &CorpusOptions::default(),
+            None,
+            |_, _, _| {},
+        )
+        .unwrap();
+        let prefix = format!("{}/", root.display());
+        let names: Vec<&str> = report
+            .files
+            .iter()
+            .map(|f| f.name.strip_prefix(&prefix).unwrap())
+            .collect();
+        assert_eq!(names, ["a.c", "missing.c", "dir/b.c", "dir/d.c", "c.c"]);
+        assert_eq!(report.count(FileStatus::Error), 2);
         let _ = std::fs::remove_dir_all(&root);
     }
 

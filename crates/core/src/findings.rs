@@ -19,13 +19,14 @@
 //! ([`to_sarif_with`]) for CI ingestion.
 
 use crate::env::Value;
+use crate::explain::KillStage;
 use crate::matcher::MatchState;
 use crate::report::json::{self, Fields, Str};
-use crate::report::ApplyReport;
+use crate::report::{ApplyReport, Fnv};
 use cocci_smpl::{MetaDecl, MetaDeclKind};
 use cocci_source::Span;
 use std::collections::{BTreeSet, HashMap};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One diagnostic produced by a reporting-only rule (or by a script
 /// rule's `coccilib.report.print_report`).
@@ -51,13 +52,21 @@ pub struct Finding {
     pub bindings: Vec<(String, String)>,
 }
 
-impl Finding {
+impl fmt::Display for Finding {
     /// The grep-style text form: `file:line:col: rule: message`.
-    pub fn text_line(&self) -> String {
-        format!(
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
             "{}:{}:{}: {}: {}",
             self.path, self.line, self.col, self.rule, self.message
         )
+    }
+}
+
+impl Finding {
+    /// The grep-style text form ([`Display`](fmt::Display)) as a string.
+    pub fn text_line(&self) -> String {
+        self.to_string()
     }
 
     /// A stable identity for set comparison across output formats.
@@ -234,6 +243,115 @@ fn uri_reference(path: &str) -> String {
     out
 }
 
+/// The rule descriptors of one SARIF document, indexed by id (the first
+/// descriptor given for an id wins): the tool section the head lists,
+/// and the `level` each result reads.
+pub struct SarifIndex<'a> {
+    by_id: HashMap<&'a str, &'a SarifRule>,
+}
+
+/// The SARIF text after the last result.
+pub const SARIF_TAIL: &str = "\n    ]\n  }]\n}\n";
+
+impl<'a> SarifIndex<'a> {
+    /// Index `rules`.
+    pub fn new(rules: &'a [SarifRule]) -> SarifIndex<'a> {
+        let mut by_id = HashMap::with_capacity(rules.len());
+        for r in rules {
+            by_id.entry(r.id.as_str()).or_insert(r);
+        }
+        SarifIndex { by_id }
+    }
+
+    /// Write the SARIF text before the first result. The tool section
+    /// lists the descriptor ids and `finding_rules` (the rule ids of
+    /// every finding the document holds), once each, sorted; an id
+    /// without a descriptor gets a generated entry.
+    pub fn write_head<'i>(
+        &self,
+        out: &mut String,
+        finding_rules: impl IntoIterator<Item = &'i str>,
+    ) {
+        let mut rule_ids: BTreeSet<&str> = finding_rules.into_iter().collect();
+        rule_ids.extend(self.by_id.keys());
+        out.push_str("{\n");
+        out.push_str("  \"version\": \"2.1.0\",\n");
+        out.push_str(
+            "  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n",
+        );
+        out.push_str("  \"runs\": [{\n");
+        out.push_str("    \"tool\": {\"driver\": {\"name\": \"spatch\", \"informationUri\": \"https://coccinelle.gitlabpages.inria.fr/website/\", \"rules\": [");
+        json::join(out, ", ", &rule_ids, |out, &id| {
+            let _ = write!(
+                out,
+                "{{\"id\": {}, \"shortDescription\": {{\"text\": ",
+                Str(id)
+            );
+            let _ = match self.by_id.get(id) {
+                Some(r) => write!(
+                    out,
+                    "{}}}, \"defaultConfiguration\": {{\"level\": \"{}\"}}}}",
+                    Str(&r.description),
+                    r.level
+                ),
+                None => write!(out, "{}}}}}", Str(&format!("semantic-patch rule {id}"))),
+            };
+        });
+        out.push_str("]}},\n");
+        out.push_str("    \"results\": [");
+    }
+
+    /// Write one file's findings as results, each on a line of its own
+    /// and joined by `,`; `kill_stage` is the file's funnel stage (`None`
+    /// for the rule lints). A document joins the non-empty pieces of its
+    /// lints and then of each file by `,`, between the head and
+    /// [`SARIF_TAIL`].
+    pub fn write_results(
+        &self,
+        out: &mut String,
+        findings: &[Finding],
+        kill_stage: Option<KillStage>,
+    ) {
+        // A file's findings share its path: encode its URI once.
+        let mut uri: (Option<&str>, String) = (None, String::new());
+        json::join(out, ",", findings, |out, f| {
+            if uri.0 != Some(f.path.as_str()) {
+                uri = (Some(&f.path), uri_reference(&f.path));
+            }
+            let level = self.by_id.get(f.rule.as_str()).map_or("note", |r| r.level);
+            // A content-derived fingerprint so result trackers can match
+            // findings across runs even as unrelated lines shift.
+            let mut fingerprint = Fnv::new();
+            let _ = write!(
+                fingerprint,
+                "{}:{}:{}:{}:{}",
+                f.path, f.line, f.col, f.rule, f.message
+            );
+            // The URI is percent-encoded ASCII: it needs no JSON escapes.
+            let _ = write!(
+                out,
+                "\n      {{\"ruleId\": {}, \"level\": \"{}\", \"message\": {{\"text\": {}}}, \
+                 \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
+                 \"region\": {{\"startLine\": {}, \"startColumn\": {}, \"endLine\": {}, \"endColumn\": {}}}}}}}], \
+                 \"partialFingerprints\": {{\"spatchFinding/v1\": \"{:016x}\"}}",
+                Str(&f.rule),
+                level,
+                Str(&f.message),
+                uri.1,
+                f.line.max(1),
+                f.col.max(1),
+                f.end_line.max(1),
+                f.end_col.max(1),
+                fingerprint.0,
+            );
+            if let Some(k) = kill_stage {
+                let _ = write!(out, ", \"properties\": {{\"killStage\": \"{}\"}}", k.name());
+            }
+            out.push('}');
+        });
+    }
+}
+
 /// Render every finding of a report as a SARIF 2.1.0 document, the
 /// interchange format CI systems (GitHub code scanning among them)
 /// ingest: one run, one rule entry per distinct rule id, one result per
@@ -244,93 +362,31 @@ fn uri_reference(path: &str) -> String {
 /// without a descriptor still get a generated entry, and their results
 /// sit at `note`. Artifact URIs are percent-encoded paths; fingerprints
 /// hash the raw path.
+///
+/// The document is [`SarifIndex::write_head`], the results of the lints
+/// and then of each file ([`SarifIndex::write_results`]), and
+/// [`SARIF_TAIL`].
 pub fn to_sarif_with(report: &ApplyReport, rules: &[SarifRule]) -> String {
+    let index = SarifIndex::new(rules);
     // Lint diagnostics ride along as ordinary results: their "rule" is
     // the lint id and their location points into the rule source file.
     // Corpus findings carry their file's funnel kill stage along so CI
     // result processors can group by how far the attempt got.
-    let findings: Vec<(&Finding, Option<crate::explain::KillStage>)> = report
-        .lints
-        .iter()
-        .map(|l| (l, None))
-        .chain(
-            report
-                .files
-                .iter()
-                .flat_map(|f| f.findings.iter().map(|fd| (fd, f.kill_stage))),
-        )
-        .collect();
-    // Each id's descriptor (the first one given wins), indexed once; the
-    // distinct ids in sorted order.
-    let mut by_id: HashMap<&str, &SarifRule> = HashMap::with_capacity(rules.len());
-    for r in rules {
-        by_id.entry(r.id.as_str()).or_insert(r);
-    }
-    let rule_ids: BTreeSet<&str> = findings
-        .iter()
-        .map(|(f, _)| f.rule.as_str())
-        .chain(by_id.keys().copied())
-        .collect();
-    let meta = |id: &str| by_id.get(id).copied();
-
-    let mut out = String::from("{\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str(
-        "  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n",
+    let pieces = std::iter::once((&report.lints, None))
+        .chain(report.files.iter().map(|f| (&f.findings, f.kill_stage)))
+        .filter(|(findings, _)| !findings.is_empty());
+    let mut out = String::new();
+    index.write_head(
+        &mut out,
+        pieces
+            .clone()
+            .flat_map(|(findings, _)| findings)
+            .map(|f| f.rule.as_str()),
     );
-    out.push_str("  \"runs\": [{\n");
-    out.push_str("    \"tool\": {\"driver\": {\"name\": \"spatch\", \"informationUri\": \"https://coccinelle.gitlabpages.inria.fr/website/\", \"rules\": [");
-    json::join(&mut out, ", ", &rule_ids, |out, &id| {
-        let description = match meta(id) {
-            Some(r) => r.description.clone(),
-            None => format!("semantic-patch rule {id}"),
-        };
-        let _ = write!(
-            out,
-            "{{\"id\": {}, \"shortDescription\": {{\"text\": {}}}",
-            Str(id),
-            Str(&description),
-        );
-        if let Some(r) = meta(id) {
-            let _ = write!(
-                out,
-                ", \"defaultConfiguration\": {{\"level\": \"{}\"}}",
-                r.level
-            );
-        }
-        out.push('}');
+    json::join(&mut out, ",", pieces, |out, (findings, kill_stage)| {
+        index.write_results(out, findings, kill_stage)
     });
-    out.push_str("]}},\n");
-    out.push_str("    \"results\": [");
-    json::join(&mut out, ",", &findings, |out, (f, kill_stage)| {
-        let level = meta(&f.rule).map(|r| r.level).unwrap_or("note");
-        // A content-derived fingerprint so result trackers can match
-        // findings across runs even as unrelated lines shift.
-        let fingerprint = crate::report::content_hash(&format!(
-            "{}:{}:{}:{}:{}",
-            f.path, f.line, f.col, f.rule, f.message
-        ));
-        let _ = write!(
-            out,
-            "\n      {{\"ruleId\": {}, \"level\": \"{}\", \"message\": {{\"text\": {}}}, \
-             \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \
-             \"region\": {{\"startLine\": {}, \"startColumn\": {}, \"endLine\": {}, \"endColumn\": {}}}}}}}], \
-             \"partialFingerprints\": {{\"spatchFinding/v1\": \"{fingerprint:016x}\"}}",
-            Str(&f.rule),
-            level,
-            Str(&f.message),
-            Str(&uri_reference(&f.path)),
-            f.line.max(1),
-            f.col.max(1),
-            f.end_line.max(1),
-            f.end_col.max(1),
-        );
-        if let Some(k) = kill_stage {
-            let _ = write!(out, ", \"properties\": {{\"killStage\": \"{}\"}}", k.name());
-        }
-        out.push('}');
-    });
-    out.push_str("\n    ]\n  }]\n}\n");
+    out.push_str(SARIF_TAIL);
     out
 }
 

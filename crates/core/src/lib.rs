@@ -66,12 +66,14 @@ pub use driver::{apply_to_files, FileOutcome};
 pub use edits::{Edit, EditConflict, EditSet};
 pub use env::{Env, ExportedEnv, Value};
 pub use explain::{AttemptTrace, ExplainBlock, ExplainConfig, KillStage};
-pub use findings::{to_sarif_with, Finding, SarifRule};
+pub use findings::{to_sarif_with, Finding, SarifIndex, SarifRule, SARIF_TAIL};
 pub use flowmatch::{CfgCache, FlowPattern, FlowSearch, FlowStep};
 pub use matcher::{MatchCtx, MatchState, Metavars, Pair, PairKind};
 pub use orchestrate::{ApplyError, Patcher};
 pub use pool::{resolve_threads, ResultSlots, WorkQueue};
-pub use report::{content_hash, ApplyReport, FileReport, FileStatus, PoolMetrics, RunMetrics};
+pub use report::{
+    content_hash, ApplyReport, FileReport, FileStatus, PoolMetrics, RunMetrics, JSON_TAIL,
+};
 pub use ruleset::{
     parse_rule_metadata, rule_source, rule_sources, CompiledRuleSet, RuleMeta, ScanRule, Severity,
 };

@@ -1284,6 +1284,9 @@ trait ListElem: Clone {
     /// The run a list metavariable is bound to, when `v` is a list of
     /// this element.
     fn bound(v: &Value) -> Option<&[Self]>;
+    /// The one element a plain use of a list metavariable bound it to
+    /// (`el` in `el + 1`), when `v` is such an element.
+    fn one(v: &Value) -> Option<&Self>;
     /// Whether matching `rest` may read list metavariable `name`.
     fn names(rest: &[Self], name: Symbol) -> bool;
     /// Whether these dots may skip source element `s`.
@@ -1322,7 +1325,15 @@ fn match_list<E: ListElem>(
     let (list, pair) = match p0.arm(ctx) {
         Arm::Dots(span) => (None, Some(span)),
         Arm::List { name, pair } => {
-            if let Some(run) = st.env.get(name).map(Value::structural).and_then(E::bound) {
+            // A bound name matches what it is bound to: its run, or the
+            // one element a plain use bound. A binding of another kind
+            // refuses.
+            if let Some(v) = st.env.get(name).map(Value::structural) {
+                let run = match (E::bound(v), E::one(v)) {
+                    (Some(run), _) => run,
+                    (None, Some(one)) => std::slice::from_ref(one),
+                    (None, None) => return false,
+                };
                 let n = run.len();
                 return n <= srcs.len() && list_eq(run, &srcs[..n]) && go(&srcs[n..], st);
             }
@@ -1348,8 +1359,6 @@ fn match_list<E: ListElem>(
         if list.is_none() && n > 0 && !p0.may_skip(ctx, &srcs[n - 1], st) {
             break;
         }
-        // A name bound to a value of another kind is hidden by the run's
-        // binding (pushed, so the rollback uncovers it again).
         let mark = st.mark();
         if let Some(name) = early {
             st.env.push(name, E::LIST(srcs[..n].to_vec()));
@@ -1405,6 +1414,13 @@ impl ListElem for Stmt {
         }
     }
 
+    fn one(v: &Value) -> Option<&Stmt> {
+        match v {
+            Value::Stmt(s) => Some(s),
+            _ => None,
+        }
+    }
+
     fn names(rest: &[Stmt], name: Symbol) -> bool {
         rest.iter().any(|p| {
             let mut found = false;
@@ -1446,6 +1462,13 @@ impl ListElem for Expr {
     fn bound(v: &Value) -> Option<&[Expr]> {
         match v {
             Value::ExprList(run) => Some(run),
+            _ => None,
+        }
+    }
+
+    fn one(v: &Value) -> Option<&Expr> {
+        match v {
+            Value::Expr(e) => Some(e),
             _ => None,
         }
     }
@@ -1497,6 +1520,11 @@ impl ListElem for Param {
             Value::Params(run) => Some(run),
             _ => None,
         }
+    }
+
+    /// No plain use binds a parameter list to one parameter.
+    fn one(_: &Value) -> Option<&Param> {
+        None
     }
 
     fn names(rest: &[Param], name: Symbol) -> bool {
@@ -1913,10 +1941,9 @@ mod tests {
 
     #[test]
     fn failed_runs_roll_back_to_the_binding_they_hid() {
-        // `el` is already bound to an expression, so each run the first
-        // `el` tries is pushed over that binding for the second `el` to
-        // read; every run fails there, and the rollbacks leave the old
-        // binding as it was.
+        // `el` is already bound to an expression, so each `el` matches
+        // exactly that expression, which `b` is not: the match fails and
+        // leaves the binding as it was.
         let ds = decls(&[("el", MetaDeclKind::ExpressionList)]);
         let src = "f(b, c)";
         let p = pat_expr("f(el, el)", &ds);
@@ -1980,6 +2007,28 @@ mod tests {
         // after the list refuses instead of binding `el` afresh.
         assert!(try_match("f(el, el + 1)", "f(a, a + 1)", ds.clone()).is_none());
         assert!(try_match("f(el, x + 1)", "f(a, a + 1)", ds).is_some());
+    }
+
+    #[test]
+    fn list_metavariable_bound_by_a_plain_use_matches_that_element() {
+        // The plain use binds `el` to one expression, and the list
+        // position then matches exactly that expression: a second,
+        // different binding would rewrite the first call to `g(b);`.
+        let patch = cocci_smpl::parse_semantic_patch(
+            "@@\nexpression list el;\n@@\n- f(el + 1, el);\n+ g(el);\n",
+        )
+        .unwrap();
+        let mut patcher = crate::Patcher::new(&patch).unwrap();
+        for (text, want) in [
+            ("void h(void) { f(a + 1, b); }\n", None),
+            (
+                "void h(void) { f(a + 1, a); }\n",
+                Some("void h(void) { g(a); }\n"),
+            ),
+        ] {
+            let out = patcher.apply("t.c", text).unwrap();
+            assert_eq!(out.as_deref(), want, "{text}");
+        }
     }
 
     #[test]

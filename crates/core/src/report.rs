@@ -82,12 +82,29 @@ impl fmt::Display for FileStatus {
 /// FNV-1a hash of a file's text — the content identity `--resume` uses
 /// to skip unchanged files across runs.
 pub fn content_hash(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = Fnv::new();
+    let _ = h.write_str(text);
+    h.0
+}
+
+/// FNV-1a over everything written into it, so a hash of formatted
+/// fields needs no `String` of them.
+pub(crate) struct Fnv(pub(crate) u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Fnv {
+        Fnv(0xcbf29ce484222325)
     }
-    h
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+        Ok(())
+    }
 }
 
 /// Per-file entry of an apply report.
@@ -127,13 +144,15 @@ pub struct FileReport {
 }
 
 impl FileReport {
-    /// Write as one entry of the report's `"files"` array.
-    fn write_json(&self, out: &mut String) {
+    /// Write as one row of the report's `"files"` array, on a line of
+    /// its own. The rows of a report are joined by `,` between
+    /// [`ApplyReport::write_json_head`] and [`JSON_TAIL`].
+    pub fn write_json(&self, out: &mut String) {
         // The hash rides as a hex string: u64 does not survive the f64
         // number path of the JSON reader.
         let _ = write!(
             out,
-            "{{\"name\": {}, \"status\": \"{}\", \"matches\": {}, \"witnesses\": {}, \"seconds\": {:e}, \"hash\": \"{:016x}\"",
+            "\n    {{\"name\": {}, \"status\": \"{}\", \"matches\": {}, \"witnesses\": {}, \"seconds\": {:e}, \"hash\": \"{:016x}\"",
             Str(&self.name),
             self.status,
             self.matches,
@@ -318,6 +337,9 @@ impl RunMetrics {
     }
 }
 
+/// The JSON text after a report's last row.
+pub const JSON_TAIL: &str = "\n  ]\n}\n";
+
 /// A whole corpus run, ready for JSON serialization.
 #[derive(Debug, Clone)]
 pub struct ApplyReport {
@@ -378,9 +400,20 @@ impl ApplyReport {
         format!("{} file(s): {}", self.files.len(), counts.join(", "))
     }
 
-    /// Serialize to JSON.
+    /// Serialize to JSON: the head, every row and the tail.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
+        let mut out = String::new();
+        self.write_json_head(&mut out);
+        json::join(&mut out, ",", &self.files, |out, f| f.write_json(out));
+        out.push_str(JSON_TAIL);
+        out
+    }
+
+    /// Write the JSON text before the first row: the run fields,
+    /// `counts` (read from `files`), the optional `metrics`, `lints` and
+    /// `explain` blocks, and the opening of the `"files"` array.
+    pub fn write_json_head(&self, out: &mut String) {
+        out.push_str("{\n");
         let _ = write!(
             out,
             "  \"patch\": {},\n  \"patch_hash\": \"{:016x}\",\n  \"threads\": {},\n  \"prefilter\": {},\n  \"resumed\": {},\n  \"total_seconds\": {:e},\n  \"counts\": {{",
@@ -391,30 +424,24 @@ impl ApplyReport {
             self.resumed,
             self.total_seconds
         );
-        json::join(&mut out, ", ", FileStatus::ALL, |out, s| {
+        json::join(out, ", ", FileStatus::ALL, |out, s| {
             let _ = write!(out, "\"{s}\": {}", self.count(s));
         });
         out.push('}');
         if let Some(m) = &self.metrics {
             out.push_str(",\n  \"metrics\": ");
-            m.write_json(&mut out);
+            m.write_json(out);
         }
         if !self.lints.is_empty() {
             out.push_str(",\n  \"lints\": [");
-            json::join(&mut out, ", ", &self.lints, write_finding);
+            json::join(out, ", ", &self.lints, write_finding);
             out.push(']');
         }
         if let Some(ex) = &self.explain {
             out.push_str(",\n  \"explain\": ");
-            ex.write_json(&mut out);
+            ex.write_json(out);
         }
         out.push_str(",\n  \"files\": [");
-        json::join(&mut out, ",", &self.files, |out, f| {
-            out.push_str("\n    ");
-            f.write_json(out);
-        });
-        out.push_str("\n  ]\n}\n");
-        out
     }
 
     /// Parse a report back from its JSON form.

@@ -93,14 +93,19 @@ impl RuleOutcome {
     }
 }
 
-/// Run every rule of `set` over every file of `source`, streaming
-/// batches with bounded memory: the next batch is read only once what is
-/// read but not yet sunk fits in one batch under `opts.batch`.
+/// Run every rule of `set` over every file of `source`, streaming with
+/// bounded memory: files are read and queued one at a time, and the
+/// next is read only once what is read but not yet sunk fits in one
+/// batch under `opts.batch`.
 ///
 /// `sink` is invoked once per processed file, in walk order, with its
-/// name, original text, and outcome — this is where a CLI prints diffs
-/// or findings while the text is still in memory. Files that could not
-/// be read, and files skipped by `previous`, go straight to the report.
+/// name, original text, and outcome. It runs on the calling thread as
+/// soon as that file and every file before it are done, while the walk
+/// and the workers go on with later files — this is where a CLI prints
+/// diffs or renders findings while the text is still in memory. Files
+/// that could not be read, and files skipped by `previous`, go straight
+/// to the report; like every file, they keep their walk-order place in
+/// it.
 ///
 /// `previous` enables incremental re-runs: files whose content hash
 /// matches their entry there and whose previous status was a
@@ -206,6 +211,14 @@ pub fn scan_corpus(
 
         // Text sizes of the slots reserved but not yet sunk, in slot order.
         let mut held: VecDeque<usize> = VecDeque::new();
+        // Files are read and queued one at a time, so the first worker
+        // starts on the first file, not once a whole batch is read; a
+        // source's read errors for the paths before that file come with
+        // it, and take their slots first.
+        let one_file = BatchOptions {
+            max_files: 1,
+            max_bytes: usize::MAX,
+        };
         loop {
             // Stream out what has completed, first waiting until what is
             // read but not yet sunk fits in one batch: the walker stays
@@ -216,7 +229,7 @@ pub fn scan_corpus(
             emit(done, &mut files);
             let batch = {
                 let _walk_span = cocci_trace::span(Phase::Walk);
-                source.next_batch(&opts.batch)
+                source.next_batch(&one_file)
             };
             for (name, msg) in source.take_errors() {
                 let report = FileReport {
@@ -271,7 +284,13 @@ pub fn scan_corpus(
             queue.push_chunk(tasks);
         }
         queue.close();
-        emit(slots.drain_until(0), &mut files);
+        // Hand each outcome over as soon as it and every earlier one are
+        // done, not once the last worker finishes.
+        while !held.is_empty() {
+            let done = slots.drain_until(held.len() - 1);
+            held.drain(..done.len());
+            emit(done, &mut files);
+        }
     });
 
     // Workers are gone: every span for this run is recorded, so a traced
