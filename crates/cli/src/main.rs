@@ -71,8 +71,8 @@ mod telemetry;
 
 use cocci_core::{
     scan_corpus, ApplyError, ApplyReport, CompiledPatch, CompiledRuleSet, CorpusOptions,
-    ExplainConfig, FileOutcome, FileReport, FileStatus, RunMetrics, SarifIndex, WalkSource,
-    JSON_TAIL, SARIF_TAIL,
+    ExplainConfig, FileOutcome, FileReport, FileStatus, Finding, KillStage, RunMetrics, SarifIndex,
+    WalkSource, JSON_TAIL, SARIF_TAIL,
 };
 use cocci_lint::{
     has_deny, lint_duplicates, lint_patch, lint_ruleset, Lint, LintConfig, LintLevel,
@@ -80,7 +80,6 @@ use cocci_lint::{
 use cocci_smpl::{parse_semantic_patch, SemanticPatch};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -107,6 +106,7 @@ enum Format {
     Sarif,
 }
 
+#[derive(Default)]
 struct Args {
     /// `spatch scan ...` — rule-collection scan mode.
     scan: bool,
@@ -169,57 +169,40 @@ fn lint_config(args: &Args) -> Result<LintConfig, ExitCode> {
 }
 
 fn parse_args() -> Args {
-    let mut scan = false;
-    let mut lint = false;
-    let mut no_lint = false;
-    let mut lint_overrides = Vec::new();
-    let mut rules = None;
-    let mut sp_file = None;
-    let mut targets = Vec::new();
-    let mut in_place = false;
-    let mut output = None;
-    let mut threads = 0usize;
-    let mut quiet = false;
-    let mut report = None;
-    let mut resume = None;
-    let mut timeout_ms = None;
-    let mut ignore: Vec<String> = Vec::new();
-    let mut no_prefilter = false;
-    let mut mode = None;
-    let mut format = None;
-    let mut trace_out = None;
-    let mut stats = false;
-    let mut explain = None;
+    let mut a = Args::default();
     let mut it = std::env::args().skip(1).peekable();
     match it.peek().map(String::as_str) {
         Some("scan") => {
-            scan = true;
+            a.scan = true;
             it.next();
         }
         Some("lint") => {
-            lint = true;
+            a.lint = true;
             it.next();
         }
         _ => {}
     }
+    let (scan, lint) = (a.scan, a.lint);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--rules" if scan => rules = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
+            "--rules" if scan => {
+                a.rules = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
+            }
             "--sp-file" if !scan && !lint => {
-                sp_file = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
+                a.sp_file = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
             }
-            "--deny" => {
-                lint_overrides.push((it.next().unwrap_or_else(|| usage()), LintLevel::Deny))
-            }
-            "--warn" => {
-                lint_overrides.push((it.next().unwrap_or_else(|| usage()), LintLevel::Warn))
-            }
-            "--allow" => {
-                lint_overrides.push((it.next().unwrap_or_else(|| usage()), LintLevel::Allow))
-            }
-            "--no-lint" if !lint => no_lint = true,
+            "--deny" => a
+                .lint_overrides
+                .push((it.next().unwrap_or_else(|| usage()), LintLevel::Deny)),
+            "--warn" => a
+                .lint_overrides
+                .push((it.next().unwrap_or_else(|| usage()), LintLevel::Warn)),
+            "--allow" => a
+                .lint_overrides
+                .push((it.next().unwrap_or_else(|| usage()), LintLevel::Allow)),
+            "--no-lint" if !lint => a.no_lint = true,
             "--mode" if !scan && !lint => {
-                mode = Some(match it.next().as_deref() {
+                a.mode = Some(match it.next().as_deref() {
                     Some("patch") => Mode::Patch,
                     Some("report") => Mode::Report,
                     other => {
@@ -229,7 +212,7 @@ fn parse_args() -> Args {
                 })
             }
             "--format" => {
-                format = Some(match it.next().as_deref() {
+                a.format = Some(match it.next().as_deref() {
                     Some("text") => Format::Text,
                     Some("json") => Format::Json,
                     Some("sarif") => Format::Sarif,
@@ -239,86 +222,66 @@ fn parse_args() -> Args {
                     }
                 })
             }
-            "--in-place" if !scan && !lint => in_place = true,
+            "--in-place" if !scan && !lint => a.in_place = true,
             "-o" if !scan && !lint => {
-                output = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
+                a.output = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
             }
             "-j" | "--jobs" => {
-                threads = it
+                a.threads = it
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--report" => report = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--resume" => resume = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
+            "--report" => a.report = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
+            "--resume" => a.resume = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--timeout-ms" => {
-                timeout_ms = Some(
+                a.timeout_ms = Some(
                     it.next()
                         .and_then(|s| s.parse().ok())
                         .unwrap_or_else(|| usage()),
                 )
             }
-            "--ignore" => ignore.push(it.next().unwrap_or_else(|| usage())),
-            "--no-prefilter" => no_prefilter = true,
-            "--trace-out" => trace_out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--stats" => stats = true,
-            "--explain" if !lint => explain = Some(String::new()),
-            other if other.starts_with("--explain=") && !lint => {
-                explain = Some(other["--explain=".len()..].to_string())
+            "--ignore" => a.ignore.push(it.next().unwrap_or_else(|| usage())),
+            "--no-prefilter" => a.no_prefilter = true,
+            "--trace-out" => {
+                a.trace_out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
             }
-            "--quiet" => quiet = true,
+            "--stats" => a.stats = true,
+            "--explain" if !lint => a.explain = Some(String::new()),
+            other if other.starts_with("--explain=") && !lint => {
+                a.explain = Some(other["--explain=".len()..].to_string())
+            }
+            "--quiet" => a.quiet = true,
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => {
                 eprintln!("unknown option: {other}");
                 usage();
             }
-            other => targets.push(PathBuf::from(other)),
+            other => a.targets.push(PathBuf::from(other)),
         }
     }
     if scan {
-        if rules.is_none() {
+        if a.rules.is_none() {
             eprintln!("spatch: scan mode requires --rules <dir>");
             usage();
         }
     } else if lint {
-        if targets.len() != 1 {
+        if a.targets.len() != 1 {
             eprintln!("spatch: lint mode takes exactly one patch file or rules directory");
             usage();
         }
-    } else if sp_file.is_none() {
+    } else if a.sp_file.is_none() {
         usage();
     }
-    if targets.is_empty() {
+    if a.targets.is_empty() {
         usage();
     }
     // `--ignore` repeated with the identical pattern used to stack the
     // duplicate into the walker's pattern list (and re-evaluate it per
     // path); exact duplicates collapse, first occurrence wins.
     let mut seen = std::collections::HashSet::new();
-    ignore.retain(|p| seen.insert(p.clone()));
-    Args {
-        scan,
-        lint,
-        no_lint,
-        lint_overrides,
-        rules,
-        sp_file,
-        targets,
-        in_place,
-        output,
-        threads,
-        quiet,
-        report,
-        resume,
-        timeout_ms,
-        ignore,
-        no_prefilter,
-        mode,
-        format,
-        trace_out,
-        stats,
-        explain,
-    }
+    a.ignore.retain(|p| seen.insert(p.clone()));
+    a
 }
 
 /// Load `--resume`'s previous report, refusing one produced by a
@@ -359,15 +322,6 @@ fn load_resume(
         return Err(ExitCode::from(2));
     }
     Ok(r)
-}
-
-/// The `--explain` annotation body for one attempt: `rule [stage]`
-/// plus the detail when one was traced.
-fn attempt_line(a: &cocci_core::explain::RuleAttempt) -> String {
-    match &a.detail {
-        Some(d) => format!("{} [{}] {d}", a.rule, a.stage),
-        None => format!("{} [{}]", a.rule, a.stage),
-    }
 }
 
 /// Print load-time lint diagnostics to stderr (deny lines always, warn
@@ -459,13 +413,9 @@ fn run_lint(args: &Args) -> ExitCode {
             .entry(format!("lint_{}", l.finding.rule))
             .or_insert(0) += 1;
     }
-    match args.format.unwrap_or(Format::Text) {
-        Format::Text => {
-            for l in &lints {
-                println!("{}", l.finding.text_line());
-            }
-        }
-        Format::Json | Format::Sarif => {
+    let document = match args.format.unwrap_or(Format::Text) {
+        Format::Text => lints.iter().map(|l| format!("{}\n", l.finding)).collect(),
+        format => {
             // Reuse the apply-report shape: a lint run is a corpus run
             // that never walked any files, carrying only the `lints`
             // block (and its metrics) — so downstream JSON/SARIF
@@ -482,15 +432,16 @@ fn run_lint(args: &Args) -> ExitCode {
                 explain: None,
                 files: Vec::new(),
             };
-            if args.format == Some(Format::Json) {
-                print!("{}", report.to_json());
+            if format == Format::Json {
+                report.to_json()
             } else {
-                print!(
-                    "{}",
-                    cocci_core::to_sarif_with(&report, &cocci_lint::sarif_rules(&cfg))
-                );
+                cocci_core::to_sarif_with(&report, &cocci_lint::sarif_rules(&cfg))
             }
         }
+    };
+    let printed = write_document(std::io::stdout().lock(), &[&document]);
+    if let Err(e) = &printed {
+        eprintln!("spatch: cannot write to stdout: {e}");
     }
     if args.stats {
         eprintln!("spatch lint stats:");
@@ -506,7 +457,7 @@ fn run_lint(args: &Args) -> ExitCode {
             sources.len()
         );
     }
-    if denies > 0 {
+    if denies > 0 || printed.is_err() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -740,23 +691,24 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
     };
 
     // The sink runs while each file's text is still in memory: print the
-    // diff / rewrite the file immediately, then let the text drop. It
-    // also renders the file's pieces of every output the run ends with,
-    // as the file arrives, so the end of the run is one write of each.
+    // diff / rewrite the file immediately, then let the text drop. Every
+    // report row passes through it in walk order, resumed and unreadable
+    // files too, and it renders the row's part of each output the run
+    // ends with, so the end of the run is one write of each.
     let quiet = args.quiet;
     let format = (mode != Mode::Patch).then(|| args.format.unwrap_or(Format::Text));
     let sarif_rules = set.sarif_rules();
     let index = SarifIndex::new(&sarif_rules);
     let mut rendered = Rendered {
-        rows: (args.report.is_some() || format == Some(Format::Json)).then(Pieces::default),
-        sarif: (format == Some(Format::Sarif)).then(Pieces::default),
-        text: (format == Some(Format::Text)).then(Pieces::default),
+        rows: (args.report.is_some() || format == Some(Format::Json)).then(String::new),
+        sarif: (format == Some(Format::Sarif)).then(String::new),
+        text: (format == Some(Format::Text)).then(String::new),
         index: &index,
         rule_ids: BTreeSet::new(),
     };
-    // Each file the sink saw, in walk order, with the message of a
-    // rewrite that failed to land.
-    let mut sunk: Vec<(String, Option<String>)> = Vec::new();
+    let lints: Vec<Finding> = lints.into_iter().map(|l| l.finding).collect();
+    // The rule lints lead the SARIF results.
+    rendered.results(&lints, None);
     let mut changed = 0usize;
     let mut heartbeat = telemetry::Heartbeat::new(source.remaining(), quiet);
     let run = scan_corpus(
@@ -765,55 +717,43 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
         &opts,
         previous.as_ref(),
         |name, original, outcome| {
-            let r = &outcome.report;
-            heartbeat.tick(r.findings.len());
+            heartbeat.tick(outcome.report.findings.len());
             if let (Some(cfg), false) = (&explain_cfg, quiet) {
                 for a in outcome
                     .attempts
                     .iter()
                     .filter(|a| cfg.matches(name, &a.rule))
                 {
-                    eprintln!("spatch: explain: {name}: {}", attempt_line(a));
+                    eprintln!("spatch: explain: {name}: {a}");
                 }
             }
-            let failed_write = if r.error.is_some() {
-                None // reported once, from the report below
+            let r = &outcome.report;
+            if outcome.resumed || r.error.is_some() {
+                // Nothing ran, or the failure is reported once, from the
+                // report below.
             } else if mode != Mode::Scan {
                 match apply_file(args, mode, name, original, outcome) {
-                    Ok(wrote) => {
-                        changed += usize::from(wrote);
-                        None
-                    }
-                    Err(e) => Some(e),
-                }
-            } else {
-                if !quiet {
-                    let (ran, pruned) = (r.rules.len(), r.rules_pruned);
-                    if r.findings.is_empty() && r.suppressed == 0 {
-                        eprintln!(
-                            "spatch: {name}: no findings ({ran} rule(s) ran, {pruned} pruned)"
-                        );
-                    } else {
-                        eprintln!(
-                            "spatch: {name}: {} finding(s), {} suppressed ({ran} rule(s) ran, {pruned} pruned)",
-                            r.findings.len(),
-                            r.suppressed
-                        );
+                    Ok(wrote) => changed += usize::from(wrote),
+                    // A file whose rewrite failed to land is an error,
+                    // not a change: its row says so.
+                    Err(e) => {
+                        outcome.report.status = FileStatus::Error;
+                        outcome.report.error = Some(e);
                     }
                 }
-                None
-            };
-            // A file whose rewrite failed to land is an error, not a
-            // change: its row says so.
-            match &failed_write {
-                Some(msg) => rendered.render(&FileReport {
-                    status: FileStatus::Error,
-                    error: Some(msg.clone()),
-                    ..r.clone()
-                }),
-                None => rendered.render(r),
+            } else if !quiet {
+                let (ran, pruned) = (r.rules.len(), r.rules_pruned);
+                if r.findings.is_empty() && r.suppressed == 0 {
+                    eprintln!("spatch: {name}: no findings ({ran} rule(s) ran, {pruned} pruned)");
+                } else {
+                    eprintln!(
+                        "spatch: {name}: {} finding(s), {} suppressed ({ran} rule(s) ran, {pruned} pruned)",
+                        r.findings.len(),
+                        r.suppressed
+                    );
+                }
             }
-            sunk.push((name.to_string(), failed_write));
+            rendered.render(&outcome.report);
         },
     );
     heartbeat.finish();
@@ -826,7 +766,7 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
         }
     };
     report.patch = label;
-    report.lints = lints.into_iter().map(|l| l.finding).collect();
+    report.lints = lints;
     if let Some(path) = &args.trace_out {
         if let Err(e) = telemetry::write_trace(path) {
             eprintln!("spatch: cannot write trace {}: {e}", path.display());
@@ -836,31 +776,6 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
     }
     if args.stats {
         telemetry::print_stats(&report);
-    }
-
-    // Resumed and unreadable files never reached the sink: render their
-    // pieces now, after the sink's, and note each file's piece in walk
-    // order. The sink's files are the report's in order, less those. A
-    // failed write downgrades the report's entry too, before the counts,
-    // the summary and the exit code read it.
-    let mut placed: Vec<usize> = Vec::with_capacity(report.files.len());
-    let mut next_piece = sunk.len();
-    let mut sunk = sunk.into_iter().enumerate().peekable();
-    for f in &mut report.files {
-        match sunk.next_if(|(_, (name, _))| *name == f.name) {
-            Some((i, (_, failed_write))) => {
-                if let Some(msg) = failed_write {
-                    f.status = FileStatus::Error;
-                    f.error = Some(msg);
-                }
-                placed.push(i);
-            }
-            None => {
-                rendered.render(f);
-                placed.push(next_piece);
-                next_piece += 1;
-            }
-        }
     }
 
     // Every failed file — parse/rewrite/write errors and unreadable paths
@@ -895,19 +810,18 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
     }
     // The report's head reads the whole run (counts, metrics, explain),
     // so it is written last, ahead of the rows rendered as files arrived.
-    let json = rendered.rows.is_some().then(|| {
-        let mut head = String::new();
-        report.write_json_head(&mut head);
-        (head, in_walk_order(&placed, &rendered.rows))
-    });
-    if let (Some(path), Some((head, rows))) = (&args.report, &json) {
-        let written = std::fs::File::create(path)
-            .and_then(|file| write_document(file, head, ",", rows, JSON_TAIL));
-        if let Err(e) = written {
-            eprintln!("spatch: cannot write report {}: {e}", path.display());
-            failures += 1;
-        } else if !quiet {
-            eprintln!("spatch: report written to {}", path.display());
+    let mut json_head = String::new();
+    if let Some(rows) = &rendered.rows {
+        report.write_json_head(&mut json_head);
+        if let Some(path) = &args.report {
+            let written = std::fs::File::create(path)
+                .and_then(|file| write_document(file, &[&json_head, rows, JSON_TAIL]));
+            if let Err(e) = written {
+                eprintln!("spatch: cannot write report {}: {e}", path.display());
+                failures += 1;
+            } else if !quiet {
+                eprintln!("spatch: report written to {}", path.display());
+            }
         }
     }
 
@@ -918,31 +832,16 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
     // shape stable run over run. Resumed files kept their findings in
     // the report, so every format sees the full set on incremental runs.
     let stdout = std::io::stdout();
-    let printed = match format {
-        None => Ok(()),
-        Some(Format::Text) => write_document(
-            stdout.lock(),
-            "",
-            "",
-            &in_walk_order(&placed, &rendered.text),
-            "",
-        ),
-        Some(Format::Json) => {
-            let (head, rows) = json.as_ref().expect("rows rendered for --format json");
-            write_document(stdout.lock(), head, ",", rows, JSON_TAIL)
-        }
-        Some(Format::Sarif) => {
-            // The rule lints lead the results.
-            let mut lints = String::new();
-            index.write_results(&mut lints, &report.lints, None);
-            let mut results = vec![lints.as_str()];
-            results.extend(in_walk_order(&placed, &rendered.sarif));
-            let ids = (report.lints.iter().map(|l| l.rule.as_str()))
-                .chain(rendered.rule_ids.iter().map(String::as_str));
-            let mut head = String::new();
-            index.write_head(&mut head, ids);
-            write_document(stdout.lock(), &head, ",", &results, SARIF_TAIL)
-        }
+    let printed = if let Some(text) = &rendered.text {
+        write_document(stdout.lock(), &[text])
+    } else if let (Some(Format::Json), Some(rows)) = (format, &rendered.rows) {
+        write_document(stdout.lock(), &[&json_head, rows, JSON_TAIL])
+    } else if let Some(results) = &rendered.sarif {
+        let mut head = String::new();
+        index.write_head(&mut head, rendered.rule_ids.iter().map(String::as_str));
+        write_document(stdout.lock(), &[&head, results, SARIF_TAIL])
+    } else {
+        Ok(())
     };
     if let Err(e) = printed {
         eprintln!("spatch: cannot write to stdout: {e}");
@@ -977,7 +876,6 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
     // findings, and the rendered outputs took 42–60 ms at exit after a
     // 92,698-finding scan of 16 MB (2-core host); the process ends
     // instead.
-    drop(json);
     std::mem::forget((report, rendered, previous));
     if failures > 0 {
         ExitCode::FAILURE
@@ -986,87 +884,64 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
     }
 }
 
-/// One output's pieces, one per file, back to back in `text`; piece `i`
-/// ends at `ends[i]`.
-#[derive(Default)]
-struct Pieces {
-    text: String,
-    ends: Vec<usize>,
-}
-
-impl Pieces {
-    /// Piece `i`.
-    fn get(&self, i: usize) -> &str {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.text[start..self.ends[i]]
-    }
-}
-
-/// The outputs a run ends with, rendered file by file: report rows
-/// (`--report`, `--format json`), SARIF results and grep-style finding
-/// lines, each only when the run writes it.
+/// The bodies of the outputs a run ends with, rendered row by row in
+/// walk order: report rows (`--report`, `--format json`) joined by `,`,
+/// SARIF results (the lints', then each file's) joined by `,`, and
+/// grep-style finding lines, each only when the run writes it.
 struct Rendered<'r> {
-    rows: Option<Pieces>,
-    sarif: Option<Pieces>,
-    text: Option<Pieces>,
+    rows: Option<String>,
+    sarif: Option<String>,
+    text: Option<String>,
     /// The SARIF rule descriptors, which set each result's level.
     index: &'r SarifIndex<'r>,
-    /// Distinct rule ids of the findings in `sarif`, which the SARIF head
+    /// Distinct rule ids of the results in `sarif`, which the SARIF head
     /// lists.
     rule_ids: BTreeSet<String>,
 }
 
 impl Rendered<'_> {
-    /// Render `row`'s piece of each output.
+    /// Append `row` to each output.
     fn render(&mut self, row: &FileReport) {
         if let Some(rows) = &mut self.rows {
-            row.write_json(&mut rows.text);
-            rows.ends.push(rows.text.len());
-        }
-        if let Some(results) = &mut self.sarif {
-            self.index
-                .write_results(&mut results.text, &row.findings, row.kill_stage);
-            results.ends.push(results.text.len());
-            for f in &row.findings {
-                if !self.rule_ids.contains(&f.rule) {
-                    self.rule_ids.insert(f.rule.clone());
-                }
+            if !rows.is_empty() {
+                rows.push(',');
             }
+            row.write_json(rows);
         }
+        self.results(&row.findings, row.kill_stage);
         if let Some(lines) = &mut self.text {
             for f in &row.findings {
-                let _ = writeln!(lines.text, "{f}");
+                let _ = writeln!(lines, "{f}");
             }
-            lines.ends.push(lines.text.len());
+        }
+    }
+
+    /// Append `findings` to the SARIF results, if any.
+    fn results(&mut self, findings: &[Finding], kill_stage: Option<KillStage>) {
+        let Some(results) = &mut self.sarif else {
+            return;
+        };
+        if findings.is_empty() {
+            return;
+        }
+        if !results.is_empty() {
+            results.push(',');
+        }
+        self.index.write_results(results, findings, kill_stage);
+        for f in findings {
+            if !self.rule_ids.contains(&f.rule) {
+                self.rule_ids.insert(f.rule.clone());
+            }
         }
     }
 }
 
-/// The pieces of one output in walk order: `placed` gives each file's
-/// piece.
-fn in_walk_order<'a>(placed: &[usize], pieces: &'a Option<Pieces>) -> Vec<&'a str> {
-    let pieces = pieces.as_ref().expect("rendered for this run");
-    placed.iter().map(|&i| pieces.get(i)).collect()
-}
-
-/// Write `head`, the non-empty `pieces` joined by `sep`, and `tail`
-/// through one buffered writer, and flush it.
-fn write_document(
-    out: impl std::io::Write,
-    head: &str,
-    sep: &str,
-    pieces: &[&str],
-    tail: &str,
-) -> std::io::Result<()> {
-    let mut out = std::io::BufWriter::with_capacity(1 << 16, out);
-    out.write_all(head.as_bytes())?;
-    for (i, piece) in pieces.iter().filter(|p| !p.is_empty()).enumerate() {
-        if i > 0 {
-            out.write_all(sep.as_bytes())?;
-        }
-        out.write_all(piece.as_bytes())?;
+/// Write `parts` (a document's head, body and tail) back to back, and
+/// flush.
+fn write_document(mut out: impl std::io::Write, parts: &[&str]) -> std::io::Result<()> {
+    for part in parts {
+        out.write_all(part.as_bytes())?;
     }
-    out.write_all(tail.as_bytes())?;
     out.flush()
 }
 

@@ -2364,3 +2364,113 @@ fn unreadable_and_resumed_files_keep_their_walk_order_place() {
     let set = CompiledRuleSet::load_dir(&rules).unwrap();
     assert_eq!(to_sarif_with(&report, &set.sarif_rules()), sarif);
 }
+
+#[cfg(target_os = "linux")]
+#[test]
+fn lint_output_to_a_full_device_is_an_error_not_a_panic() {
+    let dir = tmpdir("lint-full");
+    let patch = dir.join("p.cocci");
+    fs::write(&patch, UNUSED_MV_PATCH).unwrap();
+    for format in ["text", "sarif", "json"] {
+        let full = fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let out = spatch()
+            .args(["lint", "--format", format])
+            .arg(&patch)
+            .stdout(full)
+            .output()
+            .unwrap();
+        // The warning alone exits 0; the lost output makes it 1.
+        assert_eq!(out.status.code(), Some(1), "--format {format}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("spatch: cannot write to stdout: "),
+            "--format {format}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "--format {format}: {stderr}");
+    }
+}
+
+/// Run `spatch <mode> --report first.json tree`, then edit the tree:
+/// append to two files, make one non-UTF-8, delete one. A `--resume`
+/// run of the edited tree must print what a fresh run prints: text and
+/// SARIF byte for byte, JSON once timings and the resumed count are
+/// zeroed, at `-j 1` and `-j 4`.
+fn assert_resume_equals_a_fresh_run(tag: &str, mode: &[&str]) {
+    let dir = tmpdir(tag);
+    write_rules_dir(&dir);
+    fs::write(
+        dir.join("report.cocci"),
+        "@r@\nexpression e;\nposition p;\n@@\nalpha(e)@p;\n",
+    )
+    .unwrap();
+    let tree = write_scan_tree(&dir);
+    fs::create_dir_all(tree.join("sub")).unwrap();
+    for (name, text) in [
+        ("d.c", "void d(void) {\n    alpha(4);\n    gamma(4);\n}\n"),
+        ("sub/e.c", "void e(void) {\n    alpha(5);\n}\n"),
+        ("sub/f.c", "void f(void) {\n    gamma(6);\n}\n"),
+        ("sub/g.c", "void g(void) {\n    other(7);\n}\n"),
+        ("sub/bad.c", "void broken( {\n    alpha(8);\n"),
+    ] {
+        fs::write(tree.join(name), text).unwrap();
+    }
+    let run = |extra: &[&str]| {
+        let out = spatch()
+            .current_dir(&dir)
+            .args(mode)
+            .args(["--quiet"])
+            .args(extra)
+            .arg("tree")
+            .output()
+            .unwrap();
+        // `sub/bad.c` fails to parse, and later `c.c` cannot be read.
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    run(&["--report", "first.json"]);
+    for name in ["a.c", "sub/f.c"] {
+        let text = fs::read_to_string(tree.join(name)).unwrap();
+        fs::write(
+            tree.join(name),
+            format!("{text}void more(void) {{\n    alpha(9);\n    gamma(9);\n}}\n"),
+        )
+        .unwrap();
+    }
+    fs::write(tree.join("c.c"), b"void h(void) {\n    alpha(\xff);\n}\n").unwrap();
+    fs::remove_file(tree.join("sub/e.c")).unwrap();
+    for jobs in ["1", "4"] {
+        for format in ["text", "json", "sarif"] {
+            let args = ["--format", format, "-j", jobs];
+            let fresh = run(&args);
+            let resumed = run(&[&args[..], &["--resume", "first.json"]].concat());
+            if format == "json" {
+                let keys = ["seconds", "total_seconds", "resumed"];
+                assert!(resumed.contains("\"resumed\": 3,"), "{resumed}");
+                assert_eq!(
+                    zero_values(&resumed, &keys),
+                    zero_values(&fresh, &keys),
+                    "{tag}: --format json -j {jobs}"
+                );
+            } else {
+                assert_eq!(resumed, fresh, "{tag}: --format {format} -j {jobs}");
+            }
+            assert!(fresh.contains("tree/a.c"), "{tag}: {fresh}");
+        }
+    }
+}
+
+#[test]
+fn scan_resume_equals_a_fresh_run() {
+    assert_resume_equals_a_fresh_run("resume-fresh-scan", &["scan", "--rules", "rules"]);
+}
+
+#[test]
+fn report_resume_equals_a_fresh_run() {
+    assert_resume_equals_a_fresh_run(
+        "resume-fresh-report",
+        &["--sp-file", "report.cocci", "--mode", "report"],
+    );
+}

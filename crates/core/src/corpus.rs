@@ -146,9 +146,11 @@ impl WalkSource {
         src
     }
 
-    /// Number of files discovered and still queued.
+    /// Number of report rows still to come: one per file discovered and
+    /// not yet read, per path the walk could not find or list, and per
+    /// read failure not yet taken.
     pub fn remaining(&self) -> usize {
-        self.pending.iter().filter(|p| p.is_ok()).count()
+        self.pending.len() + self.errors.len()
     }
 
     fn walk_dir(&mut self, abs: &Path, rel: &Path, ignore: &IgnoreSet) {
@@ -363,8 +365,9 @@ pub struct CorpusOptions {
 
 /// Apply `patch` to every file of `source`: compile it into a one-entry
 /// [`CompiledRuleSet`] and run [`scan_corpus`]. `sink` sees each file's
-/// name, original text, and outcome (`output` holds the patched text);
-/// a compile error surfaces here once, before any file is touched.
+/// name, original text, and outcome (`output` holds the patched text),
+/// as [`scan_corpus`] describes; a compile error surfaces here once,
+/// before any file is touched.
 ///
 /// `previous` skips unchanged files as [`scan_corpus`] describes. The
 /// returned report's `patch_hash` is 0 (the patch text is unknown here):
@@ -376,7 +379,7 @@ pub fn apply_to_corpus_resumed(
     source: &mut dyn FileSource,
     opts: &CorpusOptions,
     previous: Option<&ApplyReport>,
-    sink: impl FnMut(&str, &str, &FileOutcome),
+    sink: impl FnMut(&str, &str, &mut FileOutcome),
 ) -> Result<ApplyReport, ApplyError> {
     let set = CompiledRuleSet::from_patch(CompiledPatch::compile(patch)?, 0);
     scan_corpus(&set, source, opts, previous, sink)
@@ -537,11 +540,15 @@ mod tests {
             &mut MemorySource::new(vec![hit2, miss.clone()]),
             &CorpusOptions::default(),
             Some(&first),
-            |name, _, _| sunk.push(name.to_string()),
+            |name, _, o| sunk.push((name.to_string(), o.resumed)),
         )
         .unwrap();
         assert_eq!(second.resumed, 1);
-        assert_eq!(sunk, ["hit.c"], "only the changed file reruns");
+        assert_eq!(
+            sunk,
+            [("hit.c".to_string(), false), ("miss.c".to_string(), true)],
+            "only the changed file reruns"
+        );
         let miss_entry = second.files.iter().find(|f| f.name == "miss.c").unwrap();
         assert_eq!(miss_entry.status, FileStatus::Pruned, "status copied");
         assert_eq!(miss_entry.seconds, 0.0);
@@ -703,7 +710,7 @@ mod tests {
         std::fs::write(root.join("dir/b.c"), b"void f(void) { old_api(\xff); }\n").unwrap();
         let targets = ["a.c", "missing.c", "dir", "c.c"].map(|t| root.join(t));
         let mut src = WalkSource::discover(&targets, &[]);
-        assert_eq!(src.remaining(), 4);
+        assert_eq!(src.remaining(), 5);
         let patch = parse_semantic_patch("@@ @@\n- old_api(1);\n+ new_api(1);\n").unwrap();
         let report = apply_to_corpus_resumed(
             &patch,
@@ -721,6 +728,62 @@ mod tests {
             .collect();
         assert_eq!(names, ["a.c", "missing.c", "dir/b.c", "dir/d.c", "c.c"]);
         assert_eq!(report.count(FileStatus::Error), 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn every_row_reaches_the_sink_which_may_edit_it() {
+        let root = std::env::temp_dir().join(format!("cocci-walk-sink-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let text = "void f(void) { old_api(1); }\n";
+        std::fs::write(root.join("a.c"), text).unwrap();
+        std::fs::write(root.join("b.c"), b"void f(void) { old_api(\xff); }\n").unwrap();
+        std::fs::write(root.join("c.c"), text).unwrap();
+        let targets = ["a.c", "missing.c", "b.c", "c.c"].map(|t| root.join(t));
+        let patch = parse_semantic_patch("@@ @@\n- old_api(1);\n+ new_api(1);\n").unwrap();
+        let prefix = format!("{}/", root.display());
+        let run = |previous: Option<&ApplyReport>| {
+            let mut src = WalkSource::discover(&targets, &[]);
+            let mut rows = Vec::new();
+            let report = apply_to_corpus_resumed(
+                &patch,
+                &mut src,
+                &CorpusOptions::default(),
+                previous,
+                |name, text, o| {
+                    let name = name.strip_prefix(&prefix).unwrap().to_string();
+                    rows.push((name.clone(), text.len(), o.resumed, o.report.status));
+                    // A sink that could not land `a.c`'s rewrite says so.
+                    if name == "a.c" {
+                        o.report.status = FileStatus::Error;
+                        o.report.error = Some("cannot write".into());
+                    }
+                },
+            )
+            .unwrap();
+            (rows, report)
+        };
+        let (rows, first) = run(None);
+        let (changed, error) = (FileStatus::Changed, FileStatus::Error);
+        let n = text.len();
+        assert_eq!(
+            rows,
+            [
+                ("a.c".to_string(), n, false, changed),
+                ("missing.c".to_string(), 0, false, error),
+                ("b.c".to_string(), 0, false, error),
+                ("c.c".to_string(), n, false, changed),
+            ]
+        );
+        assert_eq!(first.files[0].status, error);
+        assert_eq!(first.files[0].error.as_deref(), Some("cannot write"));
+        assert_eq!(first.count(FileStatus::Error), 3);
+        // Resumed: `c.c` is unchanged; `a.c`'s error row is not resumable.
+        let (rows, second) = run(Some(&first));
+        assert_eq!(rows[0], ("a.c".to_string(), n, false, changed));
+        assert_eq!(rows[3], ("c.c".to_string(), n, true, changed));
+        assert_eq!(second.resumed, 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 

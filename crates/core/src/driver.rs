@@ -29,11 +29,13 @@ use cocci_smpl::{Rule, SemanticPatch};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Result of running a rule set over one file.
+/// What a corpus run hands its sink for one file: the outcome of the
+/// file's rules, or of a file that did not run (resumed, or unreadable).
 #[derive(Debug, Clone)]
 pub struct FileOutcome {
     /// The file's report entry: status, counts, kept findings, per-rule
-    /// rows (rules with ids only), kill stage.
+    /// rows (rules with ids only), kill stage. The report keeps it as the
+    /// sink leaves it.
     pub report: FileReport,
     /// Patched text when an `--sp-file` patch changed the file. Rules
     /// loaded with ids never write; a change shows as their `changed`
@@ -50,6 +52,23 @@ pub struct FileOutcome {
     /// Per-function CFGs of the original text built (shared across
     /// flow-sensitive rules).
     pub cfg_builds: usize,
+    /// The file was skipped by `--resume`: `report` is its previous row
+    /// with zero seconds, and nothing ran.
+    pub resumed: bool,
+}
+
+impl FileOutcome {
+    /// The outcome of a file that ran nothing: `report` alone.
+    pub(crate) fn new(report: FileReport) -> FileOutcome {
+        FileOutcome {
+            report,
+            output: None,
+            attempts: Vec::new(),
+            parses: 0,
+            cfg_builds: 0,
+            resumed: false,
+        }
+    }
 }
 
 /// Apply `patch` to every `(name, text)` pair using `threads` worker
@@ -242,26 +261,7 @@ pub(crate) fn run_file(
         let _span = cocci_trace::span(cocci_trace::Phase::Prefilter);
         set.surviving_rules(text)
     };
-    let mut out = FileOutcome {
-        report: FileReport {
-            name,
-            status: FileStatus::Pruned,
-            matches: 0,
-            witnesses: 0,
-            seconds: 0.0,
-            hash,
-            error: None,
-            findings: Vec::new(),
-            rules: Vec::new(),
-            rules_pruned: 0,
-            suppressed: 0,
-            kill_stage: None,
-        },
-        output: None,
-        attempts: Vec::new(),
-        parses: 0,
-        cfg_builds: 0,
-    };
+    let mut out = FileOutcome::new(FileReport::new(name, FileStatus::Pruned, hash));
     let explain = opts.explain.as_deref();
     let mut alive = surviving.iter().copied().peekable();
     for (ri, rule) in set.rules.iter().enumerate() {

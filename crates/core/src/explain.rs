@@ -152,6 +152,18 @@ pub struct RuleAttempt {
     pub detail: Option<String>,
 }
 
+/// The `--explain` annotation of one attempt: `rule [stage]`, then the
+/// detail when one was traced.
+impl fmt::Display for RuleAttempt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} [{}]", self.rule, self.stage)?;
+        match &self.detail {
+            Some(d) => write!(f, " {d}"),
+            None => Ok(()),
+        }
+    }
+}
+
 /// What the matcher saw during one transform-rule run, for kill-stage
 /// attribution: how many anchors hit and where the failed attempts
 /// died. The stage is resolved deepest-first — the funnel records how
@@ -262,14 +274,6 @@ pub struct AttemptTrace {
 }
 
 impl AttemptTrace {
-    /// The `--explain` text-annotation line (after `file: `).
-    pub fn text(&self) -> String {
-        match &self.detail {
-            Some(d) => format!("{} [{}] {}", self.rule, self.stage, d),
-            None => format!("{} [{}]", self.rule, self.stage),
-        }
-    }
-
     /// Write as one entry of the explain block's `"attempts"` array.
     fn write_json(&self, out: &mut String) {
         let _ = write!(

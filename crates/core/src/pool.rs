@@ -5,8 +5,8 @@
 //! idles while the slowest file of the batch finishes, repeated once per
 //! batch. The corpus drivers now keep **one persistent team** alive for
 //! the whole run and feed it through a [`WorkQueue`]: the producer (the
-//! walker thread) streams work units in chunks while workers drain, and
-//! a worker that finishes takes the oldest waiting unit instead of
+//! walker thread) queues work units one at a time while workers drain,
+//! and a worker that finishes takes the oldest waiting unit instead of
 //! waiting for the next batch.
 //!
 //! Determinism is preserved by separating *scheduling* from *output
@@ -78,10 +78,10 @@ impl<T> WorkQueue<T> {
         }
     }
 
-    /// Append a chunk of units, in order, behind everything queued.
-    pub fn push_chunk(&self, items: impl IntoIterator<Item = T>) {
+    /// Append one unit behind everything queued.
+    pub fn push(&self, item: T) {
         let mut q = self.lock();
-        q.items.extend(items);
+        q.items.push_back(item);
         q.depth_max = q.depth_max.max(q.items.len());
         self.cond.notify_all();
     }
@@ -145,12 +145,11 @@ impl<T> ResultSlots<T> {
         }
     }
 
-    /// Reserve `n` consecutive cells; returns the index of the first.
-    pub fn reserve(&self, n: usize) -> usize {
+    /// Reserve the next cell; returns its index.
+    pub fn reserve(&self) -> usize {
         let mut s = self.inner.lock().unwrap();
-        let start = s.base + s.cells.len();
-        s.cells.extend((0..n).map(|_| None));
-        start
+        s.cells.push_back(None);
+        s.base + s.cells.len() - 1
     }
 
     /// Fill cell `index` (reserved earlier; filled exactly once).
@@ -217,10 +216,9 @@ mod tests {
                     }
                 });
             }
-            for i in 0..100 {
-                q.push_chunk([i]);
+            for i in 0..200 {
+                q.push(i);
             }
-            q.push_chunk(100..200);
             q.close();
         });
         let mut got = seen.into_inner().unwrap();
@@ -231,14 +229,14 @@ mod tests {
     #[test]
     fn one_worker_receives_units_in_push_order() {
         let q: WorkQueue<usize> = WorkQueue::new(2);
-        q.push_chunk(0..3);
+        (0..3).for_each(|i| q.push(i));
         let mut got = vec![q.pop().unwrap()];
-        q.push_chunk(3..8);
+        (3..8).for_each(|i| q.push(i));
         got.extend((0..3).map(|_| q.pop().unwrap()));
-        q.push_chunk(8..10);
+        (8..10).for_each(|i| q.push(i));
         q.close();
         got.extend(std::iter::from_fn(|| q.pop()));
-        assert_eq!(got, (0..10).collect::<Vec<_>>(), "FIFO across chunks");
+        assert_eq!(got, (0..10).collect::<Vec<_>>(), "FIFO across pushes");
         let stats = q.stats();
         assert_eq!(stats.workers, 2);
         // 2 left + 5 pushed: the high-water mark, not the final depth
@@ -259,8 +257,8 @@ mod tests {
                 done.store(true, Ordering::SeqCst);
             });
             std::thread::sleep(std::time::Duration::from_millis(10));
-            q.push_chunk([7]);
-            q.push_chunk([5]);
+            q.push(7);
+            q.push(5);
             q.close();
         });
         assert_eq!(got.load(Ordering::SeqCst), 12);
@@ -270,12 +268,12 @@ mod tests {
     #[test]
     fn result_slots_reorder_out_of_order_completions() {
         let slots: ResultSlots<&str> = ResultSlots::new();
-        assert_eq!(slots.reserve(3), 0);
+        assert_eq!([(); 3].map(|_| slots.reserve()), [0, 1, 2]);
         slots.set(2, "c");
         assert!(slots.drain_until(3).is_empty(), "prefix not filled yet");
         slots.set(0, "a");
         assert_eq!(slots.drain_until(3), ["a"], "only the filled prefix");
-        assert_eq!(slots.reserve(1), 3, "indices keep counting after drain");
+        assert_eq!(slots.reserve(), 3, "indices keep counting after drain");
         slots.set(1, "b");
         slots.set(3, "d");
         assert_eq!(slots.drain_until(0), ["b", "c", "d"]);
@@ -284,7 +282,9 @@ mod tests {
     #[test]
     fn drain_all_waits_for_stragglers() {
         let slots: ResultSlots<usize> = ResultSlots::new();
-        slots.reserve(10);
+        for _ in 0..10 {
+            slots.reserve();
+        }
         let out = std::thread::scope(|scope| {
             let h = scope.spawn(|| slots.drain_until(0));
             for i in (0..10).rev() {
@@ -303,7 +303,7 @@ mod tests {
                 let _ = q.pop();
             });
             std::thread::sleep(std::time::Duration::from_millis(20));
-            q.push_chunk([1]);
+            q.push(1);
             q.close();
         });
         let stats = q.stats();

@@ -144,6 +144,24 @@ pub struct FileReport {
 }
 
 impl FileReport {
+    /// A row with `status` and `hash` and nothing found, run or timed.
+    pub(crate) fn new(name: String, status: FileStatus, hash: u64) -> FileReport {
+        FileReport {
+            name,
+            status,
+            matches: 0,
+            witnesses: 0,
+            seconds: 0.0,
+            hash,
+            error: None,
+            findings: Vec::new(),
+            rules: Vec::new(),
+            rules_pruned: 0,
+            suppressed: 0,
+            kill_stage: None,
+        }
+    }
+
     /// Write as one row of the report's `"files"` array, on a line of
     /// its own. The rows of a report are joined by `,` between
     /// [`ApplyReport::write_json_head`] and [`JSON_TAIL`].

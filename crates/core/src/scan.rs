@@ -98,21 +98,22 @@ impl RuleOutcome {
 /// next is read only once what is read but not yet sunk fits in one
 /// batch under `opts.batch`.
 ///
-/// `sink` is invoked once per processed file, in walk order, with its
+/// `sink` is invoked once per report row, in walk order, with the file's
 /// name, original text, and outcome. It runs on the calling thread as
 /// soon as that file and every file before it are done, while the walk
 /// and the workers go on with later files — this is where a CLI prints
 /// diffs or renders findings while the text is still in memory. Files
-/// that could not be read, and files skipped by `previous`, go straight
-/// to the report; like every file, they keep their walk-order place in
-/// it.
+/// skipped by `previous` reach it as [`FileOutcome::resumed`], and files
+/// that could not be read (or found) with empty text and their `error`
+/// row. The report keeps each row as the sink leaves it, so a sink that
+/// fails to land a rewrite can record the failure there.
 ///
 /// `previous` enables incremental re-runs: files whose content hash
 /// matches their entry there and whose previous status was a
 /// *completed* outcome ([`FileStatus::resumable`]) are skipped — the
 /// entry (findings and per-rule outcomes included) is copied into the
-/// new report with zero seconds, the sink never sees them, and they
-/// count in [`ApplyReport::resumed`]. Sound only against the same rules:
+/// new report with zero seconds, and they count in
+/// [`ApplyReport::resumed`]. Sound only against the same rules:
 /// callers must compare [`ApplyReport::patch_hash`] against
 /// [`CompiledRuleSet::hash`] before resuming (the returned report
 /// records it).
@@ -124,7 +125,7 @@ pub fn scan_corpus(
     source: &mut dyn FileSource,
     opts: &CorpusOptions,
     previous: Option<&ApplyReport>,
-    mut sink: impl FnMut(&str, &str, &FileOutcome),
+    mut sink: impl FnMut(&str, &str, &mut FileOutcome),
 ) -> Result<ApplyReport, ApplyError> {
     // Hash 0 means "unknown" (unreadable file, pre-hash report): never a
     // skip candidate.
@@ -147,10 +148,6 @@ pub fn scan_corpus(
     // file the producer encounters (run, resumed, or unreadable)
     // reserves one ordered result slot, so the sink and the report
     // observe exactly the walk order whatever the completion order was.
-    enum Done {
-        Ran(Arc<str>, FileOutcome),
-        Skipped(FileReport),
-    }
     struct Task {
         slot: usize,
         name: String,
@@ -159,7 +156,7 @@ pub fn scan_corpus(
     }
     let threads = resolve_threads(opts.threads);
     let queue: WorkQueue<Task> = WorkQueue::new(threads);
-    let slots: ResultSlots<Done> = ResultSlots::new();
+    let slots: ResultSlots<(Arc<str>, FileOutcome)> = ResultSlots::new();
     // Under `--explain`, matching attempts accumulate into the report's
     // explain block; it sorts on finish, so the embedded traces are
     // byte-identical across thread counts.
@@ -173,7 +170,7 @@ pub fn scan_corpus(
                 while let Some(task) = queue.pop() {
                     let text: Arc<str> = task.text.into();
                     let outcome = run_file(set, task.name, &text, task.hash, opts);
-                    slots.set(task.slot, Done::Ran(text, outcome));
+                    slots.set(task.slot, (text, outcome));
                 }
             });
             handle.expect("spawn corpus worker");
@@ -181,31 +178,26 @@ pub fn scan_corpus(
 
         let explain_cfg = opts.explain.as_deref();
         let explain_block = &mut explain_block;
-        let mut emit = |done: Vec<Done>, files: &mut Vec<FileReport>| {
-            for d in done {
+        let mut emit = |done: Vec<(Arc<str>, FileOutcome)>, files: &mut Vec<FileReport>| {
+            for (text, mut outcome) in done {
                 let _report_span = cocci_trace::span(Phase::Report);
-                match d {
-                    Done::Ran(text, outcome) => {
-                        let name = &outcome.report.name;
-                        if let (Some(block), Some(cfg)) = (explain_block.as_mut(), explain_cfg) {
-                            block.extend(
-                                outcome
-                                    .attempts
-                                    .iter()
-                                    .filter(|a| cfg.matches(name, &a.rule))
-                                    .map(|a| AttemptTrace {
-                                        file: name.clone(),
-                                        rule: a.rule.clone(),
-                                        stage: a.stage,
-                                        detail: a.detail.clone(),
-                                    }),
-                            );
-                        }
-                        sink(name, &text, &outcome);
-                        files.push(outcome.report);
-                    }
-                    Done::Skipped(report) => files.push(report),
+                let name = outcome.report.name.clone();
+                if let (Some(block), Some(cfg)) = (explain_block.as_mut(), explain_cfg) {
+                    block.extend(
+                        outcome
+                            .attempts
+                            .iter()
+                            .filter(|a| cfg.matches(&name, &a.rule))
+                            .map(|a| AttemptTrace {
+                                file: name.clone(),
+                                rule: a.rule.clone(),
+                                stage: a.stage,
+                                detail: a.detail.clone(),
+                            }),
+                    );
                 }
+                sink(&name, &text, &mut outcome);
+                files.push(outcome.report);
             }
         };
 
@@ -233,29 +225,18 @@ pub fn scan_corpus(
             };
             for (name, msg) in source.take_errors() {
                 let report = FileReport {
-                    name,
-                    status: FileStatus::Error,
-                    matches: 0,
-                    witnesses: 0,
-                    seconds: 0.0,
-                    hash: 0,
                     error: Some(msg),
-                    findings: Vec::new(),
-                    rules: Vec::new(),
-                    rules_pruned: 0,
-                    suppressed: 0,
-                    kill_stage: None,
+                    ..FileReport::new(name, FileStatus::Error, 0)
                 };
-                slots.set(slots.reserve(1), Done::Skipped(report));
+                slots.set(slots.reserve(), ("".into(), FileOutcome::new(report)));
                 held.push_back(0);
             }
             if batch.is_empty() {
                 break;
             }
-            let mut tasks = Vec::with_capacity(batch.len());
             for (name, text) in batch {
                 let hash = content_hash(&text);
-                let slot = slots.reserve(1);
+                let slot = slots.reserve();
                 held.push_back(text.len());
                 match prev_by_name.get(name.as_str()) {
                     // Only completed statuses are copied forward: a prior
@@ -271,9 +252,13 @@ pub fn scan_corpus(
                             seconds: 0.0,
                             ..(*prev).clone()
                         };
-                        slots.set(slot, Done::Skipped(report));
+                        let outcome = FileOutcome {
+                            resumed: true,
+                            ..FileOutcome::new(report)
+                        };
+                        slots.set(slot, (text.into(), outcome));
                     }
-                    _ => tasks.push(Task {
+                    _ => queue.push(Task {
                         slot,
                         name,
                         text,
@@ -281,7 +266,6 @@ pub fn scan_corpus(
                     }),
                 }
             }
-            queue.push_chunk(tasks);
         }
         queue.close();
         // Hand each outcome over as soon as it and every earlier one are
@@ -682,17 +666,17 @@ pub(crate) mod tests {
 
         // Round-trip through JSON (the CLI resume path) and re-scan.
         let prior = ApplyReport::from_json(&first.to_json()).unwrap();
-        let mut sunk = 0;
+        let mut sunk = Vec::new();
         let second = scan_corpus(
             &set,
             &mut MemorySource::new(vec![hit]),
             &CorpusOptions::default(),
             Some(&prior),
-            |_, _, _| sunk += 1,
+            |_, _, o| sunk.push(o.resumed),
         )
         .unwrap();
         assert_eq!(second.resumed, 1);
-        assert_eq!(sunk, 0, "unchanged file skipped");
+        assert_eq!(sunk, [true], "unchanged file resumed, not run");
         assert_eq!(second.files[0].rules, prior.files[0].rules);
         assert_eq!(second.files[0].findings, prior.files[0].findings);
     }
