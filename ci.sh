@@ -275,6 +275,8 @@ cargo run --release -q -p cocci-examples --example trace_check --locked -- \
 grep -q '^  phase parse: spans=[1-9]' "$TRACE_ROOT/stats.txt"
 grep -q '^  counter files_parsed: [1-9]' "$TRACE_ROOT/stats.txt"
 grep -q '^  pool: workers=' "$TRACE_ROOT/stats.txt"
+# The shipped binary allocates through cocci-alloc: its heaps cut chunks.
+grep -q '^  alloc: chunks=[1-9]' "$TRACE_ROOT/stats.txt"
 echo "ok: traced scan reconciles across trace/stats/report (trace at target/TRACE_scan.json)"
 
 echo "== explain e2e (kill-stage funnel reconciles exactly with the report) =="

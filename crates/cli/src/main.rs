@@ -69,6 +69,12 @@
 mod diff;
 mod telemetry;
 
+/// Small blocks come from per-thread free lists, and a block freed on
+/// another thread goes back to the thread that allocated it (see
+/// `cocci_alloc`); `--stats` prints its counters.
+#[global_allocator]
+static ALLOC: cocci_alloc::SlabAlloc = cocci_alloc::SlabAlloc::new();
+
 use cocci_core::{
     scan_corpus, ApplyError, ApplyReport, CompiledPatch, CompiledRuleSet, CorpusOptions,
     ExplainConfig, FileOutcome, FileReport, FileStatus, Finding, KillStage, RunMetrics, SarifIndex,
@@ -80,6 +86,7 @@ use cocci_lint::{
 use cocci_smpl::{parse_semantic_patch, SemanticPatch};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -591,13 +598,16 @@ fn load_patch(args: &Args) -> Result<Loaded, ExitCode> {
 
 /// Print one processed file's per-file line and, in patch mode, land
 /// its rewrite: a diff on stdout, the file rewritten in place, or the
-/// `-o` file. Returns a write failure to record against the file.
+/// `-o` file. Returns a write failure to record against the file. A
+/// failed stdout write is the run's, not the file's: `diffs` keeps the
+/// first one, and no diff is written after it.
 fn apply_file(
     args: &Args,
     mode: Mode,
     name: &str,
     original: &str,
     outcome: &FileOutcome,
+    diffs: &mut std::io::Result<()>,
 ) -> Result<bool, String> {
     let r = &outcome.report;
     let Some(new_text) = &outcome.output else {
@@ -638,8 +648,9 @@ fn apply_file(
     } else if let Some(out) = &args.output {
         std::fs::write(out, new_text)
             .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    } else {
-        print!("{}", diff::unified_diff(name, original, new_text, 3));
+    } else if diffs.is_ok() {
+        let diff = diff::unified_diff(name, original, new_text, 3);
+        *diffs = std::io::stdout().lock().write_all(diff.as_bytes());
     }
     Ok(true)
 }
@@ -710,6 +721,7 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
     // The rule lints lead the SARIF results.
     rendered.results(&lints, None);
     let mut changed = 0usize;
+    let mut diffs = Ok(());
     let mut heartbeat = telemetry::Heartbeat::new(source.remaining(), quiet);
     let run = scan_corpus(
         &set,
@@ -732,7 +744,7 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
                 // Nothing ran, or the failure is reported once, from the
                 // report below.
             } else if mode != Mode::Scan {
-                match apply_file(args, mode, name, original, outcome) {
+                match apply_file(args, mode, name, original, outcome, &mut diffs) {
                     Ok(wrote) => changed += usize::from(wrote),
                     // A file whose rewrite failed to land is an error,
                     // not a change: its row says so.
@@ -775,7 +787,7 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
         }
     }
     if args.stats {
-        telemetry::print_stats(&report);
+        telemetry::print_stats(&report, ALLOC.stats());
     }
 
     // Every failed file — parse/rewrite/write errors and unreadable paths
@@ -841,7 +853,8 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
         index.write_head(&mut head, rendered.rule_ids.iter().map(String::as_str));
         write_document(stdout.lock(), &[&head, results, SARIF_TAIL])
     } else {
-        Ok(())
+        // Patch mode wrote its diffs as files arrived.
+        diffs.and_then(|()| stdout.lock().flush())
     };
     if let Err(e) = printed {
         eprintln!("spatch: cannot write to stdout: {e}");

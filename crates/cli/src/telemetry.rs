@@ -7,6 +7,7 @@
 //! the Chrome file — so phase totals agree across the trace JSON, the
 //! stats table, and the report by construction.
 
+use cocci_alloc::AllocStats;
 use cocci_core::{ApplyReport, FileStatus, RunMetrics};
 use std::collections::BTreeMap;
 use std::io::{IsTerminal, Write};
@@ -38,8 +39,9 @@ pub fn write_trace(path: &Path) -> std::io::Result<()> {
 ///
 /// Count-like lines (span counts, counters, per-rule matches/findings)
 /// are deterministic across `-j` values; timing columns are wall-clock
-/// and vary run to run.
-pub fn print_stats(report: &ApplyReport) {
+/// and vary run to run, as do the pool line and the `alloc` line (the
+/// process allocator's counters, passed in as `alloc`).
+pub fn print_stats(report: &ApplyReport, alloc: AllocStats) {
     let mut err = std::io::stderr().lock();
     let _ = writeln!(err, "spatch stats:");
     match &report.metrics {
@@ -48,6 +50,13 @@ pub fn print_stats(report: &ApplyReport) {
             let _ = writeln!(err, "  (no metrics recorded)");
         }
     }
+    let _ = writeln!(
+        err,
+        "  alloc: chunks={} ({:.1} MiB) remote_frees={}",
+        alloc.chunks,
+        alloc.chunk_bytes() as f64 / (1u64 << 20) as f64,
+        alloc.remote_frees
+    );
 
     // Per-rule aggregate over every file's scan rows (patch-mode runs
     // have no per-rule rows and skip this table).

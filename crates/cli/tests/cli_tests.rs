@@ -1431,6 +1431,41 @@ fn scan_output_is_byte_identical_across_runs_and_ignore_duplicates() {
     }
 }
 
+#[test]
+fn thousands_of_findings_are_byte_identical_across_jobs() {
+    // 12,800 findings, each built on a worker and freed on the thread
+    // that sinks it: more workers than cores, and a block freed on
+    // another thread than the one that allocated it on every file.
+    let dir = tmpdir("scan-many");
+    let rules = write_rules_dir(&dir);
+    let tree = dir.join("tree");
+    fs::create_dir_all(&tree).unwrap();
+    for f in 0..64 {
+        let calls: String = (0..200).map(|i| format!("    alpha({i});\n")).collect();
+        fs::write(
+            tree.join(format!("f{f:02}.c")),
+            format!("void f{f}(void) {{\n{calls}}}\n"),
+        )
+        .unwrap();
+    }
+    let run = |fmt: &str, jobs: &str| -> Vec<u8> {
+        let out = spatch()
+            .arg("scan")
+            .arg("--rules")
+            .arg(&rules)
+            .args(["--format", fmt, "--quiet", "-j", jobs])
+            .arg(&tree)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{fmt} -j {jobs}: {out:?}");
+        out.stdout
+    };
+    let text = run("text", "1");
+    assert_eq!(text.iter().filter(|&&b| b == b'\n').count(), 64 * 200);
+    assert_eq!(run("text", "8"), text, "text output: -j 1 vs -j 8");
+    assert_eq!(run("sarif", "8"), run("sarif", "1"), "SARIF: -j 1 vs -j 8");
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry: --trace-out Chrome profiles and the --stats table.
 
@@ -1547,6 +1582,44 @@ fn stats_count_totals_are_stable_across_thread_counts() {
     assert!(base.iter().any(|l| l == "phase parse: spans=2"), "{base:?}");
     assert_eq!(run("2"), base, "-j 2 drifted");
     assert_eq!(run("4"), base, "-j 4 drifted");
+}
+
+#[test]
+fn stats_print_the_allocator_counters() {
+    let dir = tmpdir("stats-alloc");
+    let rules = write_rules_dir(&dir);
+    let tree = write_scan_tree(&dir);
+    let out = spatch()
+        .arg("scan")
+        .arg("--rules")
+        .arg(&rules)
+        .args(["--stats", "-j", "2", "--quiet"])
+        .arg(&tree)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert!(!out.stdout.is_empty(), "the scan has findings");
+    let err = String::from_utf8(out.stderr).unwrap();
+    let lines: Vec<&str> = err.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with("  alloc: "))
+        .unwrap_or_else(|| panic!("no alloc line: {err}"));
+    assert!(lines[at - 1].starts_with("  pool: "), "{err}");
+    // `  alloc: chunks=N (M MiB) remote_frees=R`
+    let field = |key: &str| -> u64 {
+        let rest = lines[at]
+            .split(key)
+            .nth(1)
+            .unwrap_or_else(|| panic!("{err}"));
+        rest.split(' ').next().unwrap().parse().unwrap()
+    };
+    let chunks = field("chunks=");
+    assert!(chunks >= 1, "{err}");
+    let mib = format!("({:.1} MiB)", chunks as f64 / 16.0);
+    assert!(lines[at].contains(&mib), "{err}");
+    // The workers' outcomes are freed on the thread that sinks them.
+    assert!(field("remote_frees=") >= 1, "{err}");
 }
 
 #[test]
@@ -2391,6 +2464,52 @@ fn lint_output_to_a_full_device_is_an_error_not_a_panic() {
         );
         assert!(!stderr.contains("panicked"), "--format {format}: {stderr}");
     }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn diff_output_to_a_full_device_is_an_error_not_a_panic() {
+    let dir = tmpdir("diff-full");
+    fs::write(dir.join("q.cocci"), "@@ @@\n- old_api(1);\n+ new_api(1);\n").unwrap();
+    for name in ["t.c", "u.c"] {
+        fs::write(dir.join(name), "void f(void) {\n    old_api(1);\n}\n").unwrap();
+    }
+    for report in [&[][..], &["--report", "r.json"][..]] {
+        let full = fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let out = spatch()
+            .current_dir(&dir)
+            .args(["--sp-file", "q.cocci", "-j", "1"])
+            .args(report)
+            .args(["t.c", "u.c"])
+            .stdout(full)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{report:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(!stderr.contains("panicked"), "{report:?}: {stderr}");
+        // The first failed write is the run's one failure; the second
+        // file's diff is not attempted.
+        assert_eq!(
+            stderr.matches("spatch: cannot write to stdout: ").count(),
+            1,
+            "{report:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains("2/2 file(s) transformed, 1 failure(s)"),
+            "{report:?}: {stderr}"
+        );
+    }
+    // The report is still written.
+    let text = fs::read_to_string(dir.join("r.json")).unwrap();
+    let report = cocci_core::ApplyReport::from_json(&text).unwrap();
+    assert_eq!(report.files.len(), 2);
+    assert!(report
+        .files
+        .iter()
+        .all(|f| f.status == cocci_core::FileStatus::Changed));
 }
 
 /// Run `spatch <mode> --report first.json tree`, then edit the tree:
