@@ -279,6 +279,127 @@ grep -q '^  pool: workers=' "$TRACE_ROOT/stats.txt"
 grep -q '^  alloc: chunks=[1-9]' "$TRACE_ROOT/stats.txt"
 echo "ok: traced scan reconciles across trace/stats/report (trace at target/TRACE_scan.json)"
 
+echo "== rewrite chain e2e (UC7+UC8: each rewritten text splices its parse) =="
+CHAIN_ROOT="target/chain-e2e"
+rm -rf "$CHAIN_ROOT"
+mkdir -p "$CHAIN_ROOT/src"
+# The paper's CUDA->HIP port chains rules: `hfe` and `hte` rewrite the
+# file, and the rules after each rewrite parse the new text. That parse
+# re-parses only the statements the rewrite touched and splices them
+# into the previous tree.
+cat > "$CHAIN_ROOT/hip.cocci" <<'EOF'
+#spatch --c++
+@initialize:python@ @@
+C2HF = { "curand_uniform_double": "rocrand_uniform_double" }
+C2HT = { "__half": "rocblas_half" }
+
+@cfe@
+identifier fn;
+expression list el;
+position p;
+@@
+fn@p(el)
+
+@script:python cf2hf@
+fn << cfe.fn;
+nf;
+@@
+coccinelle.nf = cocci.make_ident(C2HF[fn]);
+
+@hfe@
+identifier cfe.fn;
+identifier cf2hf.nf;
+position cfe.p;
+@@
+- fn@p
++ nf
+(...)
+
+@cte@
+type c_t;
+identifier i;
+@@
+c_t i;
+
+@script:python ct2hf@
+c_t << cte.c_t;
+h_t;
+@@
+coccinelle.h_t = cocci.make_type(C2HT[c_t]);
+
+@hte@
+type ct2hf.h_t;
+type cte.c_t;
+identifier cte.i;
+@@
+- c_t i;
++ h_t i;
+
+@chevron@
+identifier kk;
+expression b,t,x,y;
+expression list el;
+@@
+- kk<<<b,t,x,y>>>(el)
++ hipLaunchKernelGGL(kk,b,t,x,y,el)
+EOF
+cat > "$CHAIN_ROOT/src/a.cu" <<'EOF'
+#include <cuda_runtime.h>
+
+void stage_a(int n, double *buf) {
+    __half h;
+    double r;
+    r = curand_uniform_double(rng_state);
+    buf[0] = r;
+    compute_a<<<grid, block, 0, stream>>>(n, buf);
+}
+
+void stage_b(int n, double *buf) {
+    for (int i = 0; i < n; ++i) {
+        if (buf[i] > 0.5) {
+            __half g;
+            buf[i] = curand_uniform_double(rng_state); // resample
+        }
+    }
+    compute_b<<<grid, block, 0, stream>>>(n, buf);
+}
+EOF
+cat > "$CHAIN_ROOT/src/b.cu" <<'EOF'
+/* Launch helpers. */
+#define BLOCK 256
+
+static void launch(int n, double *buf) {
+    compute_c<<<(n + BLOCK - 1) / BLOCK, BLOCK, 0, stream>>>(n, buf);
+}
+
+void stage_c(int n, double *buf) {
+    __half h;
+#pragma unroll
+    for (int i = 0; i < 4; ++i)
+        buf[i] = curand_uniform_double(rng_state);
+    launch(n, buf);
+}
+EOF
+cat > "$CHAIN_ROOT/src/c.cu" <<'EOF'
+void stage_d(int n, double *buf) {
+    double r = 0.0;
+    while (n-- > 0) {
+        r += curand_uniform_double(rng_state);
+    }
+    buf[0] = r;
+    compute_d<<<grid, block, 0, stream>>>(n, buf);
+}
+EOF
+for jobs in 1 2; do
+  "$SPATCH" --sp-file "$CHAIN_ROOT/hip.cocci" --stats -j "$jobs" "$CHAIN_ROOT/src" \
+    > "$CHAIN_ROOT/diff.$jobs" 2> "$CHAIN_ROOT/stats.$jobs"
+  grep -q '^  counter parse_splices: [1-9]' "$CHAIN_ROOT/stats.$jobs"
+  grep -q '^  counter splice_fallbacks: 0$' "$CHAIN_ROOT/stats.$jobs"
+done
+grep -q '^+.*hipLaunchKernelGGL(' "$CHAIN_ROOT/diff.1"
+cmp "$CHAIN_ROOT/diff.1" "$CHAIN_ROOT/diff.2"
+echo "ok: the rewrite chain splices every reparse, with the same diff at -j 1 and -j 2"
+
 echo "== explain e2e (kill-stage funnel reconciles exactly with the report) =="
 EXPLAIN_ROOT="target/explain-e2e"
 rm -rf "$EXPLAIN_ROOT"

@@ -36,6 +36,7 @@ pub fn lex(src: &str, mode: LexMode) -> Result<Vec<Token>, LexError> {
     let mut lx = Lexer {
         src: src.as_bytes(),
         pos: 0,
+        end: src.len(),
         mode,
         at_line_start: true,
         tokens: Vec::with_capacity(src.len() / 6 + 8),
@@ -44,9 +45,44 @@ pub fn lex(src: &str, mode: LexMode) -> Result<Vec<Token>, LexError> {
     Ok(lx.tokens)
 }
 
+/// Lex the C text `src[start..end]` in place: token spans are offsets
+/// into `src`, the lexer starts in the state it would have at `start`
+/// (which must be a token boundary of `src`), and the `Eof` token sits at
+/// `end`. Fails unless lexing all of `src` would also stop at `end`: a
+/// comment, literal, directive or token that runs past `end` is an
+/// error, and so is a `#` at `end` that would no longer begin a line.
+pub(crate) fn lex_fragment(src: &str, start: u32, end: u32) -> Result<Vec<Token>, LexError> {
+    let (start, end) = (start as usize, end as usize);
+    let line = &src.as_bytes()[..start];
+    let line = &line[line
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |nl| nl + 1)..];
+    let mut lx = Lexer {
+        src: src.as_bytes(),
+        pos: start,
+        end,
+        mode: LexMode::C,
+        at_line_start: line
+            .iter()
+            .all(|b| matches!(b, b' ' | b'\t' | b'\r' | 0x0b | 0x0c)),
+        tokens: Vec::with_capacity((end - start) / 6 + 8),
+    };
+    lx.run()?;
+    if lx.pos > end {
+        return Err(lx.err(end, "text runs past the fragment's end"));
+    }
+    if lx.src.get(end) == Some(&b'#') && !lx.at_line_start {
+        return Err(lx.err(end, "directive no longer begins a line"));
+    }
+    Ok(lx.tokens)
+}
+
 struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Where lexing stops: the end of `src`, or of a fragment.
+    end: usize,
     mode: LexMode,
     /// True when only whitespace has been seen since the last newline —
     /// the condition for `#` starting a directive.
@@ -89,7 +125,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn run(&mut self) -> Result<(), LexError> {
-        while self.pos < self.src.len() {
+        while self.pos < self.end {
             let c = self.peek();
             let start = self.pos;
             match c {
@@ -173,7 +209,7 @@ impl<'a> Lexer<'a> {
         }
         self.tokens.push(Token {
             kind: TokenKind::Eof,
-            span: Span::empty(self.src.len() as u32),
+            span: Span::empty(self.end as u32),
             sym: None,
         });
         Ok(())

@@ -17,13 +17,15 @@ pub mod fold;
 pub mod lexer;
 pub mod parser;
 pub mod render;
+pub mod shift;
 pub mod token;
 pub mod visit;
 
 pub use ast::*;
 pub use lexer::{lex, LexError, LexMode};
 pub use parser::{
-    parse_expression, parse_int, parse_statements, parse_translation_unit, parse_with_idents, Lang,
-    MetaKind, MetaLookup, NoMeta, ParseErr, ParseOptions,
+    parse_expression, parse_int, parse_items_at, parse_statements, parse_stmts_at,
+    parse_translation_unit, parse_with_tables, Fragment, Lang, MetaKind, MetaLookup, NoMeta,
+    ParseErr, ParseOptions, UnitParse,
 };
 pub use token::{Punct, Token, TokenKind};

@@ -24,7 +24,7 @@
 //! recognising a type resolves no symbol and builds no string.
 
 use crate::ast::*;
-use crate::lexer::{lex, LexError, LexMode};
+use crate::lexer::{lex, lex_fragment, LexError, LexMode};
 use crate::token::{Class, Punct, Token, TokenKind};
 use cocci_source::{FnvBuild, Span, Symbol};
 use std::collections::HashSet;
@@ -151,50 +151,106 @@ pub fn parse_translation_unit(
     opts: ParseOptions,
     meta: &dyn MetaLookup,
 ) -> Result<TranslationUnit, ParseErr> {
-    parse_unit(src, opts, meta, |_| ())
+    Parser::new(src, opts, meta)?.translation_unit()
 }
 
-/// Parse a full translation unit and hand over its identifier tokens:
-/// the symbol and start offset of every [`TokenKind::Ident`] token
-/// (keywords included), in source order. The parser holds its token
-/// vector anyway, so a caller that indexes a text's identifiers does not
-/// lex it a second time. Comments, string literals and directives hold
-/// no identifier tokens.
-pub fn parse_with_idents(
+/// A whole text's parse and the tables the parser leaves beside the tree.
+#[derive(Debug)]
+pub struct UnitParse {
+    /// The tree.
+    pub tu: TranslationUnit,
+    /// The symbol and start offset of every [`TokenKind::Ident`] token
+    /// (keywords included), in source order. Comments, string literals
+    /// and directives hold no identifier tokens.
+    pub idents: Vec<(Symbol, u32)>,
+    /// Every name a `typedef` declared, with the offset where its
+    /// declaration ends (from there on the parser reads the name as a
+    /// type), in source order.
+    pub typedefs: Vec<(Symbol, u32)>,
+}
+
+/// Parse a full translation unit and hand over the parser's tables. The
+/// parser holds its token vector anyway, so a caller that indexes a
+/// text's identifiers does not lex it a second time.
+pub fn parse_with_tables(
     src: &str,
     opts: ParseOptions,
     meta: &dyn MetaLookup,
-) -> Result<(TranslationUnit, Vec<(Symbol, u32)>), ParseErr> {
-    let mut idents = Vec::new();
-    let tu = parse_unit(src, opts, meta, |toks| {
-        idents = toks
-            .iter()
-            .filter_map(|t| Some((t.sym?, t.span.start)))
-            .collect();
-    })?;
-    Ok((tu, idents))
-}
-
-/// Parse a translation unit, then show `tokens` the token vector (inside
-/// the parse's trace span).
-fn parse_unit(
-    src: &str,
-    opts: ParseOptions,
-    meta: &dyn MetaLookup,
-    tokens: impl FnOnce(&[Token]),
-) -> Result<TranslationUnit, ParseErr> {
-    // Pattern snippets (SMPL compilation) are not target files: only
-    // whole-file parses count toward the run's lex/parse telemetry.
-    let _span = if opts.pattern {
-        cocci_trace::SpanGuard::disabled()
-    } else {
-        cocci_trace::count(cocci_trace::Counter::FilesParsed, 1);
-        cocci_trace::span(cocci_trace::Phase::Parse)
-    };
+) -> Result<UnitParse, ParseErr> {
     let mut p = Parser::new(src, opts, meta)?;
     let tu = p.translation_unit()?;
-    tokens(&p.toks);
-    Ok(tu)
+    Ok(UnitParse {
+        tu,
+        idents: p.idents(),
+        typedefs: p.typedef_decls,
+    })
+}
+
+/// List elements parsed in place: the nodes, and the symbol and offset
+/// of each identifier token among them, in source order.
+#[derive(Debug)]
+pub struct Fragment<T> {
+    /// The parsed elements, in source order.
+    pub nodes: Vec<T>,
+    /// The fragment's identifier tokens, as in [`UnitParse::idents`].
+    pub idents: Vec<(Symbol, u32)>,
+}
+
+/// Parse `src[span]`, a run of statements of a C or C++ text, as the
+/// whole-text parse would: spans are offsets into `src`, and `typedefs`
+/// are the names read as types (those declared before `span`). Fails
+/// unless the run lexes to exactly its own extent (no comment, literal,
+/// directive or token runs past its end, and a `#` at its end still
+/// begins a line) and parses to whole statements, and when it declares a
+/// typedef, which would change how the text after it parses.
+pub fn parse_stmts_at(
+    src: &str,
+    span: Span,
+    typedefs: impl IntoIterator<Item = Symbol>,
+    lang: Lang,
+) -> Result<Fragment<Stmt>, ParseErr> {
+    fragment(src, span, typedefs, lang, |p| p.statement())
+}
+
+/// [`parse_stmts_at`] for a run of top-level items (or the items of a
+/// `namespace` or `extern "C"` block).
+pub fn parse_items_at(
+    src: &str,
+    span: Span,
+    typedefs: impl IntoIterator<Item = Symbol>,
+    lang: Lang,
+) -> Result<Fragment<Item>, ParseErr> {
+    fragment(src, span, typedefs, lang, |p| p.item())
+}
+
+fn fragment<T>(
+    src: &str,
+    span: Span,
+    typedefs: impl IntoIterator<Item = Symbol>,
+    lang: Lang,
+    mut one: impl FnMut(&mut Parser<'_>) -> Result<T, ParseErr>,
+) -> Result<Fragment<T>, ParseErr> {
+    let toks = lex_fragment(src, span.start, span.end)?;
+    let opts = ParseOptions {
+        pattern: false,
+        lang,
+    };
+    let mut p = Parser::with_tokens(src, toks, opts, &NoMeta);
+    p.typedefs.extend(typedefs);
+    let mut nodes = Vec::new();
+    while !p.at_eof() {
+        nodes.push(one(&mut p)?);
+    }
+    if let Some(&(name, at)) = p.typedef_decls.first() {
+        return Err(ParseErr {
+            span: Span::empty(at),
+            message: format!("fragment declares typedef `{name}`"),
+        });
+    }
+    Ok(Fragment {
+        nodes,
+        idents: p.idents(),
+    })
 }
 
 /// Parse a statement sequence (used for SMPL statement-level patterns).
@@ -235,6 +291,8 @@ struct Parser<'a> {
     opts: ParseOptions,
     meta: &'a dyn MetaLookup,
     typedefs: HashSet<Symbol, FnvBuild>,
+    /// The typedefs this parse declared, as [`UnitParse::typedefs`].
+    typedef_decls: Vec<(Symbol, u32)>,
 }
 
 impl<'a> Parser<'a> {
@@ -244,7 +302,15 @@ impl<'a> Parser<'a> {
         } else {
             LexMode::C
         };
-        let toks = lex(src, mode)?;
+        Ok(Parser::with_tokens(src, lex(src, mode)?, opts, meta))
+    }
+
+    fn with_tokens(
+        src: &'a str,
+        toks: Vec<Token>,
+        opts: ParseOptions,
+        meta: &'a dyn MetaLookup,
+    ) -> Self {
         let classes = toks
             .iter()
             .map(|t| {
@@ -252,7 +318,7 @@ impl<'a> Parser<'a> {
                     .map_or(Class::default(), |sym| Class::of(sym, t.text(src)))
             })
             .collect();
-        Ok(Parser {
+        Parser {
             src,
             toks,
             classes,
@@ -260,7 +326,16 @@ impl<'a> Parser<'a> {
             opts,
             meta,
             typedefs: HashSet::default(),
-        })
+            typedef_decls: Vec::new(),
+        }
+    }
+
+    /// The symbol and start offset of each identifier token.
+    fn idents(&self) -> Vec<(Symbol, u32)> {
+        self.toks
+            .iter()
+            .filter_map(|t| Some((t.sym?, t.span.start)))
+            .collect()
     }
 
     // ---- token helpers ----
@@ -949,8 +1024,10 @@ impl<'a> Parser<'a> {
         }
         let end = self.expect(Punct::Semi)?.span;
         if specifiers.iter().any(|s| s.name == "typedef") {
-            self.typedefs
-                .extend(declarators.iter().map(|d| d.name.name));
+            for d in &declarators {
+                self.typedefs.insert(d.name.name);
+                self.typedef_decls.push((d.name.name, end.end));
+            }
         }
         Ok(Item::Decl(Declaration {
             attrs,

@@ -589,7 +589,8 @@ fn parse_hands_over_identifier_tokens_in_source_order() {
                // curand_x in a comment\n\
                printf(\"curand_x %d\", n);\n\
                }";
-    let (t, idents) = cocci_cast::parse_with_idents(src, ParseOptions::c(), &NoMeta).unwrap();
+    let parsed = cocci_cast::parse_with_tables(src, ParseOptions::c(), &NoMeta).unwrap();
+    let (t, idents) = (parsed.tu, parsed.idents);
     assert_eq!(t.items.len(), 2);
     let words: Vec<&str> = idents.iter().map(|(sym, _)| sym.as_str()).collect();
     // Keywords are identifier tokens; directives, comments and string

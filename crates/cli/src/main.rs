@@ -66,8 +66,31 @@
 //! (`--no-lint` skips it); surviving diagnostics land in the JSON
 //! report's `lints` block.
 
+/// `eprint!` that drops a failed write: a run whose diagnostics cannot
+/// reach stderr (a closed pipe, a full device) still finishes, writes
+/// its outputs and report, and exits by its own rules.
+macro_rules! note {
+    ($($arg:tt)*) => {
+        $crate::to_stderr(format_args!($($arg)*))
+    };
+}
+
+/// [`note!`] with a newline.
+macro_rules! noteln {
+    ($($arg:tt)*) => {
+        $crate::to_stderr(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod diff;
 mod telemetry;
+
+/// Write one message to stderr in one write, dropping a failed write
+/// (see [`note!`]). Stderr is unbuffered: formatting in place would write
+/// each piece of the message separately.
+fn to_stderr(args: std::fmt::Arguments<'_>) {
+    let _ = std::io::stderr().write_all(std::fmt::format(args).as_bytes());
+}
 
 /// Small blocks come from per-thread free lists, and a block freed on
 /// another thread goes back to the thread that allocated it (see
@@ -148,7 +171,7 @@ struct Args {
 }
 
 fn usage() -> ! {
-    eprintln!(
+    noteln!(
         "usage: spatch --sp-file <patch.cocci> [--mode patch|report] [--format text|json|sarif] \
          [--in-place] [-o FILE] [-j N] [--report FILE] \
          [--resume FILE] [--timeout-ms N] [--ignore PAT]... [--no-prefilter] \
@@ -168,7 +191,7 @@ fn lint_config(args: &Args) -> Result<LintConfig, ExitCode> {
     let mut cfg = LintConfig::default();
     for (key, level) in &args.lint_overrides {
         if let Err(e) = cfg.set(key, *level) {
-            eprintln!("spatch: {e}");
+            noteln!("spatch: {e}");
             return Err(ExitCode::from(2));
         }
     }
@@ -213,7 +236,7 @@ fn parse_args() -> Args {
                     Some("patch") => Mode::Patch,
                     Some("report") => Mode::Report,
                     other => {
-                        eprintln!("spatch: bad --mode {other:?} (expected patch|report)");
+                        noteln!("spatch: bad --mode {other:?} (expected patch|report)");
                         usage();
                     }
                 })
@@ -224,7 +247,7 @@ fn parse_args() -> Args {
                     Some("json") => Format::Json,
                     Some("sarif") => Format::Sarif,
                     other => {
-                        eprintln!("spatch: bad --format {other:?} (expected text|json|sarif)");
+                        noteln!("spatch: bad --format {other:?} (expected text|json|sarif)");
                         usage();
                     }
                 })
@@ -261,7 +284,7 @@ fn parse_args() -> Args {
             "--quiet" => a.quiet = true,
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => {
-                eprintln!("unknown option: {other}");
+                noteln!("unknown option: {other}");
                 usage();
             }
             other => a.targets.push(PathBuf::from(other)),
@@ -269,12 +292,12 @@ fn parse_args() -> Args {
     }
     if scan {
         if a.rules.is_none() {
-            eprintln!("spatch: scan mode requires --rules <dir>");
+            noteln!("spatch: scan mode requires --rules <dir>");
             usage();
         }
     } else if lint {
         if a.targets.len() != 1 {
-            eprintln!("spatch: lint mode takes exactly one patch file or rules directory");
+            noteln!("spatch: lint mode takes exactly one patch file or rules directory");
             usage();
         }
     } else if a.sp_file.is_none() {
@@ -302,14 +325,14 @@ fn load_resume(
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("spatch: cannot read resume report {}: {e}", path.display());
+            noteln!("spatch: cannot read resume report {}: {e}", path.display());
             return Err(ExitCode::from(2));
         }
     };
     let r = match ApplyReport::from_json(&text) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("spatch: cannot parse resume report {}: {e}", path.display());
+            noteln!("spatch: cannot parse resume report {}: {e}", path.display());
             return Err(ExitCode::from(2));
         }
     };
@@ -317,7 +340,7 @@ fn load_resume(
         // A report without a hash (older spatch) cannot vouch for any
         // rules either — refuse rather than silently skip files the
         // current rules have never seen.
-        eprintln!(
+        noteln!(
             "spatch: {} was not produced by this {what} ({}); refusing to resume from it",
             path.display(),
             if r.patch.is_empty() {
@@ -337,7 +360,7 @@ fn load_resume(
 fn report_load_lints(lints: &[Lint], quiet: bool) -> bool {
     for l in lints {
         if l.level == LintLevel::Deny || !quiet {
-            eprintln!("spatch: lint [{}]: {}", l.level, l.finding.text_line());
+            noteln!("spatch: lint [{}]: {}", l.level, l.finding.text_line());
         }
     }
     has_deny(lints)
@@ -364,7 +387,7 @@ fn run_lint(args: &Args) -> ExitCode {
     let files = match listed {
         Ok(files) => files,
         Err(e) => {
-            eprintln!("spatch: {e}");
+            noteln!("spatch: {e}");
             return ExitCode::from(2);
         }
     };
@@ -373,7 +396,7 @@ fn run_lint(args: &Args) -> ExitCode {
         let meta = match cocci_core::parse_rule_metadata(&text, &stem) {
             Ok(m) => m,
             Err(e) => {
-                eprintln!("spatch: {path}: {e}");
+                noteln!("spatch: {path}: {e}");
                 return ExitCode::from(2);
             }
         };
@@ -384,7 +407,7 @@ fn run_lint(args: &Args) -> ExitCode {
         match parse_semantic_patch(text) {
             Ok(p) => patches.push(p),
             Err(e) => {
-                eprintln!("spatch: {src}: {e}");
+                noteln!("spatch: {src}: {e}");
                 return ExitCode::from(2);
             }
         }
@@ -448,17 +471,17 @@ fn run_lint(args: &Args) -> ExitCode {
     };
     let printed = write_document(std::io::stdout().lock(), &[&document]);
     if let Err(e) = &printed {
-        eprintln!("spatch: cannot write to stdout: {e}");
+        noteln!("spatch: cannot write to stdout: {e}");
     }
     if args.stats {
-        eprintln!("spatch lint stats:");
+        noteln!("spatch lint stats:");
         for (name, v) in &metrics.counters {
-            eprintln!("  counter {name}: {v}");
+            noteln!("  counter {name}: {v}");
         }
-        eprintln!("  wall ms={:.3}", total_seconds * 1e3);
+        noteln!("  wall ms={:.3}", total_seconds * 1e3);
     }
     if !args.quiet {
-        eprintln!(
+        noteln!(
             "spatch: lint: {} finding(s) ({denies} deny, {warns} warn) across {} rule file(s)",
             lints.len(),
             sources.len()
@@ -490,7 +513,7 @@ struct Loaded {
 fn load_scan(args: &Args) -> Result<Loaded, ExitCode> {
     let rules_dir = args.rules.as_ref().expect("validated in parse_args");
     let set = CompiledRuleSet::load_dir(rules_dir).map_err(|e| {
-        eprintln!("spatch: {e}");
+        noteln!("spatch: {e}");
         ExitCode::from(2)
     })?;
     // A rule that can never match (or never bind) should fail here, not
@@ -501,7 +524,7 @@ fn load_scan(args: &Args) -> Result<Loaded, ExitCode> {
         lint_ruleset(&set, &lint_config(args)?)
     };
     if report_load_lints(&lints, args.quiet) {
-        eprintln!(
+        noteln!(
             "spatch: {}: deny-level lint findings; fix the rules or pass --no-lint",
             rules_dir.display()
         );
@@ -521,7 +544,7 @@ fn load_scan(args: &Args) -> Result<Loaded, ExitCode> {
 fn load_patch(args: &Args) -> Result<Loaded, ExitCode> {
     let sp_file = args.sp_file.as_ref().expect("validated in parse_args");
     let fail = |msg: String| {
-        eprintln!("spatch: {msg}");
+        noteln!("spatch: {msg}");
         ExitCode::from(2)
     };
     let patch_text = std::fs::read_to_string(sp_file)
@@ -621,7 +644,7 @@ fn apply_file(
             } else {
                 "no match"
             };
-            eprintln!("spatch: {name}: {what}");
+            noteln!("spatch: {name}: {what}");
         }
         return Ok(false);
     };
@@ -637,12 +660,13 @@ fn apply_file(
             // cross-branch binding that forked shows up once per
             // rewritten path.
             if r.witnesses > 0 {
-                eprintln!(
+                noteln!(
                     "spatch: {name}: rewritten ({} matches, {} witnesses)",
-                    r.matches, r.witnesses
+                    r.matches,
+                    r.witnesses
                 );
             } else {
-                eprintln!("spatch: {name}: rewritten ({} matches)", r.matches);
+                noteln!("spatch: {name}: rewritten ({} matches)", r.matches);
             }
         }
     } else if let Some(out) = &args.output {
@@ -696,7 +720,7 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             // Patch compile error: run-level, reported exactly once.
-            eprintln!("spatch: {label}: {e}");
+            noteln!("spatch: {label}: {e}");
             return ExitCode::from(2);
         }
     };
@@ -736,7 +760,7 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
                     .iter()
                     .filter(|a| cfg.matches(name, &a.rule))
                 {
-                    eprintln!("spatch: explain: {name}: {a}");
+                    noteln!("spatch: explain: {name}: {a}");
                 }
             }
             let r = &outcome.report;
@@ -756,9 +780,9 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
             } else if !quiet {
                 let (ran, pruned) = (r.rules.len(), r.rules_pruned);
                 if r.findings.is_empty() && r.suppressed == 0 {
-                    eprintln!("spatch: {name}: no findings ({ran} rule(s) ran, {pruned} pruned)");
+                    noteln!("spatch: {name}: no findings ({ran} rule(s) ran, {pruned} pruned)");
                 } else {
-                    eprintln!(
+                    noteln!(
                         "spatch: {name}: {} finding(s), {} suppressed ({ran} rule(s) ran, {pruned} pruned)",
                         r.findings.len(),
                         r.suppressed
@@ -773,7 +797,7 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             // A run-level error; per-file failures land in the report.
-            eprintln!("spatch: {label}: {e}");
+            noteln!("spatch: {label}: {e}");
             return ExitCode::from(2);
         }
     };
@@ -781,9 +805,9 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
     report.lints = lints;
     if let Some(path) = &args.trace_out {
         if let Err(e) = telemetry::write_trace(path) {
-            eprintln!("spatch: cannot write trace {}: {e}", path.display());
+            noteln!("spatch: cannot write trace {}: {e}", path.display());
         } else if !quiet {
-            eprintln!("spatch: trace written to {}", path.display());
+            noteln!("spatch: trace written to {}", path.display());
         }
     }
     if args.stats {
@@ -804,14 +828,14 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
             FileStatus::Timeout => "timed out",
             _ => continue,
         };
-        eprintln!(
+        noteln!(
             "spatch: {}: {}",
             f.name,
             f.error.as_deref().unwrap_or(fallback)
         );
     }
     if report.resumed > 0 && !quiet {
-        eprintln!(
+        noteln!(
             "spatch: resumed: {} unchanged file(s) skipped via {}",
             report.resumed,
             args.resume
@@ -829,10 +853,10 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
             let written = std::fs::File::create(path)
                 .and_then(|file| write_document(file, &[&json_head, rows, JSON_TAIL]));
             if let Err(e) = written {
-                eprintln!("spatch: cannot write report {}: {e}", path.display());
+                noteln!("spatch: cannot write report {}: {e}", path.display());
                 failures += 1;
             } else if !quiet {
-                eprintln!("spatch: report written to {}", path.display());
+                noteln!("spatch: report written to {}", path.display());
             }
         }
     }
@@ -857,7 +881,7 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
         diffs.and_then(|()| stdout.lock().flush())
     };
     if let Err(e) = printed {
-        eprintln!("spatch: cannot write to stdout: {e}");
+        noteln!("spatch: cannot write to stdout: {e}");
         failures += 1;
     }
     if !quiet {
@@ -866,7 +890,7 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
         let files = report.files.len();
         let summary = report.summary();
         match mode {
-            Mode::Scan => eprintln!(
+            Mode::Scan => noteln!(
                 "spatch: {total_findings} finding(s), {suppressed} suppressed, across {files} file(s) with {} rule(s), {failures} failure(s) ({summary})",
                 set.len()
             ),
@@ -876,11 +900,11 @@ fn run(args: &Args, loaded: Loaded) -> ExitCode {
                 } else {
                     String::new()
                 };
-                eprintln!(
+                noteln!(
                     "spatch: {total_findings} finding(s){suppressed_note} across {files} file(s), {failures} failure(s) ({summary})"
                 );
             }
-            Mode::Patch => eprintln!(
+            Mode::Patch => noteln!(
                 "spatch: {changed}/{files} file(s) transformed, {failures} failure(s) ({summary})"
             ),
         }

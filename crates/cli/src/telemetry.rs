@@ -184,9 +184,12 @@ impl Heartbeat {
         } else {
             "ETA --:--".to_string()
         };
-        eprint!(
+        note!(
             "\r\x1b[2Kspatch: {}/{} files, {} finding(s), {:.1}s elapsed, {eta}",
-            self.done, self.total, self.findings, elapsed
+            self.done,
+            self.total,
+            self.findings,
+            elapsed
         );
         let _ = std::io::stderr().flush();
     }
@@ -194,7 +197,7 @@ impl Heartbeat {
     /// Clear the progress line so the run summary prints cleanly.
     pub fn finish(&self) {
         if self.active {
-            eprint!("\r\x1b[2K");
+            note!("\r\x1b[2K");
             let _ = std::io::stderr().flush();
         }
     }

@@ -1650,12 +1650,83 @@ fn each_rewritten_text_parses_once() {
     assert!(out.status.success(), "{out:?}");
     let err = String::from_utf8(out.stderr).unwrap();
     // The original text (cfe, hfe), the text `hfe` rewrote (cte, hte),
-    // and the text `hte` rewrote (chevron): one parse each.
-    assert!(
-        err.lines()
-            .any(|l| l.trim_start() == "counter files_parsed: 3"),
-        "{err}"
-    );
+    // and the text `hte` rewrote (chevron): one parse each. Each
+    // rewritten text splices its tree from the one before.
+    for line in [
+        "counter files_parsed: 3",
+        "counter parse_splices: 2",
+        "counter splice_fallbacks: 0",
+    ] {
+        assert!(err.lines().any(|l| l.trim_start() == line), "{line}: {err}");
+    }
+}
+
+/// A traced, explained scan: the Chrome trace, the report's metrics block
+/// (the `--stats` table's source) and its explain block reconcile, as
+/// `cocci_examples::checks` defines it.
+#[test]
+fn traced_explained_scan_reconciles_across_trace_stats_and_report() {
+    use cocci_workloads::rule_matrix::{rule_matrix_codebase, rule_matrix_rules, RuleMatrixSpec};
+    let dir = tmpdir("reconcile");
+    let spec = RuleMatrixSpec {
+        rules: 6,
+        files: 4,
+        functions_per_file: 5,
+        overlap: 2,
+        seed: 11,
+    };
+    fs::create_dir_all(dir.join("rules")).unwrap();
+    fs::create_dir_all(dir.join("corpus")).unwrap();
+    for f in rule_matrix_rules(&spec) {
+        fs::write(dir.join("rules").join(&f.name), &f.text).unwrap();
+    }
+    for f in rule_matrix_codebase(&spec) {
+        fs::write(dir.join("corpus").join(&f.name), &f.text).unwrap();
+    }
+    // A flow transform rule makes the scan enter every phase: CFG
+    // build, flow match, rewrite and render too.
+    fs::write(
+        dir.join("rules/flow_pair.cocci"),
+        "// spatch-rule: flow-pair\n@pair@\nexpression b;\n@@\n\
+         - probe_begin(b);\n+ probe_enter(b);\n...\nprobe_end(b);\n",
+    )
+    .unwrap();
+    fs::write(
+        dir.join("corpus/pair.c"),
+        "void pair(int x) {\n    probe_begin(x);\n    work(x);\n    probe_end(x);\n}\n",
+    )
+    .unwrap();
+    let out = spatch()
+        .current_dir(&dir)
+        .args([
+            "scan",
+            "--rules",
+            "rules",
+            "--trace-out",
+            "trace.json",
+            "--explain",
+        ])
+        .args([
+            "--stats",
+            "--report",
+            "report.json",
+            "--quiet",
+            "-j",
+            "2",
+            "corpus",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let parsed = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("  counter files_parsed: "));
+    assert!(parsed.is_some_and(|n| n != "0"), "{stderr}");
+    let (trace, report) = (dir.join("trace.json"), dir.join("report.json"));
+    let (trace, report) = (trace.to_str().unwrap(), report.to_str().unwrap());
+    cocci_examples::checks::trace_check(trace, report).unwrap();
+    cocci_examples::checks::explain_check(report).unwrap();
 }
 
 /// `r1` rewrites `old_begin` to `probe_begin`; the flow rules after it,
@@ -2510,6 +2581,47 @@ fn diff_output_to_a_full_device_is_an_error_not_a_panic() {
         .files
         .iter()
         .all(|f| f.status == cocci_core::FileStatus::Changed));
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn diagnostics_to_a_full_device_are_dropped_not_a_panic() {
+    let dir = tmpdir("stderr-full");
+    fs::write(dir.join("q.cocci"), "@@ @@\n- old_api(1);\n+ new_api(1);\n").unwrap();
+    fs::create_dir_all(dir.join("rules")).unwrap();
+    fs::write(
+        dir.join("rules/r1.cocci"),
+        "// spatch-rule: r1\n@r1@\nposition p;\n@@\nold_api(1)@p;\n",
+    )
+    .unwrap();
+    fs::write(dir.join("t.c"), "void f(void) {\n    old_api(1);\n}\n").unwrap();
+    // Each run prints per-file lines and a summary to stderr (the last
+    // also its `--stats` table); every write fails.
+    let runs: [(&[&str], &str); 3] = [
+        (&["--sp-file", "q.cocci"], "+    new_api(1);"),
+        (&["scan", "--rules", "rules"], "t.c:2:5: r1: "),
+        (&["scan", "--rules", "rules", "--stats"], "t.c:2:5: r1: "),
+    ];
+    for (i, (args, stdout_has)) in runs.into_iter().enumerate() {
+        let full = fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let report = format!("r{i}.json");
+        let out = spatch()
+            .current_dir(&dir)
+            .args(args)
+            .args(["-j", "1", "--report", &report, "t.c"])
+            .stderr(full)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.contains(stdout_has), "{args:?}: {stdout}");
+        let text = fs::read_to_string(dir.join(&report)).unwrap();
+        let report = cocci_core::ApplyReport::from_json(&text).unwrap();
+        assert_eq!(report.files.len(), 1, "{args:?}");
+    }
 }
 
 /// Run `spatch <mode> --report first.json tree`, then edit the tree:

@@ -324,25 +324,25 @@ const APPLY_REPORT: &[(&str, u64, u64, u64)] = &[
     (
         "report/0",
         0xc3bc5c250e45869e,
-        0x8e9c0bebe9125361,
+        0x41fd13f8e693f370,
         0xd72b586498047dd5,
     ),
     (
         "report/1",
         0x19978b6d68297eff,
-        0x8e9c0bebe9125361,
+        0x41fd13f8e693f370,
         0xd72b586498047dd5,
     ),
     (
         "report/timeout",
         0xcbf29ce484222325,
-        0xf3657a016a16ef9a,
+        0xdded801e257d5d03,
         0xd714374e3352d58e,
     ),
     (
         "report/resume",
         0xc3bc5c250e45869e,
-        0x37c0d8e8e3bdcee2,
+        0xc80192cc330a9cb1,
         0x0e85e4e228e456df,
     ),
 ];
@@ -350,31 +350,31 @@ const SCAN: &[(&str, u64, u64, u64)] = &[
     (
         "scan/0",
         0xc7c10eecc5530646,
-        0xf120d63ff75feb60,
+        0x4ffaca49320754e9,
         0x5e75758627b35012,
     ),
     (
         "scan/1",
-        0xf120d63ff75feb60,
-        0xf120d63ff75feb60,
+        0x4ffaca49320754e9,
+        0x4ffaca49320754e9,
         0x5e75758627b35012,
     ),
     (
         "scan/2",
         0x8147c8e1e7850b88,
-        0xf120d63ff75feb60,
+        0x4ffaca49320754e9,
         0x5e75758627b35012,
     ),
     (
         "scan/timeout",
         0xcbf29ce484222325,
-        0x4c2a86b892d1c635,
+        0x50be9e330b79f624,
         0x8fde72b655a5622b,
     ),
     (
         "scan/resume",
         0x35745896e311ae64,
-        0xec5ee77b30e0bc02,
+        0x1ee7034b3b6b5b11,
         0x2f1fa722ef32e394,
     ),
 ];

@@ -11,10 +11,14 @@
 //! Every text a rule runs on has one context. The caller's context
 //! describes the **original** file text and outlives the patch, so the
 //! next rule set of a scan reuses its caches. A transform rule whose
-//! edits land mid-patch gives the rewritten text a context of its own,
-//! which the patch's later rules share. The [`parses`] and
-//! [`cfg_builds`] counters exist so tests can assert the "exactly once"
-//! property instead of trusting it.
+//! edits land mid-patch gives the rewritten text a context of its own
+//! (`FileContext::after_edits`), which the patch's later rules share.
+//! That context takes over the previous text's tree, identifier table
+//! and typedef table, and its first parse re-parses only the statements
+//! or items the edits touched (see the `splice` module), falling back
+//! to a full parse where a splice cannot be sure to match one. The
+//! [`parses`] and [`cfg_builds`] counters exist so tests can assert the
+//! "exactly once" property instead of trusting it.
 //!
 //! The parse also leaves a table of the text's identifier tokens: each
 //! one's symbol and offset, handed over by the parser, which holds the
@@ -35,14 +39,17 @@
 //! [`cfg_builds`]: FileContext::cfg_builds
 //! [`shared_time`]: FileContext::shared_time
 
+use crate::edits::EditSet;
 use crate::findings::Resolver;
 use crate::flowmatch::CfgCache;
+use crate::splice::{splice, Prior};
 use crate::suppress::SuppressionIndex;
 use crate::treesearch::RootItems;
 use cocci_cast::ast::TranslationUnit;
-use cocci_cast::parser::{parse_with_idents, NoMeta, ParseOptions};
+use cocci_cast::parser::{parse_with_tables, NoMeta, ParseOptions, UnitParse};
 use cocci_cast::Lang;
 use cocci_source::Symbol;
+use cocci_trace::{Counter, Phase};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,6 +68,9 @@ pub struct FileContext {
     /// Time spent building the state above, CFGs aside (the cache keeps
     /// their time).
     built: Duration,
+    /// The previous text's parse and the edits that made this text, until
+    /// the first parse splices them.
+    prior: Option<Prior>,
 }
 
 /// One parse of the text and the tables that come with it.
@@ -68,7 +78,9 @@ struct Parsed {
     lang: Lang,
     tu: Arc<TranslationUnit>,
     /// Every identifier token's symbol and start offset, in source order.
-    idents: Vec<(Symbol, u32)>,
+    idents: Arc<Vec<(Symbol, u32)>>,
+    /// Every typedef name and the offset where its declaration ends.
+    typedefs: Arc<Vec<(Symbol, u32)>>,
     /// The offsets of each symbol asked for so far, ascending.
     occurrences: HashMap<Symbol, Vec<u32>>,
     /// The root-holding items, built on first use (`None` inside when the
@@ -104,7 +116,24 @@ impl FileContext {
             cfgs: CfgCache::default(),
             parses: 0,
             built: Duration::ZERO,
+            prior: None,
         }
+    }
+
+    /// The context of `text`, which applying `edits` to this context's
+    /// text made. It takes over this text's tree, identifier table and
+    /// typedef table, for its first parse to splice.
+    pub(crate) fn after_edits(&self, text: String, edits: &EditSet) -> FileContext {
+        let mut next = FileContext::new(self.name(), text);
+        next.prior = self.parsed.as_ref().map(|p| Prior {
+            lang: p.lang,
+            text: self.text_arc(),
+            tu: Arc::clone(&p.tu),
+            idents: Arc::clone(&p.idents),
+            typedefs: Arc::clone(&p.typedefs),
+            edits: edits.changes(),
+        });
+        next
     }
 
     /// The file's (display) name.
@@ -131,7 +160,9 @@ impl FileContext {
     /// pays for the parse, later rules (of this patch or any other in a
     /// scan) get the same tree. A parse *failure* is cached too — fifty
     /// rules over an unparsable file report one error each without
-    /// re-lexing it fifty times.
+    /// re-lexing it fifty times. A context made by `after_edits` splices
+    /// its first parse from the previous text's where it can; either way
+    /// the text counts as one parse.
     pub fn parse(&mut self, opts: ParseOptions) -> Result<Arc<TranslationUnit>, String> {
         if let Some(p) = &self.parsed {
             if p.lang == opts.lang {
@@ -147,15 +178,23 @@ impl FileContext {
         }
         self.parses += 1;
         let t0 = Instant::now();
-        let parsed = parse_with_idents(&self.text, opts, &NoMeta);
+        let parsed = {
+            let _span = cocci_trace::span(Phase::Parse);
+            cocci_trace::count(Counter::FilesParsed, 1);
+            match self.splice(opts) {
+                Some(unit) => Ok(unit),
+                None => parse_with_tables(&self.text, opts, &NoMeta),
+            }
+        };
         self.built += t0.elapsed();
         match parsed {
-            Ok((tu, idents)) => {
-                let tu = Arc::new(tu);
+            Ok(unit) => {
+                let tu = Arc::new(unit.tu);
                 self.parsed = Some(Parsed {
                     lang: opts.lang,
                     tu: Arc::clone(&tu),
-                    idents,
+                    idents: Arc::new(unit.idents),
+                    typedefs: Arc::new(unit.typedefs),
                     occurrences: HashMap::new(),
                     items: None,
                 });
@@ -167,6 +206,21 @@ impl FileContext {
                 Err(msg)
             }
         }
+    }
+
+    /// The parse spliced from the previous text's, when this context has
+    /// one to take over and the splice serves.
+    fn splice(&mut self, opts: ParseOptions) -> Option<UnitParse> {
+        let prior = self.prior.take()?;
+        let unit = (prior.lang == opts.lang && !opts.pattern)
+            .then(|| splice(prior, &self.text))
+            .flatten();
+        let counter = match unit {
+            Some(_) => Counter::Splices,
+            None => Counter::SpliceFallbacks,
+        };
+        cocci_trace::count(counter, 1);
+        unit
     }
 
     /// Where to try a rule whose matches each hold every one of `atoms` as

@@ -53,6 +53,7 @@ pub mod report;
 pub mod rewrite;
 pub mod ruleset;
 pub mod scan;
+mod splice;
 pub mod suppress;
 mod treesearch;
 

@@ -376,8 +376,17 @@ impl Patcher {
                                 ))
                             })?;
                             // Later rules run on the new text, through a
-                            // context of its own.
-                            rewritten = Some(FileContext::new(name.as_str(), text));
+                            // context of its own. When one of them parses
+                            // it, the context splices its parse from this
+                            // text's; else there is nothing to hand over.
+                            let parsed_later = compiled.patch.rules[ri + 1..]
+                                .iter()
+                                .any(|r| matches!(r, Rule::Transform(_)));
+                            rewritten = Some(if parsed_later {
+                                cur.after_edits(text, &edits)
+                            } else {
+                                FileContext::new(name.as_str(), text)
+                            });
                         }
                     }
                 }

@@ -99,6 +99,12 @@ pub enum Counter {
     FilesParsed,
     /// Parses served from a `FileContext` memo instead of re-parsing.
     ParseCacheHits,
+    /// Parses of rewritten texts spliced from the previous text's tree
+    /// (each also counts in `FilesParsed`).
+    Splices,
+    /// Parses of rewritten texts that could not be spliced and parsed
+    /// in full instead.
+    SpliceFallbacks,
     /// Witnesses forked at binding-incompatible join points.
     WitnessesForked,
     /// Files quarantined by the per-file time budget.
@@ -128,7 +134,7 @@ pub enum Counter {
     KillTimeout,
 }
 
-const COUNTER_COUNT: usize = 16;
+const COUNTER_COUNT: usize = 18;
 
 impl Counter {
     /// Every counter.
@@ -136,6 +142,8 @@ impl Counter {
         Counter::FilesPruned,
         Counter::FilesParsed,
         Counter::ParseCacheHits,
+        Counter::Splices,
+        Counter::SpliceFallbacks,
         Counter::WitnessesForked,
         Counter::Timeouts,
         Counter::Panics,
@@ -157,6 +165,8 @@ impl Counter {
             Counter::FilesPruned => "files_pruned",
             Counter::FilesParsed => "files_parsed",
             Counter::ParseCacheHits => "parse_cache_hits",
+            Counter::Splices => "parse_splices",
+            Counter::SpliceFallbacks => "splice_fallbacks",
             Counter::WitnessesForked => "witnesses_forked",
             Counter::Timeouts => "timeouts",
             Counter::Panics => "panics",

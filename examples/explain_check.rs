@@ -1,8 +1,7 @@
 //! CI validator for `spatch --explain` runs: checks that the report's
 //! funnel counters, its embedded `explain` block, and the per-outcome
-//! `kill_stage` fields all tell one story — **exactly**, no tolerance.
-//! The three surfaces are written from the same `record_attempt` call
-//! per attempt, so any drift between them is a bug, not noise.
+//! `kill_stage` fields all tell one story — **exactly**, no tolerance
+//! (see [`cocci_examples::checks::explain_check`]).
 //!
 //! ```text
 //! cargo run -p cocci-examples --example explain_check -- REPORT.json
@@ -10,127 +9,22 @@
 //!
 //! Exits non-zero with a diagnostic on the first violation.
 
-use cocci_core::explain::{funnel_rows, KillStage};
-use cocci_core::ApplyReport;
+use cocci_examples::checks::explain_check;
 use std::process::ExitCode;
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("explain_check: {msg}");
-    ExitCode::FAILURE
-}
-
 fn main() -> ExitCode {
-    let Some(report_path) = std::env::args().nth(1) else {
-        return fail("usage: explain_check <report.json>");
+    let result = match std::env::args().nth(1) {
+        Some(report) => explain_check(&report),
+        None => Err("usage: explain_check <report.json>".to_string()),
     };
-    let report_text = match std::fs::read_to_string(&report_path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("{report_path}: {e}")),
-    };
-    let report = match ApplyReport::from_json(&report_text) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("{report_path}: {e}")),
-    };
-    let Some(block) = &report.explain else {
-        return fail(&format!(
-            "{report_path}: no explain block — was the run made with --explain?"
-        ));
-    };
-    let Some(metrics) = &report.metrics else {
-        return fail(&format!("{report_path}: report has no metrics block"));
-    };
-    if block.dropped > 0 {
-        // Over the attempt cap the block is a sample, not a census, and
-        // exact reconciliation is off the table; CI fixtures must stay
-        // well under it.
-        return fail(&format!(
-            "{report_path}: explain block dropped {} attempt(s); cannot reconcile exactly",
-            block.dropped
-        ));
-    }
-
-    // Counters vs the block: the attempts counter and every per-stage
-    // kill counter must equal the block's census of the same thing.
-    let attempts = metrics.counter("attempts");
-    if attempts != block.attempts.len() as u64 {
-        return fail(&format!(
-            "attempts counter {attempts} vs {} traced attempts in the explain block",
-            block.attempts.len()
-        ));
-    }
-    for stage in KillStage::ALL {
-        let Some(counter) = stage.counter() else {
-            continue;
-        };
-        let counted = metrics.counter(counter.name());
-        let traced = block.attempts.iter().filter(|a| a.stage == stage).count() as u64;
-        if counted != traced {
-            return fail(&format!(
-                "counter {} is {counted} but the explain block holds {traced} {} attempt(s)",
-                counter.name(),
-                stage
-            ));
+    match result {
+        Ok(msg) => {
+            println!("explain_check: ok — {msg}");
+            ExitCode::SUCCESS
+        }
+        Err(msg) => {
+            eprintln!("explain_check: {msg}");
+            ExitCode::FAILURE
         }
     }
-
-    // The funnel derived from those counters must be monotone and land
-    // exactly on the completed-attempt count.
-    let rows = funnel_rows(|name| metrics.counter(name));
-    if rows.windows(2).any(|w| w[0].1 < w[1].1) {
-        return fail(&format!("funnel is not monotone: {rows:?}"));
-    }
-    let completed = block
-        .attempts
-        .iter()
-        .filter(|a| a.stage == KillStage::Completed)
-        .count() as u64;
-    match rows.last() {
-        Some(&("completed", v)) if v == completed => {}
-        other => {
-            return fail(&format!(
-                "funnel bottom row {other:?} vs {completed} completed attempts"
-            ))
-        }
-    }
-
-    // Per-outcome attribution: each file's kill_stage is the deepest
-    // stage of its traced attempts, and every per-rule kill_stage row
-    // has a block attempt agreeing with it.
-    for f in &report.files {
-        let deepest = block
-            .attempts
-            .iter()
-            .filter(|a| a.file == f.name)
-            .map(|a| a.stage)
-            .max();
-        if deepest.is_some() && f.kill_stage != deepest {
-            return fail(&format!(
-                "{}: kill_stage {:?} vs deepest traced stage {:?}",
-                f.name, f.kill_stage, deepest
-            ));
-        }
-        for r in &f.rules {
-            let Some(stage) = r.kill_stage else {
-                return fail(&format!("{}: rule {} has no kill_stage", f.name, r.id));
-            };
-            if !block
-                .attempts
-                .iter()
-                .any(|a| a.file == f.name && a.rule == r.id && a.stage == stage)
-            {
-                return fail(&format!(
-                    "{}: rule {} records kill_stage {stage} but no traced attempt agrees",
-                    f.name, r.id
-                ));
-            }
-        }
-    }
-
-    println!(
-        "explain_check: ok — {} attempts across {} file(s) reconcile exactly with the funnel counters of {}",
-        block.attempts.len(),
-        report.files.len(),
-        report_path
-    );
-    ExitCode::SUCCESS
 }

@@ -1,5 +1,7 @@
 //! Shared helpers for the example binaries.
 
+pub mod checks;
+
 use std::time::Instant;
 
 /// Time a closure, returning (result, seconds).
