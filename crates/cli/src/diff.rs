@@ -2,9 +2,8 @@
 //!
 //! `spatch` traditionally prints its transformations as a unified diff;
 //! this module provides that output without external dependencies. It
-//! uses only `std`, `cocci_source`'s FNV hasher and no `crate::` paths,
-//! so benchmarks compile it by path and price exactly what the CLI
-//! prints.
+//! uses only `std` and no `crate::` paths, so benchmarks compile it by
+//! path and price exactly what the CLI prints.
 //!
 //! The edit script is the traceback of the longest-common-subsequence
 //! table. When the lines the two texts share appear in the same order on
@@ -14,7 +13,6 @@
 //! of texts fills the O(n·m) table (`lcs_ops`), which is also the tests'
 //! reference.
 
-use cocci_source::FnvBuild;
 use std::collections::HashSet;
 
 /// Produce a unified diff between `a` and `b` labelled with `name`.
@@ -152,8 +150,8 @@ fn diff_ops(a: &[&str], b: &[&str]) -> Vec<Op> {
 /// edits whose own lines share no text, but X and A are shared across
 /// them, so this returns `None` and the table decides.
 fn linear_ops(a: &[&str], b: &[&str]) -> Option<Vec<Op>> {
-    let in_a: HashSet<&str, FnvBuild> = a.iter().copied().collect();
-    let in_b: HashSet<&str, FnvBuild> = b.iter().copied().collect();
+    let in_a: HashSet<&str> = a.iter().copied().collect();
+    let in_b: HashSet<&str> = b.iter().copied().collect();
     let shared_a: Vec<bool> = a.iter().map(|l| in_b.contains(l)).collect();
     let shared_b: Vec<bool> = b.iter().map(|l| in_a.contains(l)).collect();
     let seq_a = a.iter().zip(&shared_a).filter(|p| *p.1).map(|p| p.0);
