@@ -194,6 +194,8 @@ pub struct Fragment<T> {
     pub nodes: Vec<T>,
     /// The fragment's identifier tokens, as in [`UnitParse::idents`].
     pub idents: Vec<(Symbol, u32)>,
+    /// Where the fragment's first token starts; `None` when it has none.
+    pub first: Option<u32>,
 }
 
 /// Parse `src[span]`, a run of statements of a C or C++ text, as the
@@ -231,6 +233,10 @@ fn fragment<T>(
     mut one: impl FnMut(&mut Parser<'_>) -> Result<T, ParseErr>,
 ) -> Result<Fragment<T>, ParseErr> {
     let toks = lex_fragment(src, span.start, span.end)?;
+    let first = toks
+        .first()
+        .filter(|t| t.kind != TokenKind::Eof)
+        .map(|t| t.span.start);
     let opts = ParseOptions {
         pattern: false,
         lang,
@@ -250,6 +256,7 @@ fn fragment<T>(
     Ok(Fragment {
         nodes,
         idents: p.idents(),
+        first,
     })
 }
 

@@ -16,9 +16,10 @@ pub fn shift_item(item: &mut Item, map: &impl Fn(u32) -> u32) {
 }
 
 /// The pass: one method per node type, each moving the node's own spans
-/// and recursing into its children. Every struct pattern names all of
-/// its fields, so a field added to the AST fails to compile here until
-/// this pass moves it too.
+/// and recursing into its children. Every pattern, of a struct or of an
+/// enum variant, names all of its fields, so a field added to the AST
+/// fails to compile here until this pass moves it too (or names it
+/// `_`).
 struct Shift<'m, F>(&'m F);
 
 impl<F: Fn(u32) -> u32> Shift<'_, F> {
@@ -30,12 +31,23 @@ impl<F: Fn(u32) -> u32> Shift<'_, F> {
     }
 
     fn ident(&self, i: &mut Ident) {
-        self.span(&mut i.span);
+        let Ident { name: _, span } = i;
+        self.span(span);
+    }
+
+    fn directive(&self, d: &mut Directive) {
+        let Directive {
+            kind: _,
+            raw: _,
+            payload: _,
+            span,
+        } = d;
+        self.span(span);
     }
 
     fn item(&self, item: &mut Item) {
         match item {
-            Item::Directive(d) => self.span(&mut d.span),
+            Item::Directive(d) => self.directive(d),
             Item::Function(f) => self.function(f),
             Item::Decl(d) => self.decl(d),
             Item::Namespace { name, items, span } => {
@@ -131,18 +143,29 @@ impl<F: Fn(u32) -> u32> Shift<'_, F> {
     }
 
     fn ty(&self, t: &mut Type) {
-        match &mut t.kind {
-            TypeKind::Ptr(inner) | TypeKind::Ref(inner) | TypeKind::Qualified { inner, .. } => {
-                self.ty(inner)
+        let Type { kind, span } = t;
+        match kind {
+            TypeKind::Ptr(inner)
+            | TypeKind::Ref(inner)
+            | TypeKind::Qualified { quals: _, inner } => self.ty(inner),
+            TypeKind::Named {
+                name: _,
+                template_args: _,
             }
-            TypeKind::Named { .. } | TypeKind::Record { .. } | TypeKind::Meta { .. } => {}
+            | TypeKind::Record {
+                keyword: _,
+                name: _,
+                raw_body: _,
+            }
+            | TypeKind::Meta { name: _ } => {}
         }
-        self.span(&mut t.span);
+        self.span(span);
     }
 
     fn block(&self, b: &mut Block) {
-        b.stmts.iter_mut().for_each(|s| self.stmt(s));
-        self.span(&mut b.span);
+        let Block { stmts, span } = b;
+        stmts.iter_mut().for_each(|s| self.stmt(s));
+        self.span(span);
     }
 
     fn stmt(&self, s: &mut Stmt) {
@@ -213,8 +236,12 @@ impl<F: Fn(u32) -> u32> Shift<'_, F> {
             Stmt::Break { span }
             | Stmt::Continue { span }
             | Stmt::Empty { span }
-            | Stmt::MetaStmt { span, .. }
-            | Stmt::MetaStmtList { span, .. } => self.span(span),
+            | Stmt::MetaStmt {
+                name: _,
+                pos: _,
+                span,
+            }
+            | Stmt::MetaStmtList { name: _, span } => self.span(span),
             Stmt::Goto { label, span } => {
                 self.ident(label);
                 self.span(span);
@@ -240,7 +267,7 @@ impl<F: Fn(u32) -> u32> Shift<'_, F> {
                 self.stmt(stmt);
                 self.span(span);
             }
-            Stmt::Directive(d) => self.span(&mut d.span),
+            Stmt::Directive(d) => self.directive(d),
             Stmt::Dots {
                 span,
                 when_not,
@@ -263,20 +290,47 @@ impl<F: Fn(u32) -> u32> Shift<'_, F> {
     fn expr(&self, e: &mut Expr) {
         match e {
             Expr::Ident(i) => self.ident(i),
-            Expr::IntLit { span, .. }
-            | Expr::FloatLit { span, .. }
-            | Expr::StrLit { span, .. }
-            | Expr::CharLit { span, .. }
-            | Expr::Sizeof { span, .. }
+            Expr::IntLit {
+                value: _,
+                raw: _,
+                span,
+            }
+            | Expr::FloatLit { raw: _, span }
+            | Expr::StrLit { raw: _, span }
+            | Expr::CharLit { raw: _, span }
+            | Expr::Sizeof { arg: _, span }
             | Expr::Dots { span } => self.span(span),
             Expr::Paren { inner: x, span }
-            | Expr::Unary { expr: x, span, .. }
-            | Expr::PostIncDec { expr: x, span, .. }
-            | Expr::PosAnn { inner: x, span, .. } => {
+            | Expr::Unary {
+                op: _,
+                expr: x,
+                span,
+            }
+            | Expr::PostIncDec {
+                expr: x,
+                inc: _,
+                span,
+            }
+            | Expr::PosAnn {
+                inner: x,
+                pos: _,
+                span,
+            } => {
                 self.expr(x);
                 self.span(span);
             }
-            Expr::Binary { lhs, rhs, span, .. } | Expr::Assign { lhs, rhs, span, .. } => {
+            Expr::Binary {
+                op: _,
+                lhs,
+                rhs,
+                span,
+            }
+            | Expr::Assign {
+                op: _,
+                lhs,
+                rhs,
+                span,
+            } => {
                 self.expr(lhs);
                 self.expr(rhs);
                 self.span(span);

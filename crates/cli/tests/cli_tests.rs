@@ -2594,11 +2594,19 @@ fn diagnostics_to_a_full_device_are_dropped_not_a_panic() {
         "// spatch-rule: r1\n@r1@\nposition p;\n@@\nold_api(1)@p;\n",
     )
     .unwrap();
+    fs::write(
+        dir.join("s.cocci"),
+        "@r@\nexpression e;\n@@\n- old_api(e);\n+ new_api(e);\n\n\
+         @script:python s depends on r@\ne << r.e;\n@@\nprint(\"saw\", e)\n",
+    )
+    .unwrap();
     fs::write(dir.join("t.c"), "void f(void) {\n    old_api(1);\n}\n").unwrap();
-    // Each run prints per-file lines and a summary to stderr (the last
-    // also its `--stats` table); every write fails.
-    let runs: [(&[&str], &str); 3] = [
+    // Each run prints per-file lines and a summary to stderr (a scan
+    // with `--stats` also its table, `s.cocci` a script's `print`);
+    // every write fails.
+    let runs: [(&[&str], &str); 4] = [
         (&["--sp-file", "q.cocci"], "+    new_api(1);"),
+        (&["--sp-file", "s.cocci"], "+    new_api(1);"),
         (&["scan", "--rules", "rules"], "t.c:2:5: r1: "),
         (&["scan", "--rules", "rules", "--stats"], "t.c:2:5: r1: "),
     ];

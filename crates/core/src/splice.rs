@@ -76,6 +76,12 @@ pub(crate) fn splice(mut prior: Prior, text: &str) -> Option<UnitParse> {
     let mut shift = 0i64;
     let mut nodes = Vec::with_capacity(runs.len());
     let mut idents = Vec::with_capacity(runs.len());
+    // The unit starts at its first token, which may precede its first
+    // item's span (`extern "C"` before a declaration). Tokens before the
+    // first run keep their offsets; a run that starts the text brings
+    // its own first token, or when it kept none, leaves the first
+    // element after it in front.
+    let mut first_token = Some(prior.tu.span.start);
     for r in &runs {
         let new = Span::new(
             (r.old.start as i64 + shift) as u32,
@@ -93,13 +99,16 @@ pub(crate) fn splice(mut prior: Prior, text: &str) -> Option<UnitParse> {
             .iter()
             .filter(|&&(_, at)| at <= r.old.start)
             .map(|&(name, _)| name);
-        let (run_nodes, run_idents) = if r.items {
+        let (run_nodes, run_idents, first) = if r.items {
             let f = parse_items_at(text, new, typedefs, prior.lang).ok()?;
-            (Nodes::Items(f.nodes), f.idents)
+            (Nodes::Items(f.nodes), f.idents, f.first)
         } else {
             let f = parse_stmts_at(text, new, typedefs, prior.lang).ok()?;
-            (Nodes::Stmts(f.nodes), f.idents)
+            (Nodes::Stmts(f.nodes), f.idents, f.first)
         };
+        if r.old.start == 0 {
+            first_token = first;
+        }
         nodes.push(run_nodes);
         idents.push(run_idents);
     }
@@ -139,7 +148,8 @@ pub(crate) fn splice(mut prior: Prior, text: &str) -> Option<UnitParse> {
         }
     }
     let len = text.len() as u32;
-    tu.span = Span::new(tu.items.first().map_or(len, |i| i.span().start), len);
+    let start = first_token.unwrap_or_else(|| tu.items.first().map_or(len, |i| i.span().start));
+    tu.span = Span::new(start, len);
 
     let old_idents = &prior.idents;
     let mut all = Vec::with_capacity(old_idents.len() + idents.iter().map(Vec::len).sum::<usize>());
@@ -641,7 +651,9 @@ out: g(a); // a trailing comment
         };
         let mut files: Vec<(String, Lang)> = Vec::new();
         for f in cuda_codebase(&spec) {
-            files.push((framed(&f.text), Lang::Cpp));
+            // A first item whose span starts past the unit's first token.
+            let lead = "extern \"C\" int lead(int);\n";
+            files.push((format!("{lead}{}", framed(&f.text)), Lang::Cpp));
         }
         for f in branchy_codebase(&spec)
             .into_iter()
@@ -744,6 +756,24 @@ out: g(a); // a trailing comment
         assert!(spliced(old, &edit(old, "b", 1, "bb"), Lang::C).is_some());
         assert!(spliced(old, &edit(old, " b();", 0, "\n    z();"), Lang::C).is_some());
         assert!(spliced(old, &edit(old, "}\n", 0, "e();\n"), Lang::C).is_some());
+    }
+
+    #[test]
+    fn the_unit_starts_at_its_first_token() {
+        // `extern "C"` opens the first item, whose span starts after it.
+        let old = "extern \"C\" int f(int);\n\nvoid g(void) {\n    a();\n}\n";
+        let decl = "extern \"C\" int f(int);";
+        for (edits, start) in [
+            // An edit past the first item, and one inside it.
+            (edit(old, "a()", 1, "b"), 0),
+            (edit(old, "f(int)", 1, "ff"), 0),
+            // The first item goes, and the next one leads.
+            (edit(old, decl, decl.len(), ""), 2),
+            (edit(old, decl, decl.len(), "/* gone */"), 12),
+        ] {
+            let unit = spliced(old, &edits, Lang::Cpp).unwrap_or_else(|| panic!("{edits:?}"));
+            assert_eq!(unit.tu.span.start, start, "{edits:?}");
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::Write;
 
 /// A script value.
 #[derive(Debug, Clone, PartialEq)]
@@ -360,8 +361,11 @@ impl Interp {
                     _ => Err(serr("len() of unsupported value")),
                 },
                 "print" => {
+                    // One write, and a failed one is dropped: a print that
+                    // cannot reach stderr does not fail the file.
                     let text: Vec<String> = args.iter().map(Value::render).collect();
-                    eprintln!("{}", text.join(" "));
+                    let line = format!("{}\n", text.join(" "));
+                    let _ = std::io::stderr().write_all(line.as_bytes());
                     Ok(Value::None)
                 }
                 other => Err(serr(format!("unknown function `{other}`"))),
